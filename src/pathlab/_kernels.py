@@ -1,10 +1,12 @@
 """Hot integer kernels behind the ordering and shift-permutation searches.
 
-Two implementations are provided for each kernel: a numba ``@njit`` version
-and a numpy/python fallback.  The fallback is selected when numba is not
-importable or when the environment variable ``PATHLAB_NO_NUMBA`` is set to a
-non-empty value other than ``0``.  ``benchmarks/bench_kernels.py`` times the
-two paths against each other.
+The subset DP has one exact implementation, whatever is installed: a loop
+over Python integers for coverings of at most ``SMALL_M`` members and a
+layered numpy DP above that (``benchmarks/bench_kernels.py`` times both
+over m and prints where they cross).  The shift sweep has a numba ``@njit``
+version and a pure-python fallback; the fallback is selected when numba is
+not importable or when the environment variable ``PATHLAB_NO_NUMBA`` is set
+to a non-empty value other than ``0``.
 
 Data layout shared by both kernels:
 
@@ -47,33 +49,6 @@ except ImportError:  # pragma: no cover - depends on environment
 # ---------------------------------------------------------------------------
 
 
-_DEBRUIJN = np.int64(0x077CB531)
-_DEBRUIJN_TABLE = np.zeros(32, np.int64)
-for _i in range(32):
-    _DEBRUIJN_TABLE[(np.int64(1 << _i) * _DEBRUIJN) >> 27 & 31] = _i
-
-
-@njit(cache=True)
-def _max_ordering_nb(conflict, offsets, m, debruijn_table):  # pragma: no cover
-    dp = np.zeros(1 << m, np.int8)
-    for s in range(1, 1 << m):
-        best = 0
-        bits = s
-        while bits:
-            low = bits & (-bits)
-            bits ^= low
-            j = debruijn_table[(low * 0x077CB531) >> 27 & 31]
-            prev = s ^ low
-            v = dp[prev]
-            for c in range(offsets[j], offsets[j + 1]):
-                if prev & conflict[c] == 0:
-                    v += 1
-            if v > best:
-                best = v
-        dp[s] = best
-    return int(dp[(1 << m) - 1])
-
-
 def _popcount32(a: np.ndarray) -> np.ndarray:
     v = a.astype(np.uint32)
     v = v - ((v >> 1) & 0x55555555)
@@ -82,8 +57,39 @@ def _popcount32(a: np.ndarray) -> np.ndarray:
     return ((v * 0x01010101) >> 24).astype(np.int64)
 
 
-def _max_ordering_np(conflict, offsets, m):
-    """Layer-by-popcount vectorized subset DP (pure numpy)."""
+# Largest m run by the plain-integer loop: at m = 10 the loop and the numpy
+# layers take about the same time, above it numpy wins by a growing factor
+# (1.4-1.8x at m = 11, 2-3x at m = 12; ``benchmarks/bench_kernels.py`` prints
+# the sweep).
+SMALL_M = 10
+
+
+def _max_ordering_py(conflicts_per_member: list[list[int]]) -> int:
+    """Subset DP over Python integers, for small m, where numpy's per-call
+    set-up costs more than the whole loop."""
+    m = len(conflicts_per_member)
+    members = [(1 << j, masks) for j, masks in enumerate(conflicts_per_member)]
+    dp = [0] * (1 << m)
+    for s in range(1, 1 << m):
+        best = 0
+        for bit, masks in members:
+            if s & bit:
+                prev = s ^ bit
+                v = dp[prev]
+                for c in masks:
+                    if not prev & c:
+                        v += 1
+                if v > best:
+                    best = v
+        dp[s] = best
+    return dp[-1]
+
+
+def _max_ordering_np(conflicts_per_member: list[list[int]]) -> int:
+    """Layer-by-popcount vectorized subset DP.  ``dp`` is int32: a value is
+    at most the covering's component count, which any covering that fits in
+    memory keeps below 2^31."""
+    m = len(conflicts_per_member)
     size = 1 << m
     dp = np.zeros(size, np.int32)
     idx_all = np.arange(size, dtype=np.int64)
@@ -96,8 +102,8 @@ def _max_ordering_np(conflict, offsets, m):
                 continue
             prev = sub ^ (1 << j)
             cand = dp[prev].copy()
-            for c in range(offsets[j], offsets[j + 1]):
-                cand += (prev & int(conflict[c])) == 0
+            for c in conflicts_per_member[j]:
+                cand += (prev & c) == 0
             np.maximum.at(dp, sub, cand)
     return int(dp[size - 1])
 
@@ -108,18 +114,9 @@ def max_ordering_value(conflicts_per_member: list[list[int]]) -> int:
     ``conflicts_per_member[j]`` lists one conflict bitmask per component of
     member j (bit i set when the component shares a vertex with member i).
     """
-    m = len(conflicts_per_member)
-    if m == 0:
-        return 0
-    offsets = np.zeros(m + 1, np.int64)
-    flat: list[int] = []
-    for j, masks in enumerate(conflicts_per_member):
-        flat.extend(masks)
-        offsets[j + 1] = len(flat)
-    conflict = np.asarray(flat, np.int64) if flat else np.zeros(0, np.int64)
-    if USING_NUMBA:
-        return _max_ordering_nb(conflict, offsets, m, _DEBRUIJN_TABLE)
-    return _max_ordering_np(conflict, offsets, m)
+    if len(conflicts_per_member) <= SMALL_M:
+        return _max_ordering_py(conflicts_per_member)
+    return _max_ordering_np(conflicts_per_member)
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,18 @@ DEFAULT_SEM_ARITY_LIMIT = 20
 
 
 class JoinTree:
-    """Immutable binary join tree; ``graph`` is the union of leaf labels."""
+    """Immutable binary join tree; ``graph`` is the union of leaf labels.
+    Once ``psi`` has run, ``_psi`` caches Psi and ``_psi_size`` the largest
+    covering size (two slots of small ints, where a tuple would allocate)."""
 
-    __slots__ = ("left", "right", "graph", "_hash")
+    __slots__ = ("left", "right", "graph", "_hash", "_psi", "_psi_size")
 
     def __init__(self, left: "JoinTree | None", right: "JoinTree | None", graph: PathGraph):
         self.left = left
         self.right = right
         self.graph = graph
+        self._psi: int | None = None
+        self._psi_size = 0
         if left is None:
             self._hash = hash((0, graph))
         else:
@@ -277,14 +281,22 @@ def max_vec_delta_over_orderings(
     m = len(members)
     if m > limit:
         raise ResourceLimitError(f"covering size {m} exceeds subset-DP limit {limit}")
+    # vertex bitmasks over the ranks of the interval endpoints: ranking keeps
+    # every "s <= t'" comparison, so two intervals share a vertex exactly when
+    # their masks meet, and a mask is at most two bits per interval wide
+    ends = sorted({x for g in members for iv in g.intervals for x in iv})
+    rank = {x: i for i, x in enumerate(ends)}
+    comp_bits = [
+        [((2 << (rank[t] - rank[s])) - 1) << rank[s] for s, t in g.intervals] for g in members
+    ]
+    vertex_bits = [sum(bits) for bits in comp_bits]
     conflicts: list[list[int]] = []
-    for j, g in enumerate(members):
+    for j, bits in enumerate(comp_bits):
         masks = []
-        for comp_iv in g.intervals:
-            comp = PathGraph((comp_iv,))
+        for comp in bits:
             mask = 0
-            for i, other in enumerate(members):
-                if i != j and comp.shares_vertex(other):
+            for i, other in enumerate(vertex_bits):
+                if i != j and comp & other:
                     mask |= 1 << i
             masks.append(mask)
         conflicts.append(masks)
@@ -292,15 +304,21 @@ def max_vec_delta_over_orderings(
 
 
 def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
-    """Psi-size: max over branch coverings of the best ordering value."""
-    best = 0
-    seen: set[frozenset[PathGraph]] = set()
-    for cov in branch_coverings(t):
-        if cov in seen:
-            continue
-        seen.add(cov)
-        best = max(best, max_vec_delta_over_orderings(cov, limit=dp_limit))
-    return best
+    """Psi-size: max over branch coverings of the best ordering value.
+
+    The value is cached on ``t`` with its largest covering size, so a later
+    call with a ``dp_limit`` below that size still raises.  A tree refused
+    by the limit runs no DP and caches only its covering size."""
+    if t._psi is None:
+        covs = set(branch_coverings(t))
+        t._psi_size = max((sum(1 for g in cov if g) for cov in covs), default=0)
+        if t._psi_size <= dp_limit:
+            t._psi = max(
+                (max_vec_delta_over_orderings(cov, limit=dp_limit) for cov in covs), default=0
+            )
+    if t._psi_size > dp_limit:
+        raise ResourceLimitError(f"covering size {t._psi_size} exceeds subset-DP limit {dp_limit}")
+    return t._psi
 
 
 # ---------------------------------------------------------------------------

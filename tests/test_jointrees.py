@@ -8,7 +8,7 @@ import random
 import pytest
 
 from pathlab import jointrees as jt
-from pathlab import samples, shifts
+from pathlab import _kernels, samples, shifts
 from pathlab.errors import ArityError, InvalidParameterError, ResourceLimitError
 from pathlab.paths import (
     EMPTY,
@@ -125,15 +125,43 @@ def test_dp_single_graph():
 
 def test_dp_matches_permutation_brute_force():
     rng = random.Random(1)
-    for _ in range(60):
-        members = sorted(
-            {samples.random_pathgraph(rng, 0, 9, max_comps=2) for _ in range(rng.randint(1, 6))}
-        )
-        members = [g for g in members if g]
-        if not members:
-            continue
-        brute = max(vec_delta(list(p)) for p in itertools.permutations(members))
-        assert jt.max_vec_delta_over_orderings(members) == brute
+    # negative and far-apart coordinates too: vertex masks are built over ranks
+    for lo, hi in ((0, 9), (-9, 0), (-5, 4), (-1_000_003, -999_994)):
+        for _ in range(60):
+            members = sorted(
+                {samples.random_pathgraph(rng, lo, hi, max_comps=2) for _ in range(rng.randint(1, 6))}
+            )
+            members = [g for g in members if g]
+            if not members:
+                continue
+            brute = max(vec_delta(list(p)) for p in itertools.permutations(members))
+            assert jt.max_vec_delta_over_orderings(members) == brute
+    far = [make_path(0, 1), make_path(1, 2), make_path(2, 3).union(make_path(10**9, 10**9 + 1))]
+    assert jt.max_vec_delta_over_orderings(far) == 3
+
+
+def test_dp_counts_past_int8():
+    # pairwise vertex-disjoint members, so every component survives in every
+    # ordering; 3 members run the plain-integer loop, 11 the numpy layers
+    assert 3 <= _kernels.SMALL_M < 11
+    for members, comps in ((3, 50), (11, 20)):
+        seq = [
+            PathGraph((3 * (j * comps + c), 3 * (j * comps + c) + 1) for c in range(comps))
+            for j in range(members)
+        ]
+        assert jt.max_vec_delta_over_orderings(seq) == members * comps
+
+
+@pytest.mark.parametrize("m", range(8, 13))
+def test_dp_bodies_agree_across_crossover(m):
+    rng = random.Random(m)
+    for _ in range(4):
+        conflicts = [
+            [rng.getrandbits(m) & ~(1 << j) for _ in range(rng.randint(0, 3))] for j in range(m)
+        ]
+        want = _kernels._max_ordering_np(conflicts)
+        assert _kernels._max_ordering_py(conflicts) == want
+        assert _kernels.max_ordering_value(conflicts) == want
 
 
 def test_dp_limit():
@@ -165,6 +193,43 @@ def test_psi_rotation_invariance():
     for _ in range(40):
         t = samples.random_jointree(rng, k=6, leaves=rng.randint(2, 6))
         assert jt.psi(rotate(t)) == jt.psi(t)
+
+
+def test_psi_cache_keeps_the_dp_limit(monkeypatch):
+    t = jt.build_tight("II", 16, 2)
+    largest = max(sum(1 for g in cov if g) for cov in jt.branch_coverings(t))
+    dp_runs = []
+    real = jt.max_vec_delta_over_orderings
+    monkeypatch.setattr(
+        jt, "max_vec_delta_over_orderings", lambda cov, limit: dp_runs.append(cov) or real(cov, limit)
+    )
+    with pytest.raises(ResourceLimitError):
+        jt.psi(t, dp_limit=largest - 1)
+    assert dp_runs == [] and t._psi is None  # a refused tree runs no DP and caches no value
+    value = jt.psi(t)
+    assert (t._psi, t._psi_size) == (value, largest)
+    with pytest.raises(ResourceLimitError):
+        jt.psi(t, dp_limit=largest - 1)
+    assert jt.psi(t, dp_limit=largest) == value
+
+
+def test_psi_cache_matches_a_fresh_tree():
+    rng = random.Random(4)
+    for _ in range(30):
+        t = samples.random_strict_tree(rng, full_path(rng.randint(2, 7)))
+        first = jt.psi(t)
+        fresh = jt.JoinTree.from_json(t.to_json())
+        assert fresh == t and fresh._psi is None
+        assert jt.psi(fresh) == first == jt.psi(t)
+
+
+def test_verify_tradeoff_kinds_share_one_psi(monkeypatch):
+    calls = []
+    real = jt.branch_coverings
+    monkeypatch.setattr(jt, "branch_coverings", lambda t: calls.append(t) or real(t))
+    t = jt.build_tight("II", 16, 2)
+    assert jt.verify_tradeoff(t, "I")[1] == jt.verify_tradeoff(t, "II")[1]
+    assert calls == [t]
 
 
 def test_psi_dominates_every_fixed_ordering():
