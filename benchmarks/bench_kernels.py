@@ -1,5 +1,5 @@
-"""Time the two hot kernels: the subset DP behind the ordering oracle and the
-shift-permutation sweep.
+"""Time the two exact optimum searches: the subset DP behind the ordering
+oracle and the block DP of the shift optimum.
 
 The subset DP sweep times both bodies of ``_kernels.max_ordering_value`` (the
 plain-integer loop and the layered numpy DP) and the entry point itself on
@@ -8,10 +8,10 @@ the loop stops winning is the crossover ``_kernels.SMALL_M`` rests on.  The
 loop's time doubles and more with each member, so it is timed only up to
 ``PY_MAX_M``.
 
-The shift sweep has a numba kernel and a python fallback; both are timed
-when numba is importable (``PATHLAB_NO_NUMBA`` switches it off).
+The shift optimum ``shifts.best_shift`` is timed on the m single edges of a
+path (optimum ceil(m/2) as well), for each m.
 
-Run:  python benchmarks/bench_kernels.py [--dp-m 2..22] [--sweep-m 14 18] [--repeat 3]
+Run:  python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -19,11 +19,8 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
-from pathlab import _kernels
+from pathlab import _kernels, shifts
 from pathlab.paths import single_edge
-from pathlab.shifts import _prep_arrays
 
 # largest m the plain-integer loop is timed at (14 takes about 0.1 s a call)
 PY_MAX_M = 14
@@ -55,23 +52,11 @@ def bench_subset_dp(m: int, repeat: int) -> dict:
     return rows
 
 
-def bench_shift_sweep(m: int, repeat: int) -> dict:
+def bench_best_shift(m: int, repeat: int) -> float:
     seq = [single_edge(i) for i in range(1, m + 1)]
-    comp_vmask, comp_len, offsets, gmask = _prep_arrays(seq)
-    rows = {}
-    if _kernels.USING_NUMBA:
-        _kernels._shift_sweep_nb(comp_vmask, comp_len, offsets, gmask, m, 0)  # warm jit
-        t0 = time.perf_counter()
-        for _ in range(repeat):
-            out_nb = _kernels._shift_sweep_nb(comp_vmask, comp_len, offsets, gmask, m, 0)
-        rows["numba"] = (time.perf_counter() - t0) / repeat
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        out_py = _kernels._shift_sweep_py(comp_vmask, comp_len, offsets, gmask, m, 0)
-    rows["python"] = (time.perf_counter() - t0) / repeat
-    if "numba" in rows:
-        assert np.array_equal(out_nb, out_py)
-    return rows
+    seconds, (_, value) = _per_call(shifts.best_shift, seq, repeat)
+    assert value == (m + 1) // 2, (m, value)
+    return seconds
 
 
 def _ms(seconds: float | None) -> str:
@@ -81,7 +66,7 @@ def _ms(seconds: float | None) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--dp-m", type=int, nargs="+", default=list(range(2, 23)))
-    parser.add_argument("--sweep-m", type=int, nargs="*", default=[14, 18])
+    parser.add_argument("--shift-m", type=int, nargs="*", default=list(range(8, 26)))
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     print(f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.SMALL_M}")
@@ -91,13 +76,11 @@ def main() -> None:
         py, npy = rows.get("python"), rows["numpy"]
         ratio = f"{py / npy:14.2f}" if py is not None else f"{'--':>14}"
         print(f"{m:>4}{_ms(py)}{_ms(npy)}{_ms(rows['entry'])}{ratio}")
-    if args.sweep_m:
-        print(f"\nshift sweep, s per call; numba available and enabled: {_kernels.USING_NUMBA}")
-        print(f"{'m':>4}{'numba':>12}{'python':>12}")
-        for m in args.sweep_m:
-            rows = bench_shift_sweep(m, args.repeat)
-            nb = f"{rows['numba']:12.4f}" if "numba" in rows else f"{'--':>12}"
-            print(f"{m:>4}{nb}{rows['python']:>12.4f}")
+    if args.shift_m:
+        print("\nshift optimum (block DP), ms per call")
+        print(f"{'m':>4}{'best_shift':>12}")
+        for m in args.shift_m:
+            print(f"{m:>4}{_ms(bench_best_shift(m, args.repeat))}")
 
 
 if __name__ == "__main__":

@@ -1,47 +1,22 @@
-"""Hot integer kernels behind the ordering and shift-permutation searches.
+"""Exact integer kernels behind the ordering oracle, Psi and the shift optimum.
 
-The subset DP has one exact implementation, whatever is installed: a loop
-over Python integers for coverings of at most ``SMALL_M`` members and a
-layered numpy DP above that (``benchmarks/bench_kernels.py`` times both
-over m and prints where they cross).  The shift sweep has a numba ``@njit``
-version and a pure-python fallback; the fallback is selected when numba is
-not importable or when the environment variable ``PATHLAB_NO_NUMBA`` is set
-to a non-empty value other than ``0``.
+The subset DP has one implementation, whatever is installed: a loop over
+Python integers for coverings of at most ``SMALL_M`` members and a layered
+numpy DP above that (``benchmarks/bench_kernels.py`` times both over m and
+prints where they cross).  Members of a covering are indexed ``0..m-1``, and
+each component of each member carries a *conflict mask*: bit j is set when
+the component shares a vertex with member j.
 
-Data layout shared by both kernels:
-
-* members of a covering are indexed ``0..m-1``;
-* for the subset DP, each component of each member carries a *conflict mask*
-  (bit j set when the component shares a vertex with member j);
-* for the shift sweep, each component carries a *vertex mask* over a window
-  of at most 63 consecutive integers, plus its length.
+The shift sweep is a longest path over the m(m+1)/2 blocks (p, i] of a
+shift permutation's index set, given the value of each block.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_FALLBACK = os.environ.get("PATHLAB_NO_NUMBA", "") not in ("", "0")
-
-try:
-    if _FORCE_FALLBACK:
-        raise ImportError("numba disabled by PATHLAB_NO_NUMBA")
-    from numba import njit  # type: ignore
-
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
+# No kernel is compiled; the benchmark harness reports this flag.
+USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -120,99 +95,28 @@ def max_ordering_value(conflicts_per_member: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shift-permutation sweep
+# shift optimum: longest path over block boundaries
 # ---------------------------------------------------------------------------
 
-OBJ_DELTA = 0
-OBJ_LAMBDA = 1
-OBJ_LAMBDA_DELTA = 2
 
+def shift_sweep(block: list[list[int]]) -> tuple[int, list[int]]:
+    """Best total and lex-min sorted index set over the index sets I of [m]
+    containing m, where I scores the sum of ``block[p][i]`` over its blocks
+    (p, i] (consecutive elements of {0} | I; 0 <= p < i <= m).
 
-@njit(cache=True)
-def _shift_sweep_nb(comp_vmask, comp_len, offsets, gmask, m, objective):  # pragma: no cover
-    n_masks = 1 << (m - 1)
-    out = np.zeros(n_masks, np.int32)
-    order = np.zeros(m, np.int64)
-    for imask in range(n_masks):
-        pos = 0
-        prev = 0
-        for e in range(1, m + 1):
-            if e == m or (imask >> (e - 1)) & 1:
-                order[pos] = e
-                pos += 1
-                for x in range(prev + 1, e):
-                    order[pos] = x
-                    pos += 1
-                prev = e
-        u = 0
-        total = 0
-        for p in range(m):
-            g = order[p] - 1
-            d = 0
-            best_len = 0
-            for c in range(offsets[g], offsets[g + 1]):
-                if comp_vmask[c] & u == 0:
-                    d += 1
-                    if comp_len[c] > best_len:
-                        best_len = comp_len[c]
-            if objective == 0:
-                total += d
-            elif objective == 1:
-                total += best_len
-            else:
-                total += best_len * d
-            u |= gmask[g]
-        out[imask] = total
-    return out
-
-
-def _shift_order(m: int, imask: int) -> list[int]:
-    """Visit order of graph indices (1-based) for the shift permutation whose
-    index set is {elements of imask} | {m} (bit e-1 encodes element e)."""
-    order: list[int] = []
-    prev = 0
-    for e in range(1, m + 1):
-        if e == m or (imask >> (e - 1)) & 1:
-            order.append(e)
-            order.extend(range(prev + 1, e))
-            prev = e
-    return order
-
-
-def _sweep_order_value(order, comp_vmask, comp_len, offsets, gmask, objective) -> int:
-    u = 0
-    total = 0
-    for e in order:
-        g = e - 1
-        d = 0
-        best_len = 0
-        for c in range(offsets[g], offsets[g + 1]):
-            if comp_vmask[c] & u == 0:
-                d += 1
-                if comp_len[c] > best_len:
-                    best_len = comp_len[c]
-        if objective == OBJ_DELTA:
-            total += d
-        elif objective == OBJ_LAMBDA:
-            total += best_len
-        else:
-            total += best_len * d
-        u |= gmask[g]
-    return total
-
-
-def _shift_sweep_py(comp_vmask, comp_len, offsets, gmask, m, objective):
-    out = np.zeros(1 << (m - 1), np.int32)
-    for imask in range(1 << (m - 1)):
-        out[imask] = _sweep_order_value(
-            _shift_order(m, imask), comp_vmask, comp_len, offsets, gmask, objective
-        )
-    return out
-
-
-def shift_sweep(comp_vmask, comp_len, offsets, gmask, m: int, objective: int):
-    """Objective value of every shift permutation of m graphs, indexed by the
-    bitmask of the index set restricted to elements 1..m-1."""
-    if USING_NUMBA:
-        return _shift_sweep_nb(comp_vmask, comp_len, offsets, gmask, m, objective)
-    return _shift_sweep_py(comp_vmask, comp_len, offsets, gmask, m, objective)
+    f(m) = 0 and f(p) = max_{i > p} block[p][i] + f(i); walking from p = 0
+    to the smallest optimal i at each step gives the lex-min set, because
+    every index set ends in m and so none is a proper prefix of another.
+    """
+    m = len(block)
+    best = [0] * (m + 1)
+    for p in range(m - 1, -1, -1):
+        row = block[p]
+        best[p] = max(row[i] + best[i] for i in range(p + 1, m + 1))
+    index_set = []
+    p = 0
+    while p < m:
+        row, target = block[p], best[p]
+        p = next(i for i in range(p + 1, m + 1) if row[i] + best[i] == target)
+        index_set.append(p)
+    return best[0], index_set

@@ -96,7 +96,7 @@ def cmd_measure(args) -> int:
         report.update({"standard": std, "left": left, "sem": semd})
     elif what == "best-shift":
         seq = sequence_from_json(_load_json(args.seq))
-        sigma, value = shifts.best_shift(seq, args.objective, limit=args.limit_shift)
+        sigma, value = shifts.best_shift(seq, args.objective)
         report["value"] = value
         report["witness"] = sigma.to_json()
     elif what == "formula-stats":
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--objective", default="vec_delta",
                       choices=["vec_delta", "vec_lambda", "vec_lambda_delta"])
     meas.add_argument("--limit-dp", type=int, default=jointrees.DEFAULT_DP_LIMIT)
-    meas.add_argument("--limit-shift", type=int, default=shifts.DEFAULT_ENUM_LIMIT)
     meas.add_argument("--format", default="pretty", choices=["json", "csv", "pretty"])
     meas.set_defaults(func=cmd_measure)
 

@@ -1,8 +1,10 @@
 """Shift permutations: permutations sigma of [m] with sigma(j) >= j - 1.
 
 They are indexed by subsets I of [m] containing m, and there are exactly
-2^(m-1) of them.  ``best_shift`` brute-forces the full family, maximizing one
-of the vector measures of a graph sequence.
+2^(m-1) of them.  ``best_shift`` maximizes one of the vector measures of a
+graph sequence over the whole family exactly, with a longest-path DP over
+the m(m+1)/2 blocks an index set can have; ``enumerate_all`` walks the
+family itself.
 """
 
 from __future__ import annotations
@@ -11,19 +13,14 @@ import json
 from itertools import combinations
 from typing import Iterable, Iterator, Literal
 
-import numpy as np
-
 from . import _kernels
 from .errors import InvalidIndexSetError, InvalidShiftError, ResourceLimitError
-from .paths import GraphSequence, PathGraph, vec_measures
+from .paths import EMPTY, GraphSequence, PathGraph, vec_measures
 
 Objective = Literal["vec_delta", "vec_lambda", "vec_lambda_delta"]
 
-_OBJECTIVE_CODE = {
-    "vec_delta": _kernels.OBJ_DELTA,
-    "vec_lambda": _kernels.OBJ_LAMBDA,
-    "vec_lambda_delta": _kernels.OBJ_LAMBDA_DELTA,
-}
+# position of each objective in the tuple ``vec_measures`` returns
+_OBJECTIVE_INDEX = {"vec_delta": 0, "vec_lambda": 1, "vec_lambda_delta": 2}
 
 DEFAULT_ENUM_LIMIT = 25
 
@@ -127,82 +124,27 @@ def enumerate_all(m: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ShiftPerm
             yield from_set(m, frozenset(extra) | {m})
 
 
-def _lex_min_mask(masks: np.ndarray, m: int) -> int:
-    """Among index-set bitmasks (bit e-1 = element e, element m implicit),
-    return the one whose sorted index set is lexicographically smallest."""
-    full = masks.astype(np.int64) | (1 << (m - 1))
-    originals = masks.copy()
-    while len(full) > 1:
-        low = full & -full
-        nonzero = low[low > 0]
-        if nonzero.size == 0:
-            break
-        lo = nonzero.min()
-        keep = low == lo
-        full = full[keep] ^ lo
-        originals = originals[keep]
-    return int(originals[0])
-
-
-def _prep_arrays(seq: GraphSequence):
-    """Vertex-window bitmask arrays for the numba/python sweep kernels."""
-    verts = [v for g in seq for iv in g.intervals for v in iv]
-    if not verts:
-        return None
-    lo, hi = min(verts), max(verts)
-    if hi - lo > 61:
-        return None
-    comp_vmask: list[int] = []
-    comp_len: list[int] = []
-    offsets = np.zeros(len(seq) + 1, np.int64)
-    gmask = np.zeros(len(seq), np.int64)
-    for j, g in enumerate(seq):
-        acc = 0
-        for s, t in g.intervals:
-            mask = ((1 << (t - s + 1)) - 1) << (s - lo)
-            comp_vmask.append(mask)
-            comp_len.append(t - s)
-            acc |= mask
-        gmask[j] = acc
-        offsets[j + 1] = len(comp_vmask)
-    return (
-        np.asarray(comp_vmask, np.int64),
-        np.asarray(comp_len, np.int16),
-        offsets,
-        gmask,
-    )
-
-
-def best_shift(
-    seq: GraphSequence,
-    objective: Objective = "vec_delta",
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> tuple[ShiftPermutation, int]:
+def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[ShiftPermutation, int]:
     """Maximize the chosen vector measure of (G_sigma(1), ..., G_sigma(m)) over
     all shift permutations; ties resolved by the lexicographically smallest
-    index set."""
+    index set.
+
+    sigma_I visits each block (p, i] between consecutive elements of
+    {0} | I as i, p+1, ..., i-1, and before the block it has visited exactly
+    G_1..G_p.  So the measure is a sum of block values b(p, i), each taken on
+    top of U_p = G_1 | ... | G_p, and ``_kernels.shift_sweep`` finds the best
+    index set as a longest path over the m(m+1)/2 blocks.
+    """
     m = len(seq)
     if m < 1:
         raise InvalidIndexSetError("best_shift needs a nonempty sequence")
-    if m > limit:
-        raise ResourceLimitError(f"m={m} exceeds sweep limit {limit} (2^{m - 1} candidates)")
-    code = _OBJECTIVE_CODE[objective]
-    arrays = _prep_arrays(seq)
-    if arrays is not None:
-        values = _kernels.shift_sweep(*arrays, m, code)
-        best = int(values.max())
-        achievers = np.nonzero(values == best)[0]
-        mask = _lex_min_mask(achievers, m)
-        elements = frozenset(e for e in range(1, m) if (mask >> (e - 1)) & 1) | {m}
-        return from_set(m, elements), best
-    # vertex window too wide for the kernels: direct evaluation
-    best_val = -1
-    best_sigma = None
-    for sigma in enumerate_all(m, limit=limit):
-        val = vec_measures(sigma.apply(seq))[code]
-        if val > best_val:
-            best_val = val
-            best_sigma = sigma
-        elif val == best_val and sorted(sigma.index_set) < sorted(best_sigma.index_set):
-            best_sigma = sigma
-    return best_sigma, best_val
+    code = _OBJECTIVE_INDEX[objective]
+    prefix = [EMPTY]
+    for g in seq:
+        prefix.append(prefix[-1].union(g))
+    block = [[0] * (m + 1) for _ in range(m)]
+    for p in range(m):
+        for i in range(p + 1, m + 1):
+            block[p][i] = vec_measures([seq[i - 1], *seq[p : i - 1]], prefix[p])[code]
+    value, index_set = _kernels.shift_sweep(block)
+    return from_set(m, index_set), value

@@ -1,14 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  The full 2^24 shift-permutation sweep of criterion 2 is optional;
-set ``PATHLAB_FULL_SWEEP=1`` to include it.
+report.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -33,8 +31,6 @@ from pathlab.paths import (
     vec_lambda_delta,
     vec_measures,
 )
-
-FULL_SWEEP = os.environ.get("PATHLAB_FULL_SWEEP", "") not in ("", "0")
 
 
 def _report(num: int, desc: str, t0: float) -> None:
@@ -63,16 +59,11 @@ def test_criterion_02_shift_goldens():
     stride9 = [single_edge(i) for j in range(1, 4) for i in range(j, 10, 3)]
     _, value = shifts.best_shift(stride9, "vec_delta")
     assert value == 4
-    note = "odd set 13, {15,25} set 7, reduced sweep 4"
-    if FULL_SWEEP:
-        _, v25 = shifts.best_shift(e, "vec_delta")
-        assert v25 == 13
-        _, vs = shifts.best_shift(stride, "vec_delta")
-        assert vs == 8  # the sweep beats the attained 7
-        note += ", full sweep 13 / 8"
-    else:
-        note += " (full sweep skipped; set PATHLAB_FULL_SWEEP=1)"
-    _report(2, note, t0)
+    _, v25 = shifts.best_shift(e, "vec_delta")
+    assert v25 == 13
+    _, vs = shifts.best_shift(stride, "vec_delta")
+    assert vs == 8  # the shift optimum beats the attained 7
+    _report(2, "odd set 13, {15,25} set 7, reduced optimum 4, shift optimum 13 / 8", t0)
 
 
 def test_criterion_03_greedy_family_and_lp():

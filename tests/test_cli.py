@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from pathlab import cli, jointrees as jt
 from pathlab.paths import full_path, sequence_to_json, single_edge
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture()
@@ -59,16 +62,13 @@ def test_measure_shift_order(seq_file, capsys):
 
 
 def test_shipped_data_files(capsys):
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parent.parent / "data"
     code, out = run(
-        capsys, "measure", "vecdelta", "--seq", str(root / "stride25.json"),
+        capsys, "measure", "vecdelta", "--seq", str(DATA / "stride25.json"),
         "--order", "I:15,25", "--format", "json",
     )
     assert code == 0 and json.loads(out)["value"] == 7
     code, out = run(
-        capsys, "measure", "depths", "--tree", str(root / "block_tree16.json"),
+        capsys, "measure", "depths", "--tree", str(DATA / "block_tree16.json"),
         "--format", "json",
     )
     assert code == 0 and json.loads(out)["sem"] == 2
@@ -104,12 +104,19 @@ def test_verify_formulas_exhaustive(capsys):
 
 
 def test_measure_best_shift(seq_file, capsys):
+    # the witness index set, fed back through --order I:..., attains the value
     stride9 = [single_edge(i) for j in range(1, 4) for i in range(j, 10, 3)]
-    path = seq_file("s9.json", stride9)
-    code, out = run(capsys, "measure", "best-shift", "--seq", path, "--format", "json")
-    report = json.loads(out)
-    assert code == 0 and report["value"] == 4
-    assert report["witness"]["m"] == 9
+    cases = [(seq_file("s9.json", stride9), 9, 4), (str(DATA / "stride25.json"), 25, 8)]
+    for path, m, want in cases:
+        code, out = run(capsys, "measure", "best-shift", "--seq", path, "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["value"] == want
+        assert report["witness"]["m"] == m
+        order = "I:" + ",".join(str(i) for i in report["witness"]["I"])
+        code, out = run(
+            capsys, "measure", "vecdelta", "--seq", path, "--order", order, "--format", "json"
+        )
+        assert code == 0 and json.loads(out)["value"] == want
 
 
 def test_missing_file_is_input_error(capsys):
@@ -117,9 +124,10 @@ def test_missing_file_is_input_error(capsys):
     assert code == cli.EXIT_INPUT_ERROR
 
 
-def test_resource_limit_exit_code(seq_file, capsys):
-    path = seq_file("big.json", [single_edge(i) for i in range(1, 26)])
-    code = cli.main(["measure", "best-shift", "--seq", path, "--limit-shift", "4"])
+def test_resource_limit_exit_code(capsys):
+    # the block tree's largest branch covering has 7 members
+    tree = str(DATA / "block_tree16.json")
+    code = cli.main(["measure", "psi", "--tree", tree, "--limit-dp", "4"])
     assert code == cli.EXIT_RESOURCE_LIMIT
 
 

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 
 from pathlab import shifts
 from pathlab.errors import InvalidIndexSetError, InvalidShiftError, ResourceLimitError
-from pathlab.paths import EMPTY, single_edge, vec_delta, vec_measures
+from pathlab.paths import EMPTY, PathGraph, single_edge, vec_delta, vec_measures
 from pathlab import samples
 
-FULL_SWEEP = os.environ.get("PATHLAB_FULL_SWEEP", "") not in ("", "0")
+OBJECTIVES = ("vec_delta", "vec_lambda", "vec_lambda_delta")
 
 
 def test_identity_and_cycle():
@@ -94,6 +93,15 @@ def test_sigma_15_25_attains_7_on_stride_order():
     assert vec_delta(sigma.apply(stride)) == 7
 
 
+def _random_member(rng: random.Random, lo: int, span: int) -> PathGraph:
+    """Up to three random intervals in [lo, lo + span]; sometimes none."""
+    ivs = []
+    for _ in range(rng.randint(0, 3)):
+        s = rng.randint(lo, lo + span)
+        ivs.append((s, s + rng.randint(1, 5)))
+    return PathGraph(ivs)
+
+
 def test_best_shift_reduced_stride():
     stride9 = [single_edge(i) for j in range(1, 4) for i in range(j, 10, 3)]
     sigma, value = shifts.best_shift(stride9, "vec_delta")
@@ -117,14 +125,23 @@ def test_best_shift_dominates_identity():
 
 
 def test_best_shift_matches_pure_enumeration():
+    # value and lex-min sorted index set against brute force, for all three
+    # objectives, on sequences with negative coordinates, empty members and
+    # vertex spans above 61
     rng = random.Random(3)
-    for _ in range(30):
-        seq = samples.random_sequence(rng, m=rng.randint(1, 6))
-        _, value = shifts.best_shift(seq, "vec_lambda_delta")
-        brute = max(
-            vec_measures(s.apply(seq))[2] for s in shifts.enumerate_all(len(seq))
-        )
-        assert value == brute
+    seqs = [samples.random_sequence(rng, m=rng.randint(1, 6)) for _ in range(30)]
+    for k in range(64):
+        lo, span = rng.choice([(-80, 70), (-10, 12), (0, 6), (5, 200), (-(10**6), 2 * 10**6)])
+        seqs.append([_random_member(rng, lo, span) for _ in range(1 + k % 8)])
+    for seq in seqs:
+        perms = list(shifts.enumerate_all(len(seq)))
+        for idx, objective in enumerate(OBJECTIVES):
+            sigma, value = shifts.best_shift(seq, objective)
+            scored = [(vec_measures(s.apply(seq))[idx], sorted(s.index_set)) for s in perms]
+            top = max(v for v, _ in scored)
+            assert value == top
+            assert sorted(sigma.index_set) == min(i for v, i in scored if v == top)
+            assert vec_measures(sigma.apply(seq))[idx] == value
 
 
 def test_induced_order_dominates_index_increments():
@@ -146,16 +163,22 @@ def test_induced_order_dominates_index_increments():
             assert vec_delta(tilde.apply(seq)) >= floor
 
 
-@pytest.mark.skipif(not FULL_SWEEP, reason="set PATHLAB_FULL_SWEEP=1 for the 2^24 sweeps")
+def test_best_shift_has_no_size_limit():
+    # 2^39 shift permutations, past the enumeration limit; half the edges survive
+    e = [single_edge(i) for i in range(1, 41)]
+    sigma, value = shifts.best_shift(e, "vec_delta")
+    assert value == 20
+    assert vec_delta(sigma.apply(e)) == 20
+
+
 def test_full_sweep_standard_order():
     e = [single_edge(i) for i in range(1, 26)]
     sigma, value = shifts.best_shift(e, "vec_delta")
     assert value == 13
 
 
-@pytest.mark.skipif(not FULL_SWEEP, reason="set PATHLAB_FULL_SWEEP=1 for the 2^24 sweeps")
 def test_full_sweep_stride_order_beats_seven():
-    # sigma_{15,25} reaches 7, but the sweep shows the true optimum is 8
+    # sigma_{15,25} reaches 7, but the optimum over all 2^24 shifts is 8
     stride = [single_edge(i) for j in range(1, 6) for i in range(j, 26, 5)]
     sigma, value = shifts.best_shift(stride, "vec_delta")
     assert value == 8
