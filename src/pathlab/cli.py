@@ -2,8 +2,9 @@
 
 Reports are deterministic functions of the invocation (all randomness flows
 through explicit seeds, JSON output is key-sorted, and no timestamps are
-emitted).  Exit codes: 0 pass, 1 check failure, 2 input error, 3 resource
-limit exceeded.
+emitted).  Exit codes: 0 pass, 1 check failure, 2 input error (an input
+that cannot be read, parsed or validated), 3 resource limit exceeded,
+4 internal error (any other exception, with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ import json
 import math
 import random
 import sys
+import traceback
 from fractions import Fraction
+from typing import Callable
 
 from . import formulas, greedy, jointrees, relations, samples, shifts
-from .errors import PathLabError, ResourceLimitError
+from .errors import InputError, PathLabError, ResourceLimitError
 from .paths import (
     EMPTY,
     full_path,
@@ -31,11 +34,26 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
+
+_PARSE_ERRORS = (OSError, TypeError, ValueError, KeyError, IndexError)
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+def _read(path: str, parse: Callable[[str], object]):
+    """Read and parse one input file; any failure is an input error."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except _PARSE_ERRORS as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_sequence(path: str):
+    return _read(path, lambda text: sequence_from_json(json.loads(text)))
+
+
+def _read_tree(path: str) -> jointrees.JoinTree:
+    return _read(path, lambda text: jointrees.JoinTree.from_json(json.loads(text)))
 
 
 def _emit(report: dict, fmt: str, rows: list[dict] | None = None) -> None:
@@ -63,11 +81,14 @@ def _reorder(seq, spec: str):
         return list(seq)
     if spec == "odd-even":
         return list(seq[0::2]) + list(seq[1::2])
-    if spec.startswith("I:"):
-        index_set = [int(x) for x in spec[2:].split(",")]
-        return shifts.from_set(len(seq), index_set).apply(seq)
-    perm = [int(x) for x in spec.split(",")]
-    return [seq[p - 1] for p in perm]
+    try:
+        if spec.startswith("I:"):
+            index_set = [int(x) for x in spec[2:].split(",")]
+            return shifts.from_set(len(seq), index_set).apply(seq)
+        perm = [int(x) for x in spec.split(",")]
+        return [seq[p - 1] for p in perm]
+    except (ValueError, IndexError) as exc:
+        raise InputError(f"bad --order {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +100,28 @@ def cmd_measure(args) -> int:
     what = args.what
     report: dict = {"measure": what}
     if what in ("vecdelta", "veclambda", "veclambdadelta"):
-        seq = _reorder(sequence_from_json(_load_json(args.seq)), args.order)
+        seq = _reorder(_read_sequence(args.seq), args.order)
         vals = vec_measures(seq)
         report["order"] = args.order or "identity"
         report["value"] = vals[("vecdelta", "veclambda", "veclambdadelta").index(what)]
     elif what == "gap":
-        seq = _reorder(sequence_from_json(_load_json(args.seq)), args.order)
+        seq = _reorder(_read_sequence(args.seq), args.order)
         report["value"] = str(gap(seq))
     elif what == "psi":
-        tree = jointrees.JoinTree.from_json(_load_json(args.tree))
+        tree = _read_tree(args.tree)
         report["value"] = jointrees.psi(tree, dp_limit=args.limit_dp)
         report["tree"] = tree.pretty()
     elif what == "depths":
-        tree = jointrees.JoinTree.from_json(_load_json(args.tree))
+        tree = _read_tree(args.tree)
         std, left, semd = jointrees.depths(tree)
         report.update({"standard": std, "left": left, "sem": semd})
     elif what == "best-shift":
-        seq = sequence_from_json(_load_json(args.seq))
+        seq = _read_sequence(args.seq)
         sigma, value = shifts.best_shift(seq, args.objective)
         report["value"] = value
         report["witness"] = sigma.to_json()
     elif what == "formula-stats":
-        phi = _load_formula(args.formula)
+        phi = _read(args.formula, _parse_formula)
         report.update(
             {
                 "size": formulas.size(phi),
@@ -117,10 +138,9 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _load_formula(path: str):
+def _parse_formula(text: str):
     """Accept either the s-expression text format or the JSON mirror."""
-    with open(path) as fh:
-        text = fh.read().strip()
+    text = text.strip()
     if text.startswith("("):
         return formulas.from_sexpr(text)
     return formulas.from_json_dict(json.loads(text))
@@ -302,10 +322,13 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        a, b = spec.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(spec)]
+    try:
+        if ".." in spec:
+            a, b = spec.split("..")
+            return list(range(int(a), int(b) + 1))
+        return [int(spec)]
+    except ValueError as exc:
+        raise InputError(f"bad range {spec!r}: {exc}") from exc
 
 
 def cmd_experiment(args) -> int:
@@ -429,9 +452,13 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-    except (PathLabError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except PathLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

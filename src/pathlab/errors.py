@@ -37,5 +37,9 @@ class DomainError(PathLabError, ValueError):
     """An input lies outside the operation's domain (e.g. not a sub-permutation tuple)."""
 
 
+class InputError(PathLabError, ValueError):
+    """An input file or option could not be read or parsed."""
+
+
 class ResourceLimitError(PathLabError, RuntimeError):
     """A brute-force computation exceeded its configured ceiling."""

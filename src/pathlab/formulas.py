@@ -6,14 +6,23 @@ Variable conventions: a matrix-entry variable is the triple ``(i, a, b)``
 (1-based: entry (a, b) of the i-th matrix); an edge variable is the integer
 ``i`` for the i-th edge of the path.  Exhaustive checks run on truth tables
 packed into Python big integers (bit j holds the value of input j).
+
+A binary formula (``DeMorgan``) is a node kind of ``jointrees.BinaryTree``,
+so it has structural equality and a cached hash, and the doubling
+combinator, its depth, strictification and leaf restriction are the
+``jointrees`` algorithms: this module only supplies the gate op, the
+truth-table value that marks a redundant child, and the literal-to-constant
+relabelling.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Literal, Sequence
 
+from . import jointrees
 from .errors import (
     ArityError,
     DomainError,
@@ -77,18 +86,27 @@ def disj(children: Sequence[Formula]) -> Formula:
     return _gate("or", children)
 
 
-class DeMorgan:
-    """Binary AND/OR tree over the same leaves."""
+class DeMorgan(jointrees.BinaryTree):
+    """Binary AND/OR tree over the same leaves; equal formulas compare equal."""
 
-    __slots__ = ("op", "left", "right", "var", "neg", "value")
+    __slots__ = ("op", "var", "neg", "value")
 
     def __init__(self, op, left=None, right=None, var=None, neg=False, value=0):
         self.op = op
-        self.left = left
-        self.right = right
         self.var = var
         self.neg = neg
         self.value = value
+        jointrees.BinaryTree.__init__(self, left, right, None if left is None else op)
+
+    def leaf_label(self):
+        return (self.op, self.var, self.neg, self.value)
+
+    def rebuild(self, left: "DeMorgan", right: "DeMorgan") -> "DeMorgan":
+        return DeMorgan(self.op, left, right)
+
+    @property
+    def children(self) -> tuple:
+        return () if self.left is None else (self.left, self.right)
 
     def __repr__(self):
         if self.op == "const":
@@ -114,27 +132,23 @@ def dm_or(left: DeMorgan, right: DeMorgan) -> DeMorgan:
     return DeMorgan("or", left, right)
 
 
-def _dm_children(g: DeMorgan) -> tuple:
-    return (g.left, g.right) if g.op in ("and", "or") else ()
-
-
 # ---------------------------------------------------------------------------
-# measures (memoized by node identity so shared subtrees are walked once)
+# measures (memoized by node, so shared subtrees are walked once)
 # ---------------------------------------------------------------------------
 
 
 def _measure(phi, combine, leaf_value):
-    memo: dict[int, object] = {}
+    memo: dict = {}
 
     def rec(node):
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is None:
-            kids = node.children if isinstance(node, Formula) else _dm_children(node)
+            kids = node.children
             if not kids:
                 got = leaf_value(node)
             else:
                 got = combine(node, [rec(c) for c in kids])
-            memo[id(node)] = got
+            memo[node] = got
         return got
 
     return rec(phi)
@@ -164,18 +178,14 @@ def and_depth(phi) -> int:
 def fanin(phi) -> int:
     return _measure(
         phi,
-        lambda node, vals: max(
-            len(node.children if isinstance(node, Formula) else _dm_children(node)),
-            max(vals),
-        ),
+        lambda node, vals: max(len(node.children), max(vals)),
         lambda node: 0,
     )
 
 
 def and_fanin(phi) -> int:
     def combine(node, vals):
-        kids = node.children if isinstance(node, Formula) else _dm_children(node)
-        own = len(kids) if node.op == "and" else 0
+        own = len(node.children) if node.op == "and" else 0
         return max(own, max(vals))
 
     return _measure(phi, combine, lambda node: 0)
@@ -189,50 +199,22 @@ def is_monotone(phi) -> bool:
     )
 
 
-def left_depth(g: DeMorgan) -> int:
-    memo: dict[int, int] = {}
-
-    def rec(node):
-        got = memo.get(id(node))
-        if got is None:
-            if node.op in ("and", "or"):
-                got = max(rec(node.left) + 1, rec(node.right))
-            else:
-                got = 0
-            memo[id(node)] = got
-        return got
-
-    return rec(g)
-
-
 def and_left_depth(g: DeMorgan) -> int:
-    memo: dict[int, int] = {}
-
-    def rec(node):
-        got = memo.get(id(node))
-        if got is None:
-            if node.op in ("and", "or"):
-                step = 1 if node.op == "and" else 0
-                got = max(rec(node.left) + step, rec(node.right))
-            else:
-                got = 0
-            memo[id(node)] = got
-        return got
-
-    return rec(g)
+    """Left depth counting only the descents from AND gates."""
+    return jointrees.left_depth(g, gates=("and",))
 
 
 def variables(phi) -> set:
     out: set = set()
-    seen: set[int] = set()
+    seen: set = set()
 
     def rec(node):
-        if id(node) in seen:
+        if node in seen:
             return
-        seen.add(id(node))
+        seen.add(node)
         if node.op == "lit":
             out.add(node.var)
-        for c in node.children if isinstance(node, Formula) else _dm_children(node):
+        for c in node.children:
             rec(c)
 
     rec(phi)
@@ -246,10 +228,10 @@ def variables(phi) -> set:
 
 def evaluate(phi, getval: Callable) -> int:
     """Evaluate against ``getval(var) -> 0/1``."""
-    memo: dict[int, int] = {}
+    memo: dict = {}
 
     def rec(node):
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if node.op == "const":
@@ -258,21 +240,19 @@ def evaluate(phi, getval: Callable) -> int:
             v = getval(node.var)
             if node.neg:
                 v = 1 - v
+        elif node.op == "and":
+            v = 1
+            for c in node.children:
+                if rec(c) == 0:
+                    v = 0
+                    break
         else:
-            kids = node.children if isinstance(node, Formula) else _dm_children(node)
-            if node.op == "and":
-                v = 1
-                for c in kids:
-                    if rec(c) == 0:
-                        v = 0
-                        break
-            else:
-                v = 0
-                for c in kids:
-                    if rec(c) == 1:
-                        v = 1
-                        break
-        memo[id(node)] = v
+            v = 0
+            for c in node.children:
+                if rec(c) == 1:
+                    v = 1
+                    break
+        memo[node] = v
         return v
 
     return rec(phi)
@@ -284,17 +264,6 @@ def matrix_env(matrices: Sequence[Sequence[Sequence[int]]]) -> Callable:
         return 1 if matrices[i - 1][a - 1][b - 1] else 0
 
     return getval
-
-
-def edge_set_env(edges: frozenset | set) -> Callable:
-    """Input as a set of blow-up edges (i, a, b)."""
-    return lambda var: 1 if var in edges else 0
-
-
-def edge_assignment_env(bits: dict | int) -> Callable:
-    if isinstance(bits, dict):
-        return lambda var: 1 if bits[var] else 0
-    return lambda var: (bits >> (var - 1)) & 1
 
 
 # -- packed truth tables -----------------------------------------------------
@@ -313,16 +282,21 @@ def var_table(index: int, nvars: int) -> int:
 
 def truth_table(phi, varlist: Sequence, nvars_limit: int = 24) -> int:
     """Packed truth table of the formula over the given variable order."""
+    return _table_of(varlist, nvars_limit)(phi)
+
+
+def _table_of(varlist: Sequence, nvars_limit: int) -> Callable:
+    """Packed truth table of any node over the variable order, memoized by
+    node across calls."""
     n = len(varlist)
     if n > nvars_limit:
         raise ResourceLimitError(f"{n} variables exceeds truth-table limit {nvars_limit}")
     full = (1 << (1 << n)) - 1
-    index = {v: i for i, v in enumerate(varlist)}
-    tables = {v: var_table(i, n) for v, i in index.items()}
-    memo: dict[int, int] = {}
+    tables = {v: var_table(i, n) for i, v in enumerate(varlist)}
+    memo: dict = {}
 
     def rec(node):
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if node.op == "const":
@@ -331,20 +305,18 @@ def truth_table(phi, varlist: Sequence, nvars_limit: int = 24) -> int:
             v = tables[node.var]
             if node.neg:
                 v ^= full
+        elif node.op == "and":
+            v = full
+            for c in node.children:
+                v &= rec(c)
         else:
-            kids = node.children if isinstance(node, Formula) else _dm_children(node)
-            if node.op == "and":
-                v = full
-                for c in kids:
-                    v &= rec(c)
-            else:
-                v = 0
-                for c in kids:
-                    v |= rec(c)
-        memo[id(node)] = v
+            v = 0
+            for c in node.children:
+                v |= rec(c)
+        memo[node] = v
         return v
 
-    return rec(phi)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +351,6 @@ def oracle_subpmm(matrices, a0: int = 1, ak: int = 1) -> int:
         if not is_subperm_matrix(mat):
             raise DomainError("input is not a tuple of sub-permutation matrices")
     return oracle_bmm(matrices, a0, ak)
-
-
-def all_subperm_matrices(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    out = []
-    for bits in range(1 << (n * n)):
-        mat = tuple(
-            tuple((bits >> (a * n + b)) & 1 for b in range(n)) for a in range(n)
-        )
-        if is_subperm_matrix(mat):
-            out.append(mat)
-    return out
 
 
 def random_subperm_matrix(n: int, rng: random.Random):
@@ -707,16 +668,16 @@ def convert(phi: Formula, style: Literal["right_deep", "balanced"]) -> DeMorgan:
     """Replace each fan-in-m gate by m-1 binary gates, either as a right-deep
     chain or as a left-heavy balanced tree."""
     fold = _fold_right if style == "right_deep" else _fold_balanced
-    memo: dict[int, DeMorgan] = {}
+    memo: dict[Formula, DeMorgan] = {}
 
     def rec(node: Formula) -> DeMorgan:
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is None:
             if node.op in ("and", "or"):
                 got = fold(node.op, [rec(c) for c in node.children])
             else:
                 got = _leaf_to_dm(node)
-            memo[id(node)] = got
+            memo[node] = got
         return got
 
     return rec(phi)
@@ -767,143 +728,37 @@ def randomized_conversion_value(phi: Formula, t: int, seed: int, getval: Callabl
 # ---------------------------------------------------------------------------
 
 
-def dm_truth_table(g: DeMorgan, k: int, limit: int = 16) -> int:
-    """Truth table over the k edge variables, packed into an int."""
+def _edge_tables(k: int, limit: int = 16) -> Callable:
+    """Memoized truth table of each node over the k edge variables."""
     if k > limit:
         raise ResourceLimitError(f"{k} variables exceeds the 2^{limit} table limit")
-    return truth_table(g, list(range(1, k + 1)), nvars_limit=limit)
+    return _table_of(range(1, k + 1), limit)
+
+
+def dm_truth_table(g: DeMorgan, k: int, limit: int = 16) -> int:
+    """Truth table over the k edge variables, packed into an int."""
+    return _edge_tables(k, limit)(g)
 
 
 def strictify_demorgan(g: DeMorgan, k: int, limit: int = 16) -> DeMorgan:
-    """Equivalent strict formula: recursively drop any gate child computing
-    the same function as the gate (checked by truth table)."""
-    full = (1 << (1 << k)) - 1
-    tt_memo: dict[int, int] = {}
-
-    def tt(node: DeMorgan) -> int:
-        got = tt_memo.get(id(node))
-        if got is None:
-            if node.op == "const":
-                got = full if node.value else 0
-            elif node.op == "lit":
-                got = var_table(node.var - 1, k)
-                if node.neg:
-                    got ^= full
-            elif node.op == "and":
-                got = tt(node.left) & tt(node.right)
-            else:
-                got = tt(node.left) | tt(node.right)
-            tt_memo[id(node)] = got
-        return got
-
-    if k > limit:
-        raise ResourceLimitError(f"{k} variables exceeds the 2^{limit} table limit")
-
-    def rec(node: DeMorgan) -> DeMorgan:
-        if node.op not in ("and", "or"):
-            return node
-        if tt(node.left) == tt(node):
-            return rec(node.left)
-        if tt(node.right) == tt(node):
-            return rec(node.right)
-        return DeMorgan(node.op, rec(node.left), rec(node.right))
-
-    return rec(g)
+    """Equivalent strict formula: drop any gate child computing the same
+    function as the gate (checked by truth table)."""
+    return jointrees.strictify(g, _edge_tables(k, limit))
 
 
 def is_strict_demorgan(g: DeMorgan, k: int) -> bool:
-    def tt(node):
-        return dm_truth_table(node, k)
-
-    def rec(node) -> bool:
-        if node.op not in ("and", "or"):
-            return True
-        mine = tt(node)
-        if tt(node.left) == mine or tt(node.right) == mine:
-            return False
-        return rec(node.left) and rec(node.right)
-
-    return rec(g)
+    return jointrees.is_strict(g, _edge_tables(k))
 
 
-def dm_structural_key(g: DeMorgan):
-    if g.op == "const":
-        return ("const", g.value)
-    if g.op == "lit":
-        return ("lit", g.var, g.neg)
-    return (g.op, dm_structural_key(g.left), dm_structural_key(g.right))
-
-
-def _dm_sem_seqs(g: DeMorgan, op: str, memo: dict, counter: list[int], limit: int):
-    key = (id(g), op)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if g.op != op:
-        out: tuple = ((g,),)
-    else:
-        acc = [(g,)]
-        for a in _dm_sem_seqs(g.left, op, memo, counter, limit):
-            for b in _dm_sem_seqs(g.right, op, memo, counter, limit):
-                if (
-                    len(a) == len(b)
-                    and all(x is y or dm_structural_key(x) == dm_structural_key(y)
-                            for x, y in zip(a[:-1], b[:-1]))
-                ):
-                    acc.append(a + (b[-1],))
-        out = tuple(acc)
-    counter[0] += len(out)
-    if counter[0] > limit:
-        raise ResourceLimitError(f"recognition exceeded {limit} memo entries")
-    memo[key] = out
-    return out
-
-
-def sem_depth_demorgan(g: DeMorgan, memo_limit: int = 1 << 16) -> int:
-    """Minimum nesting depth of doubling-combinator applications (of either
+def sem_depth_demorgan(g: DeMorgan, memo_limit: int = jointrees.DEFAULT_SEM_MEMO_LIMIT) -> int:
+    """Minimum nesting depth of doubling-combinator applications (each of one
     gate type) expressing the formula."""
-    seq_memo: dict = {}
-    counter = [0]
-    depth_memo: dict[int, int] = {}
-
-    def rec(node: DeMorgan) -> int:
-        got = depth_memo.get(id(node))
-        if got is not None:
-            return got
-        if node.op not in ("and", "or"):
-            depth_memo[id(node)] = 0
-            return 0
-        best = None
-        for s in _dm_sem_seqs(node, node.op, seq_memo, counter, memo_limit):
-            if len(s) < 2:
-                continue
-            d = max(rec(part) for part in s)
-            if best is None or d < best:
-                best = d
-        depth_memo[id(node)] = 1 + best
-        return 1 + best
-
-    return rec(g)
+    return jointrees.sem_depth(g, memo_limit)
 
 
 def sem_demorgan(parts: Sequence[DeMorgan], op: str) -> DeMorgan:
     """Doubling combinator over formulas with the given gate type."""
-    parts = tuple(parts)
-    if not parts:
-        raise ArityError("need at least one argument")
-    memo: dict = {}
-
-    def rec(args: tuple) -> DeMorgan:
-        if len(args) == 1:
-            return args[0]
-        key = tuple(id(a) for a in args)
-        got = memo.get(key)
-        if got is None:
-            got = DeMorgan(op, rec(args[:-1]), rec(args[:-2] + (args[-1],)))
-            memo[key] = got
-        return got
-
-    return rec(parts)
+    return jointrees.sem(parts, join=partial(DeMorgan, op))
 
 
 # -- support machinery --------------------------------------------------------
@@ -926,27 +781,14 @@ def _cofactors_differ(table: int, i: int, k: int) -> bool:
 def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:
     """Syntactically send out-of-graph positive literals to 0 and negative
     literals to 1."""
-    memo: dict[int, DeMorgan] = {}
-
-    def rec(node: DeMorgan) -> DeMorgan:
-        got = memo.get(id(node))
-        if got is None:
-            if node.op == "lit" and not keep.has_edge(node.var):
-                got = dm_const(1 if node.neg else 0)
-            elif node.op in ("and", "or"):
-                got = DeMorgan(node.op, rec(node.left), rec(node.right))
-            else:
-                got = node
-            memo[id(node)] = got
-        return got
-
-    return rec(g)
+    return jointrees.relabel_leaves(
+        g, lambda x: dm_const(x.neg) if x.op == "lit" and not keep.has_edge(x.var) else x
+    )
 
 
-def support_tree(g: DeMorgan, k: int):
+def support_tree(g: DeMorgan, k: int) -> jointrees.JoinTree:
     """The join tree whose leaves are the formula's dependent coordinates,
     built by the recursive restrict-children-to-support rule."""
-    from . import jointrees
 
     def rec(node: DeMorgan):
         if node.op == "const":
@@ -963,8 +805,6 @@ def support_tree(g: DeMorgan, k: int):
 
 def support_tools(g: DeMorgan, k: int, limit: int = 16):
     """(support graph, restriction operator, support tree, strict support tree)."""
-    from . import jointrees
-
     if k > limit:
         raise ResourceLimitError(f"{k} variables exceeds the 2^{limit} table limit")
     supp = support(g, k)
@@ -989,8 +829,7 @@ def to_sexpr(phi) -> str:
     if phi.op == "lit":
         name = "nlit" if phi.neg else "lit"
         return f"({name} {_var_tokens(phi.var)})"
-    kids = phi.children if isinstance(phi, Formula) else _dm_children(phi)
-    return f"({phi.op} " + " ".join(to_sexpr(c) for c in kids) + ")"
+    return f"({phi.op} " + " ".join(to_sexpr(c) for c in phi.children) + ")"
 
 
 def _tokenize(text: str) -> list[str]:
@@ -1055,8 +894,7 @@ def to_json_dict(phi) -> dict:
     if phi.op == "lit":
         var = list(phi.var) if isinstance(phi.var, tuple) else phi.var
         return {"lit": var, "neg": phi.neg}
-    kids = phi.children if isinstance(phi, Formula) else _dm_children(phi)
-    return {phi.op: [to_json_dict(c) for c in kids]}
+    return {phi.op: [to_json_dict(c) for c in phi.children]}
 
 
 def from_json_dict(data, binary: bool = False):
@@ -1089,18 +927,17 @@ def count_strict_demorgan(
     for i in range(1, k + 1):
         base.append(dm_lit(i))
         base.append(dm_lit(i, neg=True))
-    level = {dm_structural_key(g): g for g in base}
+    level = dict.fromkeys(base)
     for _ in range(d):
         new = dict(level)
-        pool = list(level.values())
+        pool = list(level)
 
         def extend(seq: tuple, op: str):
             formula = sem_demorgan(seq, op)
             if not is_strict_demorgan(formula, k):
                 return
-            key = dm_structural_key(formula)
-            if key not in new:
-                new[key] = formula
+            if formula not in new:
+                new[formula] = None
                 if len(new) > budget:
                     raise ResourceLimitError(f"strict enumeration exceeded {budget}")
             for g in pool:
@@ -1112,5 +949,5 @@ def count_strict_demorgan(
                     extend((g1, g2), op)
         level = new
     if return_formulas:
-        return len(level), list(level.values())
+        return len(level), list(level)
     return len(level)

@@ -1,11 +1,21 @@
-"""Join trees over path graphs.
+"""Join trees over path graphs, and the binary-tree core they share with
+binary formulas.
+
+``BinaryTree`` is that core: an immutable node whose structural hash is
+computed once, at construction, so unequal nodes compare in O(1) and any node
+can key a memo.  Its two node kinds are ``JoinTree`` (here) and
+``formulas.DeMorgan``.  The algorithms that only read the tree shape are
+written once, over ``BinaryTree``: the doubling combinator ``sem``, its
+recogniser and depth ``sem_depth``, ``left_depth``, ``strictify`` and
+``is_strict`` (given the per-node value whose equality marks a redundant
+child), and leaf relabelling ``relabel_leaves``.  Every walk is memoised by
+node, so a shared subtree is visited once and stays shared.
 
 A join tree is a binary tree whose leaves are labeled by single edges (or the
 empty graph) and whose internal nodes carry the union of their children's
-graphs.  This module provides the three depth measures (standard, left, and
-doubling-combinator depth), branch coverings, the Psi-size oracle (a bitmask
-DP over orderings of each branch covering), the tight upper-bound
-constructions, strictification, exhaustive enumeration of strict trees, and
+graphs.  This module also provides the standard depth, branch coverings, the
+Psi-size oracle (a bitmask DP over orderings of each branch covering), the
+tight upper-bound constructions, exhaustive enumeration of strict trees, and
 checkers for the size/depth tradeoff inequalities and the Psi recurrences.
 """
 
@@ -14,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import permutations, product
-from typing import Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from . import _kernels, shifts
 from .errors import ArityError, InvalidParameterError, ResourceLimitError
@@ -25,23 +35,33 @@ DEFAULT_SEM_MEMO_LIMIT = 1 << 16
 DEFAULT_SEM_ARITY_LIMIT = 20
 
 
-class JoinTree:
-    """Immutable binary join tree; ``graph`` is the union of leaf labels.
-    Once ``psi`` has run, ``_psi`` caches Psi and ``_psi_size`` the largest
-    covering size (two slots of small ints, where a tuple would allocate)."""
+class BinaryTree:
+    """Immutable binary tree node.  A leaf has ``left`` and ``right`` None and
+    ``gate`` None; an inner node names its operation in ``gate``.  Subclasses
+    say what tells two leaves apart (``leaf_label``) and how to make an inner
+    node with the same gate over other children (``rebuild``).
 
-    __slots__ = ("left", "right", "graph", "_hash", "_psi", "_psi_size")
+    Equality is structural: identity first, then the cached hash, then gate,
+    leaf label and children.  There is no intern table, so equal trees built
+    apart stay distinct objects; the cached hash already makes a node a
+    constant-time memo key."""
 
-    def __init__(self, left: "JoinTree | None", right: "JoinTree | None", graph: PathGraph):
+    __slots__ = ("left", "right", "gate", "_hash")
+
+    def __init__(self, left: "BinaryTree | None", right: "BinaryTree | None", gate):
         self.left = left
         self.right = right
-        self.graph = graph
-        self._psi: int | None = None
-        self._psi_size = 0
+        self.gate = gate
         if left is None:
-            self._hash = hash((0, graph))
+            self._hash = hash((None, self.leaf_label()))
         else:
-            self._hash = hash((1, left._hash, right._hash))
+            self._hash = hash((gate, left._hash, right._hash))
+
+    def leaf_label(self):
+        raise NotImplementedError
+
+    def rebuild(self, left: "BinaryTree", right: "BinaryTree") -> "BinaryTree":
+        raise NotImplementedError
 
     @property
     def is_leaf(self) -> bool:
@@ -50,14 +70,50 @@ class JoinTree:
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, JoinTree) or self._hash != other._hash:
+        if type(other) is not type(self) or self._hash != other._hash:
             return False
-        if self.is_leaf or other.is_leaf:
-            return self.is_leaf and other.is_leaf and self.graph == other.graph
-        return self.left == other.left and self.right == other.right
+        if self.left is None:
+            return other.left is None and self.leaf_label() == other.leaf_label()
+        # walk the pairs of nodes, each pair once, so two equal DAGs built
+        # apart compare in time linear in their nodes, not their paths
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if a._hash != b._hash or a.gate != b.gate:
+                return False
+            if a.left is None:
+                if a.leaf_label() != b.leaf_label():
+                    return False
+            else:
+                seen.add((id(a), id(b)))
+                stack += ((a.left, b.left), (a.right, b.right))
+        return True
 
     def __hash__(self):
         return self._hash
+
+
+class JoinTree(BinaryTree):
+    """Immutable binary join tree; ``graph`` is the union of leaf labels.
+    Once ``psi`` has run, ``_psi`` caches Psi and ``_psi_size`` the largest
+    covering size (two slots of small ints, where a tuple would allocate)."""
+
+    __slots__ = ("graph", "_psi", "_psi_size")
+
+    def __init__(self, left: "JoinTree | None", right: "JoinTree | None", graph: PathGraph):
+        self.graph = graph
+        self._psi: int | None = None
+        self._psi_size = 0
+        BinaryTree.__init__(self, left, right, None if left is None else "union")
+
+    def leaf_label(self) -> PathGraph:
+        return self.graph
+
+    def rebuild(self, left: "JoinTree", right: "JoinTree") -> "JoinTree":
+        return node(left, right)
 
     def __repr__(self):
         return f"JoinTree({self.pretty()})"
@@ -74,11 +130,6 @@ class JoinTree:
         if self.is_leaf:
             return 1
         return self.left.leaf_count() + self.right.leaf_count()
-
-    def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
 
     def to_json(self) -> dict:
         if self.is_leaf:
@@ -116,23 +167,28 @@ def sq(trees: Iterable[JoinTree]) -> JoinTree:
     return out
 
 
-def sem(trees: Iterable[JoinTree], arity_limit: int = DEFAULT_SEM_ARITY_LIMIT) -> JoinTree:
-    """Doubling combinator: sem(T_1..T_m) = sem(T_1..T_{m-1}) U sem(T_1..T_{m-2}, T_m)."""
+def sem(
+    trees: Iterable[BinaryTree],
+    arity_limit: int = DEFAULT_SEM_ARITY_LIMIT,
+    join: Callable[[BinaryTree, BinaryTree], BinaryTree] = node,
+) -> BinaryTree:
+    """Doubling combinator: sem(T_1..T_m) = sem(T_1..T_{m-1}) U sem(T_1..T_{m-2}, T_m),
+    with ``join`` making each inner node (the union of join trees by default).
+    Equal argument tuples share one subtree, so the result has O(m^2) nodes."""
     ts = tuple(trees)
     if not ts:
         raise ArityError("sem needs at least one argument")
     if len(ts) > arity_limit:
         raise ResourceLimitError(f"sem arity {len(ts)} exceeds limit {arity_limit}")
-    memo: dict[tuple[int, ...], JoinTree] = {}
+    memo: dict[tuple[BinaryTree, ...], BinaryTree] = {}
 
-    def rec(args: tuple[JoinTree, ...]) -> JoinTree:
+    def rec(args: tuple[BinaryTree, ...]) -> BinaryTree:
         if len(args) == 1:
             return args[0]
-        key = tuple(id(a) for a in args)
-        got = memo.get(key)
+        got = memo.get(args)
         if got is None:
-            got = node(rec(args[:-1]), rec(args[:-2] + (args[-1],)))
-            memo[key] = got
+            got = join(rec(args[:-1]), rec(args[:-2] + (args[-1],)))
+            memo[args] = got
         return got
 
     return rec(ts)
@@ -156,56 +212,61 @@ def build(kind: str, args) -> JoinTree:
 # ---------------------------------------------------------------------------
 
 
-def standard_depth(t: JoinTree) -> int:
-    memo: dict[int, int] = {}
+def standard_depth(t: BinaryTree) -> int:
+    memo: dict[BinaryTree, int] = {}
 
-    def rec(x: JoinTree) -> int:
-        got = memo.get(id(x))
+    def rec(x: BinaryTree) -> int:
+        got = memo.get(x)
         if got is None:
-            got = 0 if x.is_leaf else 1 + max(rec(x.left), rec(x.right))
-            memo[id(x)] = got
+            got = 0 if x.left is None else 1 + max(rec(x.left), rec(x.right))
+            memo[x] = got
         return got
 
     return rec(t)
 
 
-def left_depth(t: JoinTree) -> int:
+def left_depth(t: BinaryTree, gates: Iterable | None = None) -> int:
     """Maximum number of left descents on a root-to-leaf branch (the
-    right-comb-combinator depth)."""
-    memo: dict[int, int] = {}
+    right-comb-combinator depth).  With ``gates``, only a descent from a node
+    whose gate is one of them counts (the AND-left depth of a formula)."""
+    memo: dict[BinaryTree, int] = {}
 
-    def rec(x: JoinTree) -> int:
-        got = memo.get(id(x))
+    def rec(x: BinaryTree) -> int:
+        got = memo.get(x)
         if got is None:
-            got = 0 if x.is_leaf else max(rec(x.left) + 1, rec(x.right))
-            memo[id(x)] = got
+            if x.left is None:
+                got = 0
+            else:
+                step = 1 if gates is None or x.gate in gates else 0
+                got = max(rec(x.left) + step, rec(x.right))
+            memo[x] = got
         return got
 
     return rec(t)
 
 
 def _sem_seqs(
-    t: JoinTree,
-    memo: dict[JoinTree, tuple[tuple[JoinTree, ...], ...]],
+    t: BinaryTree,
+    memo: dict[BinaryTree, tuple[tuple[BinaryTree, ...], ...]],
     counter: list[int],
     limit: int,
-) -> tuple[tuple[JoinTree, ...], ...]:
-    """All sequences (T_1..T_p) whose doubling-combinator expansion equals t
-    (always including the singleton (t,))."""
+) -> tuple[tuple[BinaryTree, ...], ...]:
+    """All sequences (T_1..T_p) whose doubling-combinator expansion with t's
+    gate equals t (always including the singleton (t,)).  A child with
+    another gate is a single part."""
     got = memo.get(t)
     if got is not None:
         return got
-    if t.is_leaf:
-        out: tuple = ((t,),)
-    else:
-        seqs_l = _sem_seqs(t.left, memo, counter, limit)
-        seqs_r = _sem_seqs(t.right, memo, counter, limit)
-        acc = [(t,)]
+    acc = [(t,)]
+    if t.left is not None:
+        gate = t.gate
+        seqs_l = _sem_seqs(t.left, memo, counter, limit) if t.left.gate == gate else ((t.left,),)
+        seqs_r = _sem_seqs(t.right, memo, counter, limit) if t.right.gate == gate else ((t.right,),)
         for a in seqs_l:
             for b in seqs_r:
                 if len(a) == len(b) and a[:-1] == b[:-1]:
                     acc.append(a + (b[-1],))
-        out = tuple(acc)
+    out = tuple(acc)
     counter[0] += len(out)
     if counter[0] > limit:
         raise ResourceLimitError(f"sem-depth recognition exceeded {limit} memo entries")
@@ -214,35 +275,33 @@ def _sem_seqs(
 
 
 def sem_decompositions(
-    t: JoinTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT
-) -> list[tuple[JoinTree, ...]]:
+    t: BinaryTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT
+) -> list[tuple[BinaryTree, ...]]:
     """All ways (arity >= 2) of writing t as a doubling-combinator application."""
     memo: dict = {}
     return [s for s in _sem_seqs(t, memo, [0], memo_limit) if len(s) >= 2]
 
 
-def sem_depth(t: JoinTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT) -> int:
-    """Minimum nesting depth of doubling-combinator applications expressing t."""
+def sem_depth(t: BinaryTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT) -> int:
+    """Minimum nesting depth of doubling-combinator applications expressing t
+    (each application with a single gate)."""
     seq_memo: dict = {}
-    depth_memo: dict[JoinTree, int] = {}
+    depth_memo: dict[BinaryTree, int] = {}
     counter = [0]
 
-    def rec(x: JoinTree) -> int:
+    def rec(x: BinaryTree) -> int:
         got = depth_memo.get(x)
-        if got is not None:
-            return got
-        if x.is_leaf:
-            depth_memo[x] = 0
-            return 0
-        best = None
-        for s in _sem_seqs(x, seq_memo, counter, memo_limit):
-            if len(s) < 2:
-                continue
-            d = max(rec(part) for part in s)
-            if best is None or d < best:
-                best = d
-        depth_memo[x] = 1 + best
-        return 1 + best
+        if got is None:
+            if x.left is None:
+                got = 0
+            else:
+                got = 1 + min(
+                    max(rec(part) for part in s)
+                    for s in _sem_seqs(x, seq_memo, counter, memo_limit)
+                    if len(s) >= 2
+                )
+            depth_memo[x] = got
+        return got
 
     return rec(t)
 
@@ -250,6 +309,73 @@ def sem_depth(t: JoinTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT) -> int:
 def depths(t: JoinTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT) -> tuple[int, int, int]:
     """(standard depth, left depth, doubling-combinator depth)."""
     return standard_depth(t), left_depth(t), sem_depth(t, memo_limit)
+
+
+# ---------------------------------------------------------------------------
+# strictness and leaf relabelling
+# ---------------------------------------------------------------------------
+
+
+def _graph(t: JoinTree) -> PathGraph:
+    return t.graph
+
+
+def _rewrite(
+    t: BinaryTree,
+    at_leaf: Callable[[BinaryTree], BinaryTree],
+    collapse: Callable[[BinaryTree], BinaryTree | None] | None = None,
+) -> BinaryTree:
+    """Bottom-up rewrite, memoised by node: a leaf x becomes ``at_leaf(x)``;
+    an inner node x becomes the rewrite of ``collapse(x)`` when that is not
+    None, else x over its rewritten children.  A node the rewrite leaves
+    alone comes back as itself, even when an equal node was met first."""
+    memo: dict[BinaryTree, BinaryTree | None] = {}
+
+    def rec(x: BinaryTree) -> BinaryTree:
+        if x in memo:
+            got = memo[x]
+            return x if got is None else got
+        if x.left is None:
+            got = at_leaf(x)
+        else:
+            keep = collapse(x) if collapse is not None else None
+            if keep is not None:
+                got = rec(keep)
+            else:
+                l, r = rec(x.left), rec(x.right)
+                got = x if l is x.left and r is x.right else x.rebuild(l, r)
+        memo[x] = None if got is x else got
+        return got
+
+    return rec(t)
+
+
+def _redundant_child(x: BinaryTree, value: Callable) -> BinaryTree | None:
+    """The first child of the inner node x whose value equals x's, if any."""
+    v = value(x)
+    if value(x.left) == v:
+        return x.left
+    if value(x.right) == v:
+        return x.right
+    return None
+
+
+def strictify(t: BinaryTree, value: Callable = _graph) -> BinaryTree:
+    """Collapse each node with a child whose value (the graph of a join tree,
+    the truth table of a formula) equals the node's onto that child."""
+    return _rewrite(t, lambda x: x, lambda x: _redundant_child(x, value))
+
+
+def is_strict(t: BinaryTree, value: Callable = _graph) -> bool:
+    """No node has a child with the node's value; ``strictify`` returns such
+    a tree itself, and any collapse gives a new root."""
+    return strictify(t, value) is t
+
+
+def relabel_leaves(t: BinaryTree, relabel: Callable[[BinaryTree], BinaryTree]) -> BinaryTree:
+    """t with each leaf x replaced by ``relabel(x)``; subtrees with no
+    changed leaf are kept as they are."""
+    return _rewrite(t, relabel)
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +522,6 @@ def maximally_overlapping(k: int) -> JoinTree:
     return rec(0, k)
 
 
-def strictify(t: JoinTree) -> JoinTree:
-    """Collapse nodes with a child whose graph already equals the node's."""
-    if t.is_leaf:
-        return t
-    if t.left.graph == t.graph:
-        return strictify(t.left)
-    if t.right.graph == t.graph:
-        return strictify(t.right)
-    return node(strictify(t.left), strictify(t.right))
-
-
-def is_strict(t: JoinTree) -> bool:
-    if t.is_leaf:
-        return True
-    if t.left.graph == t.graph or t.right.graph == t.graph:
-        return False
-    return is_strict(t.left) and is_strict(t.right)
-
-
 def _edge_subgraph_pairs(g: PathGraph) -> Iterator[tuple[PathGraph, PathGraph]]:
     """Ordered pairs (G1, G2) of nonempty proper subgraphs with union g."""
     edges = list(g.edges())
@@ -502,9 +609,8 @@ def verify_tradeoff(
 
 def tree_restrict(t: JoinTree, keep: PathGraph) -> JoinTree:
     """Relabel to empty every leaf whose edge is not in ``keep``."""
-    if t.is_leaf:
-        return t if t.graph.is_subgraph(keep) else leaf(EMPTY)
-    return node(tree_restrict(t.left, keep), tree_restrict(t.right, keep))
+    empty = leaf(EMPTY)
+    return relabel_leaves(t, lambda x: x if x.graph.is_subgraph(keep) else empty)
 
 
 def tree_ominus(t: JoinTree, f: PathGraph) -> JoinTree:

@@ -131,6 +131,53 @@ def test_resource_limit_exit_code(capsys):
     assert code == cli.EXIT_RESOURCE_LIMIT
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["measure", "vecdelta", "--seq"], "{not json"),
+        (["measure", "vecdelta", "--seq"], '{"graphs": [{"nope": 1}]}'),
+        (["measure", "vecdelta", "--seq"], '{"graphs": 5}'),
+        (["measure", "depths", "--tree"], '{"leaf": {"intervals": [[0, 2]]}}'),
+        (["measure", "formula-stats", "--formula"], "(xor (lit 1))"),
+    ],
+)
+def test_malformed_input_is_input_error(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert cli.main(argv + [str(path)]) == cli.EXIT_INPUT_ERROR
+    assert "input error" in capsys.readouterr().err
+
+
+def test_bad_option_values_are_input_errors(capsys):
+    seq = str(DATA / "edges25.json")
+    assert cli.main(["measure", "vecdelta", "--seq", seq, "--order", "1,x"]) == cli.EXIT_INPUT_ERROR
+    assert cli.main(["measure", "vecdelta", "--seq", seq, "--order", "1,99"]) == cli.EXIT_INPUT_ERROR
+    assert cli.main(["measure", "psi"]) == cli.EXIT_INPUT_ERROR  # no --tree
+    argv = ["experiment", "eps1", "--k", "2", "--t-range", "2..x", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("exc", [AssertionError("broken invariant"), KeyError("missing")])
+def test_internal_error_exits_four(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._SUITES, "lp", broken)
+    assert cli.main(["verify", "lp"]) == cli.EXIT_INTERNAL_ERROR
+    assert f"internal error: {type(exc).__name__}" in capsys.readouterr().err
+
+
+def test_exit_code_values():
+    codes = (
+        cli.EXIT_OK,
+        cli.EXIT_CHECK_FAILED,
+        cli.EXIT_INPUT_ERROR,
+        cli.EXIT_RESOURCE_LIMIT,
+        cli.EXIT_INTERNAL_ERROR,
+    )
+    assert codes == (0, 1, 2, 3, 4)
+
+
 def test_experiment_requires_seed(capsys):
     code = cli.main(["experiment", "eps1", "--k", "2", "--t", "4"])
     assert code == cli.EXIT_INPUT_ERROR

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import random
 
@@ -239,7 +240,7 @@ def test_strictify_keeps_distinct_children():
 def test_strictify_nested():
     g = F.dm_and(F.dm_or(F.dm_lit(1), F.dm_lit(1)), F.dm_lit(2))
     s = F.strictify_demorgan(g, 2)
-    assert F.dm_structural_key(s) == F.dm_structural_key(F.dm_and(F.dm_lit(1), F.dm_lit(2)))
+    assert s == F.dm_and(F.dm_lit(1), F.dm_lit(2))
 
 
 def test_strictify_is_fixed_point_and_equivalent():
@@ -261,7 +262,20 @@ def test_strictify_is_fixed_point_and_equivalent():
         assert F.dm_truth_table(s, k) == F.dm_truth_table(g, k)
         assert F.is_strict_demorgan(s, k)
         again = F.strictify_demorgan(s, k)
-        assert F.dm_structural_key(again) == F.dm_structural_key(s)
+        assert again == s
+
+
+def test_demorgan_structural_equality():
+    a, b = F.dm_lit(1), F.dm_lit(2, neg=True)
+    g = F.sem_demorgan([a, b, F.dm_or(F.dm_lit(3), F.dm_const(1))], "and")
+    copy = F.from_sexpr(F.to_sexpr(g), binary=True)
+    assert copy is not g and copy == g and hash(copy) == hash(g)
+    assert len({g, copy}) == 1
+    assert F.dm_lit(1) != F.dm_lit(1, neg=True)
+    assert F.dm_lit(1) != F.dm_lit(2)
+    assert F.dm_const(0) != F.dm_const(1)
+    assert F.dm_and(a, b) != F.dm_or(a, b)
+    assert F.dm_and(a, b) != F.dm_and(b, a)
 
 
 # -- doubling-combinator depth ---------------------------------------------------------
@@ -280,6 +294,26 @@ def test_dm_sem_depth_recognizes_and_pattern():
     a, b, c = F.dm_lit(1), F.dm_lit(2), F.dm_lit(3)
     g = F.dm_and(F.dm_and(a, b), F.dm_and(a, c))
     assert F.sem_depth_demorgan(g) == 1
+
+
+def test_dm_sem_depth_ignores_sharing():
+    inner = [F.sem_demorgan([F.dm_lit(i + j) for j in range(3)], "or") for i in (1, 2, 3)]
+    g = F.sem_demorgan(inner, "and")
+    copy = F.from_sexpr(F.to_sexpr(g), binary=True)
+    assert node_objects(copy) > node_objects(g)
+    assert F.sem_depth_demorgan(copy) == F.sem_depth_demorgan(g) == 2
+
+
+def node_objects(t) -> int:
+    """Number of distinct node objects reachable from t."""
+    seen = {}
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            stack += x.children
+    return len(seen)
 
 
 # -- supports --------------------------------------------------------------------------
@@ -331,6 +365,16 @@ def test_restriction_neutralizes_out_of_graph_literals():
     assert F.dm_truth_table(restricted, 2) == F.dm_truth_table(F.dm_lit(1), 2)
 
 
+def test_strictify_and_restrict_keep_sharing():
+    g = F.sem_demorgan([F.dm_lit(i) for i in range(1, 17)], "and")
+    assert F.strictify_demorgan(g, 16) is g
+    restricted = F.dm_restrict(g, from_edges(range(1, 9)))
+    assert node_objects(restricted) <= node_objects(g)
+    assert F.dm_truth_table(restricted, 16) == F.dm_truth_table(
+        F.sem_demorgan([F.dm_lit(i) for i in range(1, 9)] + [F.dm_const(0)] * 8, "and"), 16
+    )
+
+
 # -- serialization -----------------------------------------------------------------------
 
 
@@ -351,7 +395,7 @@ def test_sexpr_negative_literal_and_consts():
 def test_json_round_trip_binary():
     g = F.dm_and(F.dm_lit(1), F.dm_or(F.dm_lit(2, neg=True), F.dm_const(0)))
     back = F.from_json_dict(F.to_json_dict(g), binary=True)
-    assert F.dm_structural_key(back) == F.dm_structural_key(g)
+    assert back == g
 
 
 def test_sexpr_parses_edge_and_matrix_vars():
@@ -364,19 +408,21 @@ def test_sexpr_parses_edge_and_matrix_vars():
 
 def test_count_strict_depth0():
     assert F.count_strict_demorgan(1, 0) == 4
+    assert F.count_strict_demorgan(2, 0) == 6
 
 
 def test_count_strict_bounds():
-    for k, d in ((1, 1), (2, 1)):
+    want = {(1, 1): 8, (1, 2): 8, (2, 1): 46, (3, 1): 308}
+    for (k, d), exact in want.items():
         count = F.count_strict_demorgan(k, d)
+        assert count == exact
         assert count <= 2 ** (2 ** ((d + 1) * (k + 1)))
 
 
 def test_count_strict_formulas_are_strict_and_distinct():
     count, forms = F.count_strict_demorgan(2, 1, return_formulas=True)
     assert count == len(forms)
-    keys = {F.dm_structural_key(g) for g in forms}
-    assert len(keys) == count
+    assert len(set(forms)) == count
     for g in forms:
         assert F.is_strict_demorgan(g, 2)
-        assert F.sem_depth_demorgan(g) <= 1
+    assert collections.Counter(F.sem_depth_demorgan(g) for g in forms) == {0: 6, 1: 40}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -317,6 +318,52 @@ def test_strictify_preserves_graph_and_is_idempotent():
         assert jt.is_strict(s)
 
 
+def node_objects(t: jt.JoinTree) -> int:
+    """Number of distinct node objects reachable from t."""
+    seen = {}
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            if not x.is_leaf:
+                stack += (x.left, x.right)
+    return len(seen)
+
+
+def test_strictify_and_restrict_keep_sharing():
+    t = jt.sem(leaves(16))
+    nodes = node_objects(t)
+    assert nodes < 200  # 2^16 leaves when unfolded
+    assert node_objects(jt.strictify(t)) <= nodes
+    assert jt.is_strict(t)
+    keep = from_edges(range(1, 9))
+    restricted = jt.tree_restrict(t, keep)
+    assert node_objects(restricted) <= nodes
+    assert restricted.graph == keep
+
+
+def test_equality_of_dags_built_apart():
+    # 2^19 root-to-leaf paths each; equality walks node pairs, not paths
+    a, b = jt.sem(leaves(20)), jt.sem(leaves(20))
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = leaves(20)
+    other[-1] = jt.leaf(single_edge(21))
+    assert jt.sem(other) != a
+
+
+def test_strictify_with_equal_subtrees_built_apart():
+    e1, e2 = jt.leaf(single_edge(1)), jt.leaf(single_edge(2))
+    dup = jt.node(jt.node(e1, e1), e2)
+    t = jt.sem([dup, dup, dup, jt.leaf(single_edge(3))])
+    s = jt.strictify(t)
+    assert s.graph == t.graph and jt.is_strict(s)
+    assert s == jt.strictify(jt.JoinTree.from_json(t.to_json()))
+    # a copy without shared subtrees is strict too, and strictify keeps it whole
+    copy = jt.JoinTree.from_json(jt.sem(leaves(5)).to_json())
+    assert jt.is_strict(copy) and jt.strictify(copy) is copy
+
+
 # -- enumeration -------------------------------------------------------------------
 
 
@@ -369,6 +416,15 @@ def test_enumerate_strict_sem_filter():
     for t in shallow:
         assert jt.sem_depth(t) <= 1
     assert len(shallow) < len(list(jt.enumerate_strict(g)))
+
+
+def test_path4_depth_histogram():
+    hist = collections.Counter(
+        (jt.left_depth(t), jt.sem_depth(t)) for t in jt.enumerate_strict(full_path(4))
+    )
+    assert hist == {
+        (1, 3): 24, (2, 2): 336, (2, 3): 3432, (3, 1): 24, (3, 2): 1152, (3, 3): 12624
+    }
 
 
 def test_sem_depth_never_exceeds_standard_depth():
