@@ -6,7 +6,10 @@ plain-integer loop and the layered numpy DP) and the entry point itself on
 the m single edges of a path (optimum ceil(m/2)), for each m.  The m where
 the loop stops winning is the crossover ``_kernels.SMALL_M`` rests on.  The
 loop's time doubles and more with each member, so it is timed only up to
-``PY_MAX_M``.
+``PY_MAX_M``.  Above ``SMALL_M`` the entry reduces the path of edges to
+nothing before any DP runs, so its column times the reductions alone; the
+clique column runs the entry on m members that all share one vertex
+(optimum 1), which nothing reduces, so it times one DP on all m members.
 
 The shift optimum ``shifts.best_shift`` is timed on the m single edges of a
 path (optimum ceil(m/2) as well), for each m.
@@ -30,6 +33,11 @@ def _single_edge_conflicts(m: int) -> list[list[int]]:
     return [[(1 << (j - 1) if j else 0) | (1 << (j + 1) if j + 1 < m else 0)] for j in range(m)]
 
 
+def _clique_conflicts(m: int) -> list[list[int]]:
+    """Every member conflicts with every other one."""
+    return [[((1 << m) - 1) ^ (1 << j)] for j in range(m)]
+
+
 def _per_call(fn, arg, repeat: int) -> tuple[float, object]:
     fn(arg)  # warm up
     t0 = time.perf_counter()
@@ -49,6 +57,8 @@ def bench_subset_dp(m: int, repeat: int) -> dict:
     for name, fn in bodies.items():
         rows[name], got = _per_call(fn, conflicts, repeat)
         assert got == (m + 1) // 2, (name, m, got)
+    rows["clique"], got = _per_call(_kernels.max_ordering_value, _clique_conflicts(m), repeat)
+    assert got == 1, ("clique", m, got)
     return rows
 
 
@@ -70,12 +80,12 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     print(f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.SMALL_M}")
-    print(f"{'m':>4}{'python':>12}{'numpy':>12}{'entry':>12}{'python/numpy':>14}")
+    print(f"{'m':>4}{'python':>12}{'numpy':>12}{'entry':>12}{'clique':>12}{'python/numpy':>14}")
     for m in args.dp_m:
         rows = bench_subset_dp(m, args.repeat)
         py, npy = rows.get("python"), rows["numpy"]
         ratio = f"{py / npy:14.2f}" if py is not None else f"{'--':>14}"
-        print(f"{m:>4}{_ms(py)}{_ms(npy)}{_ms(rows['entry'])}{ratio}")
+        print(f"{m:>4}{_ms(py)}{_ms(npy)}{_ms(rows['entry'])}{_ms(rows['clique'])}{ratio}")
     if args.shift_m:
         print("\nshift optimum (block DP), ms per call")
         print(f"{'m':>4}{'best_shift':>12}")

@@ -384,18 +384,19 @@ def relabel_leaves(t: BinaryTree, relabel: Callable[[BinaryTree], BinaryTree]) -
 
 
 def branch_coverings(t: JoinTree) -> list[frozenset[PathGraph]]:
-    """One covering per root-to-leaf branch: the opposite-child graphs along
-    the branch plus the leaf label, as a set."""
-    out: list[frozenset[PathGraph]] = []
+    """The distinct branch coverings, in walk order: for each root-to-leaf
+    branch, the opposite-child graphs along it plus the leaf label, as a
+    set.  Branches that give a covering already seen add nothing."""
+    out: dict[frozenset[PathGraph], None] = {}
     stack: list[tuple[JoinTree, tuple[PathGraph, ...]]] = [(t, ())]
     while stack:
         cur, sibs = stack.pop()
         if cur.is_leaf:
-            out.append(frozenset(sibs + (cur.graph,)))
+            out[frozenset(sibs + (cur.graph,))] = None
         else:
             stack.append((cur.left, sibs + (cur.right.graph,)))
             stack.append((cur.right, sibs + (cur.left.graph,)))
-    return out
+    return list(out)
 
 
 def max_vec_delta_over_orderings(
@@ -407,6 +408,13 @@ def max_vec_delta_over_orderings(
     m = len(members)
     if m > limit:
         raise ResourceLimitError(f"covering size {m} exceeds subset-DP limit {limit}")
+    return _kernels.max_ordering_value(_conflict_masks(members))
+
+
+def _conflict_masks(members: list[PathGraph]) -> list[list[int]]:
+    """One conflict bitmask per component of each member, bit i set when the
+    component shares a vertex with member i (the input of
+    ``_kernels.max_ordering_value``)."""
     # vertex bitmasks over the ranks of the interval endpoints: ranking keeps
     # every "s <= t'" comparison, so two intervals share a vertex exactly when
     # their masks meet, and a mask is at most two bits per interval wide
@@ -426,7 +434,7 @@ def max_vec_delta_over_orderings(
                     mask |= 1 << i
             masks.append(mask)
         conflicts.append(masks)
-    return _kernels.max_ordering_value(conflicts)
+    return conflicts
 
 
 def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
@@ -436,7 +444,7 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
     call with a ``dp_limit`` below that size still raises.  A tree refused
     by the limit runs no DP and caches only its covering size."""
     if t._psi is None:
-        covs = set(branch_coverings(t))
+        covs = branch_coverings(t)
         t._psi_size = max((sum(1 for g in cov if g) for cov in covs), default=0)
         if t._psi_size <= dp_limit:
             t._psi = max(

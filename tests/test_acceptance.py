@@ -102,12 +102,15 @@ def test_criterion_04_dyck_counts():
 
 def test_criterion_05_tight_constructions():
     t0 = time.time()
+    # exact integer roots r = k^(1/d) and k^(1/2d): no float decides a bound
     for k, d in ((4, 1), (4, 2), (8, 3), (16, 2)):
-        tree = jt.build_tight("I", k, d)
-        assert jt.psi(tree) <= d * k ** (1.0 / d) / 2 + 1e-9, ("I", k, d)
+        r = round(k ** (1 / d))
+        assert r**d == k
+        assert 2 * jt.psi(jt.build_tight("I", k, d)) <= d * r, ("I", k, d)
     for k, d in ((4, 1), (9, 1), (16, 2)):
-        tree = jt.build_tight("II", k, d)
-        assert jt.psi(tree) <= 2 * d * k ** (1.0 / (2 * d)) + 1e-9, ("II", k, d)
+        r = round(k ** (1 / (2 * d)))
+        assert r ** (2 * d) == k
+        assert jt.psi(jt.build_tight("II", k, d)) <= 2 * d * r, ("II", k, d)
     _report(5, "block constructions meet their size bounds (oracle values)", t0)
 
 

@@ -102,6 +102,22 @@ def test_two_leaf_coverings():
     assert set(map(frozenset, jt.branch_coverings(t))) == {frozenset({g1, g2})}
 
 
+def test_branch_coverings_are_distinct_in_walk_order():
+    rng = random.Random(5)
+    for _ in range(60):
+        t = samples.random_jointree(rng, k=5, leaves=rng.randint(1, 7))
+        per_branch = []
+        stack = [(t, ())]
+        while stack:
+            cur, sibs = stack.pop()
+            if cur.is_leaf:
+                per_branch.append(frozenset(sibs + (cur.graph,)))
+            else:
+                stack.append((cur.left, sibs + (cur.right.graph,)))
+                stack.append((cur.right, sibs + (cur.left.graph,)))
+        assert jt.branch_coverings(t) == list(dict.fromkeys(per_branch))
+
+
 def test_coverings_cover_the_root_graph():
     rng = random.Random(0)
     for _ in range(50):
@@ -143,7 +159,8 @@ def test_dp_matches_permutation_brute_force():
 
 def test_dp_counts_past_int8():
     # pairwise vertex-disjoint members, so every component survives in every
-    # ordering; 3 members run the plain-integer loop, 11 the numpy layers
+    # ordering; 3 members run the plain-integer loop, 11 the zero-mask rule
+    # in the entry and the numpy layers when called directly
     assert 3 <= _kernels.SMALL_M < 11
     for members, comps in ((3, 50), (11, 20)):
         seq = [
@@ -151,18 +168,99 @@ def test_dp_counts_past_int8():
             for j in range(members)
         ]
         assert jt.max_vec_delta_over_orderings(seq) == members * comps
+    assert _kernels._max_ordering_np(jt._conflict_masks(seq)) == 11 * 20
 
 
-@pytest.mark.parametrize("m", range(8, 13))
+@pytest.mark.parametrize("m", range(8, 15))
 def test_dp_bodies_agree_across_crossover(m):
+    # arbitrary asymmetric masks; above SMALL_M the entry reduces first
     rng = random.Random(m)
     for _ in range(4):
         conflicts = [
             [rng.getrandbits(m) & ~(1 << j) for _ in range(rng.randint(0, 3))] for j in range(m)
         ]
         want = _kernels._max_ordering_np(conflicts)
-        assert _kernels._max_ordering_py(conflicts) == want
+        if m <= 12:  # the loop's time doubles with each member
+            assert _kernels._max_ordering_py(conflicts) == want
         assert _kernels.max_ordering_value(conflicts) == want
+
+
+def test_numpy_body_on_single_edges():
+    conflicts = jt._conflict_masks([single_edge(i) for i in range(1, 21)])
+    assert _kernels._max_ordering_np(conflicts) == 10
+
+
+def test_irreducible_clique_runs_one_dp_part():
+    # the intervals (-i, i) all share vertex 0: every mask has 11 bits, so no
+    # rule applies and the numpy layers run on one part of 12
+    conflicts = jt._conflict_masks(sorted(make_path(-i, i) for i in range(1, 13)))
+    total, parts = _kernels._reduce(conflicts)
+    assert total == 0 and [len(p) for p in parts] == [12]
+    assert _kernels.max_ordering_value(conflicts) == 1
+
+
+def _reduced_value(conflicts):
+    total, parts = _kernels._reduce(conflicts)
+    return total + sum(_kernels._max_ordering_py(p) for p in parts)
+
+
+def _far_edges(n):
+    return [make_path(1000 + 3 * i, 1001 + 3 * i) for i in range(n)]
+
+
+# Coverings where "a_j >= b_j puts member j first" is wrong: a_j counts j's
+# live components, b_j the components of other members that touch j.
+FRONT_RULE_COUNTEREXAMPLES = [
+    # the middle member has a = 4 >= b = 3, and putting it first gives 4
+    [
+        make_path(0, 2).union(make_path(6, 8)),
+        PathGraph([(2, 6), (10, 11), (13, 14), (16, 17)]),
+        make_path(11, 16),
+    ],
+    # the rule applied in member order gives 4
+    [
+        PathGraph([(3, 5), (14, 21)]),
+        PathGraph([(3, 6), (8, 12)]),
+        PathGraph([(11, 15), (16, 17), (20, 22)]),
+        make_path(13, 15),
+    ],
+]
+
+
+@pytest.mark.parametrize("cov", FRONT_RULE_COUNTEREXAMPLES)
+def test_front_rule_counterexamples(cov):
+    assert max(vec_delta(list(p)) for p in itertools.permutations(cov)) == 5
+    # the mirror image sorts the members the other way round, so a rule tried
+    # in member order meets the first covering's middle member first
+    for members in (cov, [g.mirror(30) for g in cov]):
+        assert jt.max_vec_delta_over_orderings(members) == 5
+        assert _reduced_value(jt._conflict_masks(sorted(members))) == 5
+        # eight isolated edges lift m above SMALL_M, so the entry reduces
+        padded = sorted(members + _far_edges(8))
+        assert len(padded) > _kernels.SMALL_M
+        assert jt.max_vec_delta_over_orderings(padded) == 5 + 8
+
+
+def test_reductions_match_the_dp_on_random_coverings():
+    rng = random.Random(7)
+    for _ in range(1500):
+        m = rng.randint(2, 9)
+        members = {samples.random_pathgraph(rng, 0, rng.randint(4, 3 * m + 6), rng.randint(1, 4)) for _ in range(m)}
+        conflicts = jt._conflict_masks(sorted(g for g in members if g))
+        assert _reduced_value(conflicts) == _kernels._max_ordering_py(conflicts)
+    for _ in range(40):
+        m = rng.randint(_kernels.SMALL_M + 1, 14)
+        members = {samples.random_pathgraph(rng, 0, rng.randint(4, 4 * m), rng.randint(1, 4)) for _ in range(m)}
+        conflicts = jt._conflict_masks(sorted(g for g in members if g))
+        assert _kernels.max_ordering_value(conflicts) == _kernels._max_ordering_np(conflicts)
+
+
+def test_reductions_match_the_dp_on_path4_strict_coverings():
+    coverings = {cov for t in jt.enumerate_strict(full_path(4)) for cov in jt.branch_coverings(t)}
+    assert len(coverings) > 100
+    for cov in coverings:
+        conflicts = jt._conflict_masks(sorted(g for g in cov if g))
+        assert _reduced_value(conflicts) == _kernels._max_ordering_py(conflicts)
 
 
 def test_dp_limit():
