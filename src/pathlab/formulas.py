@@ -372,108 +372,64 @@ Kind = Literal["D", "C", "SigmaI", "SigmaII", "PiII"]
 _BUILD_NODE_LIMIT = 4_000_000
 
 
-def _check_tuple_budget(n: int, length: int):
-    if length >= 1 and n ** (length - 1) * length > _BUILD_NODE_LIMIT:
-        raise ResourceLimitError(
-            f"flat block over {length} matrices with n={n} exceeds the node budget"
-        )
+def _walks(n: int, parts: int, a0: int, ak: int):
+    """Index walks a0 -> ... -> ak over ``parts`` consecutive blocks."""
+    if n ** (parts - 1) * parts > _BUILD_NODE_LIMIT:
+        raise ResourceLimitError(f"walks over {parts} blocks with n={n} exceed the node budget")
+    for mids in product(range(1, n + 1), repeat=parts - 1):
+        yield (a0, *mids, ak)
 
 
-def _build_d(n: int, lo: int, hi: int, a0: int, ak: int) -> Formula:
-    """Disjunction over all index paths a0 -> ... -> ak through matrices
-    lo+1..hi; correct for arbitrary Boolean matrices."""
-    length = hi - lo
-    _check_tuple_budget(n, length)
-    terms = []
-    for mids in product(range(1, n + 1), repeat=length - 1):
-        walk = (a0, *mids, ak)
-        terms.append(
-            conj([lit((lo + i + 1, walk[i], walk[i + 1])) for i in range(length)])
-        )
-    return disj(terms)
+def _sigma(n: int, cuts: Sequence[int], a0: int, ak: int, child: Callable) -> Formula:
+    """OR over the index walks of the AND of ``child(lo, hi, a, b)`` on each
+    block (lo, hi]; correct for arbitrary Boolean matrices."""
+    blocks = list(zip(cuts, cuts[1:]))
+    return disj(
+        [
+            conj([child(lo, hi, w[i], w[i + 1]) for i, (lo, hi) in enumerate(blocks)])
+            for w in _walks(n, len(blocks), a0, ak)
+        ]
+    )
 
 
-def _build_c(n: int, lo: int, hi: int, a0: int, ak: int) -> Formula:
-    """Conjunction over index paths of 'some step leaves the path'; correct
-    when every matrix has at most one 1 per row."""
-    length = hi - lo
-    _check_tuple_budget(n, length)
+def _pi(n: int, cuts: Sequence[int], a0: int, ak: int, child: Callable) -> Formula:
+    """AND over the index walks of 'some block leaves the walk'; correct when
+    every matrix has at most one 1 per row."""
+    blocks = list(zip(cuts, cuts[1:]))
     clauses = []
-    for mids in product(range(1, n + 1), repeat=length - 1):
-        walk = (a0, *mids, ak)
-        lits = []
-        for i in range(length - 1):
-            lits.extend(
-                lit((lo + i + 1, walk[i], b))
-                for b in range(1, n + 1)
-                if b != walk[i + 1]
-            )
-        lits.append(lit((lo + length, walk[length - 1], ak)))
-        clauses.append(disj(lits))
-    return conj(clauses)
-
-
-def _split_points(lo: int, hi: int, parts: int) -> list[int]:
-    step = (hi - lo) // parts
-    return [lo + i * step for i in range(parts)] + [hi]
-
-
-def _build_sigma1(n: int, lo: int, hi: int, d: int, a0: int, ak: int, ell: int) -> Formula:
-    if d == 1:
-        return _build_d(n, lo, hi, a0, ak)
-    cuts = _split_points(lo, hi, ell)
-    _check_tuple_budget(n, ell)
-    terms = []
-    for mids in product(range(1, n + 1), repeat=ell - 1):
-        walk = (a0, *mids, ak)
-        terms.append(
-            conj(
-                [
-                    _build_sigma1(n, cuts[i], cuts[i + 1], d - 1, walk[i], walk[i + 1], ell)
-                    for i in range(ell)
-                ]
-            )
-        )
-    return disj(terms)
-
-
-def _build_sigma2(n: int, lo: int, hi: int, d: int, a0: int, ak: int, ell: int) -> Formula:
-    if d == 1:
-        return _build_d(n, lo, hi, a0, ak)
-    cuts = _split_points(lo, hi, ell)
-    _check_tuple_budget(n, ell)
-    terms = []
-    for mids in product(range(1, n + 1), repeat=ell - 1):
-        walk = (a0, *mids, ak)
-        terms.append(
-            conj(
-                [
-                    _build_pi2(n, cuts[i], cuts[i + 1], d - 1, walk[i], walk[i + 1], ell)
-                    for i in range(ell)
-                ]
-            )
-        )
-    return disj(terms)
-
-
-def _build_pi2(n: int, lo: int, hi: int, d: int, a0: int, ak: int, ell: int) -> Formula:
-    if d == 1:
-        return _build_c(n, lo, hi, a0, ak)
-    cuts = _split_points(lo, hi, ell)
-    _check_tuple_budget(n, ell)
-    clauses = []
-    for mids in product(range(1, n + 1), repeat=ell - 1):
-        walk = (a0, *mids, ak)
-        parts = []
-        for i in range(ell - 1):
-            parts.extend(
-                _build_sigma2(n, cuts[i], cuts[i + 1], d - 1, walk[i], b, ell)
-                for b in range(1, n + 1)
-                if b != walk[i + 1]
-            )
-        parts.append(_build_sigma2(n, cuts[ell - 1], cuts[ell], d - 1, walk[ell - 1], ak, ell))
+    for w in _walks(n, len(blocks), a0, ak):
+        parts = [
+            child(lo, hi, w[i], b)
+            for i, (lo, hi) in enumerate(blocks[:-1])
+            for b in range(1, n + 1)
+            if b != w[i + 1]
+        ]
+        parts.append(child(*blocks[-1], w[-2], ak))
         clauses.append(disj(parts))
     return conj(clauses)
+
+
+# recursive kind -> (its combinator, the kind of its blocks); D is SigmaI and
+# C is PiII at d = 1, over single matrices
+_KINDS = {
+    "SigmaI": (_sigma, "SigmaI"),
+    "SigmaII": (_sigma, "PiII"),
+    "PiII": (_pi, "SigmaII"),
+}
+_FLAT = {"D": "SigmaI", "C": "PiII"}
+
+
+def _matrix_lit(lo: int, hi: int, a: int, b: int) -> Formula:
+    return lit((hi, a, b))
+
+
+def _block(kind: str, n: int, ell: int, d: int, lo: int, hi: int, a0: int, ak: int) -> Formula:
+    """``kind`` over matrices lo+1..hi, split into ``ell`` blocks down to
+    single matrices at d = 1."""
+    combine, inner = _KINDS[kind]
+    cuts = range(lo, hi + 1, (hi - lo) // ell)
+    child = _matrix_lit if d == 1 else partial(_block, inner, n, ell, d - 1)
+    return combine(n, cuts, a0, ak, child)
 
 
 def build_matrix_formula(
@@ -484,23 +440,18 @@ def build_matrix_formula(
     recursive kinds split the product into k^(1/d) consecutive blocks."""
     if n < 1 or k < 1 or not (1 <= a0 <= n and 1 <= ak <= n):
         raise InvalidParameterError("need n, k >= 1 and endpoint indices in [n]")
-    if kind in ("D", "C"):
+    if kind in _FLAT:
         if d != 1:
             raise InvalidParameterError(f"kind {kind} is the d=1 construction")
-        return (_build_d if kind == "D" else _build_c)(n, 0, k, a0, ak)
+        return _block(_FLAT[kind], n, k, 1, 0, k, a0, ak)
+    if kind not in _KINDS:
+        raise InvalidParameterError(f"unknown kind {kind!r}")
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
-    ell = round(k ** (1.0 / d))
-    if not any((cand := c) ** d == k for c in (ell - 1, ell, ell + 1) if c >= 1):
+    ell = jointrees._integer_root(k, d)
+    if ell is None:
         raise InvalidParameterError(f"k^(1/d) = {k}^(1/{d}) is not an integer")
-    ell = cand
-    if kind == "SigmaI":
-        return _build_sigma1(n, 0, k, d, a0, ak, ell)
-    if kind == "SigmaII":
-        return _build_sigma2(n, 0, k, d, a0, ak, ell)
-    if kind == "PiII":
-        return _build_pi2(n, 0, k, d, a0, ak, ell)
-    raise InvalidParameterError(f"unknown kind {kind!r}")
+    return _block(kind, n, ell, d, 0, k, a0, ak)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +717,10 @@ def sem_demorgan(parts: Sequence[DeMorgan], op: str) -> DeMorgan:
 
 def support(g: DeMorgan, k: int) -> PathGraph:
     """Edges of Path_k the computed function depends on."""
-    table = dm_truth_table(g, k)
+    return _support(dm_truth_table(g, k), k)
+
+
+def _support(table: int, k: int) -> PathGraph:
     return from_edges(i for i in range(1, k + 1) if _cofactors_differ(table, i, k))
 
 
@@ -788,17 +742,25 @@ def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:
 
 def support_tree(g: DeMorgan, k: int) -> jointrees.JoinTree:
     """The join tree whose leaves are the formula's dependent coordinates,
-    built by the recursive restrict-children-to-support rule."""
+    built by the recursive restrict-children-to-support rule; one truth-table
+    walk serves every node, and equal restricted subformulas are built once."""
+    tables = _edge_tables(k)
+    memo: dict = {}
 
     def rec(node: DeMorgan):
-        if node.op == "const":
-            return jointrees.leaf(EMPTY)
-        if node.op == "lit":
-            return jointrees.leaf(from_edges([node.var]))
-        supp = support(node, k)
-        return jointrees.node(
-            rec(dm_restrict(node.left, supp)), rec(dm_restrict(node.right, supp))
-        )
+        got = memo.get(node)
+        if got is None:
+            if node.op == "const":
+                got = jointrees.leaf(EMPTY)
+            elif node.op == "lit":
+                got = jointrees.leaf(from_edges([node.var]))
+            else:
+                supp = _support(tables(node), k)
+                got = jointrees.node(
+                    rec(dm_restrict(node.left, supp)), rec(dm_restrict(node.right, supp))
+                )
+            memo[node] = got
+        return got
 
     return rec(g)
 
@@ -836,13 +798,29 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse(tokens: list[str], pos: int):
+def _node(op: str, arg, binary: bool):
+    """A parsed node: ``arg`` is the value of a constant, the (variable,
+    negated) pair of a literal, or the built children of a gate."""
+    if op == "const":
+        return dm_const(arg) if binary else const(arg)
+    if op == "lit":
+        return dm_lit(*arg) if binary else lit(*arg)
+    if op not in ("and", "or"):
+        raise ArityError(f"unknown gate {op!r}")
+    if not binary:
+        return _gate(op, arg)
+    if len(arg) != 2:
+        raise ArityError("binary formulas need exactly two children per gate")
+    return DeMorgan(op, arg[0], arg[1])
+
+
+def _parse(tokens: list[str], pos: int, binary: bool):
     if tokens[pos] != "(":
         raise ArityError(f"expected '(' at token {pos}")
     head = tokens[pos + 1]
     pos += 2
     if head == "const":
-        node = ("const", int(tokens[pos]))
+        node = _node(head, int(tokens[pos]), binary)
         pos += 1
     elif head in ("lit", "nlit"):
         nums = []
@@ -850,42 +828,20 @@ def _parse(tokens: list[str], pos: int):
             nums.append(int(tokens[pos]))
             pos += 1
         var = tuple(nums) if len(nums) > 1 else nums[0]
-        node = ("lit", var, head == "nlit")
-    elif head in ("and", "or"):
+        node = _node("lit", (var, head == "nlit"), binary)
+    else:
         kids = []
         while tokens[pos] != ")":
-            child, pos = _parse(tokens, pos)
+            child, pos = _parse(tokens, pos, binary)
             kids.append(child)
-        node = (head, kids)
-    else:
-        raise ArityError(f"unknown head {head!r}")
+        node = _node(head, kids, binary)
     if tokens[pos] != ")":
         raise ArityError("missing ')'")
     return node, pos + 1
 
 
-def _to_formula(node) -> Formula:
-    if node[0] == "const":
-        return const(node[1])
-    if node[0] == "lit":
-        return lit(node[1], node[2])
-    return _gate(node[0], [_to_formula(c) for c in node[1]])
-
-
-def _to_demorgan(node) -> DeMorgan:
-    if node[0] == "const":
-        return dm_const(node[1])
-    if node[0] == "lit":
-        return dm_lit(node[1], node[2])
-    kids = [_to_demorgan(c) for c in node[1]]
-    if len(kids) != 2:
-        raise ArityError("binary formulas need exactly two children per gate")
-    return DeMorgan(node[0], kids[0], kids[1])
-
-
 def from_sexpr(text: str, binary: bool = False):
-    node, pos = _parse(_tokenize(text), 0)
-    return _to_demorgan(node) if binary else _to_formula(node)
+    return _parse(_tokenize(text), 0, binary)[0]
 
 
 def to_json_dict(phi) -> dict:
@@ -899,18 +855,12 @@ def to_json_dict(phi) -> dict:
 
 def from_json_dict(data, binary: bool = False):
     if "const" in data:
-        return dm_const(data["const"]) if binary else const(data["const"])
+        return _node("const", data["const"], binary)
     if "lit" in data:
         var = tuple(data["lit"]) if isinstance(data["lit"], list) else data["lit"]
-        neg = data.get("neg", False)
-        return dm_lit(var, neg) if binary else lit(var, neg)
+        return _node("lit", (var, data.get("neg", False)), binary)
     (op, kids), = data.items()
-    parsed = [from_json_dict(c, binary) for c in kids]
-    if binary:
-        if len(parsed) != 2:
-            raise ArityError("binary formulas need exactly two children per gate")
-        return DeMorgan(op, parsed[0], parsed[1])
-    return _gate(op, parsed)
+    return _node(op, [from_json_dict(c, binary) for c in kids], binary)
 
 
 # -- exhaustive strict-formula count ------------------------------------------

@@ -130,15 +130,8 @@ def density(a: Relation, cond: PathGraph | None = None) -> Fraction:
     """mu(A), or the maximum density of A conditioned on a graph."""
     if cond is None or not cond:
         return Fraction(len(a.tuples), a.n ** len(a.verts))
-    shared_pos = [i for i, v in enumerate(a.verts) if cond.has_vertex(v)]
-    free = len(a.verts) - len(shared_pos)
-    if not a.tuples:
-        return Fraction(0)
-    counts: dict[tuple, int] = {}
-    for t in a.tuples:
-        key = tuple(t[i] for i in shared_pos)
-        counts[key] = counts.get(key, 0) + 1
-    return Fraction(max(counts.values()), a.n**free)
+    free = sum(1 for v in a.verts if not cond.has_vertex(v))
+    return Fraction(_max_conditional_count(a, cond), a.n**free)
 
 
 def _max_conditional_count(a: Relation, cond: PathGraph) -> int:
@@ -310,6 +303,22 @@ def _strict_tree_parts(t: jointrees.JoinTree):
     return t.left, t.right
 
 
+def _plain_minterms(n: int, budget: int) -> Callable[[object, PathGraph], Relation]:
+    """Minterm relation (mode M) of a formula node on a graph, memoised by
+    (node, graph), so one certificate scans each distinct pair once."""
+    memo: dict[tuple, Relation] = {}
+
+    def plain(node, h: PathGraph) -> Relation:
+        key = (node, h)
+        got = memo.get(key)
+        if got is None:
+            got = minterms(formula_evaluator(node), h, "M", n, budget)
+            memo[key] = got
+        return got
+
+    return plain
+
+
 def restricted_minterms(
     fdm: formulas.DeMorgan,
     g: PathGraph,
@@ -324,20 +333,16 @@ def restricted_minterms(
         raise DomainError("the join tree must be strict")
     if t.graph != g:
         raise DomainError("join tree root graph differs from g")
-    plain_memo: dict[tuple, Relation] = {}
-    tree_memo: dict[tuple, Relation] = {}
+    return _restricted(_plain_minterms(n, budget), fdm, t, n)
 
-    def plain(node, h: PathGraph) -> Relation:
-        key = (id(node), h)
-        got = plain_memo.get(key)
-        if got is None:
-            got = minterms(formula_evaluator(node), h, "M", n, budget)
-            plain_memo[key] = got
-        return got
+
+def _restricted(plain: Callable, fdm: formulas.DeMorgan, t: jointrees.JoinTree, n: int) -> Relation:
+    """The walk behind :func:`restricted_minterms`, over a strict tree."""
+    memo: dict[tuple, Relation] = {}
 
     def rec(node, h: PathGraph, tree: jointrees.JoinTree) -> Relation:
-        key = (id(node), h, tree)
-        got = tree_memo.get(key)
+        key = (node, h, tree)
+        got = memo.get(key)
         if got is not None:
             return got
         if h.norm <= 1:
@@ -354,10 +359,10 @@ def restricted_minterms(
                 )
                 parts = parts | joined.tuples
             out = Relation(h, n, base.tuples & parts)
-        tree_memo[key] = out
+        memo[key] = out
         return out
 
-    return rec(fdm, g, t)
+    return rec(fdm, t.graph, t)
 
 
 # ---------------------------------------------------------------------------
@@ -409,34 +414,21 @@ def chi_decomposition_cost(
     g = t.graph
     if not jointrees.is_strict(t):
         raise DomainError("the join tree must be strict")
-    subformula_ids = set()
+    plain = _plain_minterms(n, budget)
+    graphs = subgraphs_of_path(k)
+    seen = set()
     stack = [fdm]
-    subs = []
     while stack:
         node = stack.pop()
-        if id(node) in subformula_ids:
+        if node in seen:
             continue
-        subformula_ids.add(id(node))
-        subs.append(node)
-        if node.op in ("and", "or"):
-            stack.extend((node.left, node.right))
-    for node in subs:
-        for h in subgraphs_of_path(k):
-            rel = minterms(formula_evaluator(node), h, "M", n, budget)
-            if not is_pathset(rel, params):
+        seen.add(node)
+        for h in graphs:
+            if not is_pathset(plain(node, h), params):
                 raise DomainError(
                     f"minterm relation of a subformula on {h!r} is not a pathset"
                 )
-
-    plain_memo: dict[tuple, Relation] = {}
-
-    def plain(node, h: PathGraph) -> Relation:
-        key = (id(node), h)
-        got = plain_memo.get(key)
-        if got is None:
-            got = minterms(formula_evaluator(node), h, "M", n, budget)
-            plain_memo[key] = got
-        return got
+        stack.extend(node.children)
 
     def cost(node, h: PathGraph, tree: jointrees.JoinTree) -> int:
         if h.norm <= 1:
@@ -457,7 +449,7 @@ def chi_decomposition_cost(
     bound = math.comb(d_cap + g.norm - 1, g.norm - 1) * formulas.size(fdm)
     if total > bound:
         raise AssertionError(f"certified cost {total} exceeds the binomial bound {bound}")
-    mgt = restricted_minterms(fdm, g, t, n, budget)
+    mgt = _restricted(plain, fdm, t, n)
     if a is None:
         target = mgt
     else:

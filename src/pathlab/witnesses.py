@@ -23,6 +23,7 @@ from .paths import (
     full_path,
     gap as gap_of,
     make_path,
+    residual_terms,
     surviving_components,
     union_all,
     vec_delta,
@@ -75,15 +76,11 @@ class WitnessResult:
     kind: str
     ordering: object  # permutation of sequence indices or a ShiftPermutation
     achieved: int
-    guaranteed: object  # Fraction or float
+    guaranteed: Fraction
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.guaranteed, Fraction):
-            ok = Fraction(self.achieved) >= self.guaranteed
-        else:
-            ok = self.achieved >= self.guaranteed - _TOL
-        if not ok:
+        if self.achieved < self.guaranteed:
             raise AssertionError(
                 f"{self.kind}: achieved {self.achieved} below guarantee {self.guaranteed}"
             )
@@ -185,13 +182,20 @@ def _interleave_selection(
     return [(j, comps[j]) for j in js]
 
 
-def _sigma_from_positions(m: int, positions: Sequence[int]) -> shifts.ShiftPermutation:
-    """Shift permutation whose index set skips everything strictly between
-    consecutive chosen positions (and before the first)."""
+def _sigma_q_split(
+    m: int, positions: Sequence[int], keep: Sequence[int]
+) -> shifts.ShiftPermutation:
+    """Index set excluding, for each kept slot h, the open range between
+    positions[h-1] and positions[h] (from 0 for h = 0); positions not in
+    ``keep`` stay fully included, so the two complementary splits jointly
+    cover [m].  Keeping every slot skips all but the positions themselves
+    and what follows the last one."""
     excluded: set[int] = set()
     prev = 0
-    for i in positions:
-        excluded.update(range(prev + 1, i))
+    keep_set = set(keep)
+    for h, i in enumerate(positions):
+        if h in keep_set:
+            excluded.update(range(prev + 1, i))
         prev = i
     return shifts.from_set(m, set(range(1, m + 1)) - excluded)
 
@@ -226,7 +230,7 @@ def construct_premain_II(seq: GraphSequence) -> WitnessResult:
     best_sigma = None
     best_val = -1
     for positions, _lengths in _parity_choices(selection):
-        sigma = _sigma_from_positions(m, positions)
+        sigma = _sigma_q_split(m, positions, range(len(positions)))
         val = vec_lambda(sigma.apply(seq))
         if val > best_val:
             best_sigma, best_val = sigma, val
@@ -344,7 +348,7 @@ def _selection_sigmas(m: int, tagged_selections) -> list[shifts.ShiftPermutation
     sigmas = []
     for _tag, sel in tagged_selections:
         for positions, _lengths in _parity_choices(sel):
-            sigmas.append(_sigma_from_positions(m, positions))
+            sigmas.append(_sigma_q_split(m, positions, range(len(positions))))
     return sigmas
 
 
@@ -368,9 +372,9 @@ def construct_main_II(seq: GraphSequence) -> WitnessResult:
         val = vec_lambda_delta(sigma.apply(seq))
         if val > best_val:
             best_sigma, best_val = sigma, val
-    guaranteed = math.sqrt(k / 8.0)
-    if 8 * best_val * best_val < k:
-        raise AssertionError(f"main-II: value {best_val} below sqrt({k}/8)")
+    # for an integer value, reaching the least r with 8 r^2 >= k is the same
+    # as 8 value^2 >= k, i.e. value >= sqrt(k/8)
+    guaranteed = Fraction(math.isqrt(-(-k // 8) - 1) + 1)
     return WitnessResult("main-II", best_sigma, best_val, guaranteed)
 
 
@@ -385,22 +389,6 @@ def _balanced_split(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
         buckets[b].append(i)
         sums[b] += lengths[i]
     return buckets
-
-
-def _sigma_q_split(
-    m: int, positions: Sequence[int], keep: Sequence[int]
-) -> shifts.ShiftPermutation:
-    """Index set excluding, for each kept slot h, the open range between
-    positions[h-1] and positions[h]; positions not in ``keep`` stay fully
-    included, so the two complementary splits jointly cover [m]."""
-    excluded: set[int] = set()
-    prev = 0
-    keep_set = set(keep)
-    for h, i in enumerate(positions):
-        if h in keep_set:
-            excluded.update(range(prev + 1, i))
-        prev = i
-    return shifts.from_set(m, set(range(1, m + 1)) - excluded)
 
 
 def construct_strong_shift(
@@ -433,7 +421,7 @@ def construct_strong_shift(
     else:
         raise InvalidParameterError(f"unknown strong-shift mode {mode!r}")
 
-    incs = _index_increments(seq)
+    incs = [resid.delta for resid, _ in residual_terms(seq)]
     best = None
     for _tag, sel in tagged:
         for positions, lengths in _parity_choices(sel):
@@ -466,12 +454,3 @@ def construct_strong_shift(
             f"strong-shift-{mode}: induced-permutation value {tilde_min} below {tilde_bound}"
         )
     return result
-
-
-def _index_increments(seq: GraphSequence) -> list[int]:
-    out = []
-    acc = EMPTY
-    for g in seq:
-        out.append(g.ominus(acc).delta)
-        acc = acc.union(g)
-    return out

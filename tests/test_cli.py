@@ -139,6 +139,7 @@ def test_resource_limit_exit_code(capsys):
         (["measure", "vecdelta", "--seq"], '{"graphs": 5}'),
         (["measure", "depths", "--tree"], '{"leaf": {"intervals": [[0, 2]]}}'),
         (["measure", "formula-stats", "--formula"], "(xor (lit 1))"),
+        (["measure", "formula-stats", "--formula"], '{"xor": [{"lit": 1}, {"lit": 2}]}'),
     ],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, argv, text):

@@ -10,7 +10,7 @@ import pytest
 
 from pathlab import formulas as F
 from pathlab import jointrees as jt
-from pathlab.errors import DomainError, InvalidParameterError
+from pathlab.errors import ArityError, DomainError, InvalidParameterError
 from pathlab.paths import EMPTY, from_edges
 
 
@@ -132,6 +132,27 @@ def test_structural_bounds(n, k, d):
         psi = F.build_matrix_formula(kind, n, k, d)
         assert F.size(psi) <= k * n ** (d * ell)
         assert F.depth(psi) <= d + 1
+
+
+@pytest.mark.parametrize(
+    "kind,n,k,d,want",
+    [
+        ("D", 3, 5, 1, (405, 2, 1, 81, 5)),
+        ("C", 2, 5, 1, (80, 2, 1, 16, 16)),
+        ("SigmaI", 2, 8, 3, (64, 6, 3, 2, 2)),
+        ("SigmaII", 2, 8, 3, (64, 4, 2, 4, 4)),
+        ("PiII", 2, 8, 3, (64, 4, 2, 4, 4)),
+        ("SigmaI", 3, 9, 2, (729, 4, 2, 9, 3)),
+        ("SigmaII", 3, 9, 2, (1215, 3, 1, 27, 27)),
+        ("PiII", 3, 9, 2, (1215, 3, 2, 45, 9)),
+        ("PiII", 2, 16, 2, (1024, 3, 2, 32, 8)),
+    ],
+)
+def test_structural_values(kind, n, k, d, want):
+    # (size, depth, and_depth, fanin, and_fanin) of the entry (1, n) formula
+    phi = F.build_matrix_formula(kind, n, k, d, a0=1, ak=n)
+    got = (F.size(phi), F.depth(phi), F.and_depth(phi), F.fanin(phi), F.and_fanin(phi))
+    assert got == want
 
 
 # -- conversions ----------------------------------------------------------------------
@@ -359,6 +380,24 @@ def test_support_tree_root_graph_random():
         assert jt.is_strict(strict_stree)
 
 
+def test_support_tools_builds_one_table_walk(monkeypatch):
+    # the support and the support tree each take one memoised table walk,
+    # however many inner nodes the formula has
+    calls = []
+    real = F._edge_tables
+
+    def counting(k, limit=16):
+        calls.append(k)
+        return real(k, limit)
+
+    monkeypatch.setattr(F, "_edge_tables", counting)
+    g = F.sem_demorgan([F.dm_lit(i) for i in range(1, 13)], "and")
+    supp, _, stree, _ = F.support_tools(g, 12)
+    assert supp == from_edges(range(1, 13))
+    assert stree.graph == supp
+    assert len(calls) <= 2
+
+
 def test_restriction_neutralizes_out_of_graph_literals():
     g = F.dm_and(F.dm_lit(1), F.dm_lit(2, neg=True))
     restricted = F.dm_restrict(g, from_edges([1]))
@@ -396,6 +435,17 @@ def test_json_round_trip_binary():
     g = F.dm_and(F.dm_lit(1), F.dm_or(F.dm_lit(2, neg=True), F.dm_const(0)))
     back = F.from_json_dict(F.to_json_dict(g), binary=True)
     assert back == g
+
+
+def test_json_rejects_unknown_gate_and_bad_arity():
+    data = {"xor": [{"lit": 1}, {"lit": 2}]}
+    for binary in (False, True):
+        with pytest.raises(ArityError):
+            F.from_json_dict(data, binary=binary)
+    with pytest.raises(ArityError):
+        F.from_json_dict({"and": [{"lit": 1}, {"lit": 2}, {"lit": 3}]}, binary=True)
+    with pytest.raises(ArityError):
+        F.from_sexpr("(or (lit 1))", binary=True)
 
 
 def test_sexpr_parses_edge_and_matrix_vars():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 from fractions import Fraction
 from itertools import product
@@ -344,6 +345,32 @@ def test_chi_cost_toy_pipeline():
         mgt = R.restricted_minterms(fx, g, t, n)
         assert R.exceeds_ntilde_bound(cost, params, jt.psi(t), mgt)
     assert any(c > 0 for c in costs)
+
+
+def test_chi_cost_scans_each_pair_once(monkeypatch):
+    # the pathset pre-check, the cost walk and the tree-shaped minterm subset
+    # share one minterm relation per distinct (subformula, graph) pair
+    n, k = 2, 3
+    params = R.PathsetParams(n, k)
+    dm = F.convert(F.build_matrix_formula("D", n, k), "right_deep")
+    fx = _substitute_ones(dm, R.sample_xi(n, k, 0).xi_edges())
+    scans = collections.Counter()
+    real_evaluator, real_minterms = R.formula_evaluator, R.minterms
+
+    def tagged_evaluator(node):
+        run = real_evaluator(node)
+        run.node = node
+        return run
+
+    def counting_minterms(f, g, mode, n, budget=2_000_000):
+        scans[(f.node, g)] += 1
+        return real_minterms(f, g, mode, n, budget)
+
+    monkeypatch.setattr(R, "formula_evaluator", tagged_evaluator)
+    monkeypatch.setattr(R, "minterms", counting_minterms)
+    t = next(t for t in jt.enumerate_strict(full_path(k)) if not t.is_leaf)
+    R.chi_decomposition_cost(t, None, fx, params)
+    assert scans and max(scans.values()) == 1
 
 
 # -- restrictions --------------------------------------------------------------------

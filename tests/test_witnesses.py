@@ -183,6 +183,7 @@ def test_main_two_whole_path():
 def test_main_two_standard_and_stride():
     res = wit.construct_main_II([single_edge(i) for i in range(1, 26)])
     assert 8 * res.achieved**2 >= 25
+    assert res.guaranteed == Fraction(2)  # the least r with 8 r^2 >= 25
     stride = [single_edge(i) for j in range(1, 6) for i in range(j, 26, 5)]
     res = wit.construct_main_II(stride)
     assert 8 * res.achieved**2 >= 25
