@@ -16,6 +16,7 @@ import random
 import sys
 import traceback
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from . import formulas, greedy, jointrees, relations, samples, shifts
@@ -132,8 +133,6 @@ def cmd_measure(args) -> int:
                 "monotone": formulas.is_monotone(phi),
             }
         )
-    else:
-        raise PathLabError(f"unknown measure {what!r}")
     _emit(report, args.format)
     return EXIT_OK
 
@@ -190,19 +189,20 @@ def _suite_lp(args) -> dict:
 
 
 def _suite_tradeoff(args, kind: str) -> dict:
+    rng = random.Random(args.seed)
+
+    def trees():
+        """Every strict tree up to ``enumerate_k`` edges, then the samples."""
+        for k in range(1, args.enumerate_k + 1):
+            for tree in jointrees.enumerate_strict(full_path(k)):
+                yield k, tree
+        for _ in range(args.trials):
+            k = rng.randint(2, 8)
+            yield k, samples.random_strict_tree(rng, full_path(k))
+
     failures = []
     checked = 0
-    k_exh = args.enumerate_k
-    for k in range(1, k_exh + 1):
-        for tree in jointrees.enumerate_strict(full_path(k)):
-            holds, lhs, rhs = jointrees.verify_tradeoff(tree, kind)
-            checked += 1
-            if not holds:
-                failures.append({"k": k, "tree": tree.pretty(), "lhs": lhs, "rhs": rhs})
-    rng = random.Random(args.seed)
-    for _ in range(args.trials):
-        k = rng.randint(2, 8)
-        tree = samples.random_strict_tree(rng, full_path(k))
+    for k, tree in trees():
         holds, lhs, rhs = jointrees.verify_tradeoff(tree, kind)
         checked += 1
         if not holds:
@@ -263,11 +263,7 @@ def _suite_formulas(args) -> dict:
 def _suite_minterms(args) -> dict:
     failures = []
     n, k = args.n, args.k
-    want = {
-        t
-        for t in _tuples(n, k + 1)
-        if t[0] == 1 and t[-1] == 1
-    }
+    want = {t for t in product(range(1, n + 1), repeat=k + 1) if t[0] == 1 and t[-1] == 1}
     for kind, d in (("D", 1), ("C", 1)):
         phi = formulas.build_matrix_formula(kind, n, k, d)
         got = relations.minterms(relations.formula_evaluator(phi), full_path(k), "M", n)
@@ -277,12 +273,6 @@ def _suite_minterms(args) -> dict:
     if relations.density(rep) != Fraction(1, n * n):
         failures.append({"kind": "oracle-density"})
     return {"suite": "minterms", "n": n, "k": k, "failures": failures, "ok": not failures}
-
-
-def _tuples(n, width):
-    from itertools import product
-
-    return product(range(1, n + 1), repeat=width)
 
 
 def _suite_strict_counts(args) -> dict:
@@ -333,8 +323,7 @@ def _parse_range(spec: str) -> list[int]:
 
 def cmd_experiment(args) -> int:
     if args.seed is None:
-        print("experiment requires --seed", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputError("experiment requires --seed")
     if args.experiment == "restriction":
         rep = relations.montecarlo_mpath2(args.n, args.k, args.trials, args.seed)
         rows = rep.pop("rows")
@@ -354,38 +343,36 @@ def cmd_experiment(args) -> int:
         }
         _emit(summary, args.format, rows)
         return EXIT_OK
-    if args.experiment == "randomized-conversion":
-        phi = formulas.build_matrix_formula("SigmaI", args.n, args.k, args.d)
-        s = formulas.size(phi)
-        t = args.t if args.t else max(1, round(math.log2(s) ** 2))
-        rng = random.Random(args.seed)
-        fixed_inputs = [
-            tuple(formulas.random_subperm_matrix(args.n, rng) for _ in range(args.k))
-            for _ in range(3)
-        ]
-        rows = []
-        agree = 0
-        total = 0
-        for i, mats in enumerate(fixed_inputs):
-            env = formulas.matrix_env(mats)
-            want = formulas.evaluate(phi, env)
-            hits = 0
-            for trial in range(args.trials):
-                got = formulas.randomized_conversion_value(phi, t, args.seed + trial, env)
-                hits += got == want
-            agree += hits
-            total += args.trials
-            rows.append({"input": i, "agreement": hits / args.trials})
-        summary = {
-            "experiment": "randomized-conversion",
-            "t": t,
-            "size": s,
-            "agreement": agree / total,
-        }
-        _emit(summary, args.format, rows)
-        return EXIT_OK
-    print(f"unknown experiment {args.experiment!r}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
+    # randomized-conversion, the last of the experiment choices
+    phi = formulas.build_matrix_formula("SigmaI", args.n, args.k, args.d)
+    s = formulas.size(phi)
+    t = args.t if args.t else max(1, round(math.log2(s) ** 2))
+    rng = random.Random(args.seed)
+    fixed_inputs = [
+        tuple(formulas.random_subperm_matrix(args.n, rng) for _ in range(args.k))
+        for _ in range(3)
+    ]
+    rows = []
+    agree = 0
+    total = 0
+    for i, mats in enumerate(fixed_inputs):
+        env = formulas.matrix_env(mats)
+        want = formulas.evaluate(phi, env)
+        hits = 0
+        for trial in range(args.trials):
+            got = formulas.randomized_conversion_value(phi, t, args.seed + trial, env)
+            hits += got == want
+        agree += hits
+        total += args.trials
+        rows.append({"input": i, "agreement": hits / args.trials})
+    summary = {
+        "experiment": "randomized-conversion",
+        "t": t,
+        "size": s,
+        "agreement": agree / total,
+    }
+    _emit(summary, args.format, rows)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

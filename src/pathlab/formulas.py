@@ -374,8 +374,6 @@ _BUILD_NODE_LIMIT = 4_000_000
 
 def _walks(n: int, parts: int, a0: int, ak: int):
     """Index walks a0 -> ... -> ak over ``parts`` consecutive blocks."""
-    if n ** (parts - 1) * parts > _BUILD_NODE_LIMIT:
-        raise ResourceLimitError(f"walks over {parts} blocks with n={n} exceed the node budget")
     for mids in product(range(1, n + 1), repeat=parts - 1):
         yield (a0, *mids, ak)
 
@@ -393,8 +391,8 @@ def _sigma(n: int, cuts: Sequence[int], a0: int, ak: int, child: Callable) -> Fo
 
 
 def _pi(n: int, cuts: Sequence[int], a0: int, ak: int, child: Callable) -> Formula:
-    """AND over the index walks of 'some block leaves the walk'; correct when
-    every matrix has at most one 1 per row."""
+    """AND over the index walks of 'some block leaves the walk'; correct on
+    sub-permutation matrices (at most one 1 per row and per column)."""
     blocks = list(zip(cuts, cuts[1:]))
     clauses = []
     for w in _walks(n, len(blocks), a0, ak):
@@ -423,6 +421,18 @@ def _matrix_lit(lo: int, hi: int, a: int, b: int) -> Formula:
     return lit((hi, a, b))
 
 
+def _leaf_count(kind: str, n: int, ell: int, d: int) -> int:
+    """Literal leaves of ``_block(kind, n, ell, d, ...)``: each level has
+    n^(ell-1) walks, with ell children per walk under sigma and
+    (ell-1)(n-1) + 1 under pi."""
+    leaves = 1
+    for _ in range(d):
+        combine, kind = _KINDS[kind]
+        per_walk = ell if combine is _sigma else (ell - 1) * (n - 1) + 1
+        leaves *= n ** (ell - 1) * per_walk
+    return leaves
+
+
 def _block(kind: str, n: int, ell: int, d: int, lo: int, hi: int, a0: int, ak: int) -> Formula:
     """``kind`` over matrices lo+1..hi, split into ``ell`` blocks down to
     single matrices at d = 1."""
@@ -443,14 +453,20 @@ def build_matrix_formula(
     if kind in _FLAT:
         if d != 1:
             raise InvalidParameterError(f"kind {kind} is the d=1 construction")
-        return _block(_FLAT[kind], n, k, 1, 0, k, a0, ak)
-    if kind not in _KINDS:
+        kind, ell = _FLAT[kind], k
+    elif kind not in _KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r}")
-    if d < 1:
+    elif d < 1:
         raise InvalidParameterError("d must be >= 1")
-    ell = jointrees._integer_root(k, d)
-    if ell is None:
-        raise InvalidParameterError(f"k^(1/d) = {k}^(1/{d}) is not an integer")
+    else:
+        ell = jointrees._integer_root(k, d)
+        if ell is None:
+            raise InvalidParameterError(f"k^(1/d) = {k}^(1/{d}) is not an integer")
+    leaves = _leaf_count(kind, n, ell, d)
+    if leaves > _BUILD_NODE_LIMIT:
+        raise ResourceLimitError(
+            f"{leaves} leaves for n={n}, k={k}, d={d} exceed the node budget {_BUILD_NODE_LIMIT}"
+        )
     return _block(kind, n, ell, d, 0, k, a0, ak)
 
 
@@ -565,12 +581,11 @@ def check_formula_correct(
         if input_class == "subperm":
             mats = tuple(random_subperm_matrix(n, rng) for _ in range(k))
         elif input_class == "rows":
+            # one column per row, or none when the draw is n
             mats = tuple(
                 tuple(
-                    tuple(
-                        1 if (b == rng.randrange(n + 1)) else 0 for b in range(n)
-                    )
-                    for _ in range(n)
+                    tuple(1 if b == col else 0 for b in range(n))
+                    for col in (rng.randrange(n + 1) for _ in range(n))
                 )
                 for _ in range(k)
             )
@@ -841,7 +856,11 @@ def _parse(tokens: list[str], pos: int, binary: bool):
 
 
 def from_sexpr(text: str, binary: bool = False):
-    return _parse(_tokenize(text), 0, binary)[0]
+    tokens = _tokenize(text)
+    node, end = _parse(tokens, 0, binary)
+    if end != len(tokens):
+        raise ArityError(f"unexpected input after the formula at token {end}")
+    return node
 
 
 def to_json_dict(phi) -> dict:
@@ -855,12 +874,20 @@ def to_json_dict(phi) -> dict:
 
 def from_json_dict(data, binary: bool = False):
     if "const" in data:
+        head, keys = "const", {"const"}
+    elif "lit" in data:
+        head, keys = "lit", {"lit", "neg"}
+    else:
+        head = next(iter(data), None)
+        keys = {head}
+    if head is None or not keys.issuperset(data):
+        raise ArityError(f"a formula node has const, lit (and neg) or one gate, not {sorted(data)}")
+    if head == "const":
         return _node("const", data["const"], binary)
-    if "lit" in data:
+    if head == "lit":
         var = tuple(data["lit"]) if isinstance(data["lit"], list) else data["lit"]
         return _node("lit", (var, data.get("neg", False)), binary)
-    (op, kids), = data.items()
-    return _node(op, [from_json_dict(c, binary) for c in kids], binary)
+    return _node(head, [from_json_dict(c, binary) for c in data[head]], binary)
 
 
 # -- exhaustive strict-formula count ------------------------------------------

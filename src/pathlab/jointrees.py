@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Literal
 
@@ -461,13 +462,18 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
 
 
 def _integer_root(k: int, d: int) -> int | None:
+    """The integer r >= 1 with r^d = k, or None; exact for any size of k."""
     if k < 1 or d < 1:
         return None
-    r = round(k ** (1.0 / d))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**d == k:
-            return cand
-    return None
+    # bisect on [1, 2^ceil(bits/d)], which holds k^(1/d)
+    lo, hi = 1, 1 << -(-k.bit_length() // d)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**d <= k:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo if lo**d == k else None
 
 
 def build_tight(kind: Literal["I", "II"], k: int, d: int) -> JoinTree:
@@ -480,35 +486,24 @@ def build_tight(kind: Literal["I", "II"], k: int, d: int) -> JoinTree:
         ell = _integer_root(k, d)
         if ell is None:
             raise InvalidParameterError(f"k^(1/d) = {k}^(1/{d}) is not an integer")
-
-        def rec1(lo: int, hi: int, depth: int) -> JoinTree:
-            if hi - lo == 1:
-                return leaf(PathGraph(((lo, hi),)))
-            step = (hi - lo) // ell
-            return sq([rec1(lo + i * step, lo + (i + 1) * step, depth - 1) for i in range(ell)])
-
-        return rec1(0, k, d)
-    if kind == "II":
+        combine, order = sq, range(ell)
+    elif kind == "II":
         ell = _integer_root(k, 2 * d)
         if ell is None:
             raise InvalidParameterError(f"k^(1/2d) = {k}^(1/{2 * d}) is not an integer")
+        # consecutive blocks indexed (i, j) row-major; combinator order
+        # strides column-major so consecutive arguments are vertex-disjoint
+        combine, order = sem, [i * ell + j for j in range(ell) for i in range(ell)]
+    else:
+        raise InvalidParameterError(f"unknown tight construction kind {kind!r}")
 
-        def rec2(lo: int, hi: int, depth: int) -> JoinTree:
-            if hi - lo == 1:
-                return leaf(PathGraph(((lo, hi),)))
-            step = (hi - lo) // (ell * ell)
-            # consecutive blocks indexed (i, j) row-major; combinator order
-            # strides column-major so consecutive arguments are vertex-disjoint
-            parts = {}
-            for i in range(ell):
-                for j in range(ell):
-                    a = lo + (i * ell + j) * step
-                    parts[(i, j)] = rec2(a, a + step, depth - 1)
-            order = [parts[(i, j)] for j in range(ell) for i in range(ell)]
-            return sem(order)
+    def rec(lo: int, hi: int) -> JoinTree:
+        if hi - lo == 1:
+            return leaf(PathGraph(((lo, hi),)))
+        step = (hi - lo) // len(order)
+        return combine([rec(lo + b * step, lo + (b + 1) * step) for b in order])
 
-        return rec2(0, k, d)
-    raise InvalidParameterError(f"unknown tight construction kind {kind!r}")
+    return rec(0, k)
 
 
 def maximally_overlapping(k: int) -> JoinTree:
@@ -589,7 +584,25 @@ def enumerate_strict(
 # tradeoff and recurrence checkers
 # ---------------------------------------------------------------------------
 
-TRADEOFF_SLACK = 1e-9
+
+def _e_power_at_least(d: int, a: int, b: int) -> bool:
+    """e^d * a >= b, decided exactly for integers d, a, b >= 1: first by the
+    bracket 2.718281828 < e < 2.718281829 in integers, then by partial sums
+    S_n of sum 1/i!, with S_n < e < S_n + 1/(n * n!).  Equality never
+    holds, since e is transcendental, so the refinement ends."""
+    scale = (10**9) ** d
+    if 2718281828**d * a >= b * scale:
+        return True
+    if 2718281829**d * a <= b * scale:
+        return False
+    n = 16
+    while True:
+        s = sum(Fraction(1, math.factorial(i)) for i in range(n + 1))
+        if s**d * a >= b:
+            return True
+        if (s + Fraction(1, n * math.factorial(n))) ** d * a <= b:
+            return False
+        n *= 2
 
 
 def verify_tradeoff(
@@ -597,7 +610,13 @@ def verify_tradeoff(
 ) -> tuple[bool, int, float]:
     """Check the restated size/depth tradeoff: Psi against the explicit
     constant bound with d the left depth (kind I) or the doubling-combinator
-    depth (kind II).  Returns (holds, Psi, rhs)."""
+    depth (kind II).  Returns (holds, Psi, rhs); ``holds`` is exact, and the
+    float rhs is for reports only.
+
+    With x = Psi - delta + d, kind I holds iff x >= d lam^(1/d) / (30e), that
+    is x > 0 and e^d (30x)^d >= d^d lam; kind II holds iff
+    x >= d lam^(1/2d) / sqrt(32e), that is x > 0 and
+    e^d 32^d x^(2d) >= d^(2d) lam.  For d = 0 or lam = 0 the bound is x >= 0."""
     p = t.graph
     lhs = psi(t, dp_limit=dp_limit)
     if kind == "I":
@@ -612,7 +631,16 @@ def verify_tradeoff(
         )
     else:
         raise InvalidParameterError(f"unknown tradeoff kind {kind!r}")
-    return lhs >= rhs - TRADEOFF_SLACK, lhs, rhs
+    x = lhs - p.delta + d
+    if not d or not p.lam:
+        holds = x >= 0
+    elif x <= 0:
+        holds = False
+    elif kind == "I":
+        holds = _e_power_at_least(d, (30 * x) ** d, d**d * p.lam)
+    else:
+        holds = _e_power_at_least(d, 32**d * x ** (2 * d), d ** (2 * d) * p.lam)
+    return holds, lhs, rhs
 
 
 def tree_restrict(t: JoinTree, keep: PathGraph) -> JoinTree:
@@ -665,76 +693,43 @@ def check_psi_recurrences(
             psi_memo[x] = got
         return got
 
+    def residual(x: JoinTree, f: PathGraph) -> int:
+        """psi(T_j - F) - delta(G_j - F), the part of x that survives f."""
+        return psi_of(tree_ominus(x, f)) - x.graph.ominus(f).delta
+
+    def check(kind: str, rhs: int, **where) -> None:
+        report["checked"] += 1
+        if psi_t < rhs:
+            report["violations"].append({"kind": kind, **where, "lhs": psi_t, "rhs": rhs})
+
     if not t.is_leaf:
         parts = right_spine(t)
         graphs = [p.graph for p in parts]
-        m = len(parts)
-        for j in range(1, m + 1):
-            if j > perm_limit:
-                break
+        for j in range(1, min(len(parts), perm_limit) + 1):
             for tau in permutations(range(1, j + 1)):
-                j_star = tau.index(j) + 1
-                f = union_all(graphs[tau[i] - 1] for i in range(j_star - 1))
-                restricted = tree_ominus(parts[j - 1], f)
-                rhs = (
-                    psi_of(restricted)
-                    - parts[j - 1].graph.ominus(f).delta
-                    + vec_delta([graphs[tau[i] - 1] for i in range(j)])
-                )
-                report["checked"] += 1
-                if psi_t < rhs:
-                    report["violations"].append(
-                        {"kind": "sq", "j": j, "tau": list(tau), "lhs": psi_t, "rhs": rhs}
-                    )
+                f = union_all(graphs[tau[i] - 1] for i in range(tau.index(j)))
+                rhs = residual(parts[j - 1], f) + vec_delta([graphs[i - 1] for i in tau])
+                check("sq", rhs, j=j, tau=list(tau))
 
         for decomp in sem_decompositions(t):
             m = len(decomp)
             if m > shift_m_limit:
                 continue
             graphs = [p.graph for p in decomp]
-            whole = union_all(graphs)
             for j in range(1, m + 1):
                 rhs = psi_of(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1])
-                report["checked"] += 1
-                if psi_t < rhs:
-                    report["violations"].append(
-                        {"kind": "sem-corollary", "j": j, "lhs": psi_t, "rhs": rhs}
-                    )
+                check("sem-corollary", rhs, j=j)
             for sigma in shifts.enumerate_all(m):
+                index_set = sorted(sigma.index_set)
                 ordered = sigma.apply(graphs)
                 for h in range(1, m + 1):
-                    pre = union_all(ordered[:h])
-                    rhs = psi_of(decomp[sigma(h) - 1]) + vec_delta(ordered[h:], pre)
-                    report["checked"] += 1
-                    if psi_t < rhs:
-                        report["violations"].append(
-                            {
-                                "kind": "sem-ii",
-                                "I": sorted(sigma.index_set),
-                                "h": h,
-                                "lhs": psi_t,
-                                "rhs": rhs,
-                            }
-                        )
                     j = sigma(h)
-                    f_j = union_all(ordered[: h - 1])
-                    sigma_j = shifts.induced(sigma, j)
-                    restricted = tree_ominus(decomp[j - 1], f_j)
-                    rhs = (
-                        psi_of(restricted)
-                        - graphs[j - 1].ominus(f_j).delta
-                        + vec_delta(sigma_j.apply(graphs))
+                    pre = union_all(ordered[:h])
+                    rhs = psi_of(decomp[j - 1]) + vec_delta(ordered[h:], pre)
+                    check("sem-ii", rhs, I=index_set, h=h)
+                    rhs = residual(decomp[j - 1], union_all(ordered[: h - 1])) + vec_delta(
+                        shifts.induced(sigma, j).apply(graphs)
                     )
-                    report["checked"] += 1
-                    if psi_t < rhs:
-                        report["violations"].append(
-                            {
-                                "kind": "sem-iii",
-                                "I": sorted(sigma.index_set),
-                                "h": h,
-                                "lhs": psi_t,
-                                "rhs": rhs,
-                            }
-                        )
+                    check("sem-iii", rhs, I=index_set, h=h)
     report["ok"] = not report["violations"]
     return report

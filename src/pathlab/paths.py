@@ -288,13 +288,18 @@ def surviving_components(seq: GraphSequence, base: PathGraph = EMPTY) -> list[Pa
     return comps
 
 
+def _covered_length(seq: GraphSequence) -> int:
+    """k, for a sequence whose union is Path_k; InvalidCoveringError otherwise."""
+    u = union_all(seq)
+    if len(u.intervals) != 1 or u.intervals[0][0] != 0:
+        raise InvalidCoveringError(f"union {u!r} is not a path 0..k")
+    return u.intervals[0][1]
+
+
 def gap(seq: GraphSequence) -> Fraction:
     """Largest distance from a point of [0, k] to the nearest midpoint of a
     surviving component of the covering sequence (exact rational)."""
-    u = union_all(seq)
-    if len(u.intervals) != 1 or u.intervals[0][0] != 0:
-        raise InvalidCoveringError(f"sequence union {u!r} is not a full path 0..k")
-    k = u.intervals[0][1]
+    k = _covered_length(seq)
     mids = [Fraction(s + t, 2) for c in surviving_components(seq) for s, t in c.intervals]
     best = max(mids[0] - 0, k - mids[-1])
     for p, q in zip(mids, mids[1:]):

@@ -14,14 +14,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
 from . import formulas, jointrees
 from .errors import DomainError, InvalidParameterError, ResourceLimitError
-from .paths import EMPTY, PathGraph, from_edges, full_path
+from .paths import EMPTY, PathGraph, from_edges, full_path, vec_delta
 
 # ---------------------------------------------------------------------------
 # relations and densities
@@ -176,10 +176,6 @@ def chain_rule_check(
 ) -> dict:
     """The join-density chain rule, its m-ary version over all permutations,
     and (for pathsets, when params are given) the ordered pathset bound."""
-    from itertools import permutations as _perms
-
-    from .paths import vec_delta as _vd
-
     report: dict = {"checked": 0, "violations": []}
     if len(rels) >= 2:
         a, b = rels[0], join_all(rels[1:])
@@ -190,7 +186,7 @@ def chain_rule_check(
             report["violations"].append({"rule": "binary", "lhs": str(lhs), "rhs": str(rhs)})
     joined = join_all(list(rels))
     mu_join = density(joined)
-    for perm in _perms(range(len(rels))):
+    for perm in permutations(range(len(rels))):
         acc = EMPTY
         rhs = Fraction(1)
         for i in perm:
@@ -204,8 +200,8 @@ def chain_rule_check(
     if params is not None and all(is_pathset(r, params) for r in rels):
         n, k = params.n, params.k
         nv = len(joined.verts)
-        for perm in _perms(range(len(rels))):
-            vd = _vd([rels[i].graph for i in perm])
+        for perm in permutations(range(len(rels))):
+            vd = vec_delta([rels[i].graph for i in perm])
             # mu^k <= ntilde^-vd  <=>  |A|^k n^((k-1) vd) <= n^(k nv)
             report["checked"] += 1
             if len(joined) ** k * n ** ((k - 1) * vd) > n ** (k * nv):
@@ -333,36 +329,44 @@ def restricted_minterms(
         raise DomainError("the join tree must be strict")
     if t.graph != g:
         raise DomainError("join tree root graph differs from g")
-    return _restricted(_plain_minterms(n, budget), fdm, t, n)
+    return _restricted(_plain_minterms(n, budget), fdm, t, n)[0]
 
 
-def _restricted(plain: Callable, fdm: formulas.DeMorgan, t: jointrees.JoinTree, n: int) -> Relation:
-    """The walk behind :func:`restricted_minterms`, over a strict tree."""
-    memo: dict[tuple, Relation] = {}
+def _restricted(
+    plain: Callable, fdm: formulas.DeMorgan, t: jointrees.JoinTree, n: int
+) -> tuple[Relation, int]:
+    """The walk behind :func:`restricted_minterms` and
+    :func:`chi_decomposition_cost`, over a strict tree: the tree-shaped
+    minterm subset and its certified covering cost, memoised by (subformula,
+    subtree).  The cost sums at gates and adds, at a conjunction, the larger
+    cost across the tree split."""
+    memo: dict[tuple, tuple[Relation, int]] = {}
 
-    def rec(node, h: PathGraph, tree: jointrees.JoinTree) -> Relation:
-        key = (node, h, tree)
+    def rec(node, tree: jointrees.JoinTree) -> tuple[Relation, int]:
+        key = (node, tree)
         got = memo.get(key)
         if got is not None:
             return got
+        h = tree.graph
         if h.norm <= 1:
-            out = plain(node, h)
+            rel = plain(node, h)
+            out = rel, 1 if rel.tuples else 0
         elif node.op not in ("and", "or"):
-            out = Relation.empty(h, n)
+            out = Relation.empty(h, n), 0
         else:
-            t1, t2 = _strict_tree_parts(tree)
-            base = plain(node, h)
-            parts = rec(node.left, h, tree).tuples | rec(node.right, h, tree).tuples
+            (left, left_cost), (right, right_cost) = rec(node.left, tree), rec(node.right, tree)
+            parts = left.tuples | right.tuples
+            cost = left_cost + right_cost
             if node.op == "and":
-                joined = join(
-                    rec(node.left, t1.graph, t1), rec(node.right, t2.graph, t2)
-                )
-                parts = parts | joined.tuples
-            out = Relation(h, n, base.tuples & parts)
+                t1, t2 = _strict_tree_parts(tree)
+                (a, a_cost), (b, b_cost) = rec(node.left, t1), rec(node.right, t2)
+                parts |= join(a, b).tuples
+                cost += max(a_cost, b_cost)
+            out = Relation(h, n, plain(node, h).tuples & parts), cost
         memo[key] = out
         return out
 
-    return rec(fdm, t.graph, t)
+    return rec(fdm, t)
 
 
 # ---------------------------------------------------------------------------
@@ -430,26 +434,11 @@ def chi_decomposition_cost(
                 )
         stack.extend(node.children)
 
-    def cost(node, h: PathGraph, tree: jointrees.JoinTree) -> int:
-        if h.norm <= 1:
-            return 1 if plain(node, h).tuples else 0
-        if node.op not in ("and", "or"):
-            return 0
-        if node.op == "or":
-            return cost(node.left, h, tree) + cost(node.right, h, tree)
-        t1, t2 = _strict_tree_parts(tree)
-        return (
-            cost(node.left, h, tree)
-            + cost(node.right, h, tree)
-            + max(cost(node.left, t1.graph, t1), cost(node.right, t2.graph, t2))
-        )
-
-    total = cost(fdm, g, t)
+    mgt, total = _restricted(plain, fdm, t, n)
     d_cap = formulas.and_depth(fdm)
     bound = math.comb(d_cap + g.norm - 1, g.norm - 1) * formulas.size(fdm)
     if total > bound:
         raise AssertionError(f"certified cost {total} exceeds the binomial bound {bound}")
-    mgt = _restricted(plain, fdm, t, n)
     if a is None:
         target = mgt
     else:
@@ -638,17 +627,11 @@ def montecarlo_eps1(
         combine[(a, b)] = out
         return out
 
-    # intern the target by the same rules (it is already strict)
+    # intern the target by the same rules; it is strict, so no node collapses
     def intern_strict(tree: jointrees.JoinTree) -> int:
         if tree.is_leaf:
             return leaf_id(next(iter(tree.graph.edges())))
-        a = intern_strict(tree.left)
-        b = intern_strict(tree.right)
-        key = ("node", a, b)
-        if key not in intern:
-            intern[key] = len(intern)
-            graph_mask.append(graph_mask[a] | graph_mask[b])
-        return intern[key]
+        return node_id(intern_strict(tree.left), intern_strict(tree.right))
 
     target = intern_strict(
         jointrees.sem([jointrees.leaf(from_edges([i])) for i in range(1, k + 1)])

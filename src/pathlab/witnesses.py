@@ -20,7 +20,7 @@ from .paths import (
     EMPTY,
     GraphSequence,
     PathGraph,
-    full_path,
+    _covered_length,
     gap as gap_of,
     make_path,
     residual_terms,
@@ -99,13 +99,6 @@ class WitnessResult:
         }
 
 
-def _require_full_path(seq: GraphSequence) -> int:
-    u = union_all(seq)
-    if len(u.intervals) != 1 or u.intervals[0][0] != 0:
-        raise InvalidCoveringError(f"union {u!r} is not a path 0..k")
-    return u.intervals[0][1]
-
-
 # ---------------------------------------------------------------------------
 # unit-component covering: greedy ordering
 # ---------------------------------------------------------------------------
@@ -115,7 +108,7 @@ def construct_premain_I(family: Sequence[PathGraph]) -> WitnessResult:
     """Greedy enumeration of a unit-component covering of Path_k; the
     component-count value is at least k/6."""
     graphs = list(family)
-    k = _require_full_path(graphs)
+    k = _covered_length(graphs)
     if any(g.lam > 1 for g in graphs):
         raise InvalidCoveringError("all covering members must have component length <= 1")
     ordered = greedy_order(graphs)
@@ -212,29 +205,46 @@ def _parity_choices(selection) -> list[tuple[list[int], list[int]]]:
     return out
 
 
+def _full_sigmas(m: int, selections) -> list[shifts.ShiftPermutation]:
+    """For each selection and each parity, the shift permutation keeping
+    every slot of the alternating subsequence."""
+    return [
+        _sigma_q_split(m, positions, range(len(positions)))
+        for sel in selections
+        for positions, _lengths in _parity_choices(sel)
+    ]
+
+
+def _best(sigmas, seq: GraphSequence, measure) -> tuple[shifts.ShiftPermutation, int]:
+    """The first of the shift permutations with the largest measure, and that
+    measure."""
+    return max(((s, measure(s.apply(seq))) for s in sigmas), key=lambda sv: sv[1])
+
+
+def _premain_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tuple[int, int]]]]:
+    """The interleaving selection of a covering with vector-component value
+    1, taken from the end the first member's left end is nearer to (the
+    sequence is mirrored when that end lies past k/2); empty when there is
+    none."""
+    if vec_delta(seq) != 1:
+        raise InvalidCoveringError("construction requires vec_delta(seq) == 1")
+    s1, _ = seq[0].intervals[0]
+    if 2 * s1 > k:
+        seq = [g.mirror(k) for g in seq]
+        s1 = seq[0].intervals[0][0]
+    sel = _interleave_selection(seq, s1, k)
+    return [sel] if sel else []
+
+
 def construct_premain_II(seq: GraphSequence) -> WitnessResult:
     """For a covering with vector-component value 1: a shift permutation
     whose vector-length value is at least k/4."""
-    k = _require_full_path(seq)
-    if vec_delta(seq) != 1:
-        raise InvalidCoveringError("construction requires vec_delta(seq) == 1")
-    m = len(seq)
-    s1, _ = seq[0].intervals[0]
-    work = seq
-    if 2 * s1 > k:
-        work = [g.mirror(k) for g in seq]
-        s1 = work[0].intervals[0][0]
-    selection = _interleave_selection(work, s1, k)
-    if selection is None:
+    k = _covered_length(seq)
+    sigmas = _full_sigmas(len(seq), _premain_selections(seq, k))
+    if not sigmas:
         raise InvalidCoveringError("interleaving selection failed on a valid covering")
-    best_sigma = None
-    best_val = -1
-    for positions, _lengths in _parity_choices(selection):
-        sigma = _sigma_q_split(m, positions, range(len(positions)))
-        val = vec_lambda(sigma.apply(seq))
-        if val > best_val:
-            best_sigma, best_val = sigma, val
-    return WitnessResult("premain-II", best_sigma, best_val, Fraction(k, 4))
+    sigma, value = _best(sigmas, seq, vec_lambda)
+    return WitnessResult("premain-II", sigma, value, Fraction(k, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +257,7 @@ def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
     graphs whose residual longest component is at least 2^(r-i), maximizing
     the residual component count.  The combined measure reaches k/30."""
     graphs = list(family)
-    k = _require_full_path(graphs)
+    k = _covered_length(graphs)
     r = max(1, math.ceil(math.log2(k + 1)))
     acc = EMPTY
     order: list[int] = []
@@ -298,28 +308,21 @@ def _region_frontiers(seq: GraphSequence, lo: int, hi: int):
     return None
 
 
-def _gap_selections(seq: GraphSequence) -> list[list[tuple[int, tuple[int, int]]]]:
+def _gap_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tuple[int, int]]]]:
     """Interleaving selections extracted from the widest midpoint gap, per
     the three-case analysis (before the first midpoint, after the last one,
-    or inside a widest adjacent pair)."""
-    k = _require_full_path(seq)
+    or inside a widest adjacent pair).  A selection from the left end is
+    taken on the mirrored sequence."""
     comps = surviving_components(seq)
     spans = [iv for c in comps for iv in c.intervals]
     mids = [Fraction(s + t, 2) for s, t in spans]
-    out = []
-    # case: everything left of the first midpoint
-    t1 = spans[0][1]
-    if t1 > 0:
-        mirrored = [g.mirror(k) for g in seq]
-        sel = _interleave_selection(mirrored, k - t1, k)
-        if sel:
-            out.append(("mirror", sel))
-    # case: everything right of the last midpoint
-    sc = spans[-1][0]
-    if sc < k:
-        sel = _interleave_selection(seq, sc, k)
-        if sel:
-            out.append(("plain", sel))
+    mirrored = [g.mirror(k) for g in seq]
+    # everything left of the first midpoint, then right of the last one (the
+    # surviving spans lie in [0, k], so both regions hold an edge)
+    found = [
+        _interleave_selection(mirrored, k - spans[0][1], k),
+        _interleave_selection(seq, spans[-1][0], k),
+    ]
     # case: the widest interior gap
     widest = None
     for i in range(len(mids) - 1):
@@ -333,49 +336,31 @@ def _gap_selections(seq: GraphSequence) -> list[list[tuple[int, tuple[int, int]]
         if front is not None:
             a, b, l = front
             if a > region_lo:
-                sel = _interleave_selection(seq, region_lo, a, upto=l - 1)
-                if sel:
-                    out.append(("plain", sel))
+                found.append(_interleave_selection(seq, region_lo, a, upto=l - 1))
             if b < region_hi:
-                mirrored = [g.mirror(k) for g in seq]
-                sel = _interleave_selection(mirrored, k - region_hi, k - b, upto=l - 1)
-                if sel:
-                    out.append(("mirror", sel))
-    return out
-
-
-def _selection_sigmas(m: int, tagged_selections) -> list[shifts.ShiftPermutation]:
-    sigmas = []
-    for _tag, sel in tagged_selections:
-        for positions, _lengths in _parity_choices(sel):
-            sigmas.append(_sigma_q_split(m, positions, range(len(positions))))
-    return sigmas
+                found.append(
+                    _interleave_selection(mirrored, k - region_hi, k - b, upto=l - 1)
+                )
+    return [sel for sel in found if sel]
 
 
 def construct_main_II(seq: GraphSequence) -> WitnessResult:
     """A shift permutation with combined measure at least sqrt(k/8), chosen
-    as the best of the identity, every bring-to-front rotation, and the
-    gap-driven interleaving candidates."""
-    k = _require_full_path(seq)
+    as the best of every bring-to-front rotation (the identity first), the
+    gap-driven interleaving candidates and the strong-shift split."""
+    k = _covered_length(seq)
     m = len(seq)
-    candidates = [shifts.from_set(m, range(1, m + 1))]
-    candidates.extend(shifts.from_set(m, range(j, m + 1)) for j in range(2, m + 1))
-    candidates.extend(_selection_sigmas(m, _gap_selections(seq)))
-    try:
-        strong = construct_strong_shift(seq, "gap")
-        candidates.append(strong.ordering)
-    except (InvalidCoveringError, AssertionError):
-        pass
-    best_sigma = None
-    best_val = -1
-    for sigma in candidates:
-        val = vec_lambda_delta(sigma.apply(seq))
-        if val > best_val:
-            best_sigma, best_val = sigma, val
+    selections = _gap_selections(seq, k)
+    candidates = [shifts.from_set(m, range(j, m + 1)) for j in range(1, m + 1)]
+    candidates += _full_sigmas(m, selections)
+    split = _split_choice(seq, selections)
+    if split is not None:
+        candidates.append(split[0])
+    sigma, value = _best(candidates, seq, vec_lambda_delta)
     # for an integer value, reaching the least r with 8 r^2 >= k is the same
     # as 8 value^2 >= k, i.e. value >= sqrt(k/8)
     guaranteed = Fraction(math.isqrt(-(-k // 8) - 1) + 1)
-    return WitnessResult("main-II", best_sigma, best_val, guaranteed)
+    return WitnessResult("main-II", sigma, value, guaranteed)
 
 
 def _balanced_split(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -391,54 +376,55 @@ def _balanced_split(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
     return buckets
 
 
+def _split_choice(
+    seq: GraphSequence, selections
+) -> tuple[shifts.ShiftPermutation, int] | None:
+    """Over both parities of each selection and both buckets of their
+    balanced split, the shift permutation whose kept increments reach half
+    the vector-component value, then with the largest vector-length value;
+    (permutation, vector-length value), or None without a selection."""
+    incs = [resid.delta for resid, _ in residual_terms(seq)]
+    vd = sum(incs)
+    m = len(seq)
+    best = None
+    for sel in selections:
+        for positions, lengths in _parity_choices(sel):
+            # an empty bucket is legal: its permutation excludes nothing, so
+            # it inherits the full increment sum while the kept lengths drop
+            # to zero, which still meets the halved bound when p = 1
+            for q in _balanced_split(lengths):
+                sigma = _sigma_q_split(m, positions, q)
+                lam_val = vec_lambda(sigma.apply(seq))
+                key = (2 * sum(incs[l - 1] for l in sigma.index_set) >= vd, lam_val)
+                if best is None or key > best[0]:
+                    best = (key, sigma, lam_val)
+    return None if best is None else best[1:]
+
+
 def construct_strong_shift(
     seq: GraphSequence, mode: Literal["premain", "gap"]
 ) -> WitnessResult:
     """Split an interleaving selection in two so that the chosen shift
     permutation keeps half the vector-length value while every induced
     permutation keeps half the component value."""
-    k = _require_full_path(seq)
+    k = _covered_length(seq)
     m = len(seq)
     ell = max(g.lam for g in seq)
-    vd = vec_delta(seq)
     if mode == "premain":
-        if vd != 1:
-            raise InvalidCoveringError("premain mode requires vec_delta(seq) == 1")
-        s1, _ = seq[0].intervals[0]
-        work = seq
-        if 2 * s1 > k:
-            work = [g.mirror(k) for g in seq]
-            s1 = work[0].intervals[0][0]
-        sel = _interleave_selection(work, s1, k)
-        tagged = [("plain", sel)] if sel else []
+        selections = _premain_selections(seq, k)
         lam_bound = Fraction(k, 8) - Fraction(ell, 2)
-        tilde_bound = Fraction(vd, 2)
+        tilde_bound = Fraction(1, 2)
     elif mode == "gap":
         g = gap_of(seq)
-        tagged = _gap_selections(seq)
+        selections = _gap_selections(seq, k)
         lam_bound = (g - 3 * ell) / 4
         tilde_bound = Fraction(k) / (4 * g)
     else:
         raise InvalidParameterError(f"unknown strong-shift mode {mode!r}")
-
-    incs = [resid.delta for resid, _ in residual_terms(seq)]
-    best = None
-    for _tag, sel in tagged:
-        for positions, lengths in _parity_choices(sel):
-            # an empty bucket is legal: its permutation excludes nothing, so
-            # it inherits the full increment sum while the kept lengths drop
-            # to zero, which still meets the halved bound when p = 1
-            q1, q2 = _balanced_split(lengths)
-            for q in (q1, q2):
-                sigma = _sigma_q_split(m, positions, q)
-                tilde_total = sum(incs[l - 1] for l in sorted(sigma.index_set))
-                lam_val = vec_lambda(sigma.apply(seq))
-                key = (tilde_total * 2 >= vd, lam_val)
-                if best is None or key > best[0]:
-                    best = (key, sigma, lam_val, tilde_total)
-    if best is None:
+    split = _split_choice(seq, selections)
+    if split is None:
         raise InvalidCoveringError("no interleaving selection available")
-    _, sigma, lam_val, _ = best
+    sigma, lam_val = split
     tilde_min = min(
         vec_delta(shifts.induced(sigma, j).apply(seq)) for j in range(1, m + 1)
     )

@@ -103,6 +103,32 @@ def test_verify_formulas_exhaustive(capsys):
     assert code == 0 and json.loads(out)["checked"] == 7**5
 
 
+def test_verify_formulas_sample_mode_default_kind(capsys):
+    code, out = run(capsys, "verify", "formulas", "--n", "2", "--k", "4", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["kind"] == "D" and report["checked"] == 50
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["vecdelta", "--seq", "edges25.json"], {"value": "1"}),
+        (["vecdelta", "--seq", "edges25.json", "--order", "odd-even"], {"value": "13"}),
+        (["vecdelta", "--seq", "stride25.json", "--order", "I:15,25"], {"value": "7"}),
+        (["psi", "--tree", "overlap_tree5.json"], {"value": "1"}),
+        (["depths", "--tree", "block_tree16.json"], {"standard": "6", "left": "6", "sem": "2"}),
+        (["gap", "--seq", "whole_path10.json"], {"value": "5"}),
+        (["best-shift", "--seq", "stride25.json"], {"value": "8"}),
+    ],
+)
+def test_readme_measure_examples_in_pretty_format(capsys, argv, want):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, "measure", *argv)
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert code == 0 and fields["measure"] == argv[0]
+    assert {key: fields[key] for key in want} == want
+
+
 def test_measure_best_shift(seq_file, capsys):
     # the witness index set, fed back through --order I:..., attains the value
     stride9 = [single_edge(i) for j in range(1, 4) for i in range(j, 10, 3)]
@@ -140,6 +166,8 @@ def test_resource_limit_exit_code(capsys):
         (["measure", "depths", "--tree"], '{"leaf": {"intervals": [[0, 2]]}}'),
         (["measure", "formula-stats", "--formula"], "(xor (lit 1))"),
         (["measure", "formula-stats", "--formula"], '{"xor": [{"lit": 1}, {"lit": 2}]}'),
+        (["measure", "formula-stats", "--formula"], "(lit 1) (lit 2) garbage"),
+        (["measure", "formula-stats", "--formula"], '{"lit": 1, "and": []}'),
     ],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, argv, text):
@@ -182,6 +210,15 @@ def test_exit_code_values():
 def test_experiment_requires_seed(capsys):
     code = cli.main(["experiment", "eps1", "--k", "2", "--t", "4"])
     assert code == cli.EXIT_INPUT_ERROR
+    assert "input error: experiment requires --seed" in capsys.readouterr().err
+
+
+def test_experiment_eps1_single_depth(capsys):
+    argv = ["experiment", "eps1", "--k", "2", "--t", "4", "--trials", "100", "--seed", "3"]
+    code, out = run(capsys, *argv)
+    report = json.loads(out)
+    assert code == 0 and [row["t"] for row in report["rows"]] == [4]
+    assert report["min_frequency"] == report["rows"][0]["frequency"]
 
 
 def test_failing_suite_exits_one(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from pathlab import formulas as F
 from pathlab import jointrees as jt
-from pathlab.errors import ArityError, DomainError, InvalidParameterError
+from pathlab.errors import ArityError, DomainError, InvalidParameterError, ResourceLimitError
 from pathlab.paths import EMPTY, from_edges
 
 
@@ -119,6 +119,39 @@ def test_sample_mode():
     phi = F.build_matrix_formula("SigmaI", 3, 9, 2)
     report = F.check_formula_correct(phi, 3, 9, mode="sample", count=300, seed=1)
     assert report["ok"]
+
+
+def test_build_budget_counts_every_leaf(monkeypatch):
+    # SigmaI over 2 x 2 matrices at k = 81, d = 4 has 12^4 = 20,736 leaves,
+    # although no single walk loop comes near 1,000
+    monkeypatch.setattr(F, "_BUILD_NODE_LIMIT", 1000)
+    with pytest.raises(ResourceLimitError):
+        F.build_matrix_formula("SigmaI", 2, 81, 4)
+    assert F.size(F.build_matrix_formula("SigmaI", 2, 9, 2)) == 12**2
+
+
+@pytest.mark.parametrize(
+    "kind,n,k,d",
+    [("D", 3, 4, 1), ("C", 3, 4, 1), ("SigmaI", 2, 8, 3), ("SigmaII", 3, 9, 2), ("PiII", 2, 16, 2)],
+)
+def test_leaf_count_is_the_built_size(kind, n, k, d):
+    flat = F._FLAT.get(kind)
+    ell = k if flat else jt._integer_root(k, d)
+    assert F._leaf_count(flat or kind, n, ell, d) == F.size(F.build_matrix_formula(kind, n, k, d))
+
+
+def test_sample_rows_class_has_one_column_per_row():
+    # the conjunctive form fails on the rows class; every counterexample it
+    # reports must still have at most one 1 per row
+    c = F.build_matrix_formula("C", 2, 3)
+    failed = 0
+    for seed in range(20):
+        report = F.check_formula_correct(c, 2, 3, mode="sample", input_class="rows", seed=seed)
+        if not report["ok"]:
+            failed += 1
+            for mat in report["counterexample"]["matrices"]:
+                assert all(sum(row) <= 1 for row in mat), mat
+    assert failed
 
 
 @pytest.mark.parametrize("n,k,d", [(2, 4, 2), (2, 25, 2), (2, 8, 3), (3, 9, 2), (3, 27, 3)])

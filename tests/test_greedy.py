@@ -173,6 +173,15 @@ def test_tampered_dual_is_rejected():
     assert not report["ok"]
 
 
+def test_negative_dual_entry_is_a_dual_violation():
+    # w is untouched, so only the dual side and the identities can fail
+    y = greedy.certificate_y(3)
+    y[2] = Fraction(-1)
+    report = greedy.verify_lp_certificates(3, y=y)
+    assert "nonnegativity: some y_r < 0" in report["violated"]
+    assert report["primal_ok"] and not report["dual_ok"]
+
+
 def test_every_unit_perturbation_is_caught():
     t = 3
     base_w = greedy.certificate_w(t)

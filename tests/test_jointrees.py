@@ -357,6 +357,25 @@ def test_build_tight_rejects_non_integral_roots():
         jt.build_tight("II", 25, 3)
 
 
+def test_integer_root_is_exact():
+    assert jt._integer_root((10**17 + 3) ** 2, 2) == 10**17 + 3
+    assert jt._integer_root((10**17 + 3) ** 2 + 1, 2) is None
+    assert jt._integer_root(3**700, 700) == 3
+    assert jt._integer_root(3**700 - 1, 700) is None
+    for d in range(1, 6):
+        assert [r for r in range(1, 200) if jt._integer_root(r, d)] == [
+            x**d for x in range(1, 200) if x**d < 200
+        ]
+
+
+def test_e_power_decided_past_the_integer_bracket():
+    # both lie inside 2.718281828 < e < 2.718281829, so the partial sums decide
+    assert jt._e_power_at_least(1, 10**15, 2718281828459045)
+    assert not jt._e_power_at_least(1, 10**15, 2718281828459046)
+    assert jt._e_power_at_least(2, 10**30, 2718281828459045**2)
+    assert not jt._e_power_at_least(2, 10**30, 2718281828459046**2)
+
+
 def test_build_tight_psi_bounds():
     assert jt.psi(jt.build_tight("I", 4, 2)) <= 2  # d ell / 2
     assert jt.psi(jt.build_tight("I", 8, 3)) <= 3
@@ -580,6 +599,27 @@ def test_psi_recurrences_on_random_sq():
         parts = [samples.random_jointree(rng, k=5, leaves=rng.randint(1, 2)) for _ in range(3)]
         rep = jt.check_psi_recurrences(jt.sq(parts))
         assert rep["ok"], rep["violations"][:3]
+
+
+def test_psi_recurrence_violations_keep_their_keys(monkeypatch):
+    # a psi of 0 at the root and 9 below breaks every bound, so each kind of
+    # violation is recorded with its keys in order
+    t = jt.sem([jt.leaf(single_edge(i)) for i in (1, 3, 5)])
+    monkeypatch.setattr(jt, "psi", lambda x, dp_limit=None: 0 if x is t else 9)
+    rep = jt.check_psi_recurrences(t)
+    assert not rep["ok"] and len(rep["violations"]) == rep["checked"]
+    keys = {v["kind"]: list(v) for v in rep["violations"]}
+    assert keys == {
+        "sq": ["kind", "j", "tau", "lhs", "rhs"],
+        "sem-corollary": ["kind", "j", "lhs", "rhs"],
+        "sem-ii": ["kind", "I", "h", "lhs", "rhs"],
+        "sem-iii": ["kind", "I", "h", "lhs", "rhs"],
+    }
+    first = {v["kind"]: v for v in reversed(rep["violations"])}
+    assert first["sq"] == {"kind": "sq", "j": 1, "tau": [1], "lhs": 0, "rhs": 9}
+    # the first decomposition is sem(E_1 + E_3, E_1 + E_5); over the base
+    # E_1 + E_3 only the component E_5 survives
+    assert first["sem-corollary"] == {"kind": "sem-corollary", "j": 1, "lhs": 0, "rhs": 10}
 
 
 def test_psi_recurrences_binary_case_agrees():

@@ -131,6 +131,25 @@ def test_chain_rules_random():
         assert report["ok"], report["violations"][:2]
 
 
+def test_chain_rule_violations_keep_their_keys(monkeypatch):
+    # a constant density of 1/2 breaks the binary and m-ary rules, and full
+    # relations taken as pathsets break the ordered pathset bound
+    monkeypatch.setattr(R, "density", lambda a, cond=None: Fraction(1, 2))
+    monkeypatch.setattr(R, "is_pathset", lambda a, params: True)
+    a = R.Relation.full(make_path(0, 1), 2)
+    b = R.Relation.full(make_path(3, 4), 2)
+    report = R.chain_rule_check([a, b], EMPTY, R.PathsetParams(2, 4))
+    assert not report["ok"] and len(report["violations"]) == report["checked"] == 5
+    keys = {v["rule"]: list(v) for v in report["violations"]}
+    assert keys == {
+        "binary": ["rule", "lhs", "rhs"],
+        "m-ary": ["rule", "perm", "lhs", "rhs"],
+        "pathset-join": ["rule", "perm", "vec_delta"],
+    }
+    assert report["violations"][0] == {"rule": "binary", "lhs": "1/2", "rhs": "1/4"}
+    assert report["violations"][-1] == {"rule": "pathset-join", "perm": [1, 0], "vec_delta": 2}
+
+
 def test_chain_rule_empty_side():
     g = make_path(0, 1)
     a = R.Relation.empty(g, 2)

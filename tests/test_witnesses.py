@@ -283,6 +283,41 @@ def test_witnesses_on_degenerate_coverings():
         assert wit.construct_premain_II([full_path(k)] * 3).achieved == k
 
 
+@pytest.mark.parametrize(
+    "construct",
+    [
+        wit.construct_premain_I,
+        wit.construct_premain_II,
+        wit.construct_main_I,
+        wit.construct_main_II,
+        lambda seq: wit.construct_strong_shift(seq, "premain"),
+        lambda seq: wit.construct_strong_shift(seq, "gap"),
+    ],
+)
+def test_witnesses_reject_non_coverings(construct):
+    for seq in ([single_edge(2)], [single_edge(1), single_edge(3)]):
+        with pytest.raises(InvalidCoveringError, match="is not a path 0..k"):
+            construct(seq)
+
+
+def test_main_two_selects_once_and_skips_induced_values(monkeypatch):
+    calls = {"selections": 0, "induced": 0}
+    selections, induced = wit._gap_selections, shifts.induced
+
+    def counting_selections(*args):
+        calls["selections"] += 1
+        return selections(*args)
+
+    def counting_induced(*args):
+        calls["induced"] += 1
+        return induced(*args)
+
+    monkeypatch.setattr(wit, "_gap_selections", counting_selections)
+    monkeypatch.setattr(shifts, "induced", counting_induced)
+    wit.construct_main_II(samples.random_covering(random.Random(4), 12))
+    assert calls == {"selections": 1, "induced": 0}
+
+
 def test_witness_result_refuses_missed_bounds():
     with pytest.raises(AssertionError):
         wit.WitnessResult("demo", [1], 1, Fraction(2))
