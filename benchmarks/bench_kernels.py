@@ -14,19 +14,34 @@ clique column runs the entry on m members that all share one vertex
 The shift optimum ``shifts.best_shift`` is timed on the m single edges of a
 path (optimum ceil(m/2) as well), for each m.
 
-Run:  python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25] [--repeat 3]
+The path layer is timed on seeded random sequences of m distinct graphs,
+member j with 1 + j % 3 vertex-disjoint intervals of length 1..3 in
+[0, 4m]: ``paths.vec_measures`` (all three objectives in one call),
+``paths.union_all`` and ``shifts.best_shift`` for each objective.  Every
+value is checked against a plain recomputation from ``ominus`` and
+``union``, and for m <= ``ENUM_MAX_M`` each shift optimum also against all
+2^(m-1) shift permutations.
+
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25]
+                 [--paths-m 8 12 16 24 32] [--repeat 3]
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import time
 
 from pathlab import _kernels, shifts
-from pathlab.paths import single_edge
+from pathlab.paths import EMPTY, PathGraph, single_edge, union_all, vec_measures
 
 # largest m the plain-integer loop is timed at (14 takes about 0.1 s a call)
 PY_MAX_M = 14
+# largest m whose shift optimum is also checked against every permutation
+ENUM_MAX_M = 12
+PATHS_SEED = 2024
+PATHS_SEQUENCES = 20
+OBJECTIVES = ("vec_delta", "vec_lambda", "vec_lambda_delta")
 
 def _single_edge_conflicts(m: int) -> list[list[int]]:
     """Edge j conflicts with edges j-1 and j+1."""
@@ -69,18 +84,88 @@ def bench_best_shift(m: int, repeat: int) -> float:
     return seconds
 
 
+def _distinct_sequence(rng: random.Random, m: int) -> list[PathGraph]:
+    """m distinct graphs in [0, 4m]; member j has 1 + j % 3 vertex-disjoint
+    intervals of length 1..3."""
+    hi = 4 * m
+    seen: set[PathGraph] = set()
+    out = []
+    for j in range(m):
+        while True:
+            ivs: list[tuple[int, int]] = []
+            while len(ivs) < 1 + j % 3:
+                s = rng.randint(0, hi - 1)
+                t = min(hi, s + rng.randint(1, 3))
+                if all(t < s2 or t2 < s for s2, t2 in ivs):
+                    ivs.append((s, t))
+            g = PathGraph(ivs)
+            if g not in seen:
+                break
+        seen.add(g)
+        out.append(g)
+    return out
+
+
+def _reference_measures(seq) -> tuple[int, int, int]:
+    """The vector measures recomputed from ``ominus`` and ``union``."""
+    total = [0, 0, 0]
+    acc = EMPTY
+    for g in seq:
+        r = g.ominus(acc)
+        total[0] += r.delta
+        total[1] += r.lam
+        total[2] += r.lam * r.delta
+        acc = acc.union(g)
+    return tuple(total)
+
+
+def _per_call_over(fn, inputs, repeat: int) -> tuple[float, list]:
+    """Mean seconds per call of ``fn`` over ``inputs`` (best of ``repeat``
+    passes), and the values of the last pass."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        got = [fn(x) for x in inputs]
+        best = min(best, time.perf_counter() - t0)
+    return best / len(inputs), got
+
+
+def bench_paths(m: int, repeat: int) -> dict:
+    rng = random.Random(f"{PATHS_SEED}:{m}")
+    seqs = [_distinct_sequence(rng, m) for _ in range(PATHS_SEQUENCES)]
+    rows = {}
+    rows["vec_measures"], got = _per_call_over(vec_measures, seqs, repeat)
+    assert got == [_reference_measures(seq) for seq in seqs], ("vec_measures", m)
+    rows["union_all"], got = _per_call_over(union_all, seqs, repeat)
+    for seq, u in zip(seqs, got):
+        want = EMPTY
+        for g in seq:
+            want = want.union(g)
+        assert u == want, ("union_all", m)
+    for code, objective in enumerate(OBJECTIVES):
+        rows[objective], got = _per_call_over(lambda seq: shifts.best_shift(seq, objective), seqs, repeat)
+        for seq, (sigma, value) in zip(seqs, got):
+            assert value == _reference_measures(sigma.apply(seq))[code], (objective, m)
+            if m <= ENUM_MAX_M:
+                top = max(_reference_measures(s.apply(seq))[code] for s in shifts.enumerate_all(m))
+                assert value == top, (objective, m, value, top)
+    return rows
+
+
 def _ms(seconds: float | None) -> str:
     return f"{seconds * 1e3:12.3f}" if seconds is not None else f"{'--':>12}"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--dp-m", type=int, nargs="+", default=list(range(2, 23)))
+    parser.add_argument("--dp-m", type=int, nargs="*", default=list(range(2, 23)))
     parser.add_argument("--shift-m", type=int, nargs="*", default=list(range(8, 26)))
+    parser.add_argument("--paths-m", type=int, nargs="*", default=[8, 12, 16, 24, 32])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
-    print(f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.SMALL_M}")
-    print(f"{'m':>4}{'python':>12}{'numpy':>12}{'entry':>12}{'clique':>12}{'python/numpy':>14}")
+    if args.dp_m:
+        print(f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.SMALL_M}")
+        print(f"{'m':>4}{'python':>12}{'numpy':>12}{'entry':>12}{'clique':>12}{'python/numpy':>14}")
     for m in args.dp_m:
         rows = bench_subset_dp(m, args.repeat)
         py, npy = rows.get("python"), rows["numpy"]
@@ -91,6 +176,13 @@ def main() -> None:
         print(f"{'m':>4}{'best_shift':>12}")
         for m in args.shift_m:
             print(f"{m:>4}{_ms(bench_best_shift(m, args.repeat))}")
+    if args.paths_m:
+        print(f"\npath layer, ms per call over {PATHS_SEQUENCES} sequences (seed {PATHS_SEED}); best_shift per objective")
+        print(f"{'m':>4}{'vec_measures':>14}{'union_all':>12}" + "".join(f"{o:>18}" for o in OBJECTIVES))
+        for m in args.paths_m:
+            rows = bench_paths(m, args.repeat)
+            cells = "".join(f"{_ms(rows[o]):>18}" for o in OBJECTIVES)
+            print(f"{m:>4}{_ms(rows['vec_measures']):>14}{_ms(rows['union_all'])}{cells}")
 
 
 if __name__ == "__main__":

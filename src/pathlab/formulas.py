@@ -370,6 +370,9 @@ def random_subperm_matrix(n: int, rng: random.Random):
 Kind = Literal["D", "C", "SigmaI", "SigmaII", "PiII"]
 
 _BUILD_NODE_LIMIT = 4_000_000
+# the construction and every formula walker recurse once per level; below the
+# node budget only ell = 1 (k = 1) can ask for more levels than this
+_BUILD_DEPTH_LIMIT = 64
 
 
 def _walks(n: int, parts: int, a0: int, ak: int):
@@ -462,6 +465,8 @@ def build_matrix_formula(
         ell = jointrees._integer_root(k, d)
         if ell is None:
             raise InvalidParameterError(f"k^(1/d) = {k}^(1/{d}) is not an integer")
+    if d > _BUILD_DEPTH_LIMIT:
+        raise ResourceLimitError(f"d={d} levels exceed the build depth limit {_BUILD_DEPTH_LIMIT}")
     leaves = _leaf_count(kind, n, ell, d)
     if leaves > _BUILD_NODE_LIMIT:
         raise ResourceLimitError(

@@ -1,34 +1,115 @@
 """Finite subgraphs of the two-way infinite path, with exact measures.
 
 A graph is stored as a canonical tuple of maximal intervals ``(s, t)`` with
-``s < t``; the interval ``(s, t)`` stands for the path on vertices
-``s, s+1, ..., t``.  All measures (edge count, component count, longest
-component) and all operations (union, component subtraction, neighborhood,
-edge difference) are exact integer computations on the interval list.
+``s < t``: sorted, with no two intervals sharing a vertex.  The interval
+``(s, t)`` stands for the path on vertices ``s, s+1, ..., t``.  All measures
+(edge count, component count, longest component) and all operations (union,
+component subtraction, neighborhood, edge difference) are exact integer
+computations on the interval list.
+
+The public constructor ``PathGraph(...)`` accepts any intervals: it converts,
+validates, sorts and merges them.  The operations never need that.  A subset
+of a canonical tuple, its translate, its mirror image and the merge of two of
+them are canonical already, so each operation produces its tuple in one
+left-to-right pass and wraps it with the trusted ``PathGraph._of``, which
+stores the tuple without checking it.  ``_of`` is only for callers that
+already hold a canonical tuple.
+
+The vector measures scan a sequence once with the running union held as a
+canonical tuple: a component survives when a bisect on the union's right ends
+finds no interval that touches it (``_survivors``, the one touch test).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidCoveringError, InvalidIntervalError
 
+Intervals = tuple[tuple[int, int], ...]
 
-def _canonical(intervals: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+_left = itemgetter(0)
+_right = itemgetter(1)
+
+
+def _coalesce(ivs: Iterable[tuple[int, int]]) -> Intervals:
+    """Canonical tuple of intervals given sorted by left end: one pass that
+    merges every interval into its predecessor when the two share a vertex."""
+    out: list[tuple[int, int]] = []
+    for s, t in ivs:
+        if out and s <= out[-1][1]:
+            if t > out[-1][1]:
+                out[-1] = (out[-1][0], t)
+        else:
+            out.append((s, t))
+    return tuple(out)
+
+
+def _canonical(intervals: Iterable[tuple[int, int]]) -> Intervals:
     """Sort intervals and merge any two that share a vertex."""
     ivs = sorted((int(s), int(t)) for s, t in intervals if s != t)
     for s, t in ivs:
         if s > t:
             raise InvalidIntervalError(f"interval ({s}, {t}) has s > t")
-    merged: list[list[int]] = []
-    for s, t in ivs:
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], t)
-        else:
-            merged.append([s, t])
-    return tuple((s, t) for s, t in merged)
+    return _coalesce(ivs)
+
+
+def _merge(a: Intervals, b: Intervals) -> Intervals:
+    """Union of two canonical tuples in one left-to-right pass.  The runs of
+    the longer tuple that lie between intervals of the shorter one are copied
+    as slices; an interval of the shorter one absorbs every interval that
+    shares a vertex with it, so (0, 1) and (1, 2) give (0, 2)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    n = len(a)
+    out: list[tuple[int, int]] = []
+    i = 0
+    for s, t in b:
+        if out and out[-1][1] >= s:
+            # an interval of ``a`` absorbed into the previous one reaches here
+            s, prev_t = out.pop()
+            t = max(t, prev_t)
+        j = bisect_left(a, s, i, n, key=_right)
+        out += a[i:j]
+        # a[j:i] are the intervals that reach s and start by t
+        i = bisect_right(a, t, j, n, key=_left)
+        if i > j:
+            s, t = min(s, a[j][0]), max(t, a[i - 1][1])
+        out.append((s, t))
+    out += a[i:]
+    return tuple(out)
+
+
+def _survivors(acc: Intervals, ivs: Intervals) -> Intervals:
+    """The intervals of the canonical ``ivs`` that share no vertex with the
+    canonical ``acc`` (``ivs`` itself when none does).  ``(s, t)`` touches
+    ``acc`` iff the first interval of ``acc`` whose right end reaches s starts
+    at or before t; ``ivs`` is sorted, so the bisects only move right."""
+    if not acc or not ivs:
+        return ivs
+    n = len(acc)
+    j = 0
+    keep = []
+    for iv in ivs:
+        j = bisect_left(acc, iv[0], j, n, key=_right)
+        if j == n or acc[j][0] > iv[1]:
+            keep.append(iv)
+    return ivs if len(keep) == len(ivs) else tuple(keep)
+
+
+def _terms(ivs: Intervals) -> tuple[int, int, int]:
+    """(components, longest, longest * components) of a canonical tuple."""
+    if not ivs:
+        return 0, 0, 0
+    lam = max([t - s for s, t in ivs])
+    return len(ivs), lam, lam * len(ivs)
 
 
 class PathGraph:
@@ -39,6 +120,15 @@ class PathGraph:
     def __init__(self, intervals: Iterable[tuple[int, int]] = ()):
         object.__setattr__(self, "intervals", _canonical(intervals))
         object.__setattr__(self, "_hash", hash(self.intervals))
+
+    @classmethod
+    def _of(cls, intervals: Intervals) -> "PathGraph":
+        """Trusted constructor: wraps a tuple that is already canonical,
+        without checking it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "intervals", intervals)
+        object.__setattr__(g, "_hash", hash(intervals))
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("PathGraph is immutable")
@@ -107,7 +197,7 @@ class PathGraph:
 
     def components(self) -> Iterator["PathGraph"]:
         for iv in self.intervals:
-            yield PathGraph((iv,))
+            yield PathGraph._of((iv,))
 
     # -- operations ----------------------------------------------------------
 
@@ -116,83 +206,74 @@ class PathGraph:
             return self
         if not self.intervals:
             return other
-        return PathGraph(self.intervals + other.intervals)
+        return PathGraph._of(_merge(self.intervals, other.intervals))
 
     __or__ = union
 
     def shares_vertex(self, other: "PathGraph") -> bool:
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            s1, t1 = a[i]
-            s2, t2 = b[j]
-            if t1 < s2:
-                i += 1
-            elif t2 < s1:
-                j += 1
-            else:
-                return True
-        return False
+        return _survivors(other.intervals, self.intervals) is not self.intervals
 
     def ominus(self, other: "PathGraph") -> "PathGraph":
         """Components of self that are vertex-disjoint from ``other``."""
-        if not other.intervals or not self.intervals:
-            return self
-        keep = [
-            iv
-            for iv in self.intervals
-            if not any(iv[0] <= t2 and s2 <= iv[1] for s2, t2 in other.intervals)
-        ]
-        if len(keep) == len(self.intervals):
-            return self
-        return PathGraph(keep)
+        keep = _survivors(other.intervals, self.intervals)
+        return self if keep is self.intervals else PathGraph._of(keep)
 
     def edge_difference(self, other: "PathGraph") -> "PathGraph":
         """Graph on the edges of self that are not edges of ``other``."""
+        b = other.intervals
+        n = len(b)
         out: list[tuple[int, int]] = []
+        j = 0
         for s, t in self.intervals:
+            # b[j:] are the intervals of ``other`` that can hold an edge past s
+            j = bisect_left(b, s + 1, j, n, key=_right)
             cur = s
-            for s2, t2 in other.intervals:
-                if t2 <= cur:
-                    continue
-                if s2 >= t:
-                    break
-                lo, hi = max(cur, s2), min(t, t2)
-                if lo < hi:
-                    if cur < lo:
-                        out.append((cur, lo))
-                    cur = hi
+            h = j
+            while h < n and b[h][0] < t:
+                lo, hi = b[h]
+                if cur < lo:
+                    out.append((cur, lo))
+                cur = hi
+                h += 1
             if cur < t:
                 out.append((cur, t))
-        return PathGraph(out)
+        return PathGraph._of(tuple(out))
 
     def intersect_edges(self, other: "PathGraph") -> "PathGraph":
         """Graph on the edges common to self and ``other``."""
-        out = []
-        for s, t in self.intervals:
-            for s2, t2 in other.intervals:
-                lo, hi = max(s, s2), min(t, t2)
-                if lo < hi:
-                    out.append((lo, hi))
-        return PathGraph(out)
+        a, b = self.intervals, other.intervals
+        out: list[tuple[int, int]] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+            if lo < hi:
+                out.append((lo, hi))
+            if a[i][1] < b[j][1]:
+                i += 1
+            else:
+                j += 1
+        return PathGraph._of(tuple(out))
 
     def nbd(self, steps: int = 1) -> "PathGraph":
         """Iterated 1-neighborhood: all edges incident to a vertex, ``steps`` times."""
+        steps = index(steps)
         if steps < 0:
             raise InvalidIntervalError("neighborhood radius must be >= 0")
         if steps == 0 or not self.intervals:
             return self
-        return PathGraph((s - steps, t + steps) for s, t in self.intervals)
+        return PathGraph._of(_coalesce((s - steps, t + steps) for s, t in self.intervals))
 
     def is_subgraph(self, other: "PathGraph") -> bool:
         return not self.edge_difference(other)
 
     def translate(self, offset: int) -> "PathGraph":
-        return PathGraph((s + offset, t + offset) for s, t in self.intervals)
+        offset = index(offset)
+        return PathGraph._of(tuple((s + offset, t + offset) for s, t in self.intervals))
 
     def mirror(self, k: int) -> "PathGraph":
         """Reflect x -> k - x."""
-        return PathGraph((k - t, k - s) for s, t in self.intervals)
+        k = index(k)
+        return PathGraph._of(tuple((k - t, k - s) for s, t in reversed(self.intervals)))
 
     # -- serialization ---------------------------------------------------------
 
@@ -235,35 +316,43 @@ def from_edges(edges: Iterable[int]) -> PathGraph:
 
 
 def union_all(graphs: Iterable[PathGraph]) -> PathGraph:
-    out: list[tuple[int, int]] = []
-    for g in graphs:
-        out.extend(g.intervals)
-    return PathGraph(out)
+    """k-way merge of the members' canonical tuples, then one pass that
+    merges intervals sharing a vertex.  ``sorted`` finds each tuple as one
+    sorted run and merges the runs in C, where ``heapq.merge`` would step
+    through every interval in Python."""
+    return PathGraph._of(_coalesce(sorted(chain.from_iterable(g.intervals for g in graphs))))
 
 
 GraphSequence = Sequence[PathGraph]
+
+
+def _residual_scan(seq: GraphSequence, base: Intervals = ()) -> Iterator[tuple[Intervals, Intervals]]:
+    """For each member G_j, (the intervals of G_j that touch nothing of
+    ``base`` | G_1 | ... | G_(j-1), that union), both canonical tuples."""
+    acc = base
+    for g in seq:
+        yield _survivors(acc, g.intervals), acc
+        acc = _merge(acc, g.intervals)
 
 
 def residual_terms(
     seq: GraphSequence, base: PathGraph = EMPTY
 ) -> Iterator[tuple[PathGraph, PathGraph]]:
     """Yield (G_j {ominus} running-union, running-union-before-G_j) for each j."""
-    acc = base
-    for g in seq:
-        yield g.ominus(acc), acc
-        acc = acc.union(g)
+    for keep, acc in _residual_scan(seq, base.intervals):
+        yield PathGraph._of(keep), PathGraph._of(acc)
 
 
 def vec_measures(seq: GraphSequence, base: PathGraph = EMPTY) -> tuple[int, int, int]:
     """Sum of (components, longest, longest*components) of each graph after
     dropping its components that touch the union of the predecessors and ``base``."""
     vd = vl = vld = 0
-    for resid, _ in residual_terms(seq, base):
-        d = resid.delta
-        l = resid.lam
-        vd += d
-        vl += l
-        vld += l * d
+    for keep, _ in _residual_scan(seq, base.intervals):
+        if keep:
+            d, l, ld = _terms(keep)
+            vd += d
+            vl += l
+            vld += ld
     return vd, vl, vld
 
 
@@ -279,13 +368,15 @@ def vec_lambda_delta(seq: GraphSequence, base: PathGraph = EMPTY) -> int:
     return vec_measures(seq, base)[2]
 
 
+def _surviving_intervals(seq: GraphSequence, base: PathGraph = EMPTY) -> Intervals:
+    """Every interval that survives the scan, as one canonical tuple: a
+    survivor touches no earlier member, so no two of them share a vertex."""
+    return tuple(sorted(iv for keep, _ in _residual_scan(seq, base.intervals) for iv in keep))
+
+
 def surviving_components(seq: GraphSequence, base: PathGraph = EMPTY) -> list[PathGraph]:
     """All components of G_j {ominus} (predecessors), over j, sorted by position."""
-    comps: list[PathGraph] = []
-    for resid, _ in residual_terms(seq, base):
-        comps.extend(resid.components())
-    comps.sort(key=lambda g: g.intervals)
-    return comps
+    return [PathGraph._of((iv,)) for iv in _surviving_intervals(seq, base)]
 
 
 def _covered_length(seq: GraphSequence) -> int:
@@ -300,7 +391,7 @@ def gap(seq: GraphSequence) -> Fraction:
     """Largest distance from a point of [0, k] to the nearest midpoint of a
     surviving component of the covering sequence (exact rational)."""
     k = _covered_length(seq)
-    mids = [Fraction(s + t, 2) for c in surviving_components(seq) for s, t in c.intervals]
+    mids = [Fraction(s + t, 2) for s, t in _surviving_intervals(seq)]
     best = max(mids[0] - 0, k - mids[-1])
     for p, q in zip(mids, mids[1:]):
         best = max(best, (q - p) / 2)

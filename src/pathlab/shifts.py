@@ -15,11 +15,11 @@ from typing import Iterable, Iterator, Literal
 
 from . import _kernels
 from .errors import InvalidIndexSetError, InvalidShiftError, ResourceLimitError
-from .paths import EMPTY, GraphSequence, PathGraph, vec_measures
+from .paths import GraphSequence, PathGraph, _merge, _survivors, _terms
 
 Objective = Literal["vec_delta", "vec_lambda", "vec_lambda_delta"]
 
-# position of each objective in the tuple ``vec_measures`` returns
+# position of each objective in the tuple ``vec_measures`` (and ``_terms``) returns
 _OBJECTIVE_INDEX = {"vec_delta": 0, "vec_lambda": 1, "vec_lambda_delta": 2}
 
 DEFAULT_ENUM_LIMIT = 25
@@ -133,18 +133,28 @@ def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[
     {0} | I as i, p+1, ..., i-1, and before the block it has visited exactly
     G_1..G_p.  So the measure is a sum of block values b(p, i), each taken on
     top of U_p = G_1 | ... | G_p, and ``_kernels.shift_sweep`` finds the best
-    index set as a longest path over the m(m+1)/2 blocks.
+    index set as a longest path over the m(m+1)/2 blocks.  Inside a block,
+    G_h (p < h < i) comes after U_(h-1) and G_i, so its term is that of
+    R_h = G_h {ominus} U_(h-1) with what touches G_i dropped, whatever p is:
+    b(p, i) is the term of G_i {ominus} U_p plus a suffix sum over h, and
+    the m(m+1)/2 blocks take m^2 touch scans and no union beyond the prefixes.
     """
     m = len(seq)
     if m < 1:
         raise InvalidIndexSetError("best_shift needs a nonempty sequence")
     code = _OBJECTIVE_INDEX[objective]
-    prefix = [EMPTY]
+    prefix: list[tuple] = [()]
+    resid: list[tuple] = []
     for g in seq:
-        prefix.append(prefix[-1].union(g))
+        resid.append(_survivors(prefix[-1], g.intervals))
+        prefix.append(_merge(prefix[-1], g.intervals))
     block = [[0] * (m + 1) for _ in range(m)]
-    for p in range(m):
-        for i in range(p + 1, m + 1):
-            block[p][i] = vec_measures([seq[i - 1], *seq[p : i - 1]], prefix[p])[code]
+    for i in range(1, m + 1):
+        gi = seq[i - 1].intervals
+        later = 0  # sum over p < h < i of the term of R_h without what touches G_i
+        for p in range(i - 1, -1, -1):
+            block[p][i] = _terms(_survivors(prefix[p], gi))[code] + later
+            if p:
+                later += _terms(_survivors(gi, resid[p - 1]))[code]
     value, index_set = _kernels.shift_sweep(block)
     return from_set(m, index_set), value

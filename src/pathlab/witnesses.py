@@ -9,6 +9,7 @@ implementation bug, not bad input).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -17,15 +18,16 @@ from . import shifts
 from .errors import DomainError, InvalidCoveringError, InvalidParameterError
 from .greedy import greedy_order
 from .paths import (
-    EMPTY,
     GraphSequence,
     PathGraph,
     _covered_length,
+    _left,
+    _merge,
+    _residual_scan,
+    _surviving_intervals,
+    _survivors,
+    _terms,
     gap as gap_of,
-    make_path,
-    residual_terms,
-    surviving_components,
-    union_all,
     vec_delta,
     vec_lambda,
     vec_lambda_delta,
@@ -125,13 +127,26 @@ def construct_premain_I(family: Sequence[PathGraph]) -> WitnessResult:
 # ---------------------------------------------------------------------------
 
 
-def _clipped_rightmost(g: PathGraph, lo: int, hi: int) -> tuple[int, int] | None:
-    if lo >= hi:
+def _clipped_rightmost(ivs, lo: int, hi: int) -> tuple[int, int] | None:
+    """The last interval of the canonical ``ivs`` that holds an edge of
+    Path_{lo,hi}, clipped to [lo, hi]: the last one starting before hi, when
+    it ends after lo."""
+    j = bisect_left(ivs, hi, key=_left) - 1
+    if j < 0 or ivs[j][1] <= lo:
         return None
-    c = g.intersect_edges(make_path(lo, hi))
-    if not c:
-        return None
-    return c.intervals[-1]
+    s, t = ivs[j]
+    return max(s, lo), min(t, hi)
+
+
+def _covers(ivs, lo: int, hi: int) -> bool:
+    """Whether intervals inside [lo, hi], sorted by left end, hold every edge
+    of Path_{lo,hi}."""
+    run = lo
+    for s, t in ivs:
+        if s > run:
+            return False
+        run = max(run, t)
+    return run >= hi
 
 
 def _interleave_selection(
@@ -147,21 +162,18 @@ def _interleave_selection(
     if lo >= hi:
         return None
     m = len(seq) if upto is None else upto
-    target = make_path(lo, hi)
     js: list[int] = []
     comps: dict[int, tuple[int, int]] = {}
     run = lo
     for j in range(1, m + 1):
-        comp = _clipped_rightmost(seq[j - 1], lo, hi)
-        if comp is None:
-            continue
-        if comp[1] > run:
+        comp = _clipped_rightmost(seq[j - 1].intervals, lo, hi)
+        if comp is not None and comp[1] > run:
             js.append(j)
             comps[j] = comp
             run = comp[1]
 
     def covers(idxs: list[int]) -> bool:
-        return target.is_subgraph(union_all(PathGraph((comps[j],)) for j in idxs))
+        return _covers(sorted(comps[j] for j in idxs), lo, hi)
 
     if not js or not covers(js):
         return None
@@ -225,13 +237,18 @@ def _premain_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tupl
     """The interleaving selection of a covering with vector-component value
     1, taken from the end the first member's left end is nearer to (the
     sequence is mirrored when that end lies past k/2); empty when there is
-    none."""
+    none.  An empty member never keeps a component in any order, so the
+    first nonempty member stands for the first one."""
     if vec_delta(seq) != 1:
         raise InvalidCoveringError("construction requires vec_delta(seq) == 1")
-    s1, _ = seq[0].intervals[0]
+
+    def first_left(seq: GraphSequence) -> int:
+        return next(g.intervals[0][0] for g in seq if g)
+
+    s1 = first_left(seq)
     if 2 * s1 > k:
         seq = [g.mirror(k) for g in seq]
-        s1 = seq[0].intervals[0][0]
+        s1 = first_left(seq)
     sel = _interleave_selection(seq, s1, k)
     return [sel] if sel else []
 
@@ -259,7 +276,7 @@ def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
     graphs = list(family)
     k = _covered_length(graphs)
     r = max(1, math.ceil(math.log2(k + 1)))
-    acc = EMPTY
+    acc: tuple = ()
     order: list[int] = []
     taken = [False] * len(graphs)
     for i in range(1, r + 1):
@@ -270,14 +287,14 @@ def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
             for idx, g in enumerate(graphs):
                 if taken[idx]:
                     continue
-                res = g.ominus(acc)
-                if res.lam >= threshold and res.delta > best_delta:
-                    best_idx, best_delta = idx, res.delta
+                delta, lam, _ = _terms(_survivors(acc, g.intervals))
+                if lam >= threshold and delta > best_delta:
+                    best_idx, best_delta = idx, delta
             if best_idx < 0:
                 break
             taken[best_idx] = True
             order.append(best_idx)
-            acc = acc.union(graphs[best_idx])
+            acc = _merge(acc, graphs[best_idx].intervals)
     order.extend(idx for idx in range(len(graphs)) if not taken[idx])
     achieved = vec_lambda_delta([graphs[i] for i in order])
     return WitnessResult("main-I", [i + 1 for i in order], achieved, Fraction(k, 30))
@@ -292,15 +309,15 @@ def _region_frontiers(seq: GraphSequence, lo: int, hi: int):
     """Left/right coverage frontiers of the region [lo, hi] just before the
     first prefix that covers it completely: (a, b, l) with Path_{lo,a} and
     Path_{b,hi} covered by the first l-1 graphs."""
-    target = make_path(lo, hi)
-    acc = EMPTY
+    acc: tuple = ()
     a, b = lo, hi
     for l, g in enumerate(seq, start=1):
-        new = acc.union(g)
-        if target.is_subgraph(new):
+        new = _merge(acc, g.intervals)
+        # Path_{lo,hi} is covered once one interval of the union spans it
+        if any(s <= lo and hi <= t for s, t in new):
             return a, b, l
         acc = new
-        for s, t in acc.intervals:
+        for s, t in acc:
             if s <= lo < t:
                 a = max(a, min(t, hi))
             if s < hi <= t:
@@ -313,8 +330,7 @@ def _gap_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tuple[in
     the three-case analysis (before the first midpoint, after the last one,
     or inside a widest adjacent pair).  A selection from the left end is
     taken on the mirrored sequence."""
-    comps = surviving_components(seq)
-    spans = [iv for c in comps for iv in c.intervals]
+    spans = _surviving_intervals(seq)
     mids = [Fraction(s + t, 2) for s, t in spans]
     mirrored = [g.mirror(k) for g in seq]
     # everything left of the first midpoint, then right of the last one (the
@@ -383,7 +399,7 @@ def _split_choice(
     balanced split, the shift permutation whose kept increments reach half
     the vector-component value, then with the largest vector-length value;
     (permutation, vector-length value), or None without a selection."""
-    incs = [resid.delta for resid, _ in residual_terms(seq)]
+    incs = [len(keep) for keep, _ in _residual_scan(seq)]
     vd = sum(incs)
     m = len(seq)
     best = None

@@ -109,6 +109,11 @@ def test_verify_formulas_sample_mode_default_kind(capsys):
     assert code == 0 and report["kind"] == "D" and report["checked"] == 50
 
 
+def test_verify_formulas_depth_limit_exits_three(capsys):
+    code, _ = run(capsys, "verify", "formulas", "--kind", "SigmaI", "--k", "1", "--d", "3000")
+    assert code == cli.EXIT_RESOURCE_LIMIT
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [

@@ -130,6 +130,15 @@ def test_build_budget_counts_every_leaf(monkeypatch):
     assert F.size(F.build_matrix_formula("SigmaI", 2, 9, 2)) == 12**2
 
 
+def test_build_depth_limit():
+    # at k = 1 every level has one block, so only the depth limit stops d
+    for kind in ("SigmaI", "SigmaII", "PiII"):
+        phi = F.build_matrix_formula(kind, 2, 1, F._BUILD_DEPTH_LIMIT)
+        assert F.check_formula_correct(phi, 2, 1)["ok"], kind
+        with pytest.raises(ResourceLimitError):
+            F.build_matrix_formula(kind, 2, 1, F._BUILD_DEPTH_LIMIT + 1)
+
+
 @pytest.mark.parametrize(
     "kind,n,k,d",
     [("D", 3, 4, 1), ("C", 3, 4, 1), ("SigmaI", 2, 8, 3), ("SigmaII", 3, 9, 2), ("PiII", 2, 16, 2)],

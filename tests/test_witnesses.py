@@ -12,6 +12,7 @@ from pathlab import jointrees as jt
 from pathlab import samples, shifts, witnesses as wit
 from pathlab.errors import DomainError, InvalidCoveringError
 from pathlab.paths import (
+    EMPTY,
     full_path,
     make_path,
     single_edge,
@@ -281,6 +282,34 @@ def test_witnesses_on_degenerate_coverings():
         assert wit.construct_strong_shift([full_path(k)], "premain").achieved >= 0
         assert wit.construct_main_II([full_path(k), full_path(k)]).achieved == k
         assert wit.construct_premain_II([full_path(k)] * 3).achieved == k
+
+
+def _premain_guarantees_hold(seq):
+    k = max(t for g in seq for _, t in g.intervals)
+    ell = max(g.lam for g in seq)
+    res = wit.construct_premain_II(seq)
+    assert res.achieved == vec_lambda(res.ordering.apply(seq))
+    assert Fraction(res.achieved) >= Fraction(k, 4)
+    strong = wit.construct_strong_shift(seq, "premain")
+    assert strong.achieved == vec_lambda(strong.ordering.apply(seq))
+    assert Fraction(strong.achieved) >= Fraction(k, 8) - Fraction(ell, 2)
+    assert 2 * strong.extras["tilde_min"] >= 1
+
+
+def test_premain_constructions_skip_leading_empty_members():
+    # an empty member keeps no component in any order, so the selection
+    # starts from the first nonempty member (mirrored when it lies past k/2)
+    _premain_guarantees_hold([EMPTY, full_path(3)])
+    _premain_guarantees_hold([EMPTY, EMPTY, make_path(2, 3), make_path(0, 2)])
+
+
+def test_premain_constructions_with_empty_members_between():
+    rng = random.Random(14)
+    for _ in range(200):
+        seq = samples.random_chain_covering(rng, rng.randint(2, 24))
+        for _ in range(rng.randint(1, 3)):
+            seq.insert(rng.randrange(len(seq) + 1), EMPTY)
+        _premain_guarantees_hold(seq)
 
 
 @pytest.mark.parametrize(
