@@ -22,8 +22,14 @@ value is checked against a plain recomputation from ``ominus`` and
 ``union``, and for m <= ``ENUM_MAX_M`` each shift optimum also against all
 2^(m-1) shift permutations.
 
+The witness table times each of the six constructions of ``witnesses`` on
+``WITNESS_COVERINGS`` seeded coverings of Path_k per k (unit coverings for
+premain-I, chain coverings for premain-II and strong-shift premain mode,
+random coverings for the rest), and re-checks each achieved value with
+``paths.vec_measures`` of the returned ordering.
+
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25]
-                 [--paths-m 8 12 16 24 32] [--repeat 3]
+                 [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import argparse
 import random
 import time
 
-from pathlab import _kernels, shifts
+from pathlab import _kernels, samples, shifts, witnesses
 from pathlab.paths import EMPTY, PathGraph, single_edge, union_all, vec_measures
 
 # largest m the plain-integer loop is timed at (14 takes about 0.1 s a call)
@@ -42,6 +48,18 @@ ENUM_MAX_M = 12
 PATHS_SEED = 2024
 PATHS_SEQUENCES = 20
 OBJECTIVES = ("vec_delta", "vec_lambda", "vec_lambda_delta")
+WITNESS_SEED = 401
+WITNESS_COVERINGS = 20
+# (name, covering generator, construction, position of the measure it reaches)
+WITNESSES = (
+    ("premain-I", samples.random_unit_covering, witnesses.construct_premain_I, 0),
+    ("premain-II", samples.random_chain_covering, witnesses.construct_premain_II, 1),
+    ("main-I", samples.random_covering, witnesses.construct_main_I, 2),
+    ("main-II", samples.random_covering, witnesses.construct_main_II, 2),
+    ("strong-premain", samples.random_chain_covering,
+     lambda seq: witnesses.construct_strong_shift(seq, "premain"), 1),
+    ("strong-gap", samples.random_covering, lambda seq: witnesses.construct_strong_shift(seq, "gap"), 1),
+)
 
 def _single_edge_conflicts(m: int) -> list[list[int]]:
     """Edge j conflicts with edges j-1 and j+1."""
@@ -152,6 +170,21 @@ def bench_paths(m: int, repeat: int) -> dict:
     return rows
 
 
+def bench_witnesses(k: int, repeat: int) -> dict:
+    rng = random.Random(f"{WITNESS_SEED}:{k}")
+    rows = {}
+    for name, generate, construct, code in WITNESSES:
+        seqs = [generate(rng, k) for _ in range(WITNESS_COVERINGS)]
+        rows[name], got = _per_call_over(construct, seqs, repeat)
+        for seq, res in zip(seqs, got):
+            if isinstance(res.ordering, shifts.ShiftPermutation):
+                ordered = res.ordering.apply(seq)
+            else:
+                ordered = [seq[j - 1] for j in res.ordering]
+            assert res.achieved == vec_measures(ordered)[code], (name, k)
+    return rows
+
+
 def _ms(seconds: float | None) -> str:
     return f"{seconds * 1e3:12.3f}" if seconds is not None else f"{'--':>12}"
 
@@ -161,6 +194,7 @@ def main() -> None:
     parser.add_argument("--dp-m", type=int, nargs="*", default=list(range(2, 23)))
     parser.add_argument("--shift-m", type=int, nargs="*", default=list(range(8, 26)))
     parser.add_argument("--paths-m", type=int, nargs="*", default=[8, 12, 16, 24, 32])
+    parser.add_argument("--witness-k", type=int, nargs="*", default=[6, 14, 22, 30])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     if args.dp_m:
@@ -183,6 +217,13 @@ def main() -> None:
             rows = bench_paths(m, args.repeat)
             cells = "".join(f"{_ms(rows[o]):>18}" for o in OBJECTIVES)
             print(f"{m:>4}{_ms(rows['vec_measures']):>14}{_ms(rows['union_all'])}{cells}")
+    if args.witness_k:
+        names = [w[0] for w in WITNESSES]
+        print(f"\nwitness constructions, ms per call over {WITNESS_COVERINGS} coverings of Path_k (seed {WITNESS_SEED})")
+        print(f"{'k':>4}" + "".join(f"{n:>16}" for n in names))
+        for k in args.witness_k:
+            rows = bench_witnesses(k, args.repeat)
+            print(f"{k:>4}" + "".join(f"{_ms(rows[n]):>16}" for n in names))
 
 
 if __name__ == "__main__":

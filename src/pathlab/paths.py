@@ -51,8 +51,14 @@ def _coalesce(ivs: Iterable[tuple[int, int]]) -> Intervals:
 
 
 def _canonical(intervals: Iterable[tuple[int, int]]) -> Intervals:
-    """Sort intervals and merge any two that share a vertex."""
-    ivs = sorted((int(s), int(t)) for s, t in intervals if s != t)
+    """Sort intervals and merge any two that share a vertex.  Endpoints go
+    through ``operator.index`` before an interval with s == t is dropped, so a
+    non-integer endpoint is refused instead of truncated."""
+    try:
+        pairs = [(index(s), index(t)) for s, t in intervals]
+    except TypeError as exc:
+        raise InvalidIntervalError(f"intervals must be pairs of integers: {exc}") from None
+    ivs = sorted(iv for iv in pairs if iv[0] != iv[1])
     for s, t in ivs:
         if s > t:
             raise InvalidIntervalError(f"interval ({s}, {t}) has s > t")
@@ -368,10 +374,15 @@ def vec_lambda_delta(seq: GraphSequence, base: PathGraph = EMPTY) -> int:
     return vec_measures(seq, base)[2]
 
 
-def _surviving_intervals(seq: GraphSequence, base: PathGraph = EMPTY) -> Intervals:
-    """Every interval that survives the scan, as one canonical tuple: a
+def _spans(keeps: Iterable[Intervals]) -> Intervals:
+    """The survivors of a scan, given per member, as one canonical tuple: a
     survivor touches no earlier member, so no two of them share a vertex."""
-    return tuple(sorted(iv for keep, _ in _residual_scan(seq, base.intervals) for iv in keep))
+    return tuple(sorted(chain.from_iterable(keeps)))
+
+
+def _surviving_intervals(seq: GraphSequence, base: PathGraph = EMPTY) -> Intervals:
+    """Every interval that survives the scan, as one canonical tuple."""
+    return _spans(keep for keep, _ in _residual_scan(seq, base.intervals))
 
 
 def surviving_components(seq: GraphSequence, base: PathGraph = EMPTY) -> list[PathGraph]:
@@ -379,19 +390,28 @@ def surviving_components(seq: GraphSequence, base: PathGraph = EMPTY) -> list[Pa
     return [PathGraph._of((iv,)) for iv in _surviving_intervals(seq, base)]
 
 
+def _path_length(union: Intervals) -> int:
+    """k, for the canonical union of a sequence when it is Path_k;
+    InvalidCoveringError otherwise."""
+    if len(union) != 1 or union[0][0] != 0:
+        raise InvalidCoveringError(f"union {PathGraph._of(union)!r} is not a path 0..k")
+    return union[0][1]
+
+
 def _covered_length(seq: GraphSequence) -> int:
     """k, for a sequence whose union is Path_k; InvalidCoveringError otherwise."""
-    u = union_all(seq)
-    if len(u.intervals) != 1 or u.intervals[0][0] != 0:
-        raise InvalidCoveringError(f"union {u!r} is not a path 0..k")
-    return u.intervals[0][1]
+    return _path_length(union_all(seq).intervals)
 
 
 def gap(seq: GraphSequence) -> Fraction:
     """Largest distance from a point of [0, k] to the nearest midpoint of a
     surviving component of the covering sequence (exact rational)."""
-    k = _covered_length(seq)
-    mids = [Fraction(s + t, 2) for s, t in _surviving_intervals(seq)]
+    return _gap(_covered_length(seq), _surviving_intervals(seq))
+
+
+def _gap(k: int, spans: Intervals) -> Fraction:
+    """``gap`` of a covering of Path_k whose surviving intervals are ``spans``."""
+    mids = [Fraction(s + t, 2) for s, t in spans]
     best = max(mids[0] - 0, k - mids[-1])
     for p, q in zip(mids, mids[1:]):
         best = max(best, (q - p) / 2)

@@ -21,19 +21,21 @@ from .paths import (
     GraphSequence,
     PathGraph,
     _covered_length,
+    _gap,
     _left,
     _merge,
-    _residual_scan,
-    _surviving_intervals,
+    _path_length,
+    _spans,
     _survivors,
     _terms,
-    gap as gap_of,
     vec_delta,
-    vec_lambda,
     vec_lambda_delta,
 )
 
 _TOL = 1e-9
+
+# positions in a (components, longest, longest * components) triple
+_DELTA, _LAMBDA, _LAMBDA_DELTA = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +189,20 @@ def _interleave_selection(
     return [(j, comps[j]) for j in js]
 
 
-def _sigma_q_split(
-    m: int, positions: Sequence[int], keep: Sequence[int]
-) -> shifts.ShiftPermutation:
+def _scan(seq: GraphSequence) -> tuple[shifts._Blocks, int]:
+    """The block values of a sequence whose union is Path_k, and k; one
+    prefix scan gives both."""
+    blocks = shifts._Blocks(seq)
+    return blocks, _path_length(blocks.prefix[-1])
+
+
+def _increments(blocks: shifts._Blocks) -> list[int]:
+    """The component increment of each member over its predecessors: the
+    component count of the unit block b(l-1, l)."""
+    return [unit[_DELTA] for unit in blocks.units]
+
+
+def _split_set(m: int, positions: Sequence[int], keep: Sequence[int]) -> frozenset[int]:
     """Index set excluding, for each kept slot h, the open range between
     positions[h-1] and positions[h] (from 0 for h = 0); positions not in
     ``keep`` stay fully included, so the two complementary splits jointly
@@ -202,7 +215,7 @@ def _sigma_q_split(
         if h in keep_set:
             excluded.update(range(prev + 1, i))
         prev = i
-    return shifts.from_set(m, set(range(1, m + 1)) - excluded)
+    return frozenset(range(1, m + 1)) - excluded
 
 
 def _parity_choices(selection) -> list[tuple[list[int], list[int]]]:
@@ -217,29 +230,32 @@ def _parity_choices(selection) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _full_sigmas(m: int, selections) -> list[shifts.ShiftPermutation]:
-    """For each selection and each parity, the shift permutation keeping
-    every slot of the alternating subsequence."""
+def _full_sets(m: int, selections) -> list[frozenset[int]]:
+    """For each selection and each parity, the index set keeping every slot
+    of the alternating subsequence."""
     return [
-        _sigma_q_split(m, positions, range(len(positions)))
+        _split_set(m, positions, range(len(positions)))
         for sel in selections
         for positions, _lengths in _parity_choices(sel)
     ]
 
 
-def _best(sigmas, seq: GraphSequence, measure) -> tuple[shifts.ShiftPermutation, int]:
-    """The first of the shift permutations with the largest measure, and that
-    measure."""
-    return max(((s, measure(s.apply(seq))) for s in sigmas), key=lambda sv: sv[1])
+def _best(index_sets, blocks: shifts._Blocks, code: int) -> tuple[shifts.ShiftPermutation, int]:
+    """The shift permutation of the first index set whose measure ``code``
+    is largest, scored by its block values, and that measure."""
+    index_set, value = max(((s, blocks.value(s, code)) for s in index_sets), key=lambda sv: sv[1])
+    return shifts.from_set(blocks.m, index_set), value
 
 
-def _premain_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tuple[int, int]]]]:
+def _premain_selections(
+    seq: GraphSequence, blocks: shifts._Blocks, k: int
+) -> list[list[tuple[int, tuple[int, int]]]]:
     """The interleaving selection of a covering with vector-component value
     1, taken from the end the first member's left end is nearer to (the
     sequence is mirrored when that end lies past k/2); empty when there is
     none.  An empty member never keeps a component in any order, so the
     first nonempty member stands for the first one."""
-    if vec_delta(seq) != 1:
+    if sum(_increments(blocks)) != 1:
         raise InvalidCoveringError("construction requires vec_delta(seq) == 1")
 
     def first_left(seq: GraphSequence) -> int:
@@ -256,11 +272,11 @@ def _premain_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tupl
 def construct_premain_II(seq: GraphSequence) -> WitnessResult:
     """For a covering with vector-component value 1: a shift permutation
     whose vector-length value is at least k/4."""
-    k = _covered_length(seq)
-    sigmas = _full_sigmas(len(seq), _premain_selections(seq, k))
-    if not sigmas:
+    blocks, k = _scan(seq)
+    index_sets = _full_sets(len(seq), _premain_selections(seq, blocks, k))
+    if not index_sets:
         raise InvalidCoveringError("interleaving selection failed on a valid covering")
-    sigma, value = _best(sigmas, seq, vec_lambda)
+    sigma, value = _best(index_sets, blocks, _LAMBDA)
     return WitnessResult("premain-II", sigma, value, Fraction(k, 4))
 
 
@@ -305,18 +321,16 @@ def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
 # ---------------------------------------------------------------------------
 
 
-def _region_frontiers(seq: GraphSequence, lo: int, hi: int):
+def _region_frontiers(prefix: Sequence[tuple], lo: int, hi: int):
     """Left/right coverage frontiers of the region [lo, hi] just before the
-    first prefix that covers it completely: (a, b, l) with Path_{lo,a} and
-    Path_{b,hi} covered by the first l-1 graphs."""
-    acc: tuple = ()
+    first prefix union U_l (``prefix[l]``) that covers it completely: (a, b,
+    l) with Path_{lo,a} and Path_{b,hi} covered by the first l-1 graphs."""
     a, b = lo, hi
-    for l, g in enumerate(seq, start=1):
-        new = _merge(acc, g.intervals)
+    for l in range(1, len(prefix)):
+        acc = prefix[l]
         # Path_{lo,hi} is covered once one interval of the union spans it
-        if any(s <= lo and hi <= t for s, t in new):
+        if any(s <= lo and hi <= t for s, t in acc):
             return a, b, l
-        acc = new
         for s, t in acc:
             if s <= lo < t:
                 a = max(a, min(t, hi))
@@ -325,12 +339,13 @@ def _region_frontiers(seq: GraphSequence, lo: int, hi: int):
     return None
 
 
-def _gap_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tuple[int, int]]]]:
-    """Interleaving selections extracted from the widest midpoint gap, per
-    the three-case analysis (before the first midpoint, after the last one,
-    or inside a widest adjacent pair).  A selection from the left end is
-    taken on the mirrored sequence."""
-    spans = _surviving_intervals(seq)
+def _gap_selections(
+    seq: GraphSequence, blocks: shifts._Blocks, k: int, spans
+) -> list[list[tuple[int, tuple[int, int]]]]:
+    """Interleaving selections extracted from the widest midpoint gap of the
+    surviving intervals ``spans``, per the three-case analysis (before the
+    first midpoint, after the last one, or inside a widest adjacent pair).
+    A selection from the left end is taken on the mirrored sequence."""
     mids = [Fraction(s + t, 2) for s, t in spans]
     mirrored = [g.mirror(k) for g in seq]
     # everything left of the first midpoint, then right of the last one (the
@@ -348,7 +363,7 @@ def _gap_selections(seq: GraphSequence, k: int) -> list[list[tuple[int, tuple[in
     if widest is not None:
         _, i = widest
         region_lo, region_hi = spans[i][1], spans[i + 1][0]
-        front = _region_frontiers(seq, region_lo, region_hi)
+        front = _region_frontiers(blocks.prefix, region_lo, region_hi)
         if front is not None:
             a, b, l = front
             if a > region_lo:
@@ -364,15 +379,15 @@ def construct_main_II(seq: GraphSequence) -> WitnessResult:
     """A shift permutation with combined measure at least sqrt(k/8), chosen
     as the best of every bring-to-front rotation (the identity first), the
     gap-driven interleaving candidates and the strong-shift split."""
-    k = _covered_length(seq)
+    blocks, k = _scan(seq)
     m = len(seq)
-    selections = _gap_selections(seq, k)
-    candidates = [shifts.from_set(m, range(j, m + 1)) for j in range(1, m + 1)]
-    candidates += _full_sigmas(m, selections)
-    split = _split_choice(seq, selections)
+    selections = _gap_selections(seq, blocks, k, _spans(blocks.resid))
+    candidates = [range(j, m + 1) for j in range(1, m + 1)]
+    candidates += _full_sets(m, selections)
+    split = _split_choice(blocks, selections)
     if split is not None:
         candidates.append(split[0])
-    sigma, value = _best(candidates, seq, vec_lambda_delta)
+    sigma, value = _best(candidates, blocks, _LAMBDA_DELTA)
     # for an integer value, reaching the least r with 8 r^2 >= k is the same
     # as 8 value^2 >= k, i.e. value >= sqrt(k/8)
     guaranteed = Fraction(math.isqrt(-(-k // 8) - 1) + 1)
@@ -392,16 +407,14 @@ def _balanced_split(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
     return buckets
 
 
-def _split_choice(
-    seq: GraphSequence, selections
-) -> tuple[shifts.ShiftPermutation, int] | None:
+def _split_choice(blocks: shifts._Blocks, selections) -> tuple[frozenset[int], int] | None:
     """Over both parities of each selection and both buckets of their
-    balanced split, the shift permutation whose kept increments reach half
-    the vector-component value, then with the largest vector-length value;
-    (permutation, vector-length value), or None without a selection."""
-    incs = [len(keep) for keep, _ in _residual_scan(seq)]
+    balanced split, the index set whose kept increments reach half the
+    vector-component value, then with the largest vector-length value;
+    (index set, vector-length value), or None without a selection."""
+    incs = _increments(blocks)
     vd = sum(incs)
-    m = len(seq)
+    m = blocks.m
     best = None
     for sel in selections:
         for positions, lengths in _parity_choices(sel):
@@ -409,11 +422,11 @@ def _split_choice(
             # it inherits the full increment sum while the kept lengths drop
             # to zero, which still meets the halved bound when p = 1
             for q in _balanced_split(lengths):
-                sigma = _sigma_q_split(m, positions, q)
-                lam_val = vec_lambda(sigma.apply(seq))
-                key = (2 * sum(incs[l - 1] for l in sigma.index_set) >= vd, lam_val)
+                index_set = _split_set(m, positions, q)
+                lam_val = blocks.value(index_set, _LAMBDA)
+                key = (2 * sum(incs[l - 1] for l in index_set) >= vd, lam_val)
                 if best is None or key > best[0]:
-                    best = (key, sigma, lam_val)
+                    best = (key, index_set, lam_val)
     return None if best is None else best[1:]
 
 
@@ -422,31 +435,33 @@ def construct_strong_shift(
 ) -> WitnessResult:
     """Split an interleaving selection in two so that the chosen shift
     permutation keeps half the vector-length value while every induced
-    permutation keeps half the component value."""
-    k = _covered_length(seq)
+    permutation keeps half the component value.  Every candidate and every
+    induced permutation is scored by its block values."""
+    blocks, k = _scan(seq)
     m = len(seq)
     ell = max(g.lam for g in seq)
     if mode == "premain":
-        selections = _premain_selections(seq, k)
+        selections = _premain_selections(seq, blocks, k)
         lam_bound = Fraction(k, 8) - Fraction(ell, 2)
         tilde_bound = Fraction(1, 2)
     elif mode == "gap":
-        g = gap_of(seq)
-        selections = _gap_selections(seq, k)
+        spans = _spans(blocks.resid)
+        g = _gap(k, spans)
+        selections = _gap_selections(seq, blocks, k, spans)
         lam_bound = (g - 3 * ell) / 4
         tilde_bound = Fraction(k) / (4 * g)
     else:
         raise InvalidParameterError(f"unknown strong-shift mode {mode!r}")
-    split = _split_choice(seq, selections)
+    split = _split_choice(blocks, selections)
     if split is None:
         raise InvalidCoveringError("no interleaving selection available")
-    sigma, lam_val = split
+    index_set, lam_val = split
     tilde_min = min(
-        vec_delta(shifts.induced(sigma, j).apply(seq)) for j in range(1, m + 1)
+        blocks.value(shifts._induced_set(index_set, j), _DELTA) for j in range(1, m + 1)
     )
     result = WitnessResult(
         f"strong-shift-{mode}",
-        sigma,
+        shifts.from_set(m, index_set),
         lam_val,
         lam_bound,
         extras={"tilde_min": tilde_min, "tilde_bound": tilde_bound},

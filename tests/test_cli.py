@@ -173,6 +173,8 @@ def test_resource_limit_exit_code(capsys):
         (["measure", "formula-stats", "--formula"], '{"xor": [{"lit": 1}, {"lit": 2}]}'),
         (["measure", "formula-stats", "--formula"], "(lit 1) (lit 2) garbage"),
         (["measure", "formula-stats", "--formula"], '{"lit": 1, "and": []}'),
+        # a non-integer endpoint is refused, not truncated into a component
+        (["measure", "vecdelta", "--seq"], '{"graphs": [{"intervals": [[2.2, 2.7]]}, {"intervals": [[0, 1]]}]}'),
     ],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, argv, text):

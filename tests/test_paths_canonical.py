@@ -161,6 +161,12 @@ def test_public_constructor_still_validates():
     with pytest.raises(InvalidIntervalError):
         PathGraph([(3, 1)])
     assert PathGraph([(5, 7), (0, 1), (1, 2), (6, 9), (4, 4)]).intervals == ((0, 2), (5, 9))
+    # endpoints must be integers, also where s == t would drop the interval
+    for bad in ([(1, 2.5)], [(2.2, 2.7)], [(2.0, 2.0)], [("0", "3")]):
+        with pytest.raises(InvalidIntervalError):
+            PathGraph(bad)
+    with pytest.raises(InvalidIntervalError):
+        PathGraph.from_json({"intervals": [[2.2, 2.7]]})
     # the trusted operations take integer offsets only, so no float reaches _of
     for op in (lambda g: g.translate(0.5), lambda g: g.mirror(2.5), lambda g: g.nbd(1.5)):
         with pytest.raises(TypeError):

@@ -163,6 +163,45 @@ def test_induced_order_dominates_index_increments():
             assert vec_delta(tilde.apply(seq)) >= floor
 
 
+def _all_or_sampled_index_sets(rng: random.Random, m: int):
+    """Every index set of [m] containing m for m <= 8, 60 random ones above."""
+    if m <= 8:
+        for mask in range(1 << (m - 1)):
+            yield frozenset(j + 1 for j in range(m - 1) if mask >> j & 1) | {m}
+    else:
+        for _ in range(60):
+            yield frozenset(rng.sample(range(1, m), rng.randint(0, m - 1))) | {m}
+
+
+def _reference_induced_set(index_set: frozenset[int], j: int) -> frozenset[int]:
+    """The induced index set by its definition: with (p, i] the block of I
+    that holds j, add 1..p when j = i and 1..j-1 otherwise."""
+    ordered = sorted(index_set)
+    h = next(n for n, i in enumerate(ordered) if i >= j)
+    p = ordered[h - 1] if h else 0
+    return index_set | set(range(1, (p if ordered[h] == j else j - 1) + 1))
+
+
+def test_block_values_sum_to_the_measures_of_every_shift():
+    # sigma_I's measures are the sums of its block values, and the induced
+    # index set matches the induced permutation, on sequences with empty
+    # members and coordinates near 0 and +-10^9
+    rng = random.Random(10)
+    for m in range(1, 13):
+        for c in (0, 10**9, -(10**9)):
+            seq = [_random_member(rng, c - 8, 16) for _ in range(m)]
+            seq[rng.randrange(m)] = EMPTY
+            blocks = shifts._Blocks(seq)
+            for index_set in _all_or_sampled_index_sets(rng, m):
+                sigma = shifts.from_set(m, index_set)
+                want = vec_measures(sigma.apply(seq))
+                assert tuple(blocks.value(index_set, code) for code in range(3)) == want
+                for j in range(1, m + 1):
+                    induced = shifts._induced_set(index_set, j)
+                    assert induced == shifts.induced(sigma, j).index_set
+                    assert induced == _reference_induced_set(index_set, j)
+
+
 def test_best_shift_has_no_size_limit():
     # 2^39 shift permutations, past the enumeration limit; half the edges survive
     e = [single_edge(i) for i in range(1, 41)]

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pathlab import jointrees as jt
-from pathlab import samples, shifts, witnesses as wit
+from pathlab import paths, samples, shifts, witnesses as wit
 from pathlab.errors import DomainError, InvalidCoveringError
 from pathlab.paths import (
     EMPTY,
@@ -357,3 +360,73 @@ def test_witness_json():
     data = res.to_json()
     assert data["kind"] == "premain-II"
     assert "shift" in data["ordering"]
+
+
+# -- pinned outputs ---------------------------------------------------------------
+
+GOLDENS = pathlib.Path(__file__).resolve().parent / "witness_goldens.json"
+
+
+def _pinned_cases():
+    """40 seeded coverings: a chain covering for the premain modes and a
+    general covering for main-II and gap mode, with an empty member in every
+    fourth chain and a whole-path member and repeated members in every fifth
+    covering."""
+    rng = random.Random(1010)
+    for n in range(40):
+        k = rng.randint(2, 30)
+        chain = samples.random_chain_covering(rng, k)
+        if n % 4 == 3:
+            chain.insert(rng.randrange(len(chain) + 1), EMPTY)
+        cover = samples.random_covering(rng, k)
+        if n % 5 == 4:
+            cover.insert(rng.randrange(len(cover) + 1), full_path(k))
+            cover += cover[: rng.randint(1, 3)]
+        yield chain, cover
+
+
+def _pinned_results() -> list[dict]:
+    return [
+        {
+            "premain-II": wit.construct_premain_II(chain).to_json(),
+            "main-II": wit.construct_main_II(cover).to_json(),
+            "strong-shift-premain": wit.construct_strong_shift(chain, "premain").to_json(),
+            "strong-shift-gap": wit.construct_strong_shift(cover, "gap").to_json(),
+        }
+        for chain, cover in _pinned_cases()
+    ]
+
+
+def test_shift_witnesses_match_their_pinned_outputs():
+    # orderings, values, bounds and extras, tie-breaks included; rewrite the
+    # file with `PYTHONPATH=src python tests/test_witnesses.py --write-goldens`
+    # only for an intended change of a construction
+    assert _pinned_results() == json.loads(GOLDENS.read_text())
+
+
+def test_shift_witnesses_measure_one_ordering_each(monkeypatch):
+    # candidates are scored from block values; at most the result is re-measured
+    calls = {"n": 0}
+    measure = paths.vec_measures
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "vec_measures", counting)
+    rng = random.Random(15)
+    for k in (12, 24, 30):
+        cover = samples.random_covering(rng, k)
+        chain = samples.random_chain_covering(rng, k)
+        for run in (
+            lambda: wit.construct_main_II(cover),
+            lambda: wit.construct_strong_shift(cover, "gap"),
+            lambda: wit.construct_strong_shift(chain, "premain"),
+        ):
+            calls["n"] = 0
+            run()
+            assert calls["n"] <= 1
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write-goldens"]:
+    GOLDENS.write_text("[\n" + ",\n".join(json.dumps(r) for r in _pinned_results()) + "\n]\n")
