@@ -28,8 +28,13 @@ premain-I, chain coverings for premain-II and strong-shift premain mode,
 random coverings for the rest), and re-checks each achieved value with
 ``paths.vec_measures`` of the returned ordering.
 
+The minterm table times ``relations.minterms`` (mode M) of the flat product
+formulas D and C on Path_k for each n and k, and checks each relation
+against the endpoint square {alpha : alpha_0 = alpha_k = 1}.
+
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25]
-                 [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30] [--repeat 3]
+                 [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30]
+                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from itertools import product
 
-from pathlab import _kernels, samples, shifts, witnesses
-from pathlab.paths import EMPTY, PathGraph, single_edge, union_all, vec_measures
+from pathlab import _kernels, formulas, relations, samples, shifts, witnesses
+from pathlab.paths import EMPTY, PathGraph, full_path, single_edge, union_all, vec_measures
 
 # largest m the plain-integer loop is timed at (14 takes about 0.1 s a call)
 PY_MAX_M = 14
@@ -185,6 +191,17 @@ def bench_witnesses(k: int, repeat: int) -> dict:
     return rows
 
 
+def bench_minterms(n: int, k: int, repeat: int) -> dict:
+    square = {t for t in product(range(1, n + 1), repeat=k + 1) if t[0] == t[-1] == 1}
+    rows = {}
+    for kind in ("D", "C"):
+        evaluator = relations.formula_evaluator(formulas.build_matrix_formula(kind, n, k))
+        run = lambda g: relations.minterms(evaluator, g, "M", n).tuples
+        rows[kind], got = _per_call_over(run, [full_path(k)], repeat)
+        assert got == [square], (kind, n, k)
+    return rows
+
+
 def _ms(seconds: float | None) -> str:
     return f"{seconds * 1e3:12.3f}" if seconds is not None else f"{'--':>12}"
 
@@ -195,6 +212,8 @@ def main() -> None:
     parser.add_argument("--shift-m", type=int, nargs="*", default=list(range(8, 26)))
     parser.add_argument("--paths-m", type=int, nargs="*", default=[8, 12, 16, 24, 32])
     parser.add_argument("--witness-k", type=int, nargs="*", default=[6, 14, 22, 30])
+    parser.add_argument("--minterm-n", type=int, nargs="*", default=[2, 3, 4])
+    parser.add_argument("--minterm-k", type=int, nargs="*", default=[2, 3, 4])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     if args.dp_m:
@@ -224,6 +243,13 @@ def main() -> None:
         for k in args.witness_k:
             rows = bench_witnesses(k, args.repeat)
             print(f"{k:>4}" + "".join(f"{_ms(rows[n]):>16}" for n in names))
+    if args.minterm_n and args.minterm_k:
+        print("\nminterm relations (mode M) of the flat product formulas on Path_k, ms per call")
+        print(f"{'n':>4}{'k':>4}{'D':>12}{'C':>12}")
+        for n in args.minterm_n:
+            for k in args.minterm_k:
+                rows = bench_minterms(n, k, args.repeat)
+                print(f"{n:>4}{k:>4}{_ms(rows['D'])}{_ms(rows['C'])}")
 
 
 if __name__ == "__main__":

@@ -18,9 +18,10 @@ relabelling.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import partial, reduce
 from itertools import product
-from typing import Callable, Iterable, Literal, Sequence
+from operator import or_
+from typing import Callable, Literal, Sequence
 
 from . import jointrees
 from .errors import (
@@ -226,36 +227,47 @@ def variables(phi) -> set:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(phi, getval: Callable) -> int:
-    """Evaluate against ``getval(var) -> 0/1``."""
-    memo: dict = {}
+class _Walker:
+    """Packed value of any node, memoised by node: bit j of ``column(var)`` is
+    the value of the variable at point j, and ``full`` has one bit per point.
+    A gate stops at the first child that decides it at every point.  Calls
+    recurse through the instance, so no reference cycle outlives a walk."""
 
-    def rec(node):
-        got = memo.get(node)
+    __slots__ = ("column", "full", "memo")
+
+    def __init__(self, column: Callable, full: int):
+        self.column, self.full, self.memo = column, full, {}
+
+    def __call__(self, node) -> int:
+        got = self.memo.get(node)
         if got is not None:
             return got
+        full = self.full
         if node.op == "const":
-            v = node.value
+            v = full if node.value else 0
         elif node.op == "lit":
-            v = getval(node.var)
+            v = self.column(node.var)
             if node.neg:
-                v = 1 - v
+                v ^= full
         elif node.op == "and":
-            v = 1
+            v = full
             for c in node.children:
-                if rec(c) == 0:
-                    v = 0
+                v &= self(c)
+                if not v:
                     break
         else:
             v = 0
             for c in node.children:
-                if rec(c) == 1:
-                    v = 1
+                v |= self(c)
+                if v == full:
                     break
-        memo[node] = v
+        self.memo[node] = v
         return v
 
-    return rec(phi)
+
+def evaluate(phi, getval: Callable) -> int:
+    """Evaluate against ``getval(var) -> 0/1``: the packed walk on one point."""
+    return _Walker(getval, 1)(phi)
 
 
 def matrix_env(matrices: Sequence[Sequence[Sequence[int]]]) -> Callable:
@@ -269,54 +281,50 @@ def matrix_env(matrices: Sequence[Sequence[Sequence[int]]]) -> Callable:
 # -- packed truth tables -----------------------------------------------------
 
 
-def var_table(index: int, nvars: int) -> int:
-    """Truth table of variable ``index`` (0-based) over 2^nvars inputs."""
-    block = ((1 << (1 << index)) - 1) << (1 << index)
-    width = 1 << (index + 1)
-    total = 1 << nvars
+def _repeat(block: int, width: int, total: int) -> int:
+    """``block``, a pattern ``width`` bits wide, repeated over ``total`` bits
+    (a multiple of ``width``)."""
     while width < total:
         block |= block << width
         width <<= 1
-    return block
+    return block & ((1 << total) - 1)
+
+
+def _digit_mask(low: int, digit: int, radix: int, total: int) -> int:
+    """Mask of the points j < ``total`` with (j // low) % radix == ``digit``."""
+    return _repeat(((1 << low) - 1) << (digit * low), low * radix, total)
+
+
+def _flips(table: int, low: int, total: int) -> int:
+    """The points j < ``total`` with (j // low) % 2 == 0 where ``table`` differs
+    from point j + low: nonzero iff ``table`` depends on that binary digit."""
+    return (table ^ (table >> low)) & _digit_mask(low, 0, 2, total)
+
+
+def var_table(index: int, nvars: int) -> int:
+    """Truth table of variable ``index`` (0-based) over 2^nvars inputs."""
+    return _digit_mask(1 << index, 1, 2, 1 << nvars)
+
+
+def _variable_columns(varlist: Sequence) -> tuple[Callable, int]:
+    """(column, full) over the 2^len(varlist) inputs; variable j is bit j of an input."""
+    nv = len(varlist)
+    tables = {v: var_table(j, nv) for j, v in enumerate(varlist)}
+
+    def column(var) -> int:
+        got = tables.get(var)
+        if got is None:
+            raise DomainError(f"variable {var!r} is not in the variable order")
+        return got
+
+    return column, (1 << (1 << nv)) - 1
 
 
 def truth_table(phi, varlist: Sequence, nvars_limit: int = 24) -> int:
     """Packed truth table of the formula over the given variable order."""
-    return _table_of(varlist, nvars_limit)(phi)
-
-
-def _table_of(varlist: Sequence, nvars_limit: int) -> Callable:
-    """Packed truth table of any node over the variable order, memoized by
-    node across calls."""
-    n = len(varlist)
-    if n > nvars_limit:
-        raise ResourceLimitError(f"{n} variables exceeds truth-table limit {nvars_limit}")
-    full = (1 << (1 << n)) - 1
-    tables = {v: var_table(i, n) for i, v in enumerate(varlist)}
-    memo: dict = {}
-
-    def rec(node):
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if node.op == "const":
-            v = full if node.value else 0
-        elif node.op == "lit":
-            v = tables[node.var]
-            if node.neg:
-                v ^= full
-        elif node.op == "and":
-            v = full
-            for c in node.children:
-                v &= rec(c)
-        else:
-            v = 0
-            for c in node.children:
-                v |= rec(c)
-        memo[node] = v
-        return v
-
-    return rec
+    if len(varlist) > nvars_limit:
+        raise ResourceLimitError(f"{len(varlist)} variables exceeds truth-table limit {nvars_limit}")
+    return _Walker(*_variable_columns(varlist))(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +343,22 @@ def is_subperm_matrix(matrix: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def bmm_table(column: Callable, full: int, n: int, k: int, a0: int = 1, ak: int = 1) -> int:
+    """Packed entry (a0, ak) of the Boolean product of k n-by-n matrices, by
+    reachability: bit j of ``column((i, a, b))`` is entry (a, b) of matrix i
+    at point j, and ``full`` has one bit per point."""
+    reach = {a0: full}
+    for i in range(1, k + 1):
+        reach = {
+            b: reduce(or_, (v & column((i, a, b)) for a, v in reach.items() if v), 0)
+            for b in range(1, n + 1)
+        }
+    return reach.get(ak, 0)
+
+
 def oracle_bmm(matrices, a0: int = 1, ak: int = 1) -> int:
     """Entry (a0, ak) of the Boolean matrix product, by reachability."""
-    n = len(matrices[0])
-    reach = {a0 - 1}
-    for mat in matrices:
-        reach = {b for a in reach for b in range(n) if mat[a][b]}
-        if not reach:
-            return 0
-    return 1 if (ak - 1) in reach else 0
+    return bmm_table(matrix_env(matrices), 1, len(matrices[0]), len(matrices), a0, ak)
 
 
 def oracle_subpmm(matrices, a0: int = 1, ak: int = 1) -> int:
@@ -488,42 +503,24 @@ def oracle_table(n: int, k: int, varlist: Sequence, a0: int = 1, ak: int = 1) ->
     """Packed truth table of the product entry (a0, ak) over all 2^(kn^2)
     inputs, by reachability on packed variable tables (independent of any
     formula construction)."""
-    nv = len(varlist)
-    tables = {v: var_table(i, nv) for i, v in enumerate(varlist)}
-    full = (1 << (1 << nv)) - 1
-    reach = {a: (full if a == a0 else 0) for a in range(1, n + 1)}
-    for i in range(1, k + 1):
-        reach = {
-            b: _or_all(reach[a] & tables[(i, a, b)] for a in range(1, n + 1))
-            for b in range(1, n + 1)
-        }
-    return reach[ak]
-
-
-def _or_all(parts: Iterable[int]) -> int:
-    out = 0
-    for p in parts:
-        out |= p
-    return out
+    return bmm_table(*_variable_columns(varlist), n, k, a0, ak)
 
 
 def valid_mask(n: int, k: int, varlist: Sequence, rows_only: bool = False) -> int:
     """Packed mask of the inputs where every matrix has at most one 1 per row
     (and per column unless ``rows_only``)."""
-    nv = len(varlist)
-    tables = {v: var_table(i, nv) for i, v in enumerate(varlist)}
-    full = (1 << (1 << nv)) - 1
+    column, full = _variable_columns(varlist)
     mask = full
     for i in range(1, k + 1):
         for a in range(1, n + 1):
             for b1 in range(1, n + 1):
                 for b2 in range(b1 + 1, n + 1):
-                    mask &= full ^ (tables[(i, a, b1)] & tables[(i, a, b2)])
+                    mask &= full ^ (column((i, a, b1)) & column((i, a, b2)))
         if not rows_only:
             for b in range(1, n + 1):
                 for a1 in range(1, n + 1):
                     for a2 in range(a1 + 1, n + 1):
-                        mask &= full ^ (tables[(i, a1, b)] & tables[(i, a2, b)])
+                        mask &= full ^ (column((i, a1, b)) & column((i, a2, b)))
     return mask
 
 
@@ -703,7 +700,7 @@ def _edge_tables(k: int, limit: int = 16) -> Callable:
     """Memoized truth table of each node over the k edge variables."""
     if k > limit:
         raise ResourceLimitError(f"{k} variables exceeds the 2^{limit} table limit")
-    return _table_of(range(1, k + 1), limit)
+    return _Walker(*_variable_columns(range(1, k + 1)))
 
 
 def dm_truth_table(g: DeMorgan, k: int, limit: int = 16) -> int:
@@ -741,15 +738,7 @@ def support(g: DeMorgan, k: int) -> PathGraph:
 
 
 def _support(table: int, k: int) -> PathGraph:
-    return from_edges(i for i in range(1, k + 1) if _cofactors_differ(table, i, k))
-
-
-def _cofactors_differ(table: int, i: int, k: int) -> bool:
-    shift = 1 << (i - 1)
-    vt = var_table(i - 1, k)
-    pos = (table & vt) >> shift
-    neg = table & (vt >> shift)
-    return pos != neg
+    return from_edges(i for i in range(1, k + 1) if _flips(table, 1 << (i - 1), 1 << k))
 
 
 def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:

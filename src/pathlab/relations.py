@@ -14,7 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import cache, partial
+from itertools import compress, permutations, product
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -227,26 +228,27 @@ def section(g: PathGraph, alpha: dict[int, int] | Sequence[int], n: int) -> froz
     return frozenset((i, alpha[i - 1], alpha[i]) for i in g.edges())
 
 
-Evaluator = Callable[[frozenset], int]
+Evaluator = Callable[[Callable[[object], int], int], int]
+"""``f(column, full)``: the packed value of a function at many points at
+once.  Bit j of ``column(var)`` says whether point j has the blow-up edge
+``var``, and ``full`` has one bit per point."""
 
 
 def formula_evaluator(phi) -> Evaluator:
-    def run(edges: frozenset) -> int:
-        return formulas.evaluate(phi, lambda var: 1 if var in edges else 0)
-
-    return run
+    return lambda column, full: formulas._Walker(column, full)(phi)
 
 
 def bmm_evaluator(n: int, k: int, a0: int = 1, ak: int = 1) -> Evaluator:
-    def run(edges: frozenset) -> int:
-        reach = {a0}
-        for i in range(1, k + 1):
-            reach = {b for (j, a, b) in edges if j == i and a in reach}
-            if not reach:
-                return 0
-        return 1 if ak in reach else 0
+    return partial(formulas.bmm_table, n=n, k=k, a0=a0, ak=ak)
 
-    return run
+
+def _fold_or(x: int, width: int, count: int) -> int:
+    """OR of the ``count`` chunks of ``width`` bits of x."""
+    while count > 1:
+        half = (count + 1) // 2
+        x = (x & ((1 << half * width) - 1)) | (x >> half * width)
+        count = half
+    return x
 
 
 def minterms(
@@ -257,40 +259,45 @@ def minterms(
     budget: int = 2_000_000,
 ) -> Relation:
     """mode M: alpha whose section is a minimal 1-certificate of (monotone) f;
-    mode N: alpha whose restricted subfunction depends on every edge."""
-    verts = tuple(g.vertices())
-    edges = tuple(g.edges())
-    per_alpha = (len(edges) + 1) if mode == "M" else (1 << len(edges))
-    if n ** len(verts) * per_alpha > budget:
+    mode N: alpha whose restricted subfunction depends on every edge.
+
+    f is called once, on every point: point (w, alpha) is bit
+    w * n^|V| + index(alpha), where index(alpha) reads alpha - 1 as a base-n
+    number, first vertex most significant.  Variant w is, in mode M, the full
+    section (w = 0) or the section without its w-th edge, and in mode N the
+    edges of the section picked by the bits of w."""
+    if mode not in ("M", "N"):
+        raise InvalidParameterError(f"unknown minterm mode {mode!r}")
+    verts, edges = tuple(g.vertices()), tuple(g.edges())
+    variants = (len(edges) + 1) if mode == "M" else (1 << len(edges))
+    width = n ** len(verts)
+    if width * variants > budget:
         raise ResourceLimitError("minterm scan exceeds evaluation budget")
-    out = []
-    for alpha in product(range(1, n + 1), repeat=len(verts)):
-        amap = dict(zip(verts, alpha))
-        full = frozenset((i, amap[i - 1], amap[i]) for i in edges)
-        if mode == "M":
-            if not f(full):
-                continue
-            by_edge = {i: (i, amap[i - 1], amap[i]) for i in edges}
-            if all(not f(full - {by_edge[i]}) for i in edges):
-                out.append(alpha)
-        else:
-            by_edge = [(i, amap[i - 1], amap[i]) for i in edges]
-            values = {}
-            for bits in range(1 << len(edges)):
-                sub = frozenset(by_edge[j] for j in range(len(edges)) if (bits >> j) & 1)
-                values[bits] = f(sub)
-            depends_all = True
-            for j in range(len(edges)):
-                if not any(
-                    values[bits] != values[bits | (1 << j)]
-                    for bits in range(1 << len(edges))
-                    if not (bits >> j) & 1
-                ):
-                    depends_all = False
-                    break
-            if depends_all:
-                out.append(alpha)
-    return Relation(g, n, out)
+    total = width * variants
+    full, first = (1 << total) - 1, (1 << width) - 1
+    if mode == "M":
+        keeps = {i: full ^ (first << (e + 1) * width) for e, i in enumerate(edges)}
+    else:
+        keeps = {i: formulas._digit_mask(width << e, 1, 2, total) for e, i in enumerate(edges)}
+    place = {v: n ** (len(verts) - 1 - p) for p, v in enumerate(verts)}
+    # mask one variant wide of the alpha with alpha_v = x
+    digit = cache(lambda v, x: formulas._digit_mask(place[v], x - 1, n, width))
+
+    def column(var) -> int:
+        i, a, b = var if isinstance(var, tuple) and len(var) == 3 else (0, 0, 0)
+        if i not in keeps or not (1 <= a <= n and 1 <= b <= n):
+            return 0
+        return formulas._repeat(digit(i - 1, a) & digit(i, b), width, total) & keeps[i]
+
+    values = f(column, full)
+    if mode == "M":
+        hits = values & first & ~_fold_or(values >> width, width, len(edges))
+    else:
+        hits = first
+        for e in range(len(edges)):
+            hits &= _fold_or(formulas._flips(values, width << e, total), width, variants)
+    bits = map("1".__eq__, reversed(format(hits, f"0{width}b")))
+    return Relation(g, n, compress(product(range(1, n + 1), repeat=len(verts)), bits))
 
 
 def _strict_tree_parts(t: jointrees.JoinTree):
@@ -554,7 +561,9 @@ def montecarlo_mpath2(
             count = _minterm_count_bmm_restricted(sample.xi, n, k)
         else:
             xi_edges = sample.xi_edges()
-            restricted: Evaluator = lambda edges: f(edges | xi_edges)
+            restricted: Evaluator = lambda column, full: f(
+                lambda var: full if var in xi_edges else column(var), full
+            )
             count = len(minterms(restricted, full_path(k), "M", n, budget).tuples)
         dens = Fraction(count, denom)
         ok = dens >= threshold

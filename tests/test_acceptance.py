@@ -350,9 +350,9 @@ def test_criterion_12_minterm_bridge():
         for g in graphs:
             m1 = R.minterms(ev1, g, "M", n).tuples
             m2 = R.minterms(ev2, g, "M", n).tuples
-            m_or = R.minterms(lambda e: ev1(e) | ev2(e), g, "M", n).tuples
+            m_or = R.minterms(lambda c, full: ev1(c, full) | ev2(c, full), g, "M", n).tuples
             assert m_or <= m1 | m2
-            m_and = R.minterms(lambda e: ev1(e) & ev2(e), g, "M", n).tuples
+            m_and = R.minterms(lambda c, full: ev1(c, full) & ev2(c, full), g, "M", n).tuples
             cover = set()
             for g1 in R.subgraphs_of_path(k):
                 if not g1.is_subgraph(g):

@@ -397,6 +397,20 @@ def test_support_of_contradiction():
     assert stree.graph == EMPTY
 
 
+@pytest.mark.parametrize(
+    "call, var",
+    [
+        (lambda: F.truth_table(F.lit(5), [1, 2]), "5"),
+        (lambda: F.truth_table(F.lit((3, 1, 1)), F.matrix_varlist(2, 2)), r"\(3, 1, 1\)"),
+        (lambda: F.dm_truth_table(F.dm_lit(4), 3), "4"),
+        (lambda: F.support(F.dm_lit(4), 3), "4"),
+    ],
+)
+def test_variables_outside_the_order_are_domain_errors(call, var):
+    with pytest.raises(DomainError, match=f"variable {var} is not in the variable order"):
+        call()
+
+
 def test_support_tree_depth_bound():
     parts = [F.dm_lit(i) for i in (1, 2, 3)]
     g = F.sem_demorgan(parts, "and")

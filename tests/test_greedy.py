@@ -142,11 +142,20 @@ def test_gamma_plus_one_below_six():
 # -- LP certificates -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 7])
 def test_lp_certificates_verify(t):
     report = greedy.verify_lp_certificates(t)
     assert report["ok"], report["violated"]
     assert report["primal_ok"] and report["dual_ok"] and report["identities_ok"]
+
+
+def test_lp_certificates_fail_at_eight():
+    # the closed-form dual misses one constraint by 1/90 at t = 8; pinned as
+    # found, not mended
+    report = greedy.verify_lp_certificates(8)
+    assert not report["ok"] and not report["dual_ok"]
+    assert report["primal_ok"] and report["identities_ok"]
+    assert report["violated"] == ["(star_(1, 1, 1, 1, 1, 1, 0)): dual constraint violated"]
 
 
 def test_dual_vector_goldens():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import collections
+import functools
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,7 +16,7 @@ from pathlab import formulas as F
 from pathlab import jointrees as jt
 from pathlab import relations as R
 from pathlab import samples
-from pathlab.errors import DomainError
+from pathlab.errors import DomainError, InvalidParameterError, ResourceLimitError
 from pathlab.paths import EMPTY, from_edges, full_path, make_path, single_edge
 
 
@@ -196,13 +198,16 @@ def test_minterm_bridge_oracle():
 
 
 def test_minterms_of_constant_one():
-    m = R.minterms(lambda edges: 1, make_path(0, 2), "M", 2)
+    m = R.minterms(lambda column, full: full, make_path(0, 2), "M", 2)
     assert not m.tuples
 
 
 def test_dependence_mode_on_parity():
     g = make_path(0, 2)
-    parity = lambda edges: len(edges) % 2
+    # a section holds one blow-up variable of each of its edges, so the XOR
+    # of them all is the number of its edges mod 2
+    blowup = [(i, a, b) for i in (1, 2) for a in (1, 2) for b in (1, 2)]
+    parity = lambda column, full: functools.reduce(operator.xor, map(column, blowup))
     m = R.minterms(parity, g, "N", 2)
     assert len(m.tuples) == 2 ** g.num_vertices
 
@@ -238,8 +243,8 @@ def test_minterm_gate_containments_exhaustive():
         f1 = _random_monotone_formula(rng, n, k)
         f2 = _random_monotone_formula(rng, n, k)
         ev1, ev2 = R.formula_evaluator(f1), R.formula_evaluator(f2)
-        ev_or = lambda e: ev1(e) | ev2(e)
-        ev_and = lambda e: ev1(e) & ev2(e)
+        ev_or = lambda column, full: ev1(column, full) | ev2(column, full)
+        ev_and = lambda column, full: ev1(column, full) & ev2(column, full)
         for g in graphs:
             m_or = R.minterms(ev_or, g, "M", n).tuples
             m1 = R.minterms(ev1, g, "M", n).tuples
@@ -258,6 +263,128 @@ def test_minterm_gate_containments_exhaustive():
                     b = R.minterms(ev2, g2, "M", n)
                     cover |= R.join(a, b).tuples
             assert m_and.tuples <= cover
+
+
+# -- the packed minterm scan against the per-point scan -----------------------------
+
+
+def _reference_minterms(f, g, mode, n):
+    """The per-point scan: ``f`` maps the frozenset of present blow-up edges
+    to 0/1 and is asked once per assignment and variant."""
+    verts, edges = tuple(g.vertices()), tuple(g.edges())
+    out = set()
+    for alpha in product(range(1, n + 1), repeat=len(verts)):
+        amap = dict(zip(verts, alpha))
+        by_edge = [(i, amap[i - 1], amap[i]) for i in edges]
+        full = frozenset(by_edge)
+        if mode == "M":
+            if f(full) and all(not f(full - {e}) for e in by_edge):
+                out.add(alpha)
+            continue
+        values = [
+            f(frozenset(e for j, e in enumerate(by_edge) if (bits >> j) & 1))
+            for bits in range(1 << len(edges))
+        ]
+        if all(
+            any(values[bits] != values[bits | (1 << j)] for bits in range(len(values)) if not (bits >> j) & 1)
+            for j in range(len(edges))
+        ):
+            out.add(alpha)
+    return out
+
+
+def _point_value(phi, edges) -> int:
+    """The formula at one point, by plain recursion (no packing, no memo)."""
+    if phi.op == "const":
+        return phi.value
+    if phi.op == "lit":
+        return int((phi.var in edges) != phi.neg)
+    values = [_point_value(c, edges) for c in phi.children]
+    return int(all(values) if phi.op == "and" else any(values))
+
+
+def _reference_bmm(n, k, a0, ak):
+    def run(edges) -> int:
+        reach = {a0}
+        for i in range(1, k + 1):
+            reach = {b for (j, a, b) in edges if j == i and a in reach}
+        return int(ak in reach)
+
+    return run
+
+
+def _random_formula(rng, pool, depth, binary):
+    """Random formula over ``pool`` with negated literals and constants, as
+    an unbounded fan-in formula or a binary (DeMorgan) one."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return F.dm_const(rng.randint(0, 1)) if binary else F.const(rng.randint(0, 1))
+        var, neg = rng.choice(pool), rng.random() < 0.3
+        return F.dm_lit(var, neg) if binary else F.lit(var, neg)
+    op = rng.choice(("and", "or"))
+    if binary:
+        left, right = (_random_formula(rng, pool, depth - 1, True) for _ in range(2))
+        return F.DeMorgan(op, left, right)
+    kids = [_random_formula(rng, pool, depth - 1, False) for _ in range(rng.randint(1, 3))]
+    return F.conj(kids) if op == "and" else F.disj(kids)
+
+
+def test_packed_minterms_match_the_per_point_scan():
+    rng = random.Random(2026)
+    seen = collections.Counter()
+    for case in range(600):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 3 if k <= 3 else 2)
+        g = EMPTY
+        while case % 10 and not g:
+            g = samples.random_pathgraph(rng, 0, k, max_comps=2)
+        mode = rng.choice("MN")
+        kind = rng.choice(("formula", "demorgan", "bmm", "restricted"))
+        if kind in ("formula", "demorgan"):
+            # the pool reaches edges outside g, whose literals read 0
+            pool = [(i, a, b) for i in range(1, k + 1) for a in range(1, n + 1) for b in range(1, n + 1)]
+            phi = _random_formula(rng, pool, 3, kind == "demorgan")
+            packed = R.formula_evaluator(phi)
+            point = functools.partial(_point_value, phi)
+        else:
+            a0, ak = rng.randint(1, n), rng.randint(1, n)
+            packed, point = R.bmm_evaluator(n, k, a0, ak), _reference_bmm(n, k, a0, ak)
+            if kind == "restricted":
+                xi = frozenset(
+                    (i, a, b) for i in range(1, k + 1) for a in range(1, n + 1) for b in range(1, n + 1)
+                    if rng.random() < 0.2
+                )
+                ev = packed
+                packed = lambda column, full, ev=ev, xi=xi: ev(lambda var: full if var in xi else column(var), full)
+                point = lambda edges, ev=point, xi=xi: ev(edges | xi)
+        got = R.minterms(packed, g, mode, n).tuples
+        assert got == _reference_minterms(point, g, mode, n), (case, kind, mode, n, g)
+        seen[kind, mode, bool(got), n == 1, len(g.intervals)] += 1
+    # every kind and mode ran, with and without minterms, on n = 1 and on
+    # empty, one-component and two-component graphs
+    assert {key[:2] for key in seen} == {(kd, md) for kd in ("formula", "demorgan", "bmm", "restricted") for md in "MN"}
+    assert {key[2] for key in seen} == {True, False} and {key[3] for key in seen} == {True, False}
+    assert {key[4] for key in seen} == {0, 1, 2}
+
+
+def test_minterms_rejects_an_unknown_mode():
+    phi = F.disj([F.lit((1, 1, 1)), F.lit((2, 1, 1))])
+    g = full_path(2)
+    assert not R.minterms(R.formula_evaluator(phi), g, "M", 1).tuples
+    assert R.minterms(R.formula_evaluator(phi), g, "N", 1).tuples == {(1, 1, 1)}
+    with pytest.raises(InvalidParameterError, match="mode"):
+        R.minterms(R.formula_evaluator(phi), g, "x", 1)
+
+
+def test_minterms_over_budget_raise_before_evaluating():
+    def never(column, full):
+        raise AssertionError("evaluated an over-budget scan")
+
+    # 10^4 assignments times 4 variants (mode M), and 2^3 variants (mode N)
+    for mode in "MN":
+        with pytest.raises(ResourceLimitError):
+            R.minterms(never, full_path(3), mode, 10, budget=39_999)
+    assert len(R.minterms(lambda column, full: full, full_path(3), "M", 10, budget=40_000)) == 0
 
 
 # -- tree-shaped minterm subsets ------------------------------------------------------
@@ -427,7 +554,8 @@ def test_restricted_count_matches_generic_scan():
         fast = R._minterm_count_bmm_restricted(sample.xi, n, k)
         ev = R.bmm_evaluator(n, k)
         xi_edges = sample.xi_edges()
-        slow = len(R.minterms(lambda e: ev(e | xi_edges), full_path(k), "M", n).tuples)
+        restricted = lambda column, full: ev(lambda var: full if var in xi_edges else column(var), full)
+        slow = len(R.minterms(restricted, full_path(k), "M", n).tuples)
         assert fast == slow
 
 
