@@ -32,9 +32,13 @@ The minterm table times ``relations.minterms`` (mode M) of the flat product
 formulas D and C on Path_k for each n and k, and checks each relation
 against the endpoint square {alpha : alpha_0 = alpha_k = 1}.
 
+The LP table times ``greedy.verify_lp_certificates(t)`` on the closed-form
+certificates for each t, and checks that they verify for t <= 7 and that
+t = 8 reports exactly its one known dual violation (ROADMAP item 1).
+
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25]
                  [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30]
-                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--repeat 3]
+                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--lp-t 1..8] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import random
 import time
 from itertools import product
 
-from pathlab import _kernels, formulas, relations, samples, shifts, witnesses
+from pathlab import _kernels, formulas, greedy, relations, samples, shifts, witnesses
 from pathlab.paths import EMPTY, PathGraph, full_path, single_edge, union_all, vec_measures
 
 # largest m the plain-integer loop is timed at (14 takes about 0.1 s a call)
@@ -66,6 +70,8 @@ WITNESSES = (
      lambda seq: witnesses.construct_strong_shift(seq, "premain"), 1),
     ("strong-gap", samples.random_covering, lambda seq: witnesses.construct_strong_shift(seq, "gap"), 1),
 )
+# the one dual constraint the closed-form certificates miss at t = 8
+LP_T8_VIOLATION = "(star_(1, 1, 1, 1, 1, 1, 0)): dual constraint violated"
 
 def _single_edge_conflicts(m: int) -> list[list[int]]:
     """Edge j conflicts with edges j-1 and j+1."""
@@ -202,6 +208,15 @@ def bench_minterms(n: int, k: int, repeat: int) -> dict:
     return rows
 
 
+def bench_lp(t: int, repeat: int) -> float:
+    seconds, (report,) = _per_call_over(greedy.verify_lp_certificates, [t], repeat)
+    if t <= 7:
+        assert report["ok"], (t, report["violated"])
+    else:
+        assert report["violated"] == [LP_T8_VIOLATION], (t, report["violated"])
+    return seconds
+
+
 def _ms(seconds: float | None) -> str:
     return f"{seconds * 1e3:12.3f}" if seconds is not None else f"{'--':>12}"
 
@@ -214,6 +229,7 @@ def main() -> None:
     parser.add_argument("--witness-k", type=int, nargs="*", default=[6, 14, 22, 30])
     parser.add_argument("--minterm-n", type=int, nargs="*", default=[2, 3, 4])
     parser.add_argument("--minterm-k", type=int, nargs="*", default=[2, 3, 4])
+    parser.add_argument("--lp-t", type=int, nargs="*", default=list(range(1, 9)))
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     if args.dp_m:
@@ -250,6 +266,11 @@ def main() -> None:
             for k in args.minterm_k:
                 rows = bench_minterms(n, k, args.repeat)
                 print(f"{n:>4}{k:>4}{_ms(rows['D'])}{_ms(rows['C'])}")
+    if args.lp_t:
+        print("\nLP certificate check on the closed-form certificates, ms per call")
+        print(f"{'t':>4}{'verify_lp':>12}")
+        for t in args.lp_t:
+            print(f"{t:>4}{_ms(bench_lp(t, args.repeat))}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ that cannot be read, parsed or validated), 3 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -380,7 +381,10 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse returns a
+    fresh namespace, and suites are looked up in ``_SUITES`` at dispatch."""
     parser = argparse.ArgumentParser(prog="pathlab")
     sub = parser.add_subparsers(dest="command", required=True)
 

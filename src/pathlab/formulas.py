@@ -753,7 +753,10 @@ def support_tree(g: DeMorgan, k: int) -> jointrees.JoinTree:
     """The join tree whose leaves are the formula's dependent coordinates,
     built by the recursive restrict-children-to-support rule; one truth-table
     walk serves every node, and equal restricted subformulas are built once."""
-    tables = _edge_tables(k)
+    return _support_tree(g, k, _edge_tables(k))
+
+
+def _support_tree(g: DeMorgan, k: int, tables: Callable) -> jointrees.JoinTree:
     memo: dict = {}
 
     def rec(node: DeMorgan):
@@ -775,11 +778,11 @@ def support_tree(g: DeMorgan, k: int) -> jointrees.JoinTree:
 
 
 def support_tools(g: DeMorgan, k: int, limit: int = 16):
-    """(support graph, restriction operator, support tree, strict support tree)."""
-    if k > limit:
-        raise ResourceLimitError(f"{k} variables exceeds the 2^{limit} table limit")
-    supp = support(g, k)
-    stree = support_tree(g, k)
+    """(support graph, restriction operator, support tree, strict support tree),
+    all from one truth-table walk under the given table limit."""
+    tables = _edge_tables(k, limit)
+    supp = _support(tables(g), k)
+    stree = _support_tree(g, k, tables)
     return supp, (lambda h: dm_restrict(g, h)), stree, jointrees.strictify(stree)
 
 

@@ -1,13 +1,17 @@
 """Greedy sequences, the generalized tight example, Dyck sequences, and
-exact-rational verification of the linear-programming optimality certificates.
+exact verification of the linear-programming optimality certificates.
 
-All LP arithmetic uses ``fractions.Fraction`` over big integers; the dual
-feasibility margins shrink quickly with t and floats would mask violations.
+The certificates are given as ``fractions.Fraction`` values; the checker puts
+y and gamma over one common denominator and w over its own, and decides every
+constraint in Python integers.  The dual feasibility margins shrink quickly
+with t and floats would mask violations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotGreedyError, ResourceLimitError
@@ -36,16 +40,26 @@ def is_vec_delta_greedy(seq: GraphSequence, base: PathGraph = EMPTY) -> bool:
 
 def greedy_order(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> list[PathGraph]:
     """A greedy enumeration of the family; ties broken by the canonical
-    graph order (smallest interval list first)."""
-    remaining = sorted(family)
+    graph order (smallest interval list first).
+
+    A member's increment can only fall as the union grows, so a max-heap of
+    (increment, index) keys holds upper bounds: the top is re-measured and
+    taken when its key is still exact, and pushed back with the new key
+    otherwise."""
+    members = sorted(family)
+    heap = [(-g.ominus(base).delta, i) for i, g in enumerate(members)]
+    heapify(heap)
     out: list[PathGraph] = []
     acc = base
-    while remaining:
-        best_idx = max(range(len(remaining)), key=lambda i: (remaining[i].ominus(acc).delta, -i))
-        # max() keeps the earliest index on ties thanks to the -i tiebreak
-        g = remaining.pop(best_idx)
-        out.append(g)
-        acc = acc.union(g)
+    while heap:
+        key, i = heap[0]
+        now = -members[i].ominus(acc).delta
+        if now != key:
+            heapreplace(heap, (now, i))
+            continue
+        heappop(heap)
+        out.append(members[i])
+        acc = acc.union(members[i])
     return out
 
 
@@ -249,23 +263,19 @@ def certificate_y(t: int) -> list[Fraction]:
     return y
 
 
-def _column_coefficient(t: int, row: int, a: tuple[int, ...]) -> Fraction:
-    """Coefficient of the Dyck-sequence column ``a`` in constraint row
-    ``row`` of the standard-form system (rows 0..t)."""
+def _column(t: int, a: tuple[int, ...], gamma_num: int, den: int) -> tuple[list[tuple[int, int]], int]:
+    """The Dyck-sequence column ``a`` of the standard-form system (rows
+    0..t): its (row, coefficient) pairs that can be nonzero, and its objective
+    coefficient sum(a) - (t - s)·gamma times ``den``, where gamma =
+    gamma_num / den.  A column of length s has at most s + 2 such rows."""
     s = len(a)
-    if row == 0:
-        return Fraction(-1) if s == 0 else Fraction(0)
-    coef = Fraction(0)
-    if row <= s:
-        coef += a[s - row]  # a_{s-row+1} with 1-based indexing
-    if row == s + 1:
-        coef -= sum(a) + 2 * (t - s)
-    return coef
-
-
-def _objective_coefficient(t: int, a: tuple[int, ...]) -> Fraction:
-    g = gamma(t)
-    return Fraction(sum(a)) - (t - len(a)) * g
+    total = sum(a)
+    rows = [(r, a[s - r]) for r in range(1, s + 1)]  # a_{s-r+1}, 1-based
+    if s < t:
+        rows.append((s + 1, -(total + 2 * (t - s))))
+    if s == 0:
+        rows.append((0, -1))
+    return rows, total * den - (t - s) * gamma_num
 
 
 def verify_lp_certificates(
@@ -281,15 +291,25 @@ def verify_lp_certificates(
     <= t, the monotone chain 5/2 > gamma/2 = y_1 > ... > y_t = 1, and the
     matrix identities M w = (-1, 0, ..., 0), M^T y = f, f^T w = -y_0 = 0 on
     the support columns.
+
+    Entries may be ints or Fractions.  y and gamma are scaled to integers
+    over the lcm of their denominators, w over the lcm of its own, so every
+    comparison is between integers; a column's dual constraint costs one
+    pass over its nonzero rows, and the primal sums run over the keys of w
+    that are Dyck columns of length <= t (other keys add nothing).
     """
     if t > dyck_limit:
         raise ResourceLimitError(f"t={t} exceeds Dyck enumeration limit {dyck_limit}")
     g = gamma(t)
-    w = dict(certificate_w(t)) if w is None else dict(w)
-    y = certificate_y(t) if y is None else list(y)
-    columns: list[tuple[int, ...]] = []
-    for s in range(t + 1):
-        columns.extend(enumerate_dyck(s))
+    w = certificate_w(t) if w is None else {a: Fraction(v) for a, v in w.items()}
+    y = certificate_y(t) if y is None else [Fraction(v) for v in y]
+    den = lcm(g.denominator, *(v.denominator for v in y))
+    y_int = [v.numerator * (den // v.denominator) for v in y]
+    g_num = g.numerator * (den // g.denominator)
+    w_den = lcm(*(v.denominator for v in w.values()))
+    # the Dyck columns of length <= t in order, each mapped to itself so that
+    # a key of w equal to a column is read as that column
+    columns = {a: a for s in range(t + 1) for a in enumerate_dyck(s)}
     violated: list[str] = []
     failed: set[str] = set()
 
@@ -304,54 +324,63 @@ def verify_lp_certificates(
             fail("primal", f"support: w[{a}] indexed by a non-Dyck sequence")
         if val < 0:
             fail("primal", f"nonnegativity: w[{a}] = {val} < 0")
-    if any(v < 0 for v in y):
+    if any(v < 0 for v in y_int):
         fail("dual", "nonnegativity: some y_r < 0")
 
-    def wval(a: tuple[int, ...]) -> Fraction:
-        return w.get(a, Fraction(0))
+    def primal_sums(keys) -> tuple[list[int], int]:
+        """M w over w_den and f^T w over den·w_den, summed over the columns
+        among ``keys`` that carry a value in w."""
+        m_w = [0] * (t + 1)
+        f_w = 0
+        for a in keys:
+            val = w.get(a)
+            if val is None:
+                continue
+            scaled = val.numerator * (w_den // val.denominator)
+            rows, obj = _column(t, a, g_num, den)
+            for r, c in rows:
+                m_w[r] += c * scaled
+            f_w += obj * scaled
+        return m_w, f_w
+
+    def dual_slack(a: tuple[int, ...]) -> int:
+        """(M^T y - f)[a] times den."""
+        rows, obj = _column(t, a, g_num, den)
+        return sum(c * y_int[r] for r, c in rows) - obj
 
     # primal constraints: row 0 is w_() >= 1, rows r >= 1 are <=-inequalities
-    row_sums = []
-    for row in range(t + 1):
-        row_sums.append(sum(_column_coefficient(t, row, a) * wval(a) for a in columns))
-    if not row_sums[0] <= -1:
+    row_sums, primal_obj = primal_sums(columns[a] for a in w if a in columns)
+    if not row_sums[0] <= -w_den:
         fail("primal", "(*_0): w_() >= 1 fails")
     for row in range(1, t + 1):
         if not row_sums[row] <= 0:
-            fail("primal", f"(*_{row}): primal constraint violated by {row_sums[row]}")
-
-    primal_obj = sum(_objective_coefficient(t, a) * wval(a) for a in columns)
+            fail("primal", f"(*_{row}): primal constraint violated by {Fraction(row_sums[row], w_den)}")
     if primal_obj != 0:
-        fail("primal", f"objective: primal value {primal_obj} != 0")
+        fail("primal", f"objective: primal value {Fraction(primal_obj, den * w_den)} != 0")
 
     # dual feasibility: M^T y >= f over every Dyck column
     for a in columns:
-        lhs = sum(_column_coefficient(t, row, a) * y[row] for row in range(t + 1))
-        if not lhs >= _objective_coefficient(t, a):
+        if dual_slack(a) < 0:
             fail("dual", f"(star_{a}): dual constraint violated")
-    if y[0] != 0:
+    if y_int[0] != 0:
         fail("dual", f"dual objective: -y_0 = {-y[0]} != 0")
-    if t >= 1 and not (Fraction(5, 2) > y[1] == g / 2):
+    if not 5 * den > 2 * y_int[1] == g_num:
         fail("dual", "chain: y_1 != gamma/2 or y_1 >= 5/2")
     for r in range(1, t):
-        if not y[r] > y[r + 1]:
+        if not y_int[r] > y_int[r + 1]:
             fail("dual", f"chain: y_{r} <= y_{r + 1}")
-    if y[t] != 1:
+    if y_int[t] != den:
         fail("dual", f"chain: y_t = {y[t]} != 1")
 
     # support-matrix identities
     support = [(1,) * s for s in range(t)] + [(1,) + (0,) * (t - 1)]
-    m_w = [
-        sum(_column_coefficient(t, row, a) * wval(a) for a in support) for row in range(t + 1)
-    ]
-    if m_w != [Fraction(-1)] + [Fraction(0)] * t:
+    m_w, f_w = primal_sums(support)
+    if m_w != [-w_den] + [0] * t:
         fail("identities", "identity: M w != (-1, 0, ..., 0)")
     for a in support:
-        lhs = sum(_column_coefficient(t, row, a) * y[row] for row in range(t + 1))
-        if lhs != _objective_coefficient(t, a):
+        if dual_slack(a) != 0:
             fail("identities", f"identity: (M^T y)[{a}] != f[{a}]")
-    f_w = sum(_objective_coefficient(t, a) * wval(a) for a in support)
-    if not f_w == -y[0] == 0:
+    if not f_w == 0 == y_int[0]:
         fail("identities", "identity: f^T w != -y_0 or != 0")
 
     return {

@@ -203,6 +203,16 @@ def test_internal_error_exits_four(capsys, monkeypatch, exc):
     assert f"internal error: {type(exc).__name__}" in capsys.readouterr().err
 
 
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    assert cli.main(["verify", "lp", "--t", "2"]) == cli.EXIT_OK
+    assert cli.main(["verify", "lp", "--format", "json"]) == cli.EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the second parse starts from the defaults, not from the first one's --t
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["t"] == 3
+
+
 def test_exit_code_values():
     codes = (
         cli.EXIT_OK,

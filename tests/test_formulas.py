@@ -454,6 +454,14 @@ def test_support_tools_builds_one_table_walk(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_support_tools_honours_a_raised_limit():
+    supp, _, stree, _ = F.support_tools(F.dm_lit(3), 17, limit=20)
+    assert supp == from_edges([3])
+    assert stree.graph == supp
+    with pytest.raises(ResourceLimitError, match="17 variables exceeds the 2\\^16 table limit"):
+        F.support_tools(F.dm_lit(3), 17)
+
+
 def test_restriction_neutralizes_out_of_graph_literals():
     g = F.dm_and(F.dm_lit(1), F.dm_lit(2, neg=True))
     restricted = F.dm_restrict(g, from_edges([1]))

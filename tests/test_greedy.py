@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -41,6 +42,48 @@ def test_greedy_order_passes_checker():
         ordered = greedy.greedy_order(fam, base)
         assert sorted(ordered) == sorted(fam)
         assert greedy.is_vec_delta_greedy(ordered, base)
+
+
+def _reference_greedy_order(family, base=EMPTY):
+    """The max-scan greedy: every round re-measures every remaining member and
+    takes the largest increment, the smallest index in sorted order on ties."""
+    remaining = sorted(family)
+    out = []
+    acc = base
+    while remaining:
+        best_idx = max(range(len(remaining)), key=lambda i: (remaining[i].ominus(acc).delta, -i))
+        g = remaining.pop(best_idx)
+        out.append(g)
+        acc = acc.union(g)
+    return out
+
+
+def test_lazy_greedy_order_matches_the_max_scan():
+    rng = random.Random(12)
+    seen = set()
+    for case in range(520):
+        if case % 4 == 0:
+            fam = samples.random_unit_covering(rng, rng.randint(2, 24))
+        else:
+            fam = [samples.random_pathgraph(rng, 0, 14) for _ in range(rng.randint(0, 9))]
+        if fam and rng.random() < 0.3:
+            fam += rng.sample(fam, rng.randint(1, len(fam)))
+        if rng.random() < 0.2:
+            fam.append(EMPTY)
+        base = samples.random_pathgraph(rng, 0, 14, max_comps=2) if rng.random() < 0.6 else EMPTY
+        incs = sorted((g.ominus(base).delta for g in fam), reverse=True)
+        seen.update(
+            kind
+            for kind, hit in (
+                ("base", bool(base)),
+                ("repeat", len(set(fam)) < len(fam)),
+                ("empty", EMPTY in fam),
+                ("tie", len(incs) > 1 and incs[0] == incs[1]),
+            )
+            if hit
+        )
+        assert greedy.greedy_order(fam, base) == _reference_greedy_order(fam, base), case
+    assert seen == {"base", "repeat", "empty", "tie"}
 
 
 def test_greedy_order_on_single_edges():
@@ -204,6 +247,185 @@ def test_every_unit_perturbation_is_caught():
         y = list(base_y)
         y[r] += 1
         assert not greedy.verify_lp_certificates(t, y=y)["ok"], ("y", r)
+
+
+def _reference_column_coefficient(t, row, a):
+    """Coefficient of the Dyck-sequence column ``a`` in constraint row
+    ``row`` of the standard-form system (rows 0..t)."""
+    s = len(a)
+    if row == 0:
+        return Fraction(-1) if s == 0 else Fraction(0)
+    coef = Fraction(0)
+    if row <= s:
+        coef += a[s - row]  # a_{s-row+1} with 1-based indexing
+    if row == s + 1:
+        coef -= sum(a) + 2 * (t - s)
+    return coef
+
+
+def _reference_objective_coefficient(t, a):
+    return Fraction(sum(a)) - (t - len(a)) * greedy.gamma(t)
+
+
+def _reference_verify_lp(t, w=None, y=None):
+    """The dense checker: every (row, column) pair in Fractions."""
+    col = _reference_column_coefficient
+    obj = _reference_objective_coefficient
+    g = greedy.gamma(t)
+    w = dict(greedy.certificate_w(t)) if w is None else dict(w)
+    y = greedy.certificate_y(t) if y is None else list(y)
+    columns = [a for s in range(t + 1) for a in greedy.enumerate_dyck(s)]
+    violated = []
+    failed = set()
+
+    def fail(part, message):
+        violated.append(message)
+        failed.add(part)
+
+    for a, val in w.items():
+        if not greedy.is_dyck(a):
+            fail("primal", f"support: w[{a}] indexed by a non-Dyck sequence")
+        if val < 0:
+            fail("primal", f"nonnegativity: w[{a}] = {val} < 0")
+    if any(v < 0 for v in y):
+        fail("dual", "nonnegativity: some y_r < 0")
+
+    def wval(a):
+        return w.get(a, Fraction(0))
+
+    row_sums = [sum(col(t, row, a) * wval(a) for a in columns) for row in range(t + 1)]
+    if not row_sums[0] <= -1:
+        fail("primal", "(*_0): w_() >= 1 fails")
+    for row in range(1, t + 1):
+        if not row_sums[row] <= 0:
+            fail("primal", f"(*_{row}): primal constraint violated by {row_sums[row]}")
+    primal_obj = sum(obj(t, a) * wval(a) for a in columns)
+    if primal_obj != 0:
+        fail("primal", f"objective: primal value {primal_obj} != 0")
+
+    for a in columns:
+        lhs = sum(col(t, row, a) * y[row] for row in range(t + 1))
+        if not lhs >= obj(t, a):
+            fail("dual", f"(star_{a}): dual constraint violated")
+    if y[0] != 0:
+        fail("dual", f"dual objective: -y_0 = {-y[0]} != 0")
+    if t >= 1 and not (Fraction(5, 2) > y[1] == g / 2):
+        fail("dual", "chain: y_1 != gamma/2 or y_1 >= 5/2")
+    for r in range(1, t):
+        if not y[r] > y[r + 1]:
+            fail("dual", f"chain: y_{r} <= y_{r + 1}")
+    if y[t] != 1:
+        fail("dual", f"chain: y_t = {y[t]} != 1")
+
+    support = [(1,) * s for s in range(t)] + [(1,) + (0,) * (t - 1)]
+    m_w = [sum(col(t, row, a) * wval(a) for a in support) for row in range(t + 1)]
+    if m_w != [Fraction(-1)] + [Fraction(0)] * t:
+        fail("identities", "identity: M w != (-1, 0, ..., 0)")
+    for a in support:
+        lhs = sum(col(t, row, a) * y[row] for row in range(t + 1))
+        if lhs != obj(t, a):
+            fail("identities", f"identity: (M^T y)[{a}] != f[{a}]")
+    f_w = sum(obj(t, a) * wval(a) for a in support)
+    if not f_w == -y[0] == 0:
+        fail("identities", "identity: f^T w != -y_0 or != 0")
+
+    return {
+        "t": t,
+        "gamma": str(g),
+        "primal_ok": "primal" not in failed,
+        "dual_ok": "dual" not in failed,
+        "identities_ok": "identities" not in failed,
+        "violated": violated,
+        "ok": not violated,
+    }
+
+
+def _t8_primal_ray():
+    """ROADMAP item 1: a nonnegative Dyck-supported w that meets every primal
+    row at t = 8 with objective 8/9 > 0, so the primal is unbounded."""
+    w = {(): 3}
+    w.update({(1,) * s: 8 for s in range(1, 7)})
+    w[(1, 1, 1, 1, 1, 1, 0)] = 80
+    w[(1, 0, 0, 0, 0, 0, 0, 0)] = 640
+    return w
+
+
+_LP_EPS = (1, -1, Fraction(1, 7), Fraction(-3, 11), Fraction(1, 90), Fraction(-1, 13))
+# cases per t: the dense oracle takes about 1 s a call at t = 8
+_LP_CASES = {1: 130, 2: 140, 3: 130, 4: 80, 5: 30, 6: 8, 7: 2, 8: 2}
+
+
+def _integral_as_int(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+def _perturbed_certificates(rng, t, seen):
+    """Certificates with one to three seeded changes; ``seen`` collects the
+    kinds of change."""
+    w = dict(greedy.certificate_w(t))
+    y = greedy.certificate_y(t)
+    columns = [a for s in range(t + 1) for a in greedy.enumerate_dyck(s)]
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(
+            ["w_eps", "w_int", "w_neg", "non_dyck", "too_long", "drop_empty", "new_column",
+             "y_eps", "y_int", "y_neg", "y_noise", "default"]
+        )
+        seen.add(kind)
+        if kind == "w_eps" and w:
+            key = rng.choice(sorted(w))
+            w[key] += rng.choice(_LP_EPS)
+        elif kind == "w_int":
+            w = {a: _integral_as_int(v) for a, v in w.items()}
+        elif kind == "w_neg" and w:
+            w[rng.choice(sorted(w))] = -abs(rng.choice(_LP_EPS))
+        elif kind == "non_dyck":
+            w[rng.choice([(2,), (0, 3), (1, 2), (3, 0, 0)])] = rng.choice(_LP_EPS)
+        elif kind == "too_long":
+            w[rng.choice([(0,), (1,)]) * (t + 1)] = rng.choice([1, 5, Fraction(1, 90)])
+        elif kind == "drop_empty":
+            w.pop((), None)
+        elif kind == "new_column":
+            w[rng.choice(columns)] = rng.choice([1, 2, 7, Fraction(1, 7), Fraction(1, 13)])
+        elif kind == "y_eps":
+            y[rng.randrange(t + 1)] += rng.choice(_LP_EPS)
+        elif kind == "y_int":
+            y = [_integral_as_int(v) for v in y]
+        elif kind == "y_neg":
+            y[rng.randrange(t + 1)] = -abs(rng.choice(_LP_EPS))
+        elif kind == "y_noise":
+            y = [v + rng.choice(_LP_EPS) for v in y]
+    return w, y
+
+
+def test_integer_lp_checker_matches_the_fraction_oracle():
+    rng = random.Random(31)
+    seen = set()
+    for t, cases in _LP_CASES.items():
+        for case in range(cases):
+            if case == 0:
+                w, y = (_t8_primal_ray(), None) if t == 8 else (None, None)
+            elif case <= t + 1 and t <= 5:
+                # each y_r alone
+                w, y = None, greedy.certificate_y(t)
+                y[case - 1] += _LP_EPS[case % len(_LP_EPS)]
+            else:
+                w, y = _perturbed_certificates(rng, t, seen)
+            got = greedy.verify_lp_certificates(t, w=w, y=y)
+            want = _reference_verify_lp(t, w=w, y=y)
+            assert json.dumps(got) == json.dumps(want), (t, w, y)
+    assert seen == {
+        "w_eps", "w_int", "w_neg", "non_dyck", "too_long", "drop_empty", "new_column",
+        "y_eps", "y_int", "y_neg", "y_noise", "default",
+    }
+
+
+def test_t8_primal_ray_fails_only_the_objective():
+    # pinned as found, not mended: the ray meets rows 0..8 and leaves the
+    # objective at 8/9, so no dual can exist at t = 8 in this encoding
+    report = greedy.verify_lp_certificates(8, w=_t8_primal_ray())
+    assert not report["primal_ok"]
+    primal = [v for v in report["violated"] if v.startswith(("support", "nonnegativity: w", "(*_", "objective"))]
+    assert primal == ["objective: primal value 8/9 != 0"]
 
 
 # -- ratio checks ---------------------------------------------------------------------
