@@ -1,15 +1,23 @@
 """Time the two exact optimum searches: the subset DP behind the ordering
 oracle and the block DP of the shift optimum.
 
-The subset DP sweep times both bodies of ``_kernels.max_ordering_value`` (the
-plain-integer loop and the layered numpy DP) and the entry point itself on
-the m single edges of a path (optimum ceil(m/2)), for each m.  The m where
-the loop stops winning is the crossover ``_kernels.SMALL_M`` rests on.  The
-loop's time doubles and more with each member, so it is timed only up to
-``PY_MAX_M``.  Above ``SMALL_M`` the entry reduces the path of edges to
-nothing before any DP runs, so its column times the reductions alone; the
-clique column runs the entry on m members that all share one vertex
-(optimum 1), which nothing reduces, so it times one DP on all m members.
+The subset DP sweep times the three bodies of ``_kernels.max_ordering_value``
+(the plain-integer loop, the per-layer gather and the layered numpy DP) and
+the entry point itself on the m single edges of a path (optimum ceil(m/2)),
+for each m, and prints the two crossovers: the m from which the gather beats
+the loop (``_kernels.PY_M`` rests on it) and the m from which the layered DP
+beats the gather, if any (``_kernels.SMALL_M`` caps the gather's cached
+layouts, not a crossover).  The loop's time doubles and more with each
+member, so it is timed only up to ``PY_MAX_M``; the gather caches a layout
+per m, so it is timed only up to ``SMALL_M`` + 2.  Above
+``SMALL_M`` the entry reduces the path of edges to nothing before any DP
+runs, so its column times the reductions alone; the clique column runs the
+entry on m members that all share one vertex (optimum 1), which nothing
+reduces, so it times one DP on all m members.
+
+The Psi table times ``jointrees.psi`` on the tight trees of ``TIGHT_TREES``,
+built afresh outside the timed region (Psi is cached on a tree), and checks
+each value against the plain-integer loop on every distinct branch covering.
 
 The shift optimum ``shifts.best_shift`` is timed on the m single edges of a
 path (optimum ceil(m/2) as well), for each m.
@@ -36,7 +44,8 @@ The LP table times ``greedy.verify_lp_certificates(t)`` on the closed-form
 certificates for each t, and checks that they verify for t <= 7 and that
 t = 8 reports exactly its one known dual violation (ROADMAP item 1).
 
-Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--shift-m 8..25]
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--tight II,9,1 II,16,2 I,16,2]
+                 [--shift-m 8..25]
                  [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30]
                  [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--lp-t 1..8] [--repeat 3]
 """
@@ -48,11 +57,14 @@ import random
 import time
 from itertools import product
 
-from pathlab import _kernels, formulas, greedy, relations, samples, shifts, witnesses
+from pathlab import _kernels, formulas, greedy, jointrees, relations, samples, shifts, witnesses
 from pathlab.paths import EMPTY, PathGraph, full_path, single_edge, union_all, vec_measures
 
 # largest m the plain-integer loop is timed at (14 takes about 0.1 s a call)
 PY_MAX_M = 14
+# (kind, k, d) of the tight trees whose Psi is timed: II (9, 1) has 128
+# distinct branch coverings of 9 members that nothing reduces
+TIGHT_TREES = (("II", 9, 1), ("II", 16, 2), ("I", 16, 2))
 # largest m whose shift optimum is also checked against every permutation
 ENUM_MAX_M = 12
 PATHS_SEED = 2024
@@ -98,6 +110,8 @@ def bench_subset_dp(m: int, repeat: int) -> dict:
     bodies = {"numpy": _kernels._max_ordering_np, "entry": _kernels.max_ordering_value}
     if m <= PY_MAX_M:
         bodies["python"] = _kernels._max_ordering_py
+    if m <= _kernels.SMALL_M + 2:
+        bodies["gather"] = _kernels._max_ordering_gather
     rows = {}
     for name, fn in bodies.items():
         rows[name], got = _per_call(fn, conflicts, repeat)
@@ -105,6 +119,30 @@ def bench_subset_dp(m: int, repeat: int) -> dict:
     rows["clique"], got = _per_call(_kernels.max_ordering_value, _clique_conflicts(m), repeat)
     assert got == 1, ("clique", m, got)
     return rows
+
+
+def _crossover(sweep: dict, small: str, large: str) -> str:
+    """The least m from which body ``large`` is faster than ``small`` at
+    every m the sweep timed both at."""
+    both = sorted(m for m, rows in sweep.items() if small in rows and large in rows)
+    losing = [m for m in both if sweep[m][large] >= sweep[m][small]]
+    rest = [m for m in both if not losing or m > losing[-1]]
+    if rest:
+        return f"from m = {rest[0]}"
+    return f"at no m up to {both[-1]}" if both else "(not timed)"
+
+
+def bench_psi(kind: str, k: int, d: int, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        tree = jointrees.build_tight(kind, k, d)
+        t0 = time.perf_counter()
+        value = jointrees.psi(tree)
+        best = min(best, time.perf_counter() - t0)
+    coverings = jointrees.branch_coverings(tree)
+    want = max(_kernels._max_ordering_py(jointrees._conflict_masks(sorted(c))) for c in coverings)
+    assert value == want, (kind, k, d, value, want)
+    return best
 
 
 def bench_best_shift(m: int, repeat: int) -> float:
@@ -224,6 +262,7 @@ def _ms(seconds: float | None) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--dp-m", type=int, nargs="*", default=list(range(2, 23)))
+    parser.add_argument("--tight", nargs="*", default=[f"{kd},{k},{d}" for kd, k, d in TIGHT_TREES])
     parser.add_argument("--shift-m", type=int, nargs="*", default=list(range(8, 26)))
     parser.add_argument("--paths-m", type=int, nargs="*", default=[8, 12, 16, 24, 32])
     parser.add_argument("--witness-k", type=int, nargs="*", default=[6, 14, 22, 30])
@@ -233,13 +272,24 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     if args.dp_m:
-        print(f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.SMALL_M}")
-        print(f"{'m':>4}{'python':>12}{'numpy':>12}{'entry':>12}{'clique':>12}{'python/numpy':>14}")
-    for m in args.dp_m:
-        rows = bench_subset_dp(m, args.repeat)
-        py, npy = rows.get("python"), rows["numpy"]
-        ratio = f"{py / npy:14.2f}" if py is not None else f"{'--':>14}"
-        print(f"{m:>4}{_ms(py)}{_ms(npy)}{_ms(rows['entry'])}{_ms(rows['clique'])}{ratio}")
+        print(
+            f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.PY_M}, "
+            f"the gather for m <= {_kernels.SMALL_M} and the numpy layers above"
+        )
+        print(f"{'m':>4}{'python':>12}{'gather':>12}{'numpy':>12}{'entry':>12}{'clique':>12}")
+        sweep = {}
+        for m in args.dp_m:
+            rows = sweep[m] = bench_subset_dp(m, args.repeat)
+            cells = "".join(_ms(rows.get(name)) for name in ("python", "gather", "numpy", "entry", "clique"))
+            print(f"{m:>4}{cells}")
+        print(f"gather faster than python {_crossover(sweep, 'python', 'gather')} (PY_M = {_kernels.PY_M})")
+        print(f"numpy faster than gather {_crossover(sweep, 'gather', 'numpy')} (SMALL_M = {_kernels.SMALL_M})")
+    if args.tight:
+        print("\nPsi of the tight trees, ms per call")
+        print(f"{'tree':>10}{'psi':>12}")
+        for spec in args.tight:
+            kind, k, d = spec.split(",")
+            print(f"{spec:>10}{_ms(bench_psi(kind, int(k), int(d), args.repeat))}")
     if args.shift_m:
         print("\nshift optimum (block DP), ms per call")
         print(f"{'m':>4}{'best_shift':>12}")

@@ -320,10 +320,14 @@ def _variable_columns(varlist: Sequence) -> tuple[Callable, int]:
     return column, (1 << (1 << nv)) - 1
 
 
-def truth_table(phi, varlist: Sequence, nvars_limit: int = 24) -> int:
-    """Packed truth table of the formula over the given variable order."""
+def _check_nvars(varlist: Sequence, nvars_limit: int) -> None:
     if len(varlist) > nvars_limit:
         raise ResourceLimitError(f"{len(varlist)} variables exceeds truth-table limit {nvars_limit}")
+
+
+def truth_table(phi, varlist: Sequence, nvars_limit: int = 24) -> int:
+    """Packed truth table of the formula over the given variable order."""
+    _check_nvars(varlist, nvars_limit)
     return _Walker(*_variable_columns(varlist))(phi)
 
 
@@ -509,7 +513,10 @@ def oracle_table(n: int, k: int, varlist: Sequence, a0: int = 1, ak: int = 1) ->
 def valid_mask(n: int, k: int, varlist: Sequence, rows_only: bool = False) -> int:
     """Packed mask of the inputs where every matrix has at most one 1 per row
     (and per column unless ``rows_only``)."""
-    column, full = _variable_columns(varlist)
+    return _valid_mask(*_variable_columns(varlist), n, k, rows_only)
+
+
+def _valid_mask(column: Callable, full: int, n: int, k: int, rows_only: bool) -> int:
     mask = full
     for i in range(1, k + 1):
         for a in range(1, n + 1):
@@ -551,18 +558,17 @@ def check_formula_correct(
     """
     if mode == "exhaustive":
         varlist = matrix_varlist(n, k)
-        f_table = truth_table(phi, varlist, nvars_limit=nvars_limit)
-        o_table = oracle_table(n, k, varlist, a0, ak)
-        nv = len(varlist)
-        full = (1 << (1 << nv)) - 1
+        _check_nvars(varlist, nvars_limit)
+        # one set of variable columns serves the formula, the oracle and the mask
+        column, full = _variable_columns(varlist)
+        f_table = _Walker(column, full)(phi)
+        o_table = bmm_table(column, full, n, k, a0, ak)
         if input_class == "any":
             mask = full
-        elif input_class == "rows":
-            mask = valid_mask(n, k, varlist, rows_only=True)
         else:
-            mask = valid_mask(n, k, varlist)
+            mask = _valid_mask(column, full, n, k, rows_only=input_class == "rows")
         diff = (f_table ^ o_table) & mask
-        checked = bin(mask).count("1")
+        checked = mask.bit_count()
         if diff:
             idx = (diff & -diff).bit_length() - 1
             bad = _decode_input(idx, n, k, varlist)

@@ -303,6 +303,8 @@ def verify_lp_certificates(
     g = gamma(t)
     w = certificate_w(t) if w is None else {a: Fraction(v) for a, v in w.items()}
     y = certificate_y(t) if y is None else [Fraction(v) for v in y]
+    if len(y) != t + 1:
+        raise InvalidParameterError(f"y has {len(y)} entries; t={t} needs t + 1 = {t + 1}")
     den = lcm(g.denominator, *(v.denominator for v in y))
     y_int = [v.numerator * (den // v.denominator) for v in y]
     g_num = g.numerator * (den // g.denominator)

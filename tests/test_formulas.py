@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import collections
+import json
 import math
+import pathlib
 import random
 
 import pytest
@@ -99,6 +101,33 @@ def test_conjunctive_form_needs_column_constraint():
     assert not report["ok"]
     ce = report["counterexample"]
     assert ce["formula"] == 1 and ce["oracle"] == 0
+
+
+# (ok, checked) and the counterexample of every exhaustive check of D and C at
+# n = 2, k = 3..5, for every endpoint pair and input class
+CHECK_GOLDENS = json.loads((pathlib.Path(__file__).resolve().parent / "formula_check_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("kind,k", [(kind, k) for kind in ("D", "C") for k in (3, 4, 5)])
+def test_exhaustive_checks_match_goldens(kind, k):
+    cases = [g for g in CHECK_GOLDENS if g["kind"] == kind and g["k"] == k]
+    assert len(cases) == 12
+    for g in cases:
+        phi = F.build_matrix_formula(kind, 2, k, a0=g["a0"], ak=g["ak"])
+        report = F.check_formula_correct(phi, 2, k, input_class=g["input_class"], a0=g["a0"], ak=g["ak"])
+        assert json.loads(json.dumps(report)) == g["report"], g
+
+
+def test_exhaustive_check_refuses_before_building_columns(monkeypatch):
+    def no_columns(varlist):
+        raise AssertionError("columns built")
+
+    monkeypatch.setattr(F, "_variable_columns", no_columns)
+    d = F.build_matrix_formula("D", 2, 5)
+    with pytest.raises(ResourceLimitError, match="^20 variables exceeds truth-table limit 19$"):
+        F.check_formula_correct(d, 2, 5, nvars_limit=19)
+    with pytest.raises(ResourceLimitError, match="^20 variables exceeds truth-table limit 19$"):
+        F.truth_table(d, F.matrix_varlist(2, 5), nvars_limit=19)
 
 
 def test_recursive_kinds_exhaustive():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pathlab import greedy, samples
-from pathlab.errors import NotGreedyError, ResourceLimitError
+from pathlab.errors import InvalidParameterError, NotGreedyError, ResourceLimitError
 from pathlab.paths import (
     EMPTY,
     from_edges,
@@ -232,6 +232,14 @@ def test_negative_dual_entry_is_a_dual_violation():
     report = greedy.verify_lp_certificates(3, y=y)
     assert "nonnegativity: some y_r < 0" in report["violated"]
     assert report["primal_ok"] and not report["dual_ok"]
+
+
+@pytest.mark.parametrize("y", [[0, 1], [0, 2, 1, 1, 1]])
+def test_dual_of_the_wrong_length_is_refused(y):
+    # t = 3 needs y_0..y_3: a shorter y used to raise IndexError, a longer
+    # one gave a silent ok: False
+    with pytest.raises(InvalidParameterError, match="t=3 needs t \\+ 1 = 4"):
+        greedy.verify_lp_certificates(3, y=y)
 
 
 def test_every_unit_perturbation_is_caught():

@@ -171,7 +171,7 @@ def test_dp_counts_past_int8():
     assert _kernels._max_ordering_np(jt._conflict_masks(seq)) == 11 * 20
 
 
-@pytest.mark.parametrize("m", range(8, 15))
+@pytest.mark.parametrize("m", range(_kernels.PY_M - 1, 15))
 def test_dp_bodies_agree_across_crossover(m):
     # arbitrary asymmetric masks; above SMALL_M the entry reduces first
     rng = random.Random(m)
@@ -182,7 +182,76 @@ def test_dp_bodies_agree_across_crossover(m):
         want = _kernels._max_ordering_np(conflicts)
         if m <= 12:  # the loop's time doubles with each member
             assert _kernels._max_ordering_py(conflicts) == want
+            assert _kernels._max_ordering_gather(conflicts) == want
         assert _kernels.max_ordering_value(conflicts) == want
+
+
+def _seeded_conflicts(rng, m):
+    """Masks that reach every corner of the DP bodies: members with no
+    component, zero masks, repeated masks and, when m > 0, one member with
+    130 components (past int8)."""
+    conflicts = []
+    for j in range(m):
+        masks = [rng.getrandbits(m) & ~(1 << j) for _ in range(rng.randint(0, 4))]
+        if masks and rng.random() < 0.3:
+            masks += [masks[0]] * rng.randint(1, 3)
+        if rng.random() < 0.2:
+            masks.append(0)
+        conflicts.append(masks)
+    if m:
+        j = rng.randrange(m)
+        conflicts[j] += [rng.getrandbits(m) & ~(1 << j) for _ in range(130)]
+    return conflicts
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_three_dp_bodies_and_the_entry_agree(m):
+    rng = random.Random(f"bodies:{m}")
+    for _ in range(6):
+        conflicts = _seeded_conflicts(rng, m)
+        want = _kernels._max_ordering_py(conflicts)
+        assert _kernels._max_ordering_gather(conflicts) == want
+        assert _kernels._max_ordering_np(conflicts) == want
+        assert _kernels.max_ordering_value(conflicts) == want
+    # no member has a component
+    assert _kernels._max_ordering_gather([[] for _ in range(m)]) == 0
+    # every component counts in every ordering
+    zeros = [[0] * 3 for _ in range(m)]
+    assert _kernels._max_ordering_gather(zeros) == _kernels.max_ordering_value(zeros) == 3 * m
+
+
+@pytest.mark.parametrize("spec", [("II", 9, 1), ("II", 16, 2), ("I", 16, 2)])
+def test_gather_on_every_tight_tree_covering(spec):
+    coverings = jt.branch_coverings(jt.build_tight(*spec))
+    sizes = set()
+    for cov in coverings:
+        conflicts = jt._conflict_masks(sorted(cov))
+        sizes.add(len(conflicts))
+        want = _kernels._max_ordering_py(conflicts)
+        assert _kernels._max_ordering_gather(conflicts) == want
+        assert _kernels.max_ordering_value(conflicts) == want
+    assert max(sizes) > _kernels.PY_M
+
+
+def test_gather_layouts_are_cached_only_between_the_crossovers():
+    assert 0 < _kernels.PY_M < _kernels.SMALL_M
+    _kernels._gather_layout.cache_clear()
+    rng = random.Random(11)
+    outside = [m for m in range(17) if not _kernels.PY_M < m <= _kernels.SMALL_M]
+    for m in outside:
+        # the clique is irreducible, so above SMALL_M it runs one DP on all m
+        clique = [[((1 << m) - 1) ^ (1 << j)] for j in range(m)]
+        assert _kernels.max_ordering_value(clique) == min(m, 1)
+        if m <= _kernels.PY_M:
+            _kernels.max_ordering_value(_seeded_conflicts(rng, m))
+    assert _kernels._gather_layout.cache_info().currsize == 0
+    for m in range(_kernels.PY_M + 1, _kernels.SMALL_M + 1):
+        _kernels.max_ordering_value(_seeded_conflicts(rng, m))
+    assert _kernels._gather_layout.cache_info().currsize == _kernels.SMALL_M - _kernels.PY_M
+    # the entry reduces coverings above SMALL_M into parts of any size
+    for _ in range(40):
+        _kernels.max_ordering_value(_seeded_conflicts(rng, _kernels.SMALL_M + 2))
+    assert _kernels._gather_layout.cache_info().currsize == _kernels.SMALL_M - _kernels.PY_M
 
 
 def test_numpy_body_on_single_edges():
