@@ -44,17 +44,36 @@ The LP table times ``greedy.verify_lp_certificates(t)`` on the closed-form
 certificates for each t, and checks that they verify for t <= 7 and that
 t = 8 reports exactly its one known dual violation (ROADMAP item 1).
 
+The pathset table times ``relations.is_pathset`` on ``PATHSET_RELATIONS``
+seeded relations per (n, k): random graphs of up to three components in
+Path_k with at most ``PATHSET_MAX_TUPLES`` assignments, at densities 0.05,
+0.2 and 0.5, and checks each verdict against a rational recomputation that
+walks all 2^k subgraphs F of Path_k.  The chi row times
+``relations.chi_decomposition_cost`` at (n, k) = (2, 3) on the D formula,
+converted right-deep, under ``CHI_CASES`` seeded restrictions, each on a
+seeded strict tree of Path_3, and checks each cost against the
+ntilde^Psi * mu floor of the tree-shaped minterm subset.
+
+The sampled-conversion row times ``formulas.randomized_conversion_value``
+and ``formulas.randomized_conversion`` on Sigma_I (n, k, d) = (2, 4, 1) at
+t = round(log2(size)^2) over ``SAMPLED_SEEDS`` seeds, and checks that each
+value equals the materialised sample evaluated on the same input.
+
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--tight II,9,1 II,16,2 I,16,2]
                  [--shift-m 8..25]
                  [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30]
-                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--lp-t 1..8] [--repeat 3]
+                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--lp-t 1..8]
+                 [--pathset-k 2..8] [--pathset-n 2 3] [--no-chi] [--no-sampled]
+                 [--repeat 3]
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 from pathlab import _kernels, formulas, greedy, jointrees, relations, samples, shifts, witnesses
@@ -84,6 +103,11 @@ WITNESSES = (
 )
 # the one dual constraint the closed-form certificates miss at t = 8
 LP_T8_VIOLATION = "(star_(1, 1, 1, 1, 1, 1, 0)): dual constraint violated"
+PATHSET_SEED = 7331
+PATHSET_RELATIONS = 30
+PATHSET_MAX_TUPLES = 2048
+CHI_CASES = 20
+SAMPLED_SEEDS = 20
 
 def _single_edge_conflicts(m: int) -> list[list[int]]:
     """Edge j conflicts with edges j-1 and j+1."""
@@ -255,6 +279,76 @@ def bench_lp(t: int, repeat: int) -> float:
     return seconds
 
 
+def _rational_is_pathset(a: relations.Relation, n: int, k: int) -> bool:
+    """mu(A | F)^k <= n^(-(k-1) delta(G - F)) for every F of the 2^k
+    subgraphs of Path_k, in rationals, counting each conditional density
+    from the assignments."""
+    for f in relations.subgraphs_of_path(k):
+        shared = [v for v in a.verts if f.has_vertex(v)]
+        counts: dict[tuple, int] = {}
+        for x in a.assignments():
+            key = tuple(x[v] for v in shared)
+            counts[key] = counts.get(key, 0) + 1
+        mu = Fraction(max(counts.values(), default=0), n ** (len(a.verts) - len(shared)))
+        if mu**k > Fraction(1, n ** ((k - 1) * a.graph.ominus(f).delta)):
+            return False
+    return True
+
+
+def bench_pathset(n: int, k: int, repeat: int) -> tuple[float, int]:
+    """Mean seconds per ``is_pathset`` call and the number of pathsets."""
+    rng = random.Random(f"{PATHSET_SEED}:{n}:{k}")
+    rels = []
+    while len(rels) < PATHSET_RELATIONS:
+        g = samples.random_pathgraph(rng, 0, k, max_comps=3)
+        if g and n**g.num_vertices <= PATHSET_MAX_TUPLES:
+            rels.append(samples.random_relation(rng, g, n, rng.choice([0.05, 0.2, 0.5])))
+    params = relations.PathsetParams(n, k)
+    seconds, got = _per_call_over(lambda a: relations.is_pathset(a, params), rels, repeat)
+    for a, verdict in zip(rels, got):
+        assert verdict == _rational_is_pathset(a, n, k), (n, k, a)
+    return seconds, sum(got)
+
+
+def _substitute_ones(g, edges):
+    """g with every literal on one of ``edges`` replaced by the constant 1."""
+    if g.op == "lit" and g.var in edges:
+        return formulas.dm_const(1)
+    if g.op in ("and", "or"):
+        return formulas.DeMorgan(g.op, _substitute_ones(g.left, edges), _substitute_ones(g.right, edges))
+    return g
+
+
+def bench_chi(repeat: int) -> float:
+    n, k = 2, 3
+    rng = random.Random(f"{PATHSET_SEED}:chi")
+    trees = list(jointrees.enumerate_strict(full_path(k)))
+    dm = formulas.convert(formulas.build_matrix_formula("D", n, k), "right_deep")
+    cases = [
+        (_substitute_ones(dm, relations.sample_xi(n, k, rng.randrange(1 << 20)).xi_edges()), rng.choice(trees))
+        for _ in range(CHI_CASES)
+    ]
+    params = relations.PathsetParams(n, k)
+    seconds, got = _per_call_over(lambda c: relations.chi_decomposition_cost(c[1], None, c[0], params), cases, repeat)
+    for (fx, tree), cost in zip(cases, got):
+        mgt = relations.restricted_minterms(fx, full_path(k), tree, n)
+        assert relations.exceeds_ntilde_bound(cost, params, jointrees.psi(tree), mgt), (tree.pretty(), cost)
+    return seconds
+
+
+def bench_sampled(repeat: int) -> dict:
+    n, k = 2, 4
+    phi = formulas.build_matrix_formula("SigmaI", n, k, 1)
+    t = max(1, round(math.log2(formulas.size(phi)) ** 2))
+    env = formulas.matrix_env(tuple(formulas.random_subperm_matrix(n, random.Random(PATHSET_SEED)) for _ in range(k)))
+    seeds = range(SAMPLED_SEEDS)
+    rows = {}
+    rows["value"], values = _per_call_over(lambda s: formulas.randomized_conversion_value(phi, t, s, env), seeds, repeat)
+    rows["materialize"], samples_ = _per_call_over(lambda s: formulas.randomized_conversion(phi, t, s), seeds, repeat)
+    assert values == [formulas.evaluate(g, env) for g in samples_], "sampled values"
+    return rows
+
+
 def _ms(seconds: float | None) -> str:
     return f"{seconds * 1e3:12.3f}" if seconds is not None else f"{'--':>12}"
 
@@ -269,6 +363,10 @@ def main() -> None:
     parser.add_argument("--minterm-n", type=int, nargs="*", default=[2, 3, 4])
     parser.add_argument("--minterm-k", type=int, nargs="*", default=[2, 3, 4])
     parser.add_argument("--lp-t", type=int, nargs="*", default=list(range(1, 9)))
+    parser.add_argument("--pathset-k", type=int, nargs="*", default=list(range(2, 9)))
+    parser.add_argument("--pathset-n", type=int, nargs="*", default=[2, 3])
+    parser.add_argument("--chi", action=argparse.BooleanOptionalAction, default=True)
+    parser.add_argument("--sampled", action=argparse.BooleanOptionalAction, default=True)
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     if args.dp_m:
@@ -321,6 +419,22 @@ def main() -> None:
         print(f"{'t':>4}{'verify_lp':>12}")
         for t in args.lp_t:
             print(f"{t:>4}{_ms(bench_lp(t, args.repeat))}")
+    if args.pathset_k and args.pathset_n:
+        print(f"\npathset predicate, ms per call over {PATHSET_RELATIONS} relations (seed {PATHSET_SEED}); "
+              "pathsets among them")
+        print(f"{'n':>4}{'k':>4}{'is_pathset':>12}{'pathsets':>10}")
+        for n in args.pathset_n:
+            for k in args.pathset_k:
+                seconds, hits = bench_pathset(n, k, args.repeat)
+                print(f"{n:>4}{k:>4}{_ms(seconds)}{hits:>10}")
+    if args.chi:
+        print(f"\nchi_decomposition_cost at (n, k) = (2, 3), ms per call over {CHI_CASES} restrictions: "
+              f"{_ms(bench_chi(args.repeat)).strip()}")
+    if args.sampled:
+        rows = bench_sampled(args.repeat)
+        print(f"\nsampled conversion of Sigma_I (2, 4, 1), ms per call over {SAMPLED_SEEDS} seeds")
+        print(f"{'value':>12}{'materialize':>12}")
+        print(f"{_ms(rows['value'])}{_ms(rows['materialize'])}")
 
 
 if __name__ == "__main__":

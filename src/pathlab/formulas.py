@@ -657,6 +657,21 @@ def convert(phi: Formula, style: Literal["right_deep", "balanced"]) -> DeMorgan:
     return rec(phi)
 
 
+def _picks(rng: random.Random, m: int, count: int) -> list[int]:
+    """``[rng.randrange(m) for _ in range(count)]``, drawn the way
+    ``randrange`` draws (bit_length(m) random bits, redrawn while >= m), so
+    the stream stays the same without its per-call argument checks."""
+    bits = m.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = draw(bits)
+        while r >= m:
+            r = draw(bits)
+        out.append(r)
+    return out
+
+
 def randomized_conversion(phi: Formula, t: int, seed: int) -> DeMorgan:
     """Sampled balanced conversion: each fan-in-m gate becomes a balanced
     tree of t*m - 1 binary gates over t*m uniformly chosen children, children
@@ -669,8 +684,7 @@ def randomized_conversion(phi: Formula, t: int, seed: int) -> DeMorgan:
         if node.op in ("and", "or"):
             kids = [rec(c) for c in node.children]
             m = len(kids)
-            picks = [rng.randrange(m) for _ in range(t * m)]
-            return _fold_balanced(node.op, [kids[i] for i in picks])
+            return _fold_balanced(node.op, [kids[i] for i in _picks(rng, m, t * m)])
         return _leaf_to_dm(node)
 
     return rec(phi)
@@ -686,8 +700,7 @@ def randomized_conversion_value(phi: Formula, t: int, seed: int, getval: Callabl
         if node.op in ("and", "or"):
             vals = [rec(c) for c in node.children]
             m = len(vals)
-            picks = [rng.randrange(m) for _ in range(t * m)]
-            chosen = [vals[i] for i in picks]
+            chosen = [vals[i] for i in _picks(rng, m, t * m)]
             return min(chosen) if node.op == "and" else max(chosen)
         if node.op == "const":
             return node.value

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import compress, permutations, product
+from operator import itemgetter
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -33,6 +34,10 @@ from .paths import EMPTY, PathGraph, from_edges, full_path, vec_delta
 class PathsetParams:
     n: int
     k: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise InvalidParameterError(f"pathset parameters need n, k >= 1, got n={self.n}, k={self.k}")
 
     @property
     def ntilde_exponent(self) -> Fraction:
@@ -131,18 +136,19 @@ def density(a: Relation, cond: PathGraph | None = None) -> Fraction:
     """mu(A), or the maximum density of A conditioned on a graph."""
     if cond is None or not cond:
         return Fraction(len(a.tuples), a.n ** len(a.verts))
-    free = sum(1 for v in a.verts if not cond.has_vertex(v))
-    return Fraction(_max_conditional_count(a, cond), a.n**free)
+    shared = [i for i, v in enumerate(a.verts) if cond.has_vertex(v)]
+    return Fraction(_max_count(a.tuples, shared), a.n ** (len(a.verts) - len(shared)))
 
 
-def _max_conditional_count(a: Relation, cond: PathGraph) -> int:
-    shared_pos = [i for i, v in enumerate(a.verts) if cond.has_vertex(v)]
-    if not a.tuples:
-        return 0
-    counts: dict[tuple, int] = {}
-    for t in a.tuples:
-        key = tuple(t[i] for i in shared_pos)
-        counts[key] = counts.get(key, 0) + 1
+def _max_count(tuples: frozenset, positions: Sequence[int]) -> int:
+    """The most tuples that agree on the given positions (0 for none)."""
+    if not positions or not tuples:
+        return len(tuples)
+    key = itemgetter(*positions)
+    counts: dict = {}
+    for t in tuples:
+        kt = key(t)
+        counts[kt] = counts.get(kt, 0) + 1
     return max(counts.values())
 
 
@@ -153,7 +159,15 @@ def subgraphs_of_path(k: int) -> list[PathGraph]:
 
 def is_pathset(a: Relation, params: PathsetParams, k_limit: int = 10) -> bool:
     """Exact predicate: mu(A | F) <= ntilde^(-delta(G - F)) for every subgraph
-    F of Path_k, via integer comparison of k-th powers."""
+    F of Path_k, via integer comparison of k-th powers.
+
+    Every quantity in it depends on F only through its trace S = V(F) & V(G):
+    the shared and free vertices, the conditional count, and delta(G - F),
+    the number of components of G that share no vertex with F, i.e. that
+    hold no vertex of S.  So the check runs once per distinct trace: the
+    traces are the OR-closure, from the empty set, of the vertex sets
+    {i-1, i} & V(G) of the edges i of Path_k, as bitmasks over the
+    positions of ``a.verts``."""
     n, k = params.n, params.k
     if k > k_limit:
         raise ResourceLimitError(f"k={k} exceeds pathset-check limit {k_limit}")
@@ -161,13 +175,22 @@ def is_pathset(a: Relation, params: PathsetParams, k_limit: int = 10) -> bool:
         raise DomainError(f"relation universe {a.n} != params n={n}")
     if not a.graph.is_subgraph(full_path(k)):
         raise DomainError(f"{a.graph!r} is not a subgraph of Path_{k}")
-    for f in subgraphs_of_path(k):
-        d = a.graph.ominus(f).delta
-        shared = sum(1 for v in a.verts if f.has_vertex(v))
-        free = len(a.verts) - shared
-        c = _max_conditional_count(a, f)
+    if not a.tuples:  # c = 0 for every F
+        return True
+    pos = {v: 1 << p for p, v in enumerate(a.verts)}
+    traces = {0}
+    for i in range(1, k + 1):
+        touch = pos.get(i - 1, 0) | pos.get(i, 0)
+        if touch:
+            traces |= {trace | touch for trace in traces}
+    comps = [pos[t] * 2 - pos[s] for s, t in a.graph.intervals]  # positions of s..t
+    nv = len(a.verts)
+    for trace in traces:
+        shared = [p for p in range(nv) if trace >> p & 1]
+        d = sum(1 for comp in comps if not comp & trace)
+        c = _max_count(a.tuples, shared)
         # (c / n^free)^k <= n^-(k-1) d
-        if c**k * n ** ((k - 1) * d) > n ** (k * free):
+        if c**k * n ** ((k - 1) * d) > n ** (k * (nv - len(shared))):
             return False
     return True
 
@@ -177,6 +200,8 @@ def chain_rule_check(
 ) -> dict:
     """The join-density chain rule, its m-ary version over all permutations,
     and (for pathsets, when params are given) the ordered pathset bound."""
+    if not rels:
+        raise InvalidParameterError("the chain rule needs at least one relation")
     report: dict = {"checked": 0, "violations": []}
     if len(rels) >= 2:
         a, b = rels[0], join_all(rels[1:])

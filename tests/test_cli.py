@@ -280,6 +280,24 @@ def test_experiment_randomized_conversion(capsys):
     assert payload["agreement"] >= 0.95
 
 
+def test_experiment_randomized_conversion_is_pinned(capsys):
+    code, out = run(
+        capsys, "experiment", "randomized-conversion", "--n", "2", "--k", "4", "--trials", "4", "--seed", "5"
+    )
+    assert code == 0
+    assert out == (
+        '{"agreement": 1.0, "experiment": "randomized-conversion", "rows": [{"agreement": 1.0, "input": 0}, '
+        '{"agreement": 1.0, "input": 1}, {"agreement": 1.0, "input": 2}], "size": 32, "t": 25}\n'
+    )
+
+
+@pytest.mark.parametrize("n,k", [("0", "4"), ("3", "0"), ("-1", "4")])
+def test_bad_pathset_parameters_are_input_errors(capsys, n, k):
+    argv = ["verify", "chain-rules", "--n", n, "--k", k, "--trials", "30", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert "input error: pathset parameters need n, k >= 1" in capsys.readouterr().err
+
+
 def test_verify_deterministic_output(capsys):
     args = ["verify", "chain-rules", "--trials", "25", "--seed", "9", "--format", "json"]
     _, out1 = run(capsys, *args)

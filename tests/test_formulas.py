@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import json
 import math
 import pathlib
@@ -312,6 +313,36 @@ def test_randomized_conversion_agreement_rate():
             F.randomized_conversion_value(phi, t, seed, env) == want for seed in range(1000)
         )
         assert hits >= 990
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_picks_follow_the_randrange_stream(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for m in range(1, 71):  # every power of two up to 64 among them
+        count = 1 + (seed + m) % 9
+        assert F._picks(ours, m, count) == [theirs.randrange(m) for _ in range(count)], m
+        # the next draw agrees too, so the stream stays aligned
+        assert ours.getrandbits(32) == theirs.getrandbits(32), m
+
+
+def test_picks_of_a_gate_without_children_draw_nothing():
+    rng = random.Random(3)
+    assert F._picks(rng, 0, 0) == []
+    assert rng.random() == random.Random(3).random()
+
+
+# digests of to_sexpr of sampled conversions, pinned from the randrange stream
+SAMPLED_CONVERSION_DIGESTS = {
+    ("D", 2, 3, 1, 11): "4f6430415cfdf43e124700e8c08cba202b02c894c251a29e7ec14f342aecfe58",
+    ("SigmaI", 2, 4, 2, 5): "c93a11c6264ac17d004cd15a21368b09f8e1a7bcbf094442c2c52d6b8a45caf2",
+}
+
+
+@pytest.mark.parametrize("kind,n,k,t,seed", list(SAMPLED_CONVERSION_DIGESTS))
+def test_sampled_conversion_is_pinned(kind, n, k, t, seed):
+    g = F.randomized_conversion(F.build_matrix_formula(kind, n, k), t, seed)
+    digest = hashlib.sha256(F.to_sexpr(g).encode()).hexdigest()
+    assert digest == SAMPLED_CONVERSION_DIGESTS[(kind, n, k, t, seed)]
 
 
 # -- strictness on edge variables ------------------------------------------------------

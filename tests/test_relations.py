@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import collections
 import functools
+import json
 import operator
+import pathlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -91,10 +93,13 @@ def test_pathset_predicate_extremes():
 
 
 def rational_pathset_oracle(a: R.Relation, params: R.PathsetParams) -> bool:
-    """Direct rational-power recomputation of the predicate."""
+    """Direct rational-power recomputation of the predicate, one F at a time,
+    with the conditional density counted here from the assignments."""
     n, k = params.n, params.k
     for f in R.subgraphs_of_path(k):
-        mu = R.density(a, f)
+        shared = [v for v in a.verts if f.has_vertex(v)]
+        groups = collections.Counter(tuple(x[v] for v in shared) for x in a.assignments())
+        mu = Fraction(max(groups.values(), default=0), n ** (len(a.verts) - len(shared)))
         d = a.graph.ominus(f).delta
         # mu <= n^(-(k-1)d/k)  <=>  mu^k <= (1/n)^((k-1)d)
         if mu**k > Fraction(1, n ** ((k - 1) * d)):
@@ -102,17 +107,46 @@ def rational_pathset_oracle(a: R.Relation, params: R.PathsetParams) -> bool:
     return True
 
 
+def _pathset_cases(rng: random.Random, n: int, k: int, count: int, max_tuples: int = 1024):
+    """Seeded relations for the predicate: relations at densities from 0.02
+    to 1 on random nonempty graphs of up to three components in Path_k with
+    at most ``max_tuples`` assignments, then the full relation on the empty
+    graph and the empty and the full relation on the last of those graphs."""
+    out = []
+    while len(out) < count:
+        g = samples.random_pathgraph(rng, 0, k, max_comps=3)
+        if g and n ** g.num_vertices <= max_tuples:
+            out.append(samples.random_relation(rng, g, n, rng.choice([0.02, 0.1, 0.3, 0.6, 1.0])))
+    out += [R.Relation.full(EMPTY, n), R.Relation.empty(g, n), R.Relation.full(g, n)]
+    return out
+
+
 def test_pathset_predicate_matches_rational_recomputation():
     rng = random.Random(6)
-    params = R.PathsetParams(3, 4)
-    agree = 0
-    while agree < 200:
-        g = samples.random_pathgraph(rng, 0, 4, max_comps=2)
-        if not g:
-            continue
-        a = samples.random_relation(rng, g, 3, rng.choice([0.05, 0.15, 0.4]))
-        assert R.is_pathset(a, params) == rational_pathset_oracle(a, params)
-        agree += 1
+    kinds = collections.Counter()
+    for k in range(1, 7):
+        for n in range(1, 5):
+            params = R.PathsetParams(n, k)
+            for a in _pathset_cases(rng, n, k, 30):
+                got = R.is_pathset(a, params)
+                assert got == rational_pathset_oracle(a, params), (a.graph, n, k, sorted(a.tuples))
+                g = a.graph
+                kinds["pathset" if got else "not a pathset"] += 1
+                kinds["empty graph"] += not g
+                kinds["several components"] += g.delta >= 2
+                kinds["starts past 0"] += bool(g) and g.intervals[0][0] > 0
+                kinds["empty relation"] += bool(g) and not a.tuples
+                kinds["full relation"] += bool(g) and len(a) == n ** len(a.verts) > 1
+                kinds["sparse"] += 0 < len(a) * 10 < n ** len(a.verts)
+    for kind in ("pathset", "not a pathset", "empty graph", "several components", "starts past 0",
+                 "empty relation", "full relation", "sparse"):
+        assert kinds[kind] >= 10, (kind, kinds)
+
+
+def test_pathset_parameters_must_be_positive():
+    for n, k in ((0, 4), (3, 0), (-2, 3)):
+        with pytest.raises(InvalidParameterError):
+            R.PathsetParams(n, k)
 
 
 # -- chain rules -----------------------------------------------------------------
@@ -150,6 +184,11 @@ def test_chain_rule_violations_keep_their_keys(monkeypatch):
     }
     assert report["violations"][0] == {"rule": "binary", "lhs": "1/2", "rhs": "1/4"}
     assert report["violations"][-1] == {"rule": "pathset-join", "perm": [1, 0], "vec_delta": 2}
+
+
+def test_chain_rule_refuses_no_relations():
+    with pytest.raises(InvalidParameterError):
+        R.chain_rule_check([])
 
 
 def test_chain_rule_empty_side():
@@ -517,6 +556,23 @@ def test_chi_cost_scans_each_pair_once(monkeypatch):
     t = next(t for t in jt.enumerate_strict(full_path(k)) if not t.is_leaf)
     R.chi_decomposition_cost(t, None, fx, params)
     assert scans and max(scans.values()) == 1
+
+
+# chi_decomposition_cost of seeded restrictions of D and C, converted
+# right-deep or balanced, on strict trees of Path_k (tree = index into
+# enumerate_strict)
+CHI_GOLDENS = json.loads((pathlib.Path(__file__).resolve().parent / "chi_cost_goldens.json").read_text())
+
+
+def test_chi_cost_matches_goldens():
+    assert len(CHI_GOLDENS) >= 50
+    trees = {k: list(jt.enumerate_strict(full_path(k))) for k in {case["k"] for case in CHI_GOLDENS}}
+    for case in CHI_GOLDENS:
+        n, k = case["n"], case["k"]
+        dm = F.convert(F.build_matrix_formula(case["kind"], n, k), case["style"])
+        fx = _substitute_ones(dm, R.sample_xi(n, k, case["seed"]).xi_edges())
+        tree = trees[k][case["tree"]]
+        assert R.chi_decomposition_cost(tree, None, fx, R.PathsetParams(n, k)) == case["cost"], case
 
 
 # -- restrictions --------------------------------------------------------------------
