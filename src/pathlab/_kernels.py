@@ -140,8 +140,6 @@ def _max_ordering_np(conflicts_per_member: list[list[int]]) -> int:
         idx = idx_all[pc == layer]
         for j in range(m):
             sub = idx[(idx >> j) & 1 == 1]
-            if sub.size == 0:
-                continue
             prev = sub ^ (1 << j)
             cand = dp[prev].copy()
             for c in conflicts_per_member[j]:

@@ -32,6 +32,12 @@ from .errors import (
 )
 from .paths import EMPTY, PathGraph, from_edges
 
+# resource ceilings (each raises ResourceLimitError); the two build
+# ceilings are with the block constructions below
+NVARS_LIMIT = 24  # variables of a matrix-variable truth table
+EDGE_TABLE_LIMIT = 16  # edge variables of a binary formula's truth tables
+STRICT_COUNT_BUDGET = 200_000  # formulas kept by count_strict_demorgan
+
 # ---------------------------------------------------------------------------
 # IR
 # ---------------------------------------------------------------------------
@@ -320,14 +326,14 @@ def _variable_columns(varlist: Sequence) -> tuple[Callable, int]:
     return column, (1 << (1 << nv)) - 1
 
 
-def _check_nvars(varlist: Sequence, nvars_limit: int) -> None:
-    if len(varlist) > nvars_limit:
-        raise ResourceLimitError(f"{len(varlist)} variables exceeds truth-table limit {nvars_limit}")
+def _check_nvars(varlist: Sequence) -> None:
+    if len(varlist) > NVARS_LIMIT:
+        raise ResourceLimitError(f"{len(varlist)} variables exceeds truth-table limit {NVARS_LIMIT}")
 
 
-def truth_table(phi, varlist: Sequence, nvars_limit: int = 24) -> int:
+def truth_table(phi, varlist: Sequence) -> int:
     """Packed truth table of the formula over the given variable order."""
-    _check_nvars(varlist, nvars_limit)
+    _check_nvars(varlist)
     return _Walker(*_variable_columns(varlist))(phi)
 
 
@@ -510,13 +516,9 @@ def oracle_table(n: int, k: int, varlist: Sequence, a0: int = 1, ak: int = 1) ->
     return bmm_table(*_variable_columns(varlist), n, k, a0, ak)
 
 
-def valid_mask(n: int, k: int, varlist: Sequence, rows_only: bool = False) -> int:
+def _valid_mask(column: Callable, full: int, n: int, k: int, rows_only: bool) -> int:
     """Packed mask of the inputs where every matrix has at most one 1 per row
     (and per column unless ``rows_only``)."""
-    return _valid_mask(*_variable_columns(varlist), n, k, rows_only)
-
-
-def _valid_mask(column: Callable, full: int, n: int, k: int, rows_only: bool) -> int:
     mask = full
     for i in range(1, k + 1):
         for a in range(1, n + 1):
@@ -548,7 +550,6 @@ def check_formula_correct(
     ak: int = 1,
     count: int = 1000,
     seed: int = 0,
-    nvars_limit: int = 24,
 ) -> dict:
     """Compare the formula against the brute-force product oracle.
 
@@ -558,7 +559,7 @@ def check_formula_correct(
     """
     if mode == "exhaustive":
         varlist = matrix_varlist(n, k)
-        _check_nvars(varlist, nvars_limit)
+        _check_nvars(varlist)
         # one set of variable columns serves the formula, the oracle and the mask
         column, full = _variable_columns(varlist)
         f_table = _Walker(column, full)(phi)
@@ -715,32 +716,32 @@ def randomized_conversion_value(phi: Formula, t: int, seed: int, getval: Callabl
 # ---------------------------------------------------------------------------
 
 
-def _edge_tables(k: int, limit: int = 16) -> Callable:
+def _edge_tables(k: int) -> Callable:
     """Memoized truth table of each node over the k edge variables."""
-    if k > limit:
-        raise ResourceLimitError(f"{k} variables exceeds the 2^{limit} table limit")
+    if k > EDGE_TABLE_LIMIT:
+        raise ResourceLimitError(f"{k} variables exceeds the 2^{EDGE_TABLE_LIMIT} table limit")
     return _Walker(*_variable_columns(range(1, k + 1)))
 
 
-def dm_truth_table(g: DeMorgan, k: int, limit: int = 16) -> int:
+def dm_truth_table(g: DeMorgan, k: int) -> int:
     """Truth table over the k edge variables, packed into an int."""
-    return _edge_tables(k, limit)(g)
+    return _edge_tables(k)(g)
 
 
-def strictify_demorgan(g: DeMorgan, k: int, limit: int = 16) -> DeMorgan:
+def strictify_demorgan(g: DeMorgan, k: int) -> DeMorgan:
     """Equivalent strict formula: drop any gate child computing the same
     function as the gate (checked by truth table)."""
-    return jointrees.strictify(g, _edge_tables(k, limit))
+    return jointrees.strictify(g, _edge_tables(k))
 
 
 def is_strict_demorgan(g: DeMorgan, k: int) -> bool:
     return jointrees.is_strict(g, _edge_tables(k))
 
 
-def sem_depth_demorgan(g: DeMorgan, memo_limit: int = jointrees.DEFAULT_SEM_MEMO_LIMIT) -> int:
+def sem_depth_demorgan(g: DeMorgan) -> int:
     """Minimum nesting depth of doubling-combinator applications (each of one
     gate type) expressing the formula."""
-    return jointrees.sem_depth(g, memo_limit)
+    return jointrees.sem_depth(g)
 
 
 def sem_demorgan(parts: Sequence[DeMorgan], op: str) -> DeMorgan:
@@ -768,14 +769,10 @@ def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:
     )
 
 
-def support_tree(g: DeMorgan, k: int) -> jointrees.JoinTree:
+def _support_tree(g: DeMorgan, k: int, tables: Callable) -> jointrees.JoinTree:
     """The join tree whose leaves are the formula's dependent coordinates,
     built by the recursive restrict-children-to-support rule; one truth-table
     walk serves every node, and equal restricted subformulas are built once."""
-    return _support_tree(g, k, _edge_tables(k))
-
-
-def _support_tree(g: DeMorgan, k: int, tables: Callable) -> jointrees.JoinTree:
     memo: dict = {}
 
     def rec(node: DeMorgan):
@@ -796,10 +793,10 @@ def _support_tree(g: DeMorgan, k: int, tables: Callable) -> jointrees.JoinTree:
     return rec(g)
 
 
-def support_tools(g: DeMorgan, k: int, limit: int = 16):
+def support_tools(g: DeMorgan, k: int):
     """(support graph, restriction operator, support tree, strict support tree),
-    all from one truth-table walk under the given table limit."""
-    tables = _edge_tables(k, limit)
+    all from one truth-table walk."""
+    tables = _edge_tables(k)
     supp = _support(tables(g), k)
     stree = _support_tree(g, k, tables)
     return supp, (lambda h: dm_restrict(g, h)), stree, jointrees.strictify(stree)
@@ -909,9 +906,7 @@ def from_json_dict(data, binary: bool = False):
 # -- exhaustive strict-formula count ------------------------------------------
 
 
-def count_strict_demorgan(
-    k: int, d: int, budget: int = 200_000, return_formulas: bool = False
-):
+def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
     """Number of distinct strict k-variable formulas of doubling-combinator
     depth at most d, by exhaustive generation with strictness pruning."""
     if k < 1 or d < 0:
@@ -931,8 +926,8 @@ def count_strict_demorgan(
                 return
             if formula not in new:
                 new[formula] = None
-                if len(new) > budget:
-                    raise ResourceLimitError(f"strict enumeration exceeded {budget}")
+                if len(new) > STRICT_COUNT_BUDGET:
+                    raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
             for g in pool:
                 extend(seq + (g,), op)
 

@@ -17,7 +17,9 @@ from typing import Iterable, Sequence
 from .errors import InvalidParameterError, NotGreedyError, ResourceLimitError
 from .paths import EMPTY, GraphSequence, PathGraph, union_all, vec_delta
 
-DEFAULT_DYCK_LIMIT = 12
+# resource ceilings (each raises ResourceLimitError)
+DYCK_LIMIT = 12  # length of the Dyck sequences enumerate_dyck lists
+LP_DYCK_LIMIT = 8  # t of verify_lp_certificates
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +169,13 @@ def is_dyck(seq: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_dyck(s: int, limit: int = DEFAULT_DYCK_LIMIT) -> list[tuple[int, ...]]:
+def enumerate_dyck(s: int) -> list[tuple[int, ...]]:
     """All length-s sequences of nonnegative integers whose prefix sums
     satisfy a_1 + ... + a_r <= r.  Their number is the Catalan number C_{s+1}."""
     if s < 0:
         raise InvalidParameterError("length must be >= 0")
-    if s > limit:
-        raise ResourceLimitError(f"Dyck length {s} exceeds limit {limit}")
+    if s > DYCK_LIMIT:
+        raise ResourceLimitError(f"Dyck length {s} exceeds limit {DYCK_LIMIT}")
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], total: int):
@@ -282,7 +284,6 @@ def verify_lp_certificates(
     t: int,
     w: dict[tuple[int, ...], Fraction] | None = None,
     y: Sequence[Fraction] | None = None,
-    dyck_limit: int = 8,
 ) -> dict:
     """Exact check that the primal/dual pair certifies LP value 0.
 
@@ -298,8 +299,8 @@ def verify_lp_certificates(
     pass over its nonzero rows, and the primal sums run over the keys of w
     that are Dyck columns of length <= t (other keys add nothing).
     """
-    if t > dyck_limit:
-        raise ResourceLimitError(f"t={t} exceeds Dyck enumeration limit {dyck_limit}")
+    if t > LP_DYCK_LIMIT:
+        raise ResourceLimitError(f"t={t} exceeds Dyck enumeration limit {LP_DYCK_LIMIT}")
     g = gamma(t)
     w = certificate_w(t) if w is None else {a: Fraction(v) for a, v in w.items()}
     y = certificate_y(t) if y is None else [Fraction(v) for v in y]

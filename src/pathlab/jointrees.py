@@ -31,9 +31,14 @@ from . import _kernels, shifts
 from .errors import ArityError, InvalidParameterError, ResourceLimitError
 from .paths import EMPTY, PathGraph, union_all, vec_delta
 
-DEFAULT_DP_LIMIT = 22
-DEFAULT_SEM_MEMO_LIMIT = 1 << 16
-DEFAULT_SEM_ARITY_LIMIT = 20
+# resource ceilings (each raises ResourceLimitError); only the subset-DP
+# ceiling can be set per call, as ``psi``'s and
+# ``max_vec_delta_over_orderings``'s limit
+DEFAULT_DP_LIMIT = 22  # members of a branch covering in the subset DP
+SEM_ARITY_LIMIT = 20  # arguments of sem
+SEM_MEMO_LIMIT = 1 << 16  # sequences the doubling-combinator recogniser keeps
+STRICT_NORM_LIMIT = 5  # edges of the graph enumerate_strict works on
+STRICT_COUNT_LIMIT = 500_000  # trees enumerate_strict builds
 
 
 class BinaryTree:
@@ -170,7 +175,6 @@ def sq(trees: Iterable[JoinTree]) -> JoinTree:
 
 def sem(
     trees: Iterable[BinaryTree],
-    arity_limit: int = DEFAULT_SEM_ARITY_LIMIT,
     join: Callable[[BinaryTree, BinaryTree], BinaryTree] = node,
 ) -> BinaryTree:
     """Doubling combinator: sem(T_1..T_m) = sem(T_1..T_{m-1}) U sem(T_1..T_{m-2}, T_m),
@@ -179,8 +183,8 @@ def sem(
     ts = tuple(trees)
     if not ts:
         raise ArityError("sem needs at least one argument")
-    if len(ts) > arity_limit:
-        raise ResourceLimitError(f"sem arity {len(ts)} exceeds limit {arity_limit}")
+    if len(ts) > SEM_ARITY_LIMIT:
+        raise ResourceLimitError(f"sem arity {len(ts)} exceeds limit {SEM_ARITY_LIMIT}")
     memo: dict[tuple[BinaryTree, ...], BinaryTree] = {}
 
     def rec(args: tuple[BinaryTree, ...]) -> BinaryTree:
@@ -246,70 +250,78 @@ def left_depth(t: BinaryTree, gates: Iterable | None = None) -> int:
     return rec(t)
 
 
-def _sem_seqs(
-    t: BinaryTree,
-    memo: dict[BinaryTree, tuple[tuple[BinaryTree, ...], ...]],
-    counter: list[int],
-    limit: int,
-) -> tuple[tuple[BinaryTree, ...], ...]:
-    """All sequences (T_1..T_p) whose doubling-combinator expansion with t's
-    gate equals t (always including the singleton (t,)).  A child with
-    another gate is a single part."""
-    got = memo.get(t)
-    if got is not None:
-        return got
-    acc = [(t,)]
-    if t.left is not None:
-        gate = t.gate
-        seqs_l = _sem_seqs(t.left, memo, counter, limit) if t.left.gate == gate else ((t.left,),)
-        seqs_r = _sem_seqs(t.right, memo, counter, limit) if t.right.gate == gate else ((t.right,),)
+def _sem_table(t: BinaryTree) -> tuple[tuple, int]:
+    """The doubling-combinator recogniser: one pass over the distinct nodes
+    under t (equal subtrees are one node), children first, driven by an
+    explicit stack, so a deep tree needs no deep recursion.  Returns t's
+    (seqs, depth).
+
+    For each node x, ``seqs`` are all sequences (T_1..T_p) whose
+    doubling-combinator expansion with x's gate equals x, the singleton (x,)
+    first; a child with another gate is a single part.  ``depth`` is the
+    minimum nesting depth of single-gate applications expressing x.  The
+    sequences of the inner nodes count against ``SEM_MEMO_LIMIT``.
+
+    Entries are keyed by node and, so that each object is looked up by
+    structure only once, by object id as well."""
+    table: dict[BinaryTree, tuple[tuple, int]] = {}
+    by_id: dict[int, tuple[tuple, int]] = {}
+    entries = 0
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if id(x) in by_id:
+            continue
+        got = table.get(x)
+        if got is not None:
+            by_id[id(x)] = got
+            continue
+        left, right = x.left, x.right
+        if left is None:
+            table[x] = by_id[id(x)] = (((x,),), 0)
+            continue
+        got_l, got_r = by_id.get(id(left)), by_id.get(id(right))
+        if got_l is None or got_r is None:
+            stack += (x, right, left)  # x again once its children are done
+            continue
+        # a child with another gate is the single part (child,) of its
+        # entry, so every part is the first-met copy of its subtree and
+        # equal parts compare by identity
+        gate = x.gate
+        seqs_l = got_l[0] if left.gate == gate else got_l[0][:1]
+        seqs_r = got_r[0] if right.gate == gate else got_r[0][:1]
+        acc = [(x,)]
+        depth = None
         for a in seqs_l:
+            head = a[:-1]
             for b in seqs_r:
-                if len(a) == len(b) and a[:-1] == b[:-1]:
-                    acc.append(a + (b[-1],))
-    out = tuple(acc)
-    counter[0] += len(out)
-    if counter[0] > limit:
-        raise ResourceLimitError(f"sem-depth recognition exceeded {limit} memo entries")
-    memo[t] = out
-    return out
+                if len(a) == len(b) and head == b[:-1]:
+                    seq = a + (b[-1],)
+                    acc.append(seq)
+                    worst = max([by_id[id(part)][1] for part in seq])
+                    if depth is None or worst < depth:
+                        depth = worst
+        entries += len(acc)
+        if entries > SEM_MEMO_LIMIT:
+            raise ResourceLimitError(f"sem-depth recognition exceeded {SEM_MEMO_LIMIT} memo entries")
+        table[x] = by_id[id(x)] = (tuple(acc), depth + 1)
+    return by_id[id(t)]
 
 
-def sem_decompositions(
-    t: BinaryTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT
-) -> list[tuple[BinaryTree, ...]]:
+def sem_decompositions(t: BinaryTree) -> list[tuple[BinaryTree, ...]]:
     """All ways (arity >= 2) of writing t as a doubling-combinator application."""
-    memo: dict = {}
-    return [s for s in _sem_seqs(t, memo, [0], memo_limit) if len(s) >= 2]
+    return list(_sem_table(t)[0][1:])
 
 
-def sem_depth(t: BinaryTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT) -> int:
+def sem_depth(t: BinaryTree) -> int:
     """Minimum nesting depth of doubling-combinator applications expressing t
     (each application with a single gate)."""
-    seq_memo: dict = {}
-    depth_memo: dict[BinaryTree, int] = {}
-    counter = [0]
-
-    def rec(x: BinaryTree) -> int:
-        got = depth_memo.get(x)
-        if got is None:
-            if x.left is None:
-                got = 0
-            else:
-                got = 1 + min(
-                    max(rec(part) for part in s)
-                    for s in _sem_seqs(x, seq_memo, counter, memo_limit)
-                    if len(s) >= 2
-                )
-            depth_memo[x] = got
-        return got
-
-    return rec(t)
+    return _sem_table(t)[1]
 
 
-def depths(t: JoinTree, memo_limit: int = DEFAULT_SEM_MEMO_LIMIT) -> tuple[int, int, int]:
+def depths(t: JoinTree) -> tuple[int, int, int]:
     """(standard depth, left depth, doubling-combinator depth)."""
-    return standard_depth(t), left_depth(t), sem_depth(t, memo_limit)
+    return standard_depth(t), left_depth(t), sem_depth(t)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +555,11 @@ def enumerate_strict(
     g: PathGraph,
     depth_kind: Literal["left", "sem"] = "left",
     d: int | None = None,
-    norm_limit: int = 5,
-    count_limit: int = 500_000,
 ) -> Iterator[JoinTree]:
     """All strict g-join trees with the chosen depth measure at most d
     (d=None means no depth filter), each exactly once up to structural equality."""
-    if g.norm > norm_limit:
-        raise ResourceLimitError(f"graph has {g.norm} edges, enumeration limit {norm_limit}")
+    if g.norm > STRICT_NORM_LIMIT:
+        raise ResourceLimitError(f"graph has {g.norm} edges, enumeration limit {STRICT_NORM_LIMIT}")
     memo: dict[PathGraph, tuple[JoinTree, ...]] = {}
     budget = [0]
 
@@ -566,9 +576,9 @@ def enumerate_strict(
                     for t2 in all_strict(g2):
                         acc.append(node(t1, t2))
                         budget[0] += 1
-                        if budget[0] > count_limit:
+                        if budget[0] > STRICT_COUNT_LIMIT:
                             raise ResourceLimitError(
-                                f"strict-tree enumeration exceeded {count_limit} trees"
+                                f"strict-tree enumeration exceeded {STRICT_COUNT_LIMIT} trees"
                             )
             out = tuple(acc)
         memo[h] = out
@@ -605,9 +615,7 @@ def _e_power_at_least(d: int, a: int, b: int) -> bool:
         n *= 2
 
 
-def verify_tradeoff(
-    t: JoinTree, kind: Literal["I", "II"], dp_limit: int = DEFAULT_DP_LIMIT
-) -> tuple[bool, int, float]:
+def verify_tradeoff(t: JoinTree, kind: Literal["I", "II"]) -> tuple[bool, int, float]:
     """Check the restated size/depth tradeoff: Psi against the explicit
     constant bound with d the left depth (kind I) or the doubling-combinator
     depth (kind II).  Returns (holds, Psi, rhs); ``holds`` is exact, and the
@@ -618,7 +626,7 @@ def verify_tradeoff(
     x >= d lam^(1/2d) / sqrt(32e), that is x > 0 and
     e^d 32^d x^(2d) >= d^(2d) lam.  For d = 0 or lam = 0 the bound is x >= 0."""
     p = t.graph
-    lhs = psi(t, dp_limit=dp_limit)
+    lhs = psi(t)
     if kind == "I":
         d = left_depth(t)
         rhs = d * p.lam ** (1.0 / d) / (30.0 * math.e) + p.delta - d if d else float(p.delta)
@@ -669,7 +677,6 @@ def check_psi_recurrences(
     t: JoinTree,
     perm_limit: int = 5,
     shift_m_limit: int = 10,
-    dp_limit: int = DEFAULT_DP_LIMIT,
 ) -> dict:
     """Verify the Psi lower-bound recurrences against the Psi oracle.
 
@@ -683,13 +690,13 @@ def check_psi_recurrences(
     shift-permutation bound and its bring-to-front corollary.
     """
     report: dict = {"checked": 0, "violations": []}
-    psi_t = psi(t, dp_limit=dp_limit)
+    psi_t = psi(t)
     psi_memo: dict[JoinTree, int] = {}
 
     def psi_of(x: JoinTree) -> int:
         got = psi_memo.get(x)
         if got is None:
-            got = psi(x, dp_limit=dp_limit)
+            got = psi(x)
             psi_memo[x] = got
         return got
 

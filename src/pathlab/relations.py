@@ -25,6 +25,14 @@ from . import formulas, jointrees
 from .errors import DomainError, InvalidParameterError, ResourceLimitError
 from .paths import EMPTY, PathGraph, from_edges, full_path, vec_delta
 
+# resource ceilings (each raises ResourceLimitError); only the minterm-scan
+# budget can be set per call, as ``minterms``'s budget
+PATHSET_K_LIMIT = 10  # k of is_pathset
+DEFAULT_MINTERM_BUDGET = 2_000_000  # scanned points of one minterm call
+MONTECARLO_BUDGET = 50_000_000  # scanned points of all montecarlo_mpath2 trials
+EPS1_K_LIMIT = 4  # k of montecarlo_eps1
+EPS1_T_LIMIT = 14  # t of montecarlo_eps1
+
 # ---------------------------------------------------------------------------
 # relations and densities
 # ---------------------------------------------------------------------------
@@ -38,10 +46,6 @@ class PathsetParams:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise InvalidParameterError(f"pathset parameters need n, k >= 1, got n={self.n}, k={self.k}")
-
-    @property
-    def ntilde_exponent(self) -> Fraction:
-        return Fraction(self.k - 1, self.k)
 
 
 class Relation:
@@ -157,7 +161,7 @@ def subgraphs_of_path(k: int) -> list[PathGraph]:
     return [from_edges(i for i in range(1, k + 1) if (bits >> (i - 1)) & 1) for bits in range(1 << k)]
 
 
-def is_pathset(a: Relation, params: PathsetParams, k_limit: int = 10) -> bool:
+def is_pathset(a: Relation, params: PathsetParams) -> bool:
     """Exact predicate: mu(A | F) <= ntilde^(-delta(G - F)) for every subgraph
     F of Path_k, via integer comparison of k-th powers.
 
@@ -169,8 +173,8 @@ def is_pathset(a: Relation, params: PathsetParams, k_limit: int = 10) -> bool:
     {i-1, i} & V(G) of the edges i of Path_k, as bitmasks over the
     positions of ``a.verts``."""
     n, k = params.n, params.k
-    if k > k_limit:
-        raise ResourceLimitError(f"k={k} exceeds pathset-check limit {k_limit}")
+    if k > PATHSET_K_LIMIT:
+        raise ResourceLimitError(f"k={k} exceeds pathset-check limit {PATHSET_K_LIMIT}")
     if a.n != n:
         raise DomainError(f"relation universe {a.n} != params n={n}")
     if not a.graph.is_subgraph(full_path(k)):
@@ -281,7 +285,7 @@ def minterms(
     g: PathGraph,
     mode: Literal["M", "N"],
     n: int,
-    budget: int = 2_000_000,
+    budget: int = DEFAULT_MINTERM_BUDGET,
 ) -> Relation:
     """mode M: alpha whose section is a minimal 1-certificate of (monotone) f;
     mode N: alpha whose restricted subfunction depends on every edge.
@@ -331,7 +335,7 @@ def _strict_tree_parts(t: jointrees.JoinTree):
     return t.left, t.right
 
 
-def _plain_minterms(n: int, budget: int) -> Callable[[object, PathGraph], Relation]:
+def _plain_minterms(n: int) -> Callable[[object, PathGraph], Relation]:
     """Minterm relation (mode M) of a formula node on a graph, memoised by
     (node, graph), so one certificate scans each distinct pair once."""
     memo: dict[tuple, Relation] = {}
@@ -340,7 +344,7 @@ def _plain_minterms(n: int, budget: int) -> Callable[[object, PathGraph], Relati
         key = (node, h)
         got = memo.get(key)
         if got is None:
-            got = minterms(formula_evaluator(node), h, "M", n, budget)
+            got = minterms(formula_evaluator(node), h, "M", n)
             memo[key] = got
         return got
 
@@ -352,7 +356,6 @@ def restricted_minterms(
     g: PathGraph,
     t: jointrees.JoinTree,
     n: int,
-    budget: int = 2_000_000,
 ) -> Relation:
     """The tree-shaped subset of the minterm relation: literals only reach
     graphs of at most one edge, disjunctions filter, and conjunctions add the
@@ -361,7 +364,7 @@ def restricted_minterms(
         raise DomainError("the join tree must be strict")
     if t.graph != g:
         raise DomainError("join tree root graph differs from g")
-    return _restricted(_plain_minterms(n, budget), fdm, t, n)[0]
+    return _restricted(_plain_minterms(n), fdm, t, n)[0]
 
 
 def _restricted(
@@ -441,7 +444,6 @@ def chi_decomposition_cost(
     a: Relation | None,
     fdm: formulas.DeMorgan,
     params: PathsetParams,
-    budget: int = 2_000_000,
 ) -> int:
     """Certified covering cost of the tree-shaped minterm subset, following
     the formula's gates (sums at gates, max across the tree split).  Checks
@@ -450,7 +452,7 @@ def chi_decomposition_cost(
     g = t.graph
     if not jointrees.is_strict(t):
         raise DomainError("the join tree must be strict")
-    plain = _plain_minterms(n, budget)
+    plain = _plain_minterms(n)
     graphs = subgraphs_of_path(k)
     seen = set()
     stack = [fdm]
@@ -570,11 +572,10 @@ def montecarlo_mpath2(
     trials: int,
     seed: int,
     f: Evaluator | None = None,
-    budget: int = 50_000_000,
 ) -> dict:
     """Fraction of restriction samples for which the restricted minterm
     relation keeps density at least 1/(2 n^2)."""
-    if n ** (k + 1) * (k + 1) * trials > budget:
+    if n ** (k + 1) * (k + 1) * trials > MONTECARLO_BUDGET:
         raise ResourceLimitError("minterm scans exceed the Monte Carlo budget")
     threshold = Fraction(1, 2 * n * n)
     denom = n ** (k + 1)
@@ -589,7 +590,7 @@ def montecarlo_mpath2(
             restricted: Evaluator = lambda column, full: f(
                 lambda var: full if var in xi_edges else column(var), full
             )
-            count = len(minterms(restricted, full_path(k), "M", n, budget).tuples)
+            count = len(minterms(restricted, full_path(k), "M", n, MONTECARLO_BUDGET).tuples)
         dens = Fraction(count, denom)
         ok = dens >= threshold
         hits += ok
@@ -616,14 +617,12 @@ def montecarlo_eps1(
     trials: int,
     seed: int,
     p: Sequence[float] | None = None,
-    t_limit: int = 14,
-    k_limit: int = 4,
 ) -> dict:
     """Frequency with which the strictification of a random depth-t join tree
     (leaves drawn independently over the k single edges) collapses to the
     canonical doubling-combinator tree of all k edges."""
-    if k > k_limit or t > t_limit:
-        raise ResourceLimitError(f"limits are k <= {k_limit}, t <= {t_limit}")
+    if k > EPS1_K_LIMIT or t > EPS1_T_LIMIT:
+        raise ResourceLimitError(f"limits are k <= {EPS1_K_LIMIT}, t <= {EPS1_T_LIMIT}")
     if p is None:
         probs = np.full(k, 1.0 / k)
     else:

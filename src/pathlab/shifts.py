@@ -25,7 +25,7 @@ Objective = Literal["vec_delta", "vec_lambda", "vec_lambda_delta"]
 # position of each objective in the tuple ``vec_measures`` (and ``_terms``) returns
 _OBJECTIVE_INDEX = {"vec_delta": 0, "vec_lambda": 1, "vec_lambda_delta": 2}
 
-DEFAULT_ENUM_LIMIT = 25
+ENUM_LIMIT = 25  # resource ceiling on m for enumerate_all
 
 
 class ShiftPermutation:
@@ -117,12 +117,12 @@ def _induced_set(index_set: frozenset[int], j: int) -> frozenset[int]:
     return index_set.union(range(1, j))
 
 
-def enumerate_all(m: int, limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[ShiftPermutation]:
+def enumerate_all(m: int) -> Iterator[ShiftPermutation]:
     """All 2^(m-1) shift permutations; index sets by increasing size, then lex."""
     if m < 1:
         raise InvalidIndexSetError(f"m={m} must be >= 1")
-    if m > limit:
-        raise ResourceLimitError(f"m={m} exceeds enumeration limit {limit}")
+    if m > ENUM_LIMIT:
+        raise ResourceLimitError(f"m={m} exceeds enumeration limit {ENUM_LIMIT}")
     rest = range(1, m)
     for size in range(0, m):
         for extra in combinations(rest, size):

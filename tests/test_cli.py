@@ -326,3 +326,44 @@ def test_measure_formula_stats_json(tmp_path, capsys):
     code, out = run(capsys, "measure", "formula-stats", "--formula", str(path), "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["size"] == 2 and not report["monotone"]
+
+
+def _gate_chain(gates: int) -> str:
+    """(or (lit g) (and (lit g-1) ... (lit 0))): alternating gates, so none merge."""
+    text = "(lit 0)"
+    for i in range(gates):
+        text = f"({'and' if i % 2 else 'or'} (lit {i + 1}) {text})"
+    return text
+
+
+def test_measure_depths_of_a_deep_comb(tmp_path, capsys):
+    path = tmp_path / "comb.json"
+    path.write_text(json.dumps(jt.sq(jt.leaf(single_edge(i)) for i in range(1, 251)).to_json()))
+    code, out = run(capsys, "measure", "depths", "--tree", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"measure": "depths", "left": 1, "sem": 249, "standard": 249}
+
+
+def test_formula_too_deep_to_parse_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "chain.sexpr"
+    path.write_text(_gate_chain(1200))
+    assert cli.main(["measure", "formula-stats", "--formula", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert "input error: cannot read" in capsys.readouterr().err
+
+
+def test_tree_too_deep_to_decode_is_an_input_error(tmp_path, capsys):
+    text = '{"leaf": {"intervals": [[0, 1]]}}'
+    for _ in range(1500):
+        text = '{"node": [' + text + ', {"leaf": {"intervals": [[0, 1]]}}]}'
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert cli.main(["measure", "depths", "--tree", str(path)]) == cli.EXIT_INPUT_ERROR
+    assert "input error: cannot read" in capsys.readouterr().err
+
+
+def test_parsed_formula_too_deep_to_measure_is_a_resource_limit(tmp_path, capsys):
+    # 600 levels parse, but the measures recurse more than once per level
+    path = tmp_path / "chain.sexpr"
+    path.write_text(_gate_chain(600))
+    assert cli.main(["measure", "formula-stats", "--formula", str(path)]) == cli.EXIT_RESOURCE_LIMIT
+    assert "resource limit: input nesting depth exceeds the recursion limit" in capsys.readouterr().err

@@ -124,11 +124,12 @@ def test_exhaustive_check_refuses_before_building_columns(monkeypatch):
         raise AssertionError("columns built")
 
     monkeypatch.setattr(F, "_variable_columns", no_columns)
+    monkeypatch.setattr(F, "NVARS_LIMIT", 19)
     d = F.build_matrix_formula("D", 2, 5)
     with pytest.raises(ResourceLimitError, match="^20 variables exceeds truth-table limit 19$"):
-        F.check_formula_correct(d, 2, 5, nvars_limit=19)
+        F.check_formula_correct(d, 2, 5)
     with pytest.raises(ResourceLimitError, match="^20 variables exceeds truth-table limit 19$"):
-        F.truth_table(d, F.matrix_varlist(2, 5), nvars_limit=19)
+        F.truth_table(d, F.matrix_varlist(2, 5))
 
 
 def test_recursive_kinds_exhaustive():
@@ -502,9 +503,9 @@ def test_support_tools_builds_one_table_walk(monkeypatch):
     calls = []
     real = F._edge_tables
 
-    def counting(k, limit=16):
+    def counting(k):
         calls.append(k)
-        return real(k, limit)
+        return real(k)
 
     monkeypatch.setattr(F, "_edge_tables", counting)
     g = F.sem_demorgan([F.dm_lit(i) for i in range(1, 13)], "and")
@@ -514,12 +515,13 @@ def test_support_tools_builds_one_table_walk(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_support_tools_honours_a_raised_limit():
-    supp, _, stree, _ = F.support_tools(F.dm_lit(3), 17, limit=20)
-    assert supp == from_edges([3])
-    assert stree.graph == supp
+def test_support_tools_honours_a_raised_limit(monkeypatch):
     with pytest.raises(ResourceLimitError, match="17 variables exceeds the 2\\^16 table limit"):
         F.support_tools(F.dm_lit(3), 17)
+    monkeypatch.setattr(F, "EDGE_TABLE_LIMIT", 20)
+    supp, _, stree, _ = F.support_tools(F.dm_lit(3), 17)
+    assert supp == from_edges([3])
+    assert stree.graph == supp
 
 
 def test_restriction_neutralizes_out_of_graph_literals():

@@ -702,3 +702,11 @@ def test_psi_recurrences_binary_case_agrees():
 def test_tree_json_round_trip():
     t = jt.build_tight("II", 4, 1)
     assert jt.JoinTree.from_json(t.to_json()) == t
+
+
+def test_sem_recogniser_needs_no_recursion_per_level():
+    # a right comb deeper than the recursion limit: each node is one union
+    # over the rest, so the depth is one per level
+    comb = jt.sq(leaves(3000))
+    assert jt.sem_depth(comb) == 2999
+    assert jt.sem_decompositions(comb) == [(comb.left, comb.right)]
