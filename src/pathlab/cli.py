@@ -3,8 +3,7 @@
 Reports are deterministic functions of the invocation (all randomness flows
 through explicit seeds, JSON output is key-sorted, and no timestamps are
 emitted).  Exit codes: 0 pass, 1 check failure, 2 input error (an input
-that cannot be read, parsed or validated), 3 resource limit exceeded (a
-ceiling, or a parsed input nested too deeply for a recursive walk),
+that cannot be read, parsed or validated), 3 resource limit exceeded,
 4 internal error (any other exception, with its traceback on stderr).
 """
 
@@ -39,8 +38,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERNAL_ERROR = 4
 
-# a parser that recurses once per nesting level (the JSON decoder, the
-# formula parser) raises RecursionError on input nested too deeply
+# the JSON decoder recurses once per nesting level, so it raises
+# RecursionError on input nested too deeply
 _PARSE_ERRORS = (OSError, TypeError, ValueError, KeyError, IndexError, RecursionError)
 
 
@@ -445,14 +444,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
-    except RecursionError:
-        # an input that parsed can still nest too deeply for a recursive walk
-        print(
-            "resource limit: input nesting depth exceeds the recursion limit "
-            f"{sys.getrecursionlimit()}",
-            file=sys.stderr,
-        )
         return EXIT_RESOURCE_LIMIT
     except PathLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -140,70 +140,41 @@ def dm_or(left: DeMorgan, right: DeMorgan) -> DeMorgan:
 
 
 # ---------------------------------------------------------------------------
-# measures (memoized by node, so shared subtrees are walked once)
+# measures (one children-first fold over the distinct nodes)
 # ---------------------------------------------------------------------------
 
 
-def _measure(phi, combine, leaf_value):
-    memo: dict = {}
-
-    def rec(node):
-        got = memo.get(node)
-        if got is None:
-            kids = node.children
-            if not kids:
-                got = leaf_value(node)
-            else:
-                got = combine(node, [rec(c) for c in kids])
-            memo[node] = got
-        return got
-
-    return rec(phi)
+def _measure(phi, combine, leaf_value=lambda node: 0):
+    got: dict = {}
+    for node in jointrees._postorder(phi):
+        kids = node.children
+        got[node] = combine(node, [got[c] for c in kids]) if kids else leaf_value(node)
+    return got[phi]
 
 
 def size(phi) -> int:
     """Number of leaves labeled by literals."""
-    return _measure(
-        phi,
-        lambda node, vals: sum(vals),
-        lambda node: 1 if node.op == "lit" else 0,
-    )
+    return _measure(phi, lambda node, vals: sum(vals), lambda node: 1 if node.op == "lit" else 0)
 
 
 def depth(phi) -> int:
-    return _measure(phi, lambda node, vals: 1 + max(vals), lambda node: 0)
+    return _measure(phi, lambda node, vals: 1 + max(vals))
 
 
 def and_depth(phi) -> int:
-    return _measure(
-        phi,
-        lambda node, vals: (1 if node.op == "and" else 0) + max(vals),
-        lambda node: 0,
-    )
+    return _measure(phi, lambda node, vals: (1 if node.op == "and" else 0) + max(vals))
 
 
 def fanin(phi) -> int:
-    return _measure(
-        phi,
-        lambda node, vals: max(len(node.children), max(vals)),
-        lambda node: 0,
-    )
+    return _measure(phi, lambda node, vals: max(len(node.children), *vals))
 
 
 def and_fanin(phi) -> int:
-    def combine(node, vals):
-        own = len(node.children) if node.op == "and" else 0
-        return max(own, max(vals))
-
-    return _measure(phi, combine, lambda node: 0)
+    return _measure(phi, lambda node, vals: max(len(node.children) if node.op == "and" else 0, *vals))
 
 
 def is_monotone(phi) -> bool:
-    return _measure(
-        phi,
-        lambda node, vals: all(vals),
-        lambda node: not (node.op == "lit" and node.neg),
-    )
+    return _measure(phi, lambda node, vals: all(vals), lambda node: not (node.op == "lit" and node.neg))
 
 
 def and_left_depth(g: DeMorgan) -> int:
@@ -212,20 +183,7 @@ def and_left_depth(g: DeMorgan) -> int:
 
 
 def variables(phi) -> set:
-    out: set = set()
-    seen: set = set()
-
-    def rec(node):
-        if node in seen:
-            return
-        seen.add(node)
-        if node.op == "lit":
-            out.add(node.var)
-        for c in node.children:
-            rec(c)
-
-    rec(phi)
-    return out
+    return {node.var for node in jointrees._postorder(phi) if node.op == "lit"}
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +353,8 @@ def random_subperm_matrix(n: int, rng: random.Random):
 Kind = Literal["D", "C", "SigmaI", "SigmaII", "PiII"]
 
 _BUILD_NODE_LIMIT = 4_000_000
-# the construction and every formula walker recurse once per level; below the
-# node budget only ell = 1 (k = 1) can ask for more levels than this
+# the construction recurses once per level; below the node budget only
+# ell = 1 (k = 1) can ask for more levels than this
 _BUILD_DEPTH_LIMIT = 64
 
 
@@ -643,19 +601,11 @@ def convert(phi: Formula, style: Literal["right_deep", "balanced"]) -> DeMorgan:
     """Replace each fan-in-m gate by m-1 binary gates, either as a right-deep
     chain or as a left-heavy balanced tree."""
     fold = _fold_right if style == "right_deep" else _fold_balanced
-    memo: dict[Formula, DeMorgan] = {}
-
-    def rec(node: Formula) -> DeMorgan:
-        got = memo.get(node)
-        if got is None:
-            if node.op in ("and", "or"):
-                got = fold(node.op, [rec(c) for c in node.children])
-            else:
-                got = _leaf_to_dm(node)
-            memo[node] = got
-        return got
-
-    return rec(phi)
+    got: dict = {}
+    for node in jointrees._postorder(phi):
+        kids = node.children
+        got[node] = fold(node.op, [got[c] for c in kids]) if kids else _leaf_to_dm(node)
+    return got[phi]
 
 
 def _picks(rng: random.Random, m: int, count: int) -> list[int]:
@@ -805,21 +755,17 @@ def support_tools(g: DeMorgan, k: int):
 # -- serialization --------------------------------------------------------------
 
 
-def _var_tokens(var) -> str:
-    if isinstance(var, tuple):
-        return " ".join(str(x) for x in var)
-    return str(var)
+def _leaf_sexpr(node) -> str:
+    if node.op == "const":
+        return f"(const {node.value})"
+    var = " ".join(map(str, node.var)) if isinstance(node.var, tuple) else node.var
+    return f"({'nlit' if node.neg else 'lit'} {var})"
 
 
 def to_sexpr(phi) -> str:
     """Text form, e.g. ``(and (or (lit 1 2 3) ...) ...)``; matrix-entry
     variables print as three numbers, edge variables as one."""
-    if phi.op == "const":
-        return f"(const {phi.value})"
-    if phi.op == "lit":
-        name = "nlit" if phi.neg else "lit"
-        return f"({name} {_var_tokens(phi.var)})"
-    return f"({phi.op} " + " ".join(to_sexpr(c) for c in phi.children) + ")"
+    return jointrees._text(phi, _leaf_sexpr, lambda node: f"({node.op} ", " ")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -827,9 +773,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _node(op: str, arg, binary: bool):
-    """A parsed node: ``arg`` is the value of a constant, the (variable,
-    negated) pair of a literal, or the built children of a gate."""
+    """A parsed node: ``arg`` is the value of a constant (0 or 1), the
+    (variable, negated) pair of a literal, or the built children of a gate."""
     if op == "const":
+        if arg not in (0, 1):
+            raise ArityError(f"a constant is 0 or 1, not {arg!r}")
         return dm_const(arg) if binary else const(arg)
     if op == "lit":
         return dm_lit(*arg) if binary else lit(*arg)
@@ -842,65 +790,85 @@ def _node(op: str, arg, binary: bool):
     return DeMorgan(op, arg[0], arg[1])
 
 
-def _parse(tokens: list[str], pos: int, binary: bool):
-    if tokens[pos] != "(":
-        raise ArityError(f"expected '(' at token {pos}")
-    head = tokens[pos + 1]
-    pos += 2
-    if head == "const":
-        node = _node(head, int(tokens[pos]), binary)
-        pos += 1
-    elif head in ("lit", "nlit"):
-        nums = []
-        while tokens[pos] != ")":
-            nums.append(int(tokens[pos]))
-            pos += 1
-        var = tuple(nums) if len(nums) > 1 else nums[0]
-        node = _node("lit", (var, head == "nlit"), binary)
-    else:
-        kids = []
-        while tokens[pos] != ")":
-            child, pos = _parse(tokens, pos, binary)
-            kids.append(child)
-        node = _node(head, kids, binary)
-    if tokens[pos] != ")":
-        raise ArityError("missing ')'")
-    return node, pos + 1
-
-
 def from_sexpr(text: str, binary: bool = False):
+    """Parse the text form one token at a time: ``gates`` holds the (head,
+    children) of each gate still open, below one frame for the whole text."""
     tokens = _tokenize(text)
-    node, end = _parse(tokens, 0, binary)
-    if end != len(tokens):
-        raise ArityError(f"unexpected input after the formula at token {end}")
-    return node
+    gates: list[tuple[str, list]] = [("", [])]
+    pos = 0
+    while pos < len(tokens):
+        if tokens[pos] == ")" and len(gates) > 1:
+            head, kids = gates.pop()
+            gates[-1][1].append(_node(head, kids, binary))
+            pos += 1
+            continue
+        if tokens[pos] != "(" or pos + 1 == len(tokens):
+            raise ArityError(f"expected '(' and a head at token {pos}")
+        head = tokens[pos + 1]
+        pos += 2
+        if head not in ("const", "lit", "nlit"):
+            gates.append((head, []))
+            continue
+        try:
+            close = tokens.index(")", pos)
+            nums = [int(tok) for tok in tokens[pos:close]]
+        except ValueError:
+            raise ArityError(f"{head} at token {pos - 2} needs integers and a ')'") from None
+        if not nums or (head == "const" and len(nums) > 1):
+            raise ArityError(f"{head} at token {pos - 2} has {len(nums)} arguments")
+        var = tuple(nums) if len(nums) > 1 else nums[0]
+        leaf = ("const", var) if head == "const" else ("lit", (var, head == "nlit"))
+        gates[-1][1].append(_node(*leaf, binary))
+        pos = close + 1
+    if len(gates) > 1 or len(gates[0][1]) != 1:
+        raise ArityError("the text is not one formula with balanced parentheses")
+    return gates[0][1][0]
 
 
 def to_json_dict(phi) -> dict:
-    if phi.op == "const":
-        return {"const": phi.value}
-    if phi.op == "lit":
-        var = list(phi.var) if isinstance(phi.var, tuple) else phi.var
-        return {"lit": var, "neg": phi.neg}
-    return {phi.op: [to_json_dict(c) for c in phi.children]}
+    out: dict = {}
+    for node in jointrees._postorder(phi):
+        if node.op == "const":
+            out[node] = {"const": node.value}
+        elif node.op == "lit":
+            var = list(node.var) if isinstance(node.var, tuple) else node.var
+            out[node] = {"lit": var, "neg": node.neg}
+        else:
+            out[node] = {node.op: [out[c] for c in node.children]}
+    return out[phi]
 
 
 def from_json_dict(data, binary: bool = False):
-    if "const" in data:
-        head, keys = "const", {"const"}
-    elif "lit" in data:
-        head, keys = "lit", {"lit", "neg"}
-    else:
-        head = next(iter(data), None)
-        keys = {head}
-    if head is None or not keys.issuperset(data):
-        raise ArityError(f"a formula node has const, lit (and neg) or one gate, not {sorted(data)}")
-    if head == "const":
-        return _node("const", data["const"], binary)
-    if head == "lit":
-        var = tuple(data["lit"]) if isinstance(data["lit"], list) else data["lit"]
-        return _node("lit", (var, data.get("neg", False)), binary)
-    return _node(head, [from_json_dict(c, binary) for c in data[head]], binary)
+    """Parse the JSON mirror children-first on an explicit stack: ``gates``
+    holds the (head, children) of each gate being built, below one frame for
+    the whole input, and ``join`` marks where the innermost one is done."""
+    join = object()
+    gates: list[tuple[str, list]] = [("", [])]
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if item is join:
+            head, kids = gates.pop()
+            gates[-1][1].append(_node(head, kids, binary))
+            continue
+        if not isinstance(item, dict):
+            raise ArityError(f"a formula node is a JSON object, not {type(item).__name__}")
+        head = "const" if "const" in item else "lit" if "lit" in item else next(iter(item), None)
+        keys = {"lit", "neg"} if head == "lit" else {head}
+        if head is None or not keys.issuperset(item):
+            raise ArityError(f"a formula node has const, lit (and neg) or one gate, not {sorted(item)}")
+        if head == "const":
+            gates[-1][1].append(_node("const", item["const"], binary))
+        elif head == "lit":
+            var = tuple(item["lit"]) if isinstance(item["lit"], list) else item["lit"]
+            gates[-1][1].append(_node("lit", (var, item.get("neg", False)), binary))
+        elif isinstance(item[head], (list, tuple)):
+            gates.append((head, []))
+            stack.append(join)
+            stack.extend(reversed(item[head]))
+        else:
+            raise ArityError(f"the children of {head!r} are a JSON list")
+    return gates[0][1][0]
 
 
 # -- exhaustive strict-formula count ------------------------------------------

@@ -8,8 +8,11 @@ can key a memo.  Its two node kinds are ``JoinTree`` (here) and
 written once, over ``BinaryTree``: the doubling combinator ``sem``, its
 recogniser and depth ``sem_depth``, ``left_depth``, ``strictify`` and
 ``is_strict`` (given the per-node value whose equality marks a redundant
-child), and leaf relabelling ``relabel_leaves``.  Every walk is memoised by
-node, so a shared subtree is visited once and stays shared.
+child), and leaf relabelling ``relabel_leaves``.  Every walk of a whole tree
+or formula is one loop over ``_postorder``, the distinct nodes children
+first on an explicit stack, so a shared subtree is visited once and depth is
+no ceiling; only ``formulas._Walker``, the sampled conversions, the support
+tree and ``relations._restricted`` walk on their own.
 
 A join tree is a binary tree whose leaves are labeled by single edges (or the
 empty graph) and whose internal nodes carry the union of their children's
@@ -125,31 +128,46 @@ class JoinTree(BinaryTree):
         return f"JoinTree({self.pretty()})"
 
     def pretty(self) -> str:
-        if self.is_leaf:
-            if not self.graph:
-                return "()"
-            s, t = self.graph.intervals[0]
-            return f"[{s},{t}]"
-        return f"({self.left.pretty()} U {self.right.pretty()})"
+        return _text(self, _leaf_text, lambda x: "(", " U ")
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
+        count: dict[JoinTree, int] = {}
+        for x in _postorder(self):
+            count[x] = 1 if x.left is None else count[x.left] + count[x.right]
+        return count[self]
 
     def to_json(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": self.graph.to_json()}
-        return {"node": [self.left.to_json(), self.right.to_json()]}
+        out: dict[JoinTree, dict] = {}
+        for x in _postorder(self):
+            out[x] = {"node": [out[x.left], out[x.right]]} if x.left else {"leaf": x.graph.to_json()}
+        return out[self]
 
     @classmethod
     def from_json(cls, data) -> "JoinTree":
         if isinstance(data, str):
             data = json.loads(data)
-        if "leaf" in data:
-            return leaf(PathGraph.from_json(data["leaf"]))
-        l, r = data["node"]
-        return node(cls.from_json(l), cls.from_json(r))
+        join = object()  # marks a node whose children are the top two built trees
+        built: list[JoinTree] = []
+        stack = [data]
+        while stack:
+            item = stack.pop()
+            if item is join:
+                right = built.pop()
+                built.append(node(built.pop(), right))
+            elif not isinstance(item, dict):
+                raise ArityError(f"a join tree is a JSON object, not {type(item).__name__}")
+            elif "leaf" in item:
+                built.append(leaf(PathGraph.from_json(item["leaf"])))
+            else:
+                kids = item["node"]
+                if not isinstance(kids, (list, tuple)) or len(kids) != 2:
+                    raise ArityError("a join-tree node needs a list of two children")
+                stack += (join, kids[1], kids[0])
+        return built[0]
+
+
+def _leaf_text(x: JoinTree) -> str:
+    return "[{},{}]".format(*x.graph.intervals[0]) if x.graph else "()"
 
 
 def leaf(graph: PathGraph = EMPTY) -> JoinTree:
@@ -217,77 +235,110 @@ def build(kind: str, args) -> JoinTree:
 # ---------------------------------------------------------------------------
 
 
+def _postorder(root) -> Iterator:
+    """The distinct nodes under ``root``, each after its children, on an
+    explicit stack.  A ``BinaryTree`` is told apart by structure (the
+    first-met copy stands for its equals), a ``formulas.Formula`` (children
+    in ``children``) by identity."""
+    seen: set = set()
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    binary = isinstance(root, BinaryTree)
+    while stack:
+        x = pop()
+        if x is None:  # the node under the marker has all its children done
+            x = pop()
+        elif x in seen:
+            continue
+        elif binary:
+            if x.left is not None:
+                push(x)
+                push(None)
+                push(x.right)
+                push(x.left)
+                continue
+        elif x.children:
+            push(x)
+            push(None)
+            stack.extend(reversed(x.children))
+            continue
+        seen.add(x)
+        yield x
+
+
+def _children(x) -> tuple:
+    if isinstance(x, BinaryTree):
+        return () if x.left is None else (x.left, x.right)
+    return x.children
+
+
+def _text(t, leaf_text: Callable, head: Callable, sep: str) -> str:
+    """Text of t: ``leaf_text(x)`` at a leaf, else ``head(x)``, the
+    children's texts joined by ``sep``, and ')'.  Each distinct subtree's
+    text is built once, as a list of pieces sharing its children's lists,
+    and one pass joins the pieces, in time linear in the text."""
+    pieces: dict = {}
+    for x in _postorder(t):
+        kids = _children(x)
+        if kids:
+            body = [p for c in kids for p in (sep, pieces[c])]  # sep, kid, sep, kid, ...
+            pieces[x] = [head(x), *body[1:], ")"]
+        else:
+            pieces[x] = leaf_text(x)
+    out: list[str] = []
+    stack = [pieces[t]]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
+
+
 def standard_depth(t: BinaryTree) -> int:
-    memo: dict[BinaryTree, int] = {}
-
-    def rec(x: BinaryTree) -> int:
-        got = memo.get(x)
-        if got is None:
-            got = 0 if x.left is None else 1 + max(rec(x.left), rec(x.right))
-            memo[x] = got
-        return got
-
-    return rec(t)
+    depth: dict[BinaryTree, int] = {}
+    for x in _postorder(t):
+        depth[x] = 1 + max(depth[x.left], depth[x.right]) if x.left else 0
+    return depth[t]
 
 
 def left_depth(t: BinaryTree, gates: Iterable | None = None) -> int:
     """Maximum number of left descents on a root-to-leaf branch (the
     right-comb-combinator depth).  With ``gates``, only a descent from a node
     whose gate is one of them counts (the AND-left depth of a formula)."""
-    memo: dict[BinaryTree, int] = {}
-
-    def rec(x: BinaryTree) -> int:
-        got = memo.get(x)
-        if got is None:
-            if x.left is None:
-                got = 0
-            else:
-                step = 1 if gates is None or x.gate in gates else 0
-                got = max(rec(x.left) + step, rec(x.right))
-            memo[x] = got
-        return got
-
-    return rec(t)
+    depth: dict[BinaryTree, int] = {}
+    for x in _postorder(t):
+        if x.left is None:
+            depth[x] = 0
+        else:
+            a = depth[x.left] + (1 if gates is None or x.gate in gates else 0)
+            b = depth[x.right]
+            depth[x] = a if a > b else b
+    return depth[t]
 
 
 def _sem_table(t: BinaryTree) -> tuple[tuple, int]:
     """The doubling-combinator recogniser: one pass over the distinct nodes
-    under t (equal subtrees are one node), children first, driven by an
-    explicit stack, so a deep tree needs no deep recursion.  Returns t's
-    (seqs, depth).
+    under t, children first.  Returns t's (seqs, depth).
 
     For each node x, ``seqs`` are all sequences (T_1..T_p) whose
     doubling-combinator expansion with x's gate equals x, the singleton (x,)
     first; a child with another gate is a single part.  ``depth`` is the
     minimum nesting depth of single-gate applications expressing x.  The
-    sequences of the inner nodes count against ``SEM_MEMO_LIMIT``.
-
-    Entries are keyed by node and, so that each object is looked up by
-    structure only once, by object id as well."""
+    sequences of the inner nodes count against ``SEM_MEMO_LIMIT``."""
     table: dict[BinaryTree, tuple[tuple, int]] = {}
-    by_id: dict[int, tuple[tuple, int]] = {}
     entries = 0
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if id(x) in by_id:
-            continue
-        got = table.get(x)
-        if got is not None:
-            by_id[id(x)] = got
-            continue
+    for x in _postorder(t):
         left, right = x.left, x.right
         if left is None:
-            table[x] = by_id[id(x)] = (((x,),), 0)
-            continue
-        got_l, got_r = by_id.get(id(left)), by_id.get(id(right))
-        if got_l is None or got_r is None:
-            stack += (x, right, left)  # x again once its children are done
+            table[x] = (((x,),), 0)
             continue
         # a child with another gate is the single part (child,) of its
         # entry, so every part is the first-met copy of its subtree and
         # equal parts compare by identity
         gate = x.gate
+        got_l, got_r = table[left], table[right]
         seqs_l = got_l[0] if left.gate == gate else got_l[0][:1]
         seqs_r = got_r[0] if right.gate == gate else got_r[0][:1]
         acc = [(x,)]
@@ -298,14 +349,14 @@ def _sem_table(t: BinaryTree) -> tuple[tuple, int]:
                 if len(a) == len(b) and head == b[:-1]:
                     seq = a + (b[-1],)
                     acc.append(seq)
-                    worst = max([by_id[id(part)][1] for part in seq])
+                    worst = max([table[part][1] for part in seq])
                     if depth is None or worst < depth:
                         depth = worst
         entries += len(acc)
         if entries > SEM_MEMO_LIMIT:
             raise ResourceLimitError(f"sem-depth recognition exceeded {SEM_MEMO_LIMIT} memo entries")
-        table[x] = by_id[id(x)] = (tuple(acc), depth + 1)
-    return by_id[id(t)]
+        table[x] = (tuple(acc), depth + 1)
+    return table[t]
 
 
 def sem_decompositions(t: BinaryTree) -> list[tuple[BinaryTree, ...]]:
@@ -338,29 +389,24 @@ def _rewrite(
     at_leaf: Callable[[BinaryTree], BinaryTree],
     collapse: Callable[[BinaryTree], BinaryTree | None] | None = None,
 ) -> BinaryTree:
-    """Bottom-up rewrite, memoised by node: a leaf x becomes ``at_leaf(x)``;
-    an inner node x becomes the rewrite of ``collapse(x)`` when that is not
-    None, else x over its rewritten children.  A node the rewrite leaves
-    alone comes back as itself, even when an equal node was met first."""
-    memo: dict[BinaryTree, BinaryTree | None] = {}
-
-    def rec(x: BinaryTree) -> BinaryTree:
-        if x in memo:
-            got = memo[x]
-            return x if got is None else got
+    """Bottom-up rewrite: a leaf x becomes ``at_leaf(x)``; an inner node x
+    becomes the rewrite of ``collapse(x)`` (one of its children) when that
+    is not None, else x over its rewritten children.  A node the rewrite
+    leaves alone comes back as itself, even when an equal node was met
+    first: ``done`` holds None for such a node."""
+    done: dict[BinaryTree, BinaryTree | None] = {}
+    for x in _postorder(t):
         if x.left is None:
             got = at_leaf(x)
         else:
             keep = collapse(x) if collapse is not None else None
             if keep is not None:
-                got = rec(keep)
+                got = done[keep] or keep
             else:
-                l, r = rec(x.left), rec(x.right)
+                l, r = done[x.left] or x.left, done[x.right] or x.right
                 got = x if l is x.left and r is x.right else x.rebuild(l, r)
-        memo[x] = None if got is x else got
-        return got
-
-    return rec(t)
+        done[x] = None if got is x else got
+    return done[t] or t
 
 
 def _redundant_child(x: BinaryTree, value: Callable) -> BinaryTree | None:

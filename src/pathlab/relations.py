@@ -454,19 +454,12 @@ def chi_decomposition_cost(
         raise DomainError("the join tree must be strict")
     plain = _plain_minterms(n)
     graphs = subgraphs_of_path(k)
-    seen = set()
-    stack = [fdm]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
+    for node in jointrees._postorder(fdm):
         for h in graphs:
             if not is_pathset(plain(node, h), params):
                 raise DomainError(
                     f"minterm relation of a subformula on {h!r} is not a pathset"
                 )
-        stack.extend(node.children)
 
     mgt, total = _restricted(plain, fdm, t, n)
     d_cap = formulas.and_depth(fdm)

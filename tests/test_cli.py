@@ -175,6 +175,9 @@ def test_resource_limit_exit_code(capsys):
         (["measure", "formula-stats", "--formula"], '{"lit": 1, "and": []}'),
         # a non-integer endpoint is refused, not truncated into a component
         (["measure", "vecdelta", "--seq"], '{"graphs": [{"intervals": [[2.2, 2.7]]}, {"intervals": [[0, 1]]}]}'),
+        # a constant other than 0 or 1 is refused, not read as const(1)
+        (["measure", "formula-stats", "--formula"], "(const 2)"),
+        (["measure", "formula-stats", "--formula"], '{"const": 2}'),
     ],
 )
 def test_malformed_input_is_input_error(tmp_path, capsys, argv, text):
@@ -193,7 +196,9 @@ def test_bad_option_values_are_input_errors(capsys):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
 
 
-@pytest.mark.parametrize("exc", [AssertionError("broken invariant"), KeyError("missing")])
+@pytest.mark.parametrize(
+    "exc", [AssertionError("broken invariant"), KeyError("missing"), RecursionError("too deep")]
+)
 def test_internal_error_exits_four(capsys, monkeypatch, exc):
     def broken(args):
         raise exc
@@ -329,11 +334,11 @@ def test_measure_formula_stats_json(tmp_path, capsys):
 
 
 def _gate_chain(gates: int) -> str:
-    """(or (lit g) (and (lit g-1) ... (lit 0))): alternating gates, so none merge."""
-    text = "(lit 0)"
-    for i in range(gates):
-        text = f"({'and' if i % 2 else 'or'} (lit {i + 1}) {text})"
-    return text
+    """(or (lit g) (and (lit g-1) ... (lit 0))): gate i is an OR when i is
+    even and an AND when odd, over a new literal and the chain so far, so
+    no two gates merge."""
+    heads = "".join(f"({'and' if i % 2 else 'or'} (lit {i + 1}) " for i in reversed(range(gates)))
+    return heads + "(lit 0)" + ")" * gates
 
 
 def test_measure_depths_of_a_deep_comb(tmp_path, capsys):
@@ -344,11 +349,23 @@ def test_measure_depths_of_a_deep_comb(tmp_path, capsys):
     assert json.loads(out) == {"measure": "depths", "left": 1, "sem": 249, "standard": 249}
 
 
-def test_formula_too_deep_to_parse_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("gates", [600, 1200, 10_000])
+def test_deep_gate_chain_measures_exactly(tmp_path, capsys, gates):
+    # nesting depth is no ceiling: the parser and the measures run on
+    # explicit stacks
     path = tmp_path / "chain.sexpr"
-    path.write_text(_gate_chain(1200))
-    assert cli.main(["measure", "formula-stats", "--formula", str(path)]) == cli.EXIT_INPUT_ERROR
-    assert "input error: cannot read" in capsys.readouterr().err
+    path.write_text(_gate_chain(gates))
+    code, out = run(capsys, "measure", "formula-stats", "--formula", str(path), "--format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out) == {
+        "measure": "formula-stats",
+        "size": gates + 1,
+        "depth": gates,
+        "and_depth": gates // 2,
+        "fanin": 2,
+        "and_fanin": 2,
+        "monotone": True,
+    }
 
 
 def test_tree_too_deep_to_decode_is_an_input_error(tmp_path, capsys):
@@ -359,11 +376,3 @@ def test_tree_too_deep_to_decode_is_an_input_error(tmp_path, capsys):
     path.write_text(text)
     assert cli.main(["measure", "depths", "--tree", str(path)]) == cli.EXIT_INPUT_ERROR
     assert "input error: cannot read" in capsys.readouterr().err
-
-
-def test_parsed_formula_too_deep_to_measure_is_a_resource_limit(tmp_path, capsys):
-    # 600 levels parse, but the measures recurse more than once per level
-    path = tmp_path / "chain.sexpr"
-    path.write_text(_gate_chain(600))
-    assert cli.main(["measure", "formula-stats", "--formula", str(path)]) == cli.EXIT_RESOURCE_LIMIT
-    assert "resource limit: input nesting depth exceeds the recursion limit" in capsys.readouterr().err

@@ -579,6 +579,42 @@ def test_sexpr_parses_edge_and_matrix_vars():
     assert {v for v in F.variables(phi)} == {(1, 2, 2), 5, 3}
 
 
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (F.from_sexpr, "(and (lit 1)"),
+        (F.from_sexpr, "(lit)"),
+        (F.from_sexpr, ""),
+        (F.from_sexpr, "(lit x)"),
+        (F.from_sexpr, "(const)"),
+        (F.from_sexpr, "(const 2)"),
+        (F.from_json_dict, {"and": 5}),
+        (F.from_json_dict, {"const": 2}),
+        (jt.JoinTree.from_json, {"node": [{"leaf": {"intervals": [[0, 1]]}}]}),
+    ],
+)
+def test_parsers_raise_arity_errors(parse, data):
+    with pytest.raises(ArityError):
+        parse(data)
+
+
+def test_a_deep_binary_chain_walks_on_explicit_stacks():
+    # gate i joins the chain so far (left) and literal i (right), an AND
+    # when i is odd: 10,000 literals, 5,000 AND gates on the left spine
+    n = 10_000
+    phi = F.lit(0)
+    for i in range(1, n):
+        phi = (F.conj if i % 2 else F.disj)([phi, F.lit(i)])
+    dm = F.convert(phi, "right_deep")
+    assert F.convert(phi, "balanced") == dm
+    assert F.variables(phi) == F.variables(dm) == set(range(n))
+    assert F.and_left_depth(dm) == n // 2
+    assert (F.size(dm), F.depth(dm), F.and_depth(dm)) == (n, n - 1, n // 2)
+    assert F.from_sexpr(F.to_sexpr(dm), binary=True) == dm
+    assert F.to_sexpr(F.from_sexpr(F.to_sexpr(phi))) == F.to_sexpr(dm)
+    assert F.from_json_dict(F.to_json_dict(dm), binary=True) == dm
+
+
 # -- exhaustive strict counts ----------------------------------------------------------
 
 

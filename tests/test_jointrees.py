@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 import random
 
@@ -710,3 +711,46 @@ def test_sem_recogniser_needs_no_recursion_per_level():
     comb = jt.sq(leaves(3000))
     assert jt.sem_depth(comb) == 2999
     assert jt.sem_decompositions(comb) == [(comb.left, comb.right)]
+
+
+def test_a_deep_comb_walks_on_explicit_stacks():
+    # every walker of a whole tree is a loop over one explicit stack, so a
+    # comb far deeper than the recursion limit goes through all of them
+    n = 10_000
+    comb = jt.sq(leaves(n))
+    assert jt.depths(comb) == (n - 1, 1, n - 1)
+    want = "".join(f"([{i - 1},{i}] U " for i in range(1, n)) + f"[{n - 1},{n}]" + ")" * (n - 1)
+    assert comb.pretty() == want
+    assert comb.leaf_count() == n
+    # at the dict level, since json.dumps itself recurses once per level
+    assert jt.JoinTree.from_json(comb.to_json()) == comb
+    assert jt.strictify(comb) is comb
+    half = jt.tree_restrict(comb, full_path(n // 2))
+    assert half.leaf_count() == n and half.graph == full_path(n // 2)
+    assert jt.strictify(half) == jt.sq(leaves(n // 2))
+
+
+def test_folds_visit_each_distinct_node_once(monkeypatch):
+    # sem over 20 edges has 2^19 leaves but only 20 distinct ones
+    t = jt.sem(leaves(20))
+    walked = []
+    postorder = jt._postorder
+
+    def spy(root):
+        for x in postorder(root):
+            walked.append(x)
+            yield x
+
+    monkeypatch.setattr(jt, "_postorder", spy)
+    assert t.leaf_count() == 2**19
+    assert sum(x.is_leaf for x in walked) == 20
+    assert len(walked) == len(set(walked)) == len(set(map(id, walked)))
+
+
+def test_pretty_of_a_shared_tree_is_unchanged():
+    text = jt.sem(leaves(12)).pretty()
+    assert len(text) == 20481
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "48c26688c636b858acecdf009c57c4122c606bc1f13e2dc0a9c6cc70c054d6f4"
+    )
+    assert text.startswith("((((((((((([0,1] U [1,2]) U ([0,1] U [2,3])) U (([0,1] U [1,2])")
