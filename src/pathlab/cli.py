@@ -21,7 +21,7 @@ from itertools import product
 from typing import Callable
 
 from . import formulas, greedy, jointrees, relations, samples, shifts
-from .errors import InputError, PathLabError, ResourceLimitError
+from .errors import CheckFailedError, InputError, PathLabError, ResourceLimitError
 from .paths import (
     EMPTY,
     full_path,
@@ -445,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except CheckFailedError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except PathLabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

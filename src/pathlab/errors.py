@@ -43,3 +43,8 @@ class InputError(PathLabError, ValueError):
 
 class ResourceLimitError(PathLabError, RuntimeError):
     """A brute-force computation exceeded its configured ceiling."""
+
+
+class CheckFailedError(PathLabError, AssertionError):
+    """A certificate failed its own check: a computed value broke the bound
+    it was built to meet."""

@@ -8,11 +8,10 @@ Variable conventions: a matrix-entry variable is the triple ``(i, a, b)``
 packed into Python big integers (bit j holds the value of input j).
 
 A binary formula (``DeMorgan``) is a node kind of ``jointrees.BinaryTree``,
-so it has structural equality and a cached hash, and the doubling
-combinator, its depth, strictification and leaf restriction are the
-``jointrees`` algorithms: this module only supplies the gate op, the
-truth-table value that marks a redundant child, and the literal-to-constant
-relabelling.
+so it is interned; equality is identity.  The doubling combinator, its
+depth, strictification and leaf restriction are the ``jointrees``
+algorithms: this module only supplies the gate op, the truth-table value
+that marks a redundant child, and the literal-to-constant relabelling.
 """
 
 from __future__ import annotations
@@ -94,19 +93,17 @@ def disj(children: Sequence[Formula]) -> Formula:
 
 
 class DeMorgan(jointrees.BinaryTree):
-    """Binary AND/OR tree over the same leaves; equal formulas compare equal."""
+    """Binary AND/OR tree over the same leaves; equal formulas are one object."""
 
     __slots__ = ("op", "var", "neg", "value")
 
-    def __init__(self, op, left=None, right=None, var=None, neg=False, value=0):
-        self.op = op
-        self.var = var
-        self.neg = neg
-        self.value = value
-        jointrees.BinaryTree.__init__(self, left, right, None if left is None else op)
-
-    def leaf_label(self):
-        return (self.op, self.var, self.neg, self.value)
+    def __new__(cls, op, left=None, right=None, var=None, neg=False, value=0):
+        key = (cls, op, var, neg, value) if left is None else (cls, op, left, right)
+        x = jointrees._NODES.get(key)
+        if x is None:
+            x = jointrees._new_node(cls, key, left, right, None if left is None else op)
+            x.op, x.var, x.neg, x.value = op, var, neg, value
+        return x
 
     def rebuild(self, left: "DeMorgan", right: "DeMorgan") -> "DeMorgan":
         return DeMorgan(self.op, left, right)
@@ -403,8 +400,14 @@ _KINDS = {
 _FLAT = {"D": "SigmaI", "C": "PiII"}
 
 
-def _matrix_lit(lo: int, hi: int, a: int, b: int) -> Formula:
-    return lit((hi, a, b))
+def _matrix_lit(lits: dict, lo: int, hi: int, a: int, b: int) -> Formula:
+    """The literal of entry (a, b) of matrix hi, one object per variable in
+    ``lits``, the table of one build."""
+    var = (hi, a, b)
+    got = lits.get(var)
+    if got is None:
+        got = lits[var] = lit(var)
+    return got
 
 
 def _leaf_count(kind: str, n: int, ell: int, d: int) -> int:
@@ -419,12 +422,14 @@ def _leaf_count(kind: str, n: int, ell: int, d: int) -> int:
     return leaves
 
 
-def _block(kind: str, n: int, ell: int, d: int, lo: int, hi: int, a0: int, ak: int) -> Formula:
+def _block(
+    kind: str, n: int, ell: int, d: int, lits: dict, lo: int, hi: int, a0: int, ak: int
+) -> Formula:
     """``kind`` over matrices lo+1..hi, split into ``ell`` blocks down to
-    single matrices at d = 1."""
+    single matrices at d = 1; ``lits`` holds the build's literals."""
     combine, inner = _KINDS[kind]
     cuts = range(lo, hi + 1, (hi - lo) // ell)
-    child = _matrix_lit if d == 1 else partial(_block, inner, n, ell, d - 1)
+    child = partial(_matrix_lit, lits) if d == 1 else partial(_block, inner, n, ell, d - 1, lits)
     return combine(n, cuts, a0, ak, child)
 
 
@@ -455,7 +460,7 @@ def build_matrix_formula(
         raise ResourceLimitError(
             f"{leaves} leaves for n={n}, k={k}, d={d} exceed the node budget {_BUILD_NODE_LIMIT}"
         )
-    return _block(kind, n, ell, d, 0, k, a0, ak)
+    return _block(kind, n, ell, d, {}, 0, k, a0, ak)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Join trees over path graphs, and the binary-tree core they share with
 binary formulas.
 
-``BinaryTree`` is that core: an immutable node whose structural hash is
-computed once, at construction, so unequal nodes compare in O(1) and any node
-can key a memo.  Its two node kinds are ``JoinTree`` (here) and
-``formulas.DeMorgan``.  The algorithms that only read the tree shape are
+``BinaryTree`` is that core: an immutable node, interned; equality is
+identity.  One table makes every node of both node kinds, ``JoinTree``
+(here) and ``formulas.DeMorgan``, so equal trees are one object and a node
+keys a memo by identity.  The algorithms that only read the tree shape are
 written once, over ``BinaryTree``: the doubling combinator ``sem``, its
 recogniser and depth ``sem_depth``, ``left_depth``, ``strictify`` and
 ``is_strict`` (given the per-node value whose equality marks a redundant
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Literal
@@ -47,27 +48,15 @@ STRICT_COUNT_LIMIT = 500_000  # trees enumerate_strict builds
 class BinaryTree:
     """Immutable binary tree node.  A leaf has ``left`` and ``right`` None and
     ``gate`` None; an inner node names its operation in ``gate``.  Subclasses
-    say what tells two leaves apart (``leaf_label``) and how to make an inner
-    node with the same gate over other children (``rebuild``).
+    look their nodes up in ``_NODES`` and make new ones with ``_new_node``,
+    and say how to make an inner node with the same gate over other children
+    (``rebuild``).
 
-    Equality is structural: identity first, then the cached hash, then gate,
-    leaf label and children.  There is no intern table, so equal trees built
-    apart stay distinct objects; the cached hash already makes a node a
-    constant-time memo key."""
+    Nodes are interned; equality is identity.  Building a node equal to a
+    live one returns that one, so a node keys a memo by identity and equal
+    trees share every cache held on their nodes."""
 
-    __slots__ = ("left", "right", "gate", "_hash")
-
-    def __init__(self, left: "BinaryTree | None", right: "BinaryTree | None", gate):
-        self.left = left
-        self.right = right
-        self.gate = gate
-        if left is None:
-            self._hash = hash((None, self.leaf_label()))
-        else:
-            self._hash = hash((gate, left._hash, right._hash))
-
-    def leaf_label(self):
-        raise NotImplementedError
+    __slots__ = ("left", "right", "gate", "__weakref__")
 
     def rebuild(self, left: "BinaryTree", right: "BinaryTree") -> "BinaryTree":
         raise NotImplementedError
@@ -76,33 +65,20 @@ class BinaryTree:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self) or self._hash != other._hash:
-            return False
-        if self.left is None:
-            return other.left is None and self.leaf_label() == other.leaf_label()
-        # walk the pairs of nodes, each pair once, so two equal DAGs built
-        # apart compare in time linear in their nodes, not their paths
-        seen: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            if a._hash != b._hash or a.gate != b.gate:
-                return False
-            if a.left is None:
-                if a.leaf_label() != b.leaf_label():
-                    return False
-            else:
-                seen.add((id(a), id(b)))
-                stack += ((a.left, b.left), (a.right, b.right))
-        return True
 
-    def __hash__(self):
-        return self._hash
+# the live nodes of every ``BinaryTree`` subclass: an inner node under
+# (class, gate, left, right), its children compared by identity, and a leaf
+# under its class and label; an entry goes when its node does
+_NODES: weakref.WeakValueDictionary[tuple, BinaryTree] = weakref.WeakValueDictionary()
+
+
+def _new_node(cls: type, key: tuple, left, right, gate) -> BinaryTree:
+    """A new ``cls`` node with these children and gate, entered in ``_NODES``
+    under ``key``; the caller sets its subclass fields."""
+    x = object.__new__(cls)
+    x.left, x.right, x.gate = left, right, gate
+    _NODES[key] = x
+    return x
 
 
 class JoinTree(BinaryTree):
@@ -112,14 +88,16 @@ class JoinTree(BinaryTree):
 
     __slots__ = ("graph", "_psi", "_psi_size")
 
-    def __init__(self, left: "JoinTree | None", right: "JoinTree | None", graph: PathGraph):
-        self.graph = graph
-        self._psi: int | None = None
-        self._psi_size = 0
-        BinaryTree.__init__(self, left, right, None if left is None else "union")
-
-    def leaf_label(self) -> PathGraph:
-        return self.graph
+    def __new__(cls, left: "JoinTree | None", right: "JoinTree | None", graph: PathGraph = EMPTY):
+        """The leaf labeled ``graph`` when ``left`` is None, else the union
+        node over ``left`` and ``right``."""
+        key = (cls, graph) if left is None else (cls, "union", left, right)
+        x = _NODES.get(key)
+        if x is None:
+            x = _new_node(cls, key, left, right, None if left is None else "union")
+            x.graph = graph if left is None else left.graph.union(right.graph)
+            x._psi, x._psi_size = None, 0
+        return x
 
     def rebuild(self, left: "JoinTree", right: "JoinTree") -> "JoinTree":
         return node(left, right)
@@ -177,7 +155,7 @@ def leaf(graph: PathGraph = EMPTY) -> JoinTree:
 
 
 def node(left: JoinTree, right: JoinTree) -> JoinTree:
-    return JoinTree(left, right, left.graph.union(right.graph))
+    return JoinTree(left, right)
 
 
 def sq(trees: Iterable[JoinTree]) -> JoinTree:
@@ -197,24 +175,17 @@ def sem(
 ) -> BinaryTree:
     """Doubling combinator: sem(T_1..T_m) = sem(T_1..T_{m-1}) U sem(T_1..T_{m-2}, T_m),
     with ``join`` making each inner node (the union of join trees by default).
-    Equal argument tuples share one subtree, so the result has O(m^2) nodes."""
-    ts = tuple(trees)
-    if not ts:
+    Each argument tuple the definition unfolds to is T_1..T_j, T_i for some
+    i > j; row j holds the trees of those tuples, so the result has O(m^2)
+    nodes."""
+    row = list(trees)
+    if not row:
         raise ArityError("sem needs at least one argument")
-    if len(ts) > SEM_ARITY_LIMIT:
-        raise ResourceLimitError(f"sem arity {len(ts)} exceeds limit {SEM_ARITY_LIMIT}")
-    memo: dict[tuple[BinaryTree, ...], BinaryTree] = {}
-
-    def rec(args: tuple[BinaryTree, ...]) -> BinaryTree:
-        if len(args) == 1:
-            return args[0]
-        got = memo.get(args)
-        if got is None:
-            got = join(rec(args[:-1]), rec(args[:-2] + (args[-1],)))
-            memo[args] = got
-        return got
-
-    return rec(ts)
+    if len(row) > SEM_ARITY_LIMIT:
+        raise ResourceLimitError(f"sem arity {len(row)} exceeds limit {SEM_ARITY_LIMIT}")
+    while len(row) > 1:
+        row = [join(row[0], x) for x in row[1:]]
+    return row[0]
 
 
 def build(kind: str, args) -> JoinTree:
@@ -237,9 +208,9 @@ def build(kind: str, args) -> JoinTree:
 
 def _postorder(root) -> Iterator:
     """The distinct nodes under ``root``, each after its children, on an
-    explicit stack.  A ``BinaryTree`` is told apart by structure (the
-    first-met copy stands for its equals), a ``formulas.Formula`` (children
-    in ``children``) by identity."""
+    explicit stack.  Nodes are told apart by identity: a ``BinaryTree`` is
+    interned, so equality is identity, and a ``formulas.Formula`` (children
+    in ``children``) is not interned."""
     seen: set = set()
     stack = [root]
     pop, push = stack.pop, stack.append
@@ -335,8 +306,7 @@ def _sem_table(t: BinaryTree) -> tuple[tuple, int]:
             table[x] = (((x,),), 0)
             continue
         # a child with another gate is the single part (child,) of its
-        # entry, so every part is the first-met copy of its subtree and
-        # equal parts compare by identity
+        # entry; nodes are interned, so equal parts are one object
         gate = x.gate
         got_l, got_r = table[left], table[right]
         seqs_l = got_l[0] if left.gate == gate else got_l[0][:1]
@@ -391,22 +361,17 @@ def _rewrite(
 ) -> BinaryTree:
     """Bottom-up rewrite: a leaf x becomes ``at_leaf(x)``; an inner node x
     becomes the rewrite of ``collapse(x)`` (one of its children) when that
-    is not None, else x over its rewritten children.  A node the rewrite
-    leaves alone comes back as itself, even when an equal node was met
-    first: ``done`` holds None for such a node."""
-    done: dict[BinaryTree, BinaryTree | None] = {}
+    is not None, else x over its rewritten children.  Nodes are interned,
+    so a node the rewrite leaves alone comes back as itself."""
+    done: dict[BinaryTree, BinaryTree] = {}
     for x in _postorder(t):
         if x.left is None:
             got = at_leaf(x)
         else:
             keep = collapse(x) if collapse is not None else None
-            if keep is not None:
-                got = done[keep] or keep
-            else:
-                l, r = done[x.left] or x.left, done[x.right] or x.right
-                got = x if l is x.left and r is x.right else x.rebuild(l, r)
-        done[x] = None if got is x else got
-    return done[t] or t
+            got = done[keep] if keep is not None else x.rebuild(done[x.left], done[x.right])
+        done[x] = got
+    return done[t]
 
 
 def _redundant_child(x: BinaryTree, value: Callable) -> BinaryTree | None:
@@ -567,20 +532,12 @@ def build_tight(kind: Literal["I", "II"], k: int, d: int) -> JoinTree:
 def maximally_overlapping(k: int) -> JoinTree:
     """The full-overlap tree for Path_k: each node on interval [s, t] splits
     into subtrees for [s, t-1] and [s+1, t].  Psi equals 1."""
-    memo: dict[tuple[int, int], JoinTree] = {}
-
-    def rec(s: int, t: int) -> JoinTree:
-        if t - s == 1:
-            return leaf(PathGraph(((s, t),)))
-        got = memo.get((s, t))
-        if got is None:
-            got = node(rec(s, t - 1), rec(s + 1, t))
-            memo[(s, t)] = got
-        return got
-
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    return rec(0, k)
+    row = [leaf(PathGraph(((s, s + 1),))) for s in range(k)]  # the intervals of one length
+    while len(row) > 1:
+        row = [node(a, b) for a, b in zip(row, row[1:])]
+    return row[0]
 
 
 def _edge_subgraph_pairs(g: PathGraph) -> Iterator[tuple[PathGraph, PathGraph]]:
@@ -603,7 +560,8 @@ def enumerate_strict(
     d: int | None = None,
 ) -> Iterator[JoinTree]:
     """All strict g-join trees with the chosen depth measure at most d
-    (d=None means no depth filter), each exactly once up to structural equality."""
+    (d=None means no depth filter), each exactly once; trees are interned,
+    so equal trees are one object."""
     if g.norm > STRICT_NORM_LIMIT:
         raise ResourceLimitError(f"graph has {g.norm} edges, enumeration limit {STRICT_NORM_LIMIT}")
     memo: dict[PathGraph, tuple[JoinTree, ...]] = {}

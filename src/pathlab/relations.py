@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from . import formulas, jointrees
-from .errors import DomainError, InvalidParameterError, ResourceLimitError
+from .errors import CheckFailedError, DomainError, InvalidParameterError, ResourceLimitError
 from .paths import EMPTY, PathGraph, from_edges, full_path, vec_delta
 
 # resource ceilings (each raises ResourceLimitError); only the minterm-scan
@@ -465,7 +465,7 @@ def chi_decomposition_cost(
     d_cap = formulas.and_depth(fdm)
     bound = math.comb(d_cap + g.norm - 1, g.norm - 1) * formulas.size(fdm)
     if total > bound:
-        raise AssertionError(f"certified cost {total} exceeds the binomial bound {bound}")
+        raise CheckFailedError(f"certified cost {total} exceeds the binomial bound {bound}")
     if a is None:
         target = mgt
     else:
@@ -474,7 +474,7 @@ def chi_decomposition_cost(
         target = a
     psi_value = jointrees.psi(t)
     if not exceeds_ntilde_bound(total, params, psi_value, target):
-        raise AssertionError("certified cost fell below the ntilde^Psi * mu floor")
+        raise CheckFailedError("certified cost fell below the ntilde^Psi * mu floor")
     return total
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from . import shifts
-from .errors import DomainError, InvalidCoveringError, InvalidParameterError
+from .errors import CheckFailedError, DomainError, InvalidCoveringError, InvalidParameterError
 from .greedy import greedy_order
 from .paths import (
     GraphSequence,
@@ -85,7 +85,7 @@ class WitnessResult:
 
     def __post_init__(self):
         if self.achieved < self.guaranteed:
-            raise AssertionError(
+            raise CheckFailedError(
                 f"{self.kind}: achieved {self.achieved} below guarantee {self.guaranteed}"
             )
 
@@ -467,7 +467,7 @@ def construct_strong_shift(
         extras={"tilde_min": tilde_min, "tilde_bound": tilde_bound},
     )
     if Fraction(tilde_min) < tilde_bound:
-        raise AssertionError(
+        raise CheckFailedError(
             f"strong-shift-{mode}: induced-permutation value {tilde_min} below {tilde_bound}"
         )
     return result

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from pathlab import cli, jointrees as jt
+from pathlab.errors import CheckFailedError
 from pathlab.paths import full_path, sequence_to_json, single_edge
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -206,6 +207,15 @@ def test_internal_error_exits_four(capsys, monkeypatch, exc):
     monkeypatch.setitem(cli._SUITES, "lp", broken)
     assert cli.main(["verify", "lp"]) == cli.EXIT_INTERNAL_ERROR
     assert f"internal error: {type(exc).__name__}" in capsys.readouterr().err
+
+
+def test_failed_certificate_check_exits_one(capsys, monkeypatch):
+    def failing(args):
+        raise CheckFailedError("certified cost fell below the floor")
+
+    monkeypatch.setitem(cli._SUITES, "lp", failing)
+    assert cli.main(["verify", "lp"]) == cli.EXIT_CHECK_FAILED
+    assert "check failed: certified cost" in capsys.readouterr().err
 
 
 def test_main_builds_the_parser_once(capsys):

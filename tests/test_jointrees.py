@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import gc
 import hashlib
 import itertools
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from pathlab import jointrees as jt
-from pathlab import _kernels, samples, shifts
+from pathlab import _kernels, formulas, samples, shifts
 from pathlab.errors import ArityError, InvalidParameterError, ResourceLimitError
 from pathlab.paths import (
     EMPTY,
@@ -382,14 +383,20 @@ def test_psi_cache_keeps_the_dp_limit(monkeypatch):
     assert jt.psi(t, dp_limit=largest) == value
 
 
-def test_psi_cache_matches_a_fresh_tree():
+def test_psi_cache_matches_a_fresh_tree(monkeypatch):
     rng = random.Random(4)
+    dp_runs = []
+    real = jt.max_vec_delta_over_orderings
+    monkeypatch.setattr(
+        jt, "max_vec_delta_over_orderings", lambda cov, limit: dp_runs.append(cov) or real(cov, limit)
+    )
     for _ in range(30):
         t = samples.random_strict_tree(rng, full_path(rng.randint(2, 7)))
         first = jt.psi(t)
+        runs = len(dp_runs)
         fresh = jt.JoinTree.from_json(t.to_json())
-        assert fresh == t and fresh._psi is None
-        assert jt.psi(fresh) == first == jt.psi(t)
+        assert fresh is t
+        assert jt.psi(fresh) == first and len(dp_runs) == runs
 
 
 def test_verify_tradeoff_kinds_share_one_psi(monkeypatch):
@@ -531,12 +538,25 @@ def test_strictify_and_restrict_keep_sharing():
 
 
 def test_equality_of_dags_built_apart():
-    # 2^19 root-to-leaf paths each; equality walks node pairs, not paths
-    a, b = jt.sem(leaves(20)), jt.sem(leaves(20))
-    assert a is not b and a == b and hash(a) == hash(b)
+    # 2^19 root-to-leaf paths each; equal trees are one interned object
+    a = jt.sem(leaves(20))
+    assert jt.sem(leaves(20)) is a
     other = leaves(20)
     other[-1] = jt.leaf(single_edge(21))
-    assert jt.sem(other) != a
+    assert jt.sem(other) is not a
+
+
+def test_intern_table_drops_dead_trees():
+    # an entry goes with its node, by reference counting alone
+    gc.collect()
+    start = len(jt._NODES)
+    rng = random.Random(11)
+    for _ in range(10_000):
+        samples.random_strict_tree(rng, full_path(rng.randint(1, 6)))
+    phi = formulas.build_matrix_formula("C", 2, 3)
+    for seed in range(1_000):
+        formulas.randomized_conversion(phi, 1 + seed % 3, seed)
+    assert len(jt._NODES) == start
 
 
 def test_strictify_with_equal_subtrees_built_apart():

@@ -18,7 +18,7 @@ from pathlab import formulas as F
 from pathlab import jointrees as jt
 from pathlab import relations as R
 from pathlab import samples
-from pathlab.errors import DomainError, InvalidParameterError, ResourceLimitError
+from pathlab.errors import CheckFailedError, DomainError, InvalidParameterError, ResourceLimitError
 from pathlab.paths import EMPTY, from_edges, full_path, make_path, single_edge
 
 
@@ -498,6 +498,20 @@ def test_chi_cost_single_literal():
     g = single_edge(1)
     t = jt.leaf(g)
     assert R.chi_decomposition_cost(t, None, dm, params) == 1
+
+
+def test_chi_cost_above_the_binomial_bound_fails_its_check(monkeypatch):
+    monkeypatch.setattr(F, "size", lambda f: 0)
+    t, dm = jt.leaf(single_edge(1)), F.dm_lit((1, 1, 1))
+    with pytest.raises(CheckFailedError, match="binomial bound"):
+        R.chi_decomposition_cost(t, None, dm, R.PathsetParams(2, 3))
+
+
+def test_chi_cost_below_the_ntilde_floor_fails_its_check(monkeypatch):
+    monkeypatch.setattr(R, "exceeds_ntilde_bound", lambda *args: False)
+    t, dm = jt.leaf(single_edge(1)), F.dm_lit((1, 1, 1))
+    with pytest.raises(CheckFailedError, match="floor"):
+        R.chi_decomposition_cost(t, None, dm, R.PathsetParams(2, 3))
 
 
 def test_chi_cost_constant():

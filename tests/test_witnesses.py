@@ -13,7 +13,7 @@ import pytest
 
 from pathlab import jointrees as jt
 from pathlab import paths, samples, shifts, witnesses as wit
-from pathlab.errors import DomainError, InvalidCoveringError
+from pathlab.errors import CheckFailedError, DomainError, InvalidCoveringError
 from pathlab.paths import (
     EMPTY,
     full_path,
@@ -353,6 +353,24 @@ def test_main_two_selects_once_and_skips_induced_values(monkeypatch):
 def test_witness_result_refuses_missed_bounds():
     with pytest.raises(AssertionError):
         wit.WitnessResult("demo", [1], 1, Fraction(2))
+
+
+def test_witness_below_its_guarantee_fails_its_check(monkeypatch):
+    # a guarantee of k + 1 is above any component count on Path_k
+    monkeypatch.setattr(wit, "Fraction", lambda k, d: Fraction(k + 1))
+    with pytest.raises(CheckFailedError, match="premain-I"):
+        wit.construct_premain_I([single_edge(i) for i in range(1, 7)])
+
+
+def test_strong_shift_below_its_induced_bound_fails_its_check(monkeypatch):
+    real = shifts._Blocks.value
+
+    def value(self, index_set, code):
+        return 0 if code == wit._DELTA else real(self, index_set, code)
+
+    monkeypatch.setattr(shifts._Blocks, "value", value)
+    with pytest.raises(CheckFailedError, match="induced-permutation value"):
+        wit.construct_strong_shift([single_edge(i) for i in range(1, 9)], "premain")
 
 
 def test_witness_json():
