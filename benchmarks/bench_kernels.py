@@ -15,9 +15,13 @@ runs, so its column times the reductions alone; the clique column runs the
 entry on m members that all share one vertex (optimum 1), which nothing
 reduces, so it times one DP on all m members.
 
-The Psi table times ``jointrees.psi`` on the tight trees of ``TIGHT_TREES``,
-built afresh outside the timed region (Psi is cached on a tree), and checks
-each value against the plain-integer loop on every distinct branch covering.
+The Psi table times a fresh ``jointrees.psi`` on the tight trees of
+``TIGHT_TREES``, on every strict Path_4 tree and on ``PSI_RANDOM_TREES``
+seeded random strict trees of Path_2..8 (drawn as criterion 06 draws them),
+and prints the subset DPs one pass runs.  Psi is cached on a tree and equal
+trees are one object, so each pass clears the cache first.  Each value is
+checked against the plain-integer loop on every branch covering, walked
+branch by branch apart from ``jointrees.branch_coverings``.
 
 The shift optimum ``shifts.best_shift`` is timed on the m single edges of a
 path (optimum ceil(m/2) as well), for each m.
@@ -84,6 +88,8 @@ PY_MAX_M = 14
 # (kind, k, d) of the tight trees whose Psi is timed: II (9, 1) has 128
 # distinct branch coverings of 9 members that nothing reduces
 TIGHT_TREES = (("II", 9, 1), ("II", 16, 2), ("I", 16, 2))
+PSI_RANDOM_SEED = 60
+PSI_RANDOM_TREES = 1000
 # largest m whose shift optimum is also checked against every permutation
 ENUM_MAX_M = 12
 PATHS_SEED = 2024
@@ -156,17 +162,56 @@ def _crossover(sweep: dict, small: str, large: str) -> str:
     return f"at no m up to {both[-1]}" if both else "(not timed)"
 
 
-def bench_psi(kind: str, k: int, d: int, repeat: int) -> float:
+def _exhaustive_psi(tree: jointrees.JoinTree) -> int:
+    """Psi by its definition: the largest plain-integer-loop value over the
+    branch coverings, walked here one root-to-leaf branch at a time."""
+    seen: set[frozenset] = set()
+    stack = [(tree, ())]
+    while stack:
+        x, sibs = stack.pop()
+        if x.is_leaf:
+            seen.add(frozenset(g for g in sibs + (x.graph,) if g))
+        else:
+            stack.append((x.left, sibs + (x.right.graph,)))
+            stack.append((x.right, sibs + (x.left.graph,)))
+    return max(_kernels._max_ordering_py(jointrees._conflict_masks(sorted(c))) for c in seen)
+
+
+def _time_psi(trees: list, repeat: int) -> tuple[float, int]:
+    """Seconds per tree of a fresh ``psi`` over ``trees`` (best of ``repeat``
+    passes, each clearing the cached values first), and the subset DPs one
+    pass runs; every value is checked against ``_exhaustive_psi``."""
+    dps = 0
+    real = jointrees.max_vec_delta_over_orderings
+
+    def counting(cov, limit):
+        nonlocal dps
+        dps += 1
+        return real(cov, limit)
+
     best = float("inf")
-    for _ in range(repeat):
-        tree = jointrees.build_tight(kind, k, d)
-        t0 = time.perf_counter()
-        value = jointrees.psi(tree)
-        best = min(best, time.perf_counter() - t0)
-    coverings = jointrees.branch_coverings(tree)
-    want = max(_kernels._max_ordering_py(jointrees._conflict_masks(sorted(c))) for c in coverings)
-    assert value == want, (kind, k, d, value, want)
-    return best
+    jointrees.max_vec_delta_over_orderings = counting
+    try:
+        for _ in range(repeat):
+            for t in trees:
+                t._psi = None
+            t0 = time.perf_counter()
+            values = [jointrees.psi(t) for t in trees]
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        jointrees.max_vec_delta_over_orderings = real
+    for t, value in zip(trees, values):
+        assert value == _exhaustive_psi(t), (t.pretty(), value)
+    return best / len(trees), dps // repeat
+
+
+def bench_psi(kind: str, k: int, d: int, repeat: int) -> tuple[float, int]:
+    return _time_psi([jointrees.build_tight(kind, k, d)], repeat)
+
+
+def _random_strict_trees() -> list[jointrees.JoinTree]:
+    rng = random.Random(PSI_RANDOM_SEED)
+    return [samples.random_strict_tree(rng, full_path(rng.randint(2, 8))) for _ in range(PSI_RANDOM_TREES)]
 
 
 def bench_best_shift(m: int, repeat: int) -> float:
@@ -383,11 +428,16 @@ def main() -> None:
         print(f"gather faster than python {_crossover(sweep, 'python', 'gather')} (PY_M = {_kernels.PY_M})")
         print(f"numpy faster than gather {_crossover(sweep, 'gather', 'numpy')} (SMALL_M = {_kernels.SMALL_M})")
     if args.tight:
-        print("\nPsi of the tight trees, ms per call")
-        print(f"{'tree':>10}{'psi':>12}")
+        print("\nfresh Psi, ms per tree; subset DPs per pass")
+        print(f"{'trees':>22}{'psi':>12}{'DPs':>8}")
+        rows = {}
         for spec in args.tight:
             kind, k, d = spec.split(",")
-            print(f"{spec:>10}{_ms(bench_psi(kind, int(k), int(d), args.repeat))}")
+            rows[spec] = bench_psi(kind, int(k), int(d), args.repeat)
+        rows["strict Path_4"] = _time_psi(list(jointrees.enumerate_strict(full_path(4))), args.repeat)
+        rows[f"{PSI_RANDOM_TREES} random strict"] = _time_psi(_random_strict_trees(), args.repeat)
+        for name, (seconds, dps) in rows.items():
+            print(f"{name:>22}{_ms(seconds)}{dps:>8}")
     if args.shift_m:
         print("\nshift optimum (block DP), ms per call")
         print(f"{'m':>4}{'best_shift':>12}")

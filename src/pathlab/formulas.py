@@ -724,28 +724,25 @@ def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:
     )
 
 
-def _support_tree(g: DeMorgan, k: int, tables: Callable) -> jointrees.JoinTree:
+def _support_tree(node: DeMorgan, k: int, tables: Callable, memo: dict) -> jointrees.JoinTree:
     """The join tree whose leaves are the formula's dependent coordinates,
     built by the recursive restrict-children-to-support rule; one truth-table
-    walk serves every node, and equal restricted subformulas are built once."""
-    memo: dict = {}
-
-    def rec(node: DeMorgan):
-        got = memo.get(node)
-        if got is None:
-            if node.op == "const":
-                got = jointrees.leaf(EMPTY)
-            elif node.op == "lit":
-                got = jointrees.leaf(from_edges([node.var]))
-            else:
-                supp = _support(tables(node), k)
-                got = jointrees.node(
-                    rec(dm_restrict(node.left, supp)), rec(dm_restrict(node.right, supp))
-                )
-            memo[node] = got
-        return got
-
-    return rec(g)
+    walk serves every node, and equal restricted subformulas are built once
+    (``memo``, passed in so that no closure holds it in a reference cycle)."""
+    got = memo.get(node)
+    if got is None:
+        if node.op == "const":
+            got = jointrees.leaf(EMPTY)
+        elif node.op == "lit":
+            got = jointrees.leaf(from_edges([node.var]))
+        else:
+            supp = _support(tables(node), k)
+            got = jointrees.node(
+                _support_tree(dm_restrict(node.left, supp), k, tables, memo),
+                _support_tree(dm_restrict(node.right, supp), k, tables, memo),
+            )
+        memo[node] = got
+    return got
 
 
 def support_tools(g: DeMorgan, k: int):
@@ -753,7 +750,7 @@ def support_tools(g: DeMorgan, k: int):
     all from one truth-table walk."""
     tables = _edge_tables(k)
     supp = _support(tables(g), k)
-    stree = _support_tree(g, k, tables)
+    stree = _support_tree(g, k, tables, {})
     return supp, (lambda h: dm_restrict(g, h)), stree, jointrees.strictify(stree)
 
 
@@ -892,23 +889,26 @@ def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
     for _ in range(d):
         new = dict(level)
         pool = list(level)
-
-        def extend(seq: tuple, op: str):
-            formula = sem_demorgan(seq, op)
-            if not is_strict_demorgan(formula, k):
-                return
-            if formula not in new:
-                new[formula] = None
-                if len(new) > STRICT_COUNT_BUDGET:
-                    raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
-            for g in pool:
-                extend(seq + (g,), op)
-
         for op in ("and", "or"):
             for g1 in pool:
                 for g2 in pool:
-                    extend((g1, g2), op)
+                    _extend_strict((g1, g2), op, k, pool, new)
         level = new
     if return_formulas:
         return len(level), list(level)
     return len(level)
+
+
+def _extend_strict(seq: tuple, op: str, k: int, pool: list, new: dict) -> None:
+    """Enter ``sem_demorgan(seq, op)`` in ``new`` when it is strict, and then
+    its strict extensions by members of ``pool``.  ``new`` is passed in so
+    that no closure holds it in a reference cycle."""
+    formula = sem_demorgan(seq, op)
+    if not is_strict_demorgan(formula, k):
+        return
+    if formula not in new:
+        new[formula] = None
+        if len(new) > STRICT_COUNT_BUDGET:
+            raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
+    for g in pool:
+        _extend_strict(seq + (g,), op, k, pool, new)

@@ -17,9 +17,10 @@ tree and ``relations._restricted`` walk on their own.
 A join tree is a binary tree whose leaves are labeled by single edges (or the
 empty graph) and whose internal nodes carry the union of their children's
 graphs.  This module also provides the standard depth, branch coverings, the
-Psi-size oracle (a bitmask DP over orderings of each branch covering), the
-tight upper-bound constructions, exhaustive enumeration of strict trees, and
-checkers for the size/depth tradeoff inequalities and the Psi recurrences.
+Psi-size oracle (a bitmask DP over orderings of each branch covering that
+two exact bounds leave open), the tight upper-bound constructions,
+exhaustive enumeration of strict trees, and checkers for the size/depth
+tradeoff inequalities and the Psi recurrences.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Literal
 
 from . import _kernels, shifts
@@ -461,8 +463,38 @@ def _conflict_masks(members: list[PathGraph]) -> list[list[int]]:
     return conflicts
 
 
+_first = itemgetter(0)
+_right_end = itemgetter(1)
+
+
+def _bounds(cov: Iterable[PathGraph]) -> tuple[int, int]:
+    """(hi, lo) of one covering, the bounds ``psi`` brackets its value with:
+    hi by the earliest-right-end greedy of interval scheduling over every
+    member's components, lo the most components of one member."""
+    hi = last = 0
+    for s, t in sorted([iv for g in cov for iv in g.intervals], key=_right_end):
+        if not hi or s > last:
+            hi += 1
+            last = t
+    return hi, max([len(g.intervals) for g in cov], default=0)
+
+
 def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
     """Psi-size: max over branch coverings of the best ordering value.
+
+    Each covering's value lies between two exact bounds (``_bounds``):
+
+    * hi, the most pairwise vertex-disjoint components among its members:
+      an ordering counts a component only when it shares no vertex with the
+      members placed before it, so the components it counts are pairwise
+      disjoint;
+    * lo, the most components of one member: the ordering that puts that
+      member first counts them all.
+
+    The coverings are visited by hi, largest first, in walk order among
+    equals.  The visit stops at the first covering whose hi is no more than
+    the best value so far; a covering with lo = hi is worth hi, and only the
+    others run the subset DP.
 
     The value is cached on ``t`` with its largest covering size, so a later
     call with a ``dp_limit`` below that size still raises.  A tree refused
@@ -471,9 +503,16 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
         covs = branch_coverings(t)
         t._psi_size = max((sum(1 for g in cov if g) for cov in covs), default=0)
         if t._psi_size <= dp_limit:
-            t._psi = max(
-                (max_vec_delta_over_orderings(cov, limit=dp_limit) for cov in covs), default=0
-            )
+            ranked = sorted([(*_bounds(cov), cov) for cov in covs], key=_first, reverse=True)
+            best = 0
+            for hi, lo, cov in ranked:
+                if hi <= best:
+                    break
+                if lo >= hi:
+                    best = hi
+                else:
+                    best = max(best, max_vec_delta_over_orderings(cov, limit=dp_limit))
+            t._psi = best
     if t._psi_size > dp_limit:
         raise ResourceLimitError(f"covering size {t._psi_size} exceeds subset-DP limit {dp_limit}")
     return t._psi
@@ -564,34 +603,38 @@ def enumerate_strict(
     so equal trees are one object."""
     if g.norm > STRICT_NORM_LIMIT:
         raise ResourceLimitError(f"graph has {g.norm} edges, enumeration limit {STRICT_NORM_LIMIT}")
-    memo: dict[PathGraph, tuple[JoinTree, ...]] = {}
-    budget = [0]
-
-    def all_strict(h: PathGraph) -> tuple[JoinTree, ...]:
-        got = memo.get(h)
-        if got is not None:
-            return got
-        if h.norm <= 1:
-            out: tuple[JoinTree, ...] = (leaf(h),)
-        else:
-            acc = []
-            for g1, g2 in _edge_subgraph_pairs(h):
-                for t1 in all_strict(g1):
-                    for t2 in all_strict(g2):
-                        acc.append(node(t1, t2))
-                        budget[0] += 1
-                        if budget[0] > STRICT_COUNT_LIMIT:
-                            raise ResourceLimitError(
-                                f"strict-tree enumeration exceeded {STRICT_COUNT_LIMIT} trees"
-                            )
-            out = tuple(acc)
-        memo[h] = out
-        return out
-
     measure = left_depth if depth_kind == "left" else sem_depth
-    for t in all_strict(g):
+    for t in _all_strict(g, {}, [0]):
         if d is None or measure(t) <= d:
             yield t
+
+
+def _all_strict(
+    h: PathGraph, memo: dict[PathGraph, tuple[JoinTree, ...]], budget: list[int]
+) -> tuple[JoinTree, ...]:
+    """All strict h-join trees, memoised per graph in ``memo``; ``budget[0]``
+    counts the inner nodes built against ``STRICT_COUNT_LIMIT``.  The memo
+    is passed in so that no closure holds it in a reference cycle, and the
+    trees go with their last reference."""
+    got = memo.get(h)
+    if got is not None:
+        return got
+    if h.norm <= 1:
+        out: tuple[JoinTree, ...] = (leaf(h),)
+    else:
+        acc = []
+        for g1, g2 in _edge_subgraph_pairs(h):
+            for t1 in _all_strict(g1, memo, budget):
+                for t2 in _all_strict(g2, memo, budget):
+                    acc.append(node(t1, t2))
+                    budget[0] += 1
+                    if budget[0] > STRICT_COUNT_LIMIT:
+                        raise ResourceLimitError(
+                            f"strict-tree enumeration exceeded {STRICT_COUNT_LIMIT} trees"
+                        )
+        out = tuple(acc)
+    memo[h] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,77 @@ def test_psi_dominates_every_fixed_ordering():
             assert p >= vec_delta(members)
 
 
+def random_bounds_covering(rng: random.Random) -> list[PathGraph]:
+    """Members of up to four components near one base, empty and repeated
+    members among them; components one vertex apart are common."""
+    base = rng.choice((0, -40, 10**9))
+    members: list[PathGraph] = []
+    for _ in range(rng.randint(0, 7)):
+        if members and rng.random() < 0.15:
+            members.append(rng.choice(members))
+            continue
+        starts = [base + rng.randint(0, 24) for _ in range(rng.randint(0, 4))]
+        members.append(PathGraph((s, s + rng.randint(1, 4)) for s in starts))
+    return members
+
+
+def test_psi_bounds_bracket_the_ordering_optimum():
+    rng = random.Random(18)
+    for _ in range(3000):
+        cov = random_bounds_covering(rng)
+        hi, lo = jt._bounds(cov)
+        assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi, cov
+    covs = {cov for t in jt.enumerate_strict(full_path(4)) for cov in jt.branch_coverings(t)}
+    assert len(covs) == 227
+    for cov in covs:
+        hi, lo = jt._bounds(cov)
+        assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi, cov
+
+
+def dp_over_every_covering(t: jt.JoinTree) -> int:
+    """Psi without bounds: the subset DP on every distinct branch covering."""
+    return max(jt.max_vec_delta_over_orderings(cov) for cov in jt.branch_coverings(t))
+
+
+def tight_trees() -> list[jt.JoinTree]:
+    """The block constructions criterion 05 checks."""
+    return [jt.build_tight("I", k, d) for k, d in ((4, 1), (4, 2), (8, 3), (16, 2))] + [
+        jt.build_tight("II", k, d) for k, d in ((4, 1), (9, 1), (16, 2))
+    ]
+
+
+def test_pruned_psi_equals_the_dp_over_every_covering():
+    rng = random.Random(19)
+    trees = list(jt.enumerate_strict(full_path(4)))[::7]
+    trees += [samples.random_strict_tree(rng, full_path(rng.randint(2, 8))) for _ in range(300)]
+    restricted = []
+    for _ in range(200):
+        t = samples.random_jointree(rng, k=7, leaves=rng.randint(1, 8))
+        restricted.append(jt.tree_restrict(t, samples.random_pathgraph(rng, 0, 7)))
+    assert sum(1 for t in restricted if any(x.graph == EMPTY for x in jt._postorder(t))) > 100
+    trees += restricted + tight_trees() + [jt.maximally_overlapping(k) for k in range(1, 8)]
+    for t in trees:
+        t._psi = None
+        assert jt.psi(t) == dp_over_every_covering(t), t.pretty()
+
+
+def test_psi_runs_a_dp_only_where_the_bounds_differ(monkeypatch):
+    dp_runs = []
+    real = jt.max_vec_delta_over_orderings
+    monkeypatch.setattr(
+        jt, "max_vec_delta_over_orderings", lambda cov, limit: dp_runs.append(cov) or real(cov, limit)
+    )
+    for k in range(1, 8):
+        t = jt.maximally_overlapping(k)
+        t._psi = None
+        assert jt.psi(t) == 1 and dp_runs == []
+    for t in tight_trees():
+        t._psi = None
+        jt.psi(t)
+        assert len(dp_runs) <= 1, t.pretty()
+        dp_runs.clear()
+
+
 # -- tight constructions ----------------------------------------------------------
 
 
@@ -550,13 +621,21 @@ def test_intern_table_drops_dead_trees():
     # an entry goes with its node, by reference counting alone
     gc.collect()
     start = len(jt._NODES)
-    rng = random.Random(11)
-    for _ in range(10_000):
-        samples.random_strict_tree(rng, full_path(rng.randint(1, 6)))
-    phi = formulas.build_matrix_formula("C", 2, 3)
-    for seed in range(1_000):
-        formulas.randomized_conversion(phi, 1 + seed % 3, seed)
-    assert len(jt._NODES) == start
+    gc.disable()
+    try:
+        rng = random.Random(11)
+        for _ in range(10_000):
+            samples.random_strict_tree(rng, full_path(rng.randint(1, 6)))
+        phi = formulas.build_matrix_formula("C", 2, 3)
+        for seed in range(1_000):
+            formulas.randomized_conversion(phi, 1 + seed % 3, seed)
+        assert len(jt._NODES) == start
+        list(jt.enumerate_strict(full_path(3)))
+        formulas.count_strict_demorgan(2, 1)
+        formulas.support_tools(formulas.sem_demorgan([formulas.dm_lit(i) for i in (1, 2, 3)], "and"), 3)
+        assert len(jt._NODES) == start
+    finally:
+        gc.enable()
 
 
 def test_strictify_with_equal_subtrees_built_apart():
