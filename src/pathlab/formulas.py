@@ -176,7 +176,7 @@ def is_monotone(phi) -> bool:
 
 def and_left_depth(g: DeMorgan) -> int:
     """Left depth counting only the descents from AND gates."""
-    return jointrees.left_depth(g, gates=("and",))
+    return _measure(g, lambda node, vals: max(vals[0] + (node.op == "and"), vals[1]))
 
 
 def variables(phi) -> set:

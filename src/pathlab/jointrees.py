@@ -4,14 +4,18 @@ binary formulas.
 ``BinaryTree`` is that core: an immutable node, interned; equality is
 identity.  One table makes every node of both node kinds, ``JoinTree``
 (here) and ``formulas.DeMorgan``, so equal trees are one object and a node
-keys a memo by identity.  The algorithms that only read the tree shape are
-written once, over ``BinaryTree``: the doubling combinator ``sem``, its
-recogniser and depth ``sem_depth``, ``left_depth``, ``strictify`` and
-``is_strict`` (given the per-node value whose equality marks a redundant
-child), and leaf relabelling ``relabel_leaves``.  Every walk of a whole tree
-or formula is one loop over ``_postorder``, the distinct nodes children
-first on an explicit stack, so a shared subtree is visited once and depth is
-no ceiling; only ``formulas._Walker``, the sampled conversions, the support
+keys a memo by identity.  A node holds three caches, filled on first use
+and kept for as long as it lives: its Psi (``_psi``, join trees only), its
+left depth and its doubling-combinator table (both node kinds).  The two
+depth caches are filled by a walk that stops at nodes already measured, so
+each distinct node is measured once.  The algorithms that only read the
+tree shape are written once, over ``BinaryTree``: the doubling combinator
+``sem``, its recogniser and depth ``sem_depth``, ``left_depth``,
+``strictify`` and ``is_strict`` (given the per-node value whose equality
+marks a redundant child), and leaf relabelling ``relabel_leaves``.  Every
+walk of a whole tree or formula is one loop over ``_postorder``, the
+distinct nodes children first on an explicit stack, so a shared subtree is
+visited once and depth is no ceiling; only ``formulas._Walker``, the sampled conversions, the support
 tree and ``relations._restricted`` walk on their own.
 
 A join tree is a binary tree whose leaves are labeled by single edges (or the
@@ -30,7 +34,7 @@ import math
 import weakref
 from fractions import Fraction
 from itertools import permutations, product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Literal
 
 from . import _kernels, shifts
@@ -42,7 +46,7 @@ from .paths import EMPTY, PathGraph, union_all, vec_delta
 # ``max_vec_delta_over_orderings``'s limit
 DEFAULT_DP_LIMIT = 22  # members of a branch covering in the subset DP
 SEM_ARITY_LIMIT = 20  # arguments of sem
-SEM_MEMO_LIMIT = 1 << 16  # sequences the doubling-combinator recogniser keeps
+SEM_MEMO_LIMIT = 1 << 16  # sequences of one node in the doubling-combinator recogniser
 STRICT_NORM_LIMIT = 5  # edges of the graph enumerate_strict works on
 STRICT_COUNT_LIMIT = 500_000  # trees enumerate_strict builds
 
@@ -56,9 +60,13 @@ class BinaryTree:
 
     Nodes are interned; equality is identity.  Building a node equal to a
     live one returns that one, so a node keys a memo by identity and equal
-    trees share every cache held on their nodes."""
+    trees share every cache held on their nodes: ``JoinTree._psi``, and on
+    every node ``_left_depth`` (``left_depth``) and ``_sem`` (the node's
+    entry in the doubling-combinator recogniser, ``_sem_table``), None until
+    measured.  No cache holds the node itself, so an interned node goes
+    with its last outside reference."""
 
-    __slots__ = ("left", "right", "gate", "__weakref__")
+    __slots__ = ("left", "right", "gate", "_left_depth", "_sem", "__weakref__")
 
     def rebuild(self, left: "BinaryTree", right: "BinaryTree") -> "BinaryTree":
         raise NotImplementedError
@@ -79,6 +87,7 @@ def _new_node(cls: type, key: tuple, left, right, gate) -> BinaryTree:
     under ``key``; the caller sets its subclass fields."""
     x = object.__new__(cls)
     x.left, x.right, x.gate = left, right, gate
+    x._left_depth = x._sem = None
     _NODES[key] = x
     return x
 
@@ -208,11 +217,12 @@ def build(kind: str, args) -> JoinTree:
 # ---------------------------------------------------------------------------
 
 
-def _postorder(root) -> Iterator:
+def _postorder(root, done: Callable | None = None) -> Iterator:
     """The distinct nodes under ``root``, each after its children, on an
     explicit stack.  Nodes are told apart by identity: a ``BinaryTree`` is
     interned, so equality is identity, and a ``formulas.Formula`` (children
-    in ``children``) is not interned."""
+    in ``children``) is not interned.  A node x with ``done(x)`` not None
+    is already measured: neither it nor anything under it is yielded."""
     seen: set = set()
     stack = [root]
     pop, push = stack.pop, stack.append
@@ -221,7 +231,7 @@ def _postorder(root) -> Iterator:
         x = pop()
         if x is None:  # the node under the marker has all its children done
             x = pop()
-        elif x in seen:
+        elif x in seen or (done is not None and done(x) is not None):
             continue
         elif binary:
             if x.left is not None:
@@ -276,64 +286,73 @@ def standard_depth(t: BinaryTree) -> int:
     return depth[t]
 
 
-def left_depth(t: BinaryTree, gates: Iterable | None = None) -> int:
+_left_depth_of = attrgetter("_left_depth")
+_sem_of = attrgetter("_sem")
+
+
+def left_depth(t: BinaryTree) -> int:
     """Maximum number of left descents on a root-to-leaf branch (the
-    right-comb-combinator depth).  With ``gates``, only a descent from a node
-    whose gate is one of them counts (the AND-left depth of a formula)."""
-    depth: dict[BinaryTree, int] = {}
-    for x in _postorder(t):
-        if x.left is None:
-            depth[x] = 0
-        else:
-            a = depth[x.left] + (1 if gates is None or x.gate in gates else 0)
-            b = depth[x.right]
-            depth[x] = a if a > b else b
-    return depth[t]
+    right-comb-combinator depth).  Cached on every node under t as
+    ``_left_depth``; a call measures only the nodes not measured before."""
+    if t._left_depth is None:
+        for x in _postorder(t, _left_depth_of):
+            if x.left is None:
+                x._left_depth = 0
+            else:
+                a = x.left._left_depth + 1
+                b = x.right._left_depth
+                x._left_depth = a if a > b else b
+    return t._left_depth
 
 
-def _sem_table(t: BinaryTree) -> tuple[tuple, int]:
-    """The doubling-combinator recogniser: one pass over the distinct nodes
-    under t, children first.  Returns t's (seqs, depth).
+def _sem_table(t: BinaryTree) -> tuple[tuple, int, int]:
+    """The doubling-combinator recogniser.  Returns t's entry (seqs, depth,
+    widest), cached on every node under t as ``_sem``; a call measures only
+    the nodes not measured before, children first.
 
-    For each node x, ``seqs`` are all sequences (T_1..T_p) whose
-    doubling-combinator expansion with x's gate equals x, the singleton (x,)
-    first; a child with another gate is a single part.  ``depth`` is the
-    minimum nesting depth of single-gate applications expressing x.  The
-    sequences of the inner nodes count against ``SEM_MEMO_LIMIT``."""
-    table: dict[BinaryTree, tuple[tuple, int]] = {}
-    entries = 0
-    for x in _postorder(t):
-        left, right = x.left, x.right
-        if left is None:
-            table[x] = (((x,),), 0)
-            continue
-        # a child with another gate is the single part (child,) of its
-        # entry; nodes are interned, so equal parts are one object
-        gate = x.gate
-        got_l, got_r = table[left], table[right]
-        seqs_l = got_l[0] if left.gate == gate else got_l[0][:1]
-        seqs_r = got_r[0] if right.gate == gate else got_r[0][:1]
-        acc = [(x,)]
-        depth = None
-        for a in seqs_l:
-            head = a[:-1]
-            for b in seqs_r:
-                if len(a) == len(b) and head == b[:-1]:
-                    seq = a + (b[-1],)
-                    acc.append(seq)
-                    worst = max([table[part][1] for part in seq])
-                    if depth is None or worst < depth:
-                        depth = worst
-        entries += len(acc)
-        if entries > SEM_MEMO_LIMIT:
-            raise ResourceLimitError(f"sem-depth recognition exceeded {SEM_MEMO_LIMIT} memo entries")
-        table[x] = (tuple(acc), depth + 1)
-    return table[t]
+    For a node x, ``seqs`` are all sequences (T_1..T_p), p >= 2, whose
+    doubling-combinator expansion with x's gate equals x; a child with
+    another gate is a single part.  The singleton (x,) also expands to x
+    but is not stored, since it would hold x in a reference cycle.
+    ``depth`` is the minimum nesting depth of single-gate applications
+    expressing x, and ``widest`` the most sequences of one node under x.
+    A node with more than ``SEM_MEMO_LIMIT`` sequences raises, as does
+    every tree above it, whatever was measured before."""
+    if t._sem is None:
+        for x in _postorder(t, _sem_of):
+            left, right = x.left, x.right
+            if left is None:
+                x._sem = ((), 0, 0)
+                continue
+            seqs_l, depth_l, widest_l = left._sem
+            seqs_r, depth_r, widest_r = right._sem
+            acc = [(left, right)]  # the singletons (left,) and (right,) joined
+            depth = depth_l if depth_l > depth_r else depth_r
+            # two longer sequences join when they share all but the last
+            # part; a child with another gate has only its singleton
+            if left.gate == x.gate == right.gate:
+                for a in seqs_l:
+                    head = a[:-1]
+                    for b in seqs_r:
+                        if len(a) == len(b) and head == b[:-1]:
+                            seq = a + (b[-1],)
+                            acc.append(seq)
+                            worst = max([part._sem[1] for part in seq])
+                            if worst < depth:
+                                depth = worst
+            if len(acc) > SEM_MEMO_LIMIT:
+                break  # x, and so t, stays unmeasured
+            x._sem = (tuple(acc), depth + 1, max(len(acc), widest_l, widest_r))
+    if t._sem is None or t._sem[2] > SEM_MEMO_LIMIT:
+        raise ResourceLimitError(
+            f"sem-depth recognition exceeded {SEM_MEMO_LIMIT} sequences of one node"
+        )
+    return t._sem
 
 
 def sem_decompositions(t: BinaryTree) -> list[tuple[BinaryTree, ...]]:
     """All ways (arity >= 2) of writing t as a doubling-combinator application."""
-    return list(_sem_table(t)[0][1:])
+    return list(_sem_table(t)[0])
 
 
 def sem_depth(t: BinaryTree) -> int:
@@ -467,16 +486,18 @@ _first = itemgetter(0)
 _right_end = itemgetter(1)
 
 
-def _bounds(cov: Iterable[PathGraph]) -> tuple[int, int]:
-    """(hi, lo) of one covering, the bounds ``psi`` brackets its value with:
-    hi by the earliest-right-end greedy of interval scheduling over every
-    member's components, lo the most components of one member."""
+def _bounds(cov: Iterable[PathGraph]) -> tuple[int, int, int]:
+    """(hi, lo, size) of one covering: the bounds ``psi`` brackets its value
+    with, hi by the earliest-right-end greedy of interval scheduling over
+    every member's components and lo the most components of one member, and
+    the number of nonempty members (the size of its subset DP)."""
+    counts = [len(g.intervals) for g in cov]
     hi = last = 0
     for s, t in sorted([iv for g in cov for iv in g.intervals], key=_right_end):
         if not hi or s > last:
             hi += 1
             last = t
-    return hi, max([len(g.intervals) for g in cov], default=0)
+    return hi, max(counts, default=0), len(counts) - counts.count(0)
 
 
 def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
@@ -500,12 +521,11 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
     call with a ``dp_limit`` below that size still raises.  A tree refused
     by the limit runs no DP and caches only its covering size."""
     if t._psi is None:
-        covs = branch_coverings(t)
-        t._psi_size = max((sum(1 for g in cov if g) for cov in covs), default=0)
+        ranked = sorted([(*_bounds(cov), cov) for cov in branch_coverings(t)], key=_first, reverse=True)
+        t._psi_size = max([size for _, _, size, _ in ranked], default=0)
         if t._psi_size <= dp_limit:
-            ranked = sorted([(*_bounds(cov), cov) for cov in covs], key=_first, reverse=True)
             best = 0
-            for hi, lo, cov in ranked:
+            for hi, lo, _, cov in ranked:
                 if hi <= best:
                     break
                 if lo >= hi:

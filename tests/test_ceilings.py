@@ -24,8 +24,8 @@ def leaves(m: int) -> list[jt.JoinTree]:
 CEILINGS = [
     (jt, "SEM_ARITY_LIMIT", 1, lambda: jt.sem(leaves(2)), "sem arity 2 exceeds limit 1",
      ["verify", "psi-recurrences", "--trials", "20", "--seed", "3"]),
-    (jt, "SEM_MEMO_LIMIT", 10, lambda: jt.sem_depth(jt.sem(leaves(5))),
-     "sem-depth recognition exceeded 10 memo entries",
+    (jt, "SEM_MEMO_LIMIT", 2, lambda: jt.sem_depth(jt.sem(leaves(5))),
+     "sem-depth recognition exceeded 2 sequences of one node",
      ["measure", "depths", "--tree", BLOCK_TREE]),
     (jt, "STRICT_NORM_LIMIT", 2, lambda: list(jt.enumerate_strict(full_path(3))),
      "graph has 3 edges, enumeration limit 2", ["verify", "tradeoff-I", "--enumerate-k", "3"]),
@@ -85,6 +85,24 @@ def test_dp_ceiling_is_the_default_of_psi(capsys):
         jt.verify_tradeoff(comb, "I")
     with pytest.raises(ResourceLimitError, match=message):
         jt.check_psi_recurrences(comb)
+
+
+def test_sem_memo_ceiling_bounds_one_node_whatever_was_measured_before(monkeypatch):
+    # sem over five edges has 4 sequences at its root and 3 at each child
+    t = jt.sem([jt.leaf(single_edge(i)) for i in range(31, 36)])
+    assert t._sem is None
+    monkeypatch.setattr(jt, "SEM_MEMO_LIMIT", 3)
+    message = "^sem-depth recognition exceeded 3 sequences of one node$"
+    with pytest.raises(ResourceLimitError, match=message):
+        jt.sem_depth(t)
+    assert jt.sem_depth(t.left) == jt.sem_depth(t.right) == 1
+    with pytest.raises(ResourceLimitError, match=message):
+        jt.sem_depth(t)
+    monkeypatch.setattr(jt, "SEM_MEMO_LIMIT", 4)
+    assert jt.sem_depth(t) == 1 and len(jt.sem_decompositions(t)) == 4
+    monkeypatch.setattr(jt, "SEM_MEMO_LIMIT", 3)
+    with pytest.raises(ResourceLimitError, match=message):
+        jt.depths(t)
 
 
 def test_minterm_budget_is_the_default_of_minterms():

@@ -437,13 +437,15 @@ def test_psi_bounds_bracket_the_ordering_optimum():
     rng = random.Random(18)
     for _ in range(3000):
         cov = random_bounds_covering(rng)
-        hi, lo = jt._bounds(cov)
+        hi, lo, size = jt._bounds(cov)
         assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi, cov
+        assert size == sum(1 for g in cov if g)
     covs = {cov for t in jt.enumerate_strict(full_path(4)) for cov in jt.branch_coverings(t)}
     assert len(covs) == 227
     for cov in covs:
-        hi, lo = jt._bounds(cov)
+        hi, lo, size = jt._bounds(cov)
         assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi, cov
+        assert size == sum(1 for g in cov if g)
 
 
 def dp_over_every_covering(t: jt.JoinTree) -> int:
@@ -625,12 +627,16 @@ def test_intern_table_drops_dead_trees():
     try:
         rng = random.Random(11)
         for _ in range(10_000):
-            samples.random_strict_tree(rng, full_path(rng.randint(1, 6)))
+            jt.depths(samples.random_strict_tree(rng, full_path(rng.randint(1, 6))))
         phi = formulas.build_matrix_formula("C", 2, 3)
         for seed in range(1_000):
-            formulas.randomized_conversion(phi, 1 + seed % 3, seed)
+            g = formulas.randomized_conversion(phi, 1 + seed % 3, seed)
+            formulas.sem_depth_demorgan(g)
+            formulas.and_left_depth(g)
+            jt.left_depth(g)
+        del g
         assert len(jt._NODES) == start
-        list(jt.enumerate_strict(full_path(3)))
+        list(jt.enumerate_strict(full_path(3), "sem", 2))
         formulas.count_strict_demorgan(2, 1)
         formulas.support_tools(formulas.sem_demorgan([formulas.dm_lit(i) for i in (1, 2, 3)], "and"), 3)
         assert len(jt._NODES) == start
@@ -718,6 +724,88 @@ def test_sem_depth_never_exceeds_standard_depth():
     for _ in range(60):
         t = samples.random_jointree(rng, k=5, leaves=rng.randint(1, 5))
         assert jt.sem_depth(t) <= max(1, jt.standard_depth(t))
+
+
+def left_depths_by_dict(t: jt.BinaryTree) -> dict:
+    """Left depth of every node under t, by one dict-based fold."""
+    depth: dict = {}
+    for x in jt._postorder(t):
+        depth[x] = 0 if x.left is None else max(depth[x.left] + 1, depth[x.right])
+    return depth
+
+
+def sem_tables_by_dict(t: jt.BinaryTree) -> dict:
+    """(sequences, depth) of every node under t, the singleton first, by one
+    dict-based fold with no cache and no limit."""
+    table: dict = {}
+    for x in jt._postorder(t):
+        if x.left is None:
+            table[x] = (((x,),), 0)
+            continue
+        got_l, got_r = table[x.left], table[x.right]
+        seqs_l = got_l[0] if x.left.gate == x.gate else got_l[0][:1]
+        seqs_r = got_r[0] if x.right.gate == x.gate else got_r[0][:1]
+        acc = [(x,)]
+        depth = None
+        for a in seqs_l:
+            for b in seqs_r:
+                if len(a) == len(b) and a[:-1] == b[:-1]:
+                    seq = a + (b[-1],)
+                    acc.append(seq)
+                    worst = max(table[part][1] for part in seq)
+                    depth = worst if depth is None else min(depth, worst)
+        table[x] = (tuple(acc), depth + 1)
+    return table
+
+
+def forget_depths(trees) -> None:
+    for t in trees:
+        for x in jt._postorder(t):
+            x._left_depth = x._sem = None
+
+
+def assert_cached_depths_match_the_folds(trees) -> None:
+    """Every node's cached depths equal the folds', whether each subtree is
+    measured before the trees above it or the roots are measured first."""
+    want = [(t, left_depths_by_dict(t), sem_tables_by_dict(t)) for t in trees]
+    for subtrees_first in (True, False):
+        forget_depths(trees)
+        for t, left, table in want:
+            if not subtrees_first:
+                assert jt.left_depth(t) == left[t] and jt.sem_depth(t) == table[t][1]
+            for x in left:  # children first
+                assert jt.left_depth(x) == left[x]
+                assert jt.sem_depth(x) == table[x][1]
+                assert jt.sem_decompositions(x) == list(table[x][0][1:])
+
+
+def test_cached_depths_equal_the_uncached_folds():
+    rng = random.Random(20)
+    trees = list(jt.enumerate_strict(full_path(4)))
+    trees += [samples.random_strict_tree(rng, full_path(rng.randint(2, 8))) for _ in range(1000)]
+    trees += [jt.sem(leaves(m)) for m in range(1, 13)] + [jt.sq(leaves(m)) for m in range(1, 13)]
+    trees += tight_trees() + [jt.maximally_overlapping(k) for k in range(1, 9)]
+    assert_cached_depths_match_the_folds(trees)
+
+
+def random_mixed_formula(rng: random.Random, gates: int) -> formulas.DeMorgan:
+    """AND and OR gates over three literals and the gates made before, so
+    a child often has the other gate over the same parts."""
+    pool = [formulas.dm_lit(i) for i in (1, 2, 3)]
+    for _ in range(gates):
+        pool.append(formulas.DeMorgan(rng.choice(("and", "or")), rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
+
+
+def test_cached_formula_depths_equal_the_uncached_folds():
+    _, forms = formulas.count_strict_demorgan(2, 2, return_formulas=True)
+    rng = random.Random(21)
+    forms += [random_mixed_formula(rng, rng.randint(1, 12)) for _ in range(300)]
+    assert_cached_depths_match_the_folds(forms)
+    forget_depths(forms)
+    assert [formulas.sem_depth_demorgan(g) for g in forms] == [
+        sem_tables_by_dict(g)[g][1] for g in forms
+    ]
 
 
 # -- tradeoffs and recurrences -----------------------------------------------------
