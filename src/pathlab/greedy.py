@@ -12,14 +12,17 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotGreedyError, ResourceLimitError
-from .paths import EMPTY, GraphSequence, PathGraph, union_all, vec_delta
+from .paths import EMPTY, GraphSequence, PathGraph, _merge, _survivors, union_all, vec_delta
 
 # resource ceilings (each raises ResourceLimitError)
 DYCK_LIMIT = 12  # length of the Dyck sequences enumerate_dyck lists
 LP_DYCK_LIMIT = 8  # t of verify_lp_certificates
+
+_intervals = attrgetter("intervals")
 
 
 # ---------------------------------------------------------------------------
@@ -42,27 +45,36 @@ def is_vec_delta_greedy(seq: GraphSequence, base: PathGraph = EMPTY) -> bool:
 
 def greedy_order(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> list[PathGraph]:
     """A greedy enumeration of the family; ties broken by the canonical
-    graph order (smallest interval list first).
+    graph order (smallest interval list first)."""
+    return _greedy(family, base)[0]
+
+
+def _greedy(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> tuple[list[PathGraph], int]:
+    """``greedy_order`` and the sum of the increments it picks, which is
+    its component value on top of ``base``.
 
     A member's increment can only fall as the union grows, so a max-heap of
     (increment, index) keys holds upper bounds: the top is re-measured and
     taken when its key is still exact, and pushed back with the new key
-    otherwise."""
-    members = sorted(family)
-    heap = [(-g.ominus(base).delta, i) for i, g in enumerate(members)]
+    otherwise.  The union is kept as an interval tuple."""
+    members = sorted(family, key=_intervals)
+    acc = base.intervals
+    heap = [(-len(_survivors(acc, g.intervals)), i) for i, g in enumerate(members)]
     heapify(heap)
     out: list[PathGraph] = []
-    acc = base
+    total = 0
     while heap:
         key, i = heap[0]
-        now = -members[i].ominus(acc).delta
+        ivs = members[i].intervals
+        now = -len(_survivors(acc, ivs))
         if now != key:
             heapreplace(heap, (now, i))
             continue
         heappop(heap)
         out.append(members[i])
-        acc = acc.union(members[i])
-    return out
+        total -= now
+        acc = _merge(acc, ivs)
+    return out, total
 
 
 # ---------------------------------------------------------------------------

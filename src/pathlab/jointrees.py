@@ -412,9 +412,9 @@ def strictify(t: BinaryTree, value: Callable = _graph) -> BinaryTree:
 
 
 def is_strict(t: BinaryTree, value: Callable = _graph) -> bool:
-    """No node has a child with the node's value; ``strictify`` returns such
-    a tree itself, and any collapse gives a new root."""
-    return strictify(t, value) is t
+    """No node has a child with the node's value, the trees ``strictify``
+    returns unchanged; decided on the nodes as they are, building none."""
+    return all(x.left is None or _redundant_child(x, value) is None for x in _postorder(t))
 
 
 def relabel_leaves(t: BinaryTree, relabel: Callable[[BinaryTree], BinaryTree]) -> BinaryTree:

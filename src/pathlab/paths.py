@@ -410,12 +410,14 @@ def gap(seq: GraphSequence) -> Fraction:
 
 
 def _gap(k: int, spans: Intervals) -> Fraction:
-    """``gap`` of a covering of Path_k whose surviving intervals are ``spans``."""
-    mids = [Fraction(s + t, 2) for s, t in spans]
-    best = max(mids[0] - 0, k - mids[-1])
-    for p, q in zip(mids, mids[1:]):
-        best = max(best, (q - p) / 2)
-    return best
+    """``gap`` of a covering of Path_k whose surviving intervals are ``spans``.
+    It is worked out in quarter units, where the midpoint of (s, t) is
+    2 (s + t), so every distance is an integer until the one ``Fraction``."""
+    doubled = [s + t for s, t in spans]
+    best = max(2 * doubled[0], 4 * k - 2 * doubled[-1])
+    for p, q in zip(doubled, doubled[1:]):
+        best = max(best, q - p)
+    return Fraction(best, 4)
 
 
 def sequence_to_json(seq: GraphSequence) -> dict:

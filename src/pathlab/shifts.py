@@ -2,23 +2,26 @@
 
 They are indexed by subsets I of [m] containing m, and there are exactly
 2^(m-1) of them.  The vector measures of sigma_I applied to a sequence are a
-sum of block values b(p, i), one per block (p, i] of I; ``_Blocks`` computes
-them for one sequence, each on first use.  ``best_shift`` maximizes one of
-the measures over the whole family exactly, with a longest-path DP over the
-m(m+1)/2 blocks an index set can have, and the witness constructions score
-each of their candidate index sets by the sum of its block values instead of
-re-measuring it.  ``enumerate_all`` walks the family itself.
+sum of block values b(p, i), one per block (p, i] of I; ``_Blocks`` reads
+them off per-column data built on first use from one prefix scan: the few
+earlier residuals that touch G_i, and the least prefix union that touches
+each interval of G_i.  ``best_shift`` maximizes one of the measures over
+the whole family exactly, with a longest-path DP over the m(m+1)/2 blocks
+an index set can have, and the witness constructions score each of their
+candidates by its long blocks instead of re-measuring it.
+``enumerate_all`` walks the family itself.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Literal
 
 from . import _kernels
 from .errors import InvalidIndexSetError, InvalidShiftError, ResourceLimitError
-from .paths import GraphSequence, PathGraph, _merge, _survivors, _terms
+from .paths import GraphSequence, PathGraph, _merge, _right, _survivors, _terms
 
 Objective = Literal["vec_delta", "vec_lambda", "vec_lambda_delta"]
 
@@ -130,69 +133,143 @@ def enumerate_all(m: int) -> Iterator[ShiftPermutation]:
 
 
 class _Blocks:
-    """The block values of one sequence G_1..G_m, each computed on first use.
+    """The block values of one sequence G_1..G_m, read off per-column data
+    computed on first use.
 
     sigma_I visits each block (p, i] between consecutive elements of
     {0} | I as i, p+1, ..., i-1, and before the block it has visited exactly
     G_1..G_p.  So each vector measure of sigma_I applied to the sequence is
     the sum over its blocks of b(p, i), the measures of
-    [G_i, G_(p+1), ..., G_(i-1)] on top of U_p = G_1 | ... | G_p.  Inside a
-    block, G_h (p < h < i) comes after U_(h-1) and G_i, so its term is that
-    of R_h = G_h {ominus} U_(h-1) with what touches G_i dropped, whatever p
-    is: b(p, i) is the term of G_i {ominus} U_p plus a sum over h that
-    column i keeps as running totals, extended down to the least p asked
-    for.  One prefix scan gives every U_p and R_h, and with them the unit
-    blocks b(i-1, i), the terms of R_i; each longer block then costs one
-    touch scan and each new term of a column one more.
+    [G_i, G_(p+1), ..., G_(i-1)] on top of U_p = G_1 | ... | G_p.  The head
+    G_i {ominus} U_p keeps the intervals of G_i that no U_h with h <= p
+    touches.  Inside the block, G_h (p < h < i) comes after U_(h-1) and
+    G_i, so its term is that of R_h = G_h {ominus} U_(h-1) with what touches
+    G_i dropped, whatever p is: the unit block b(h-1, h), the term of R_h,
+    unless R_h shares a vertex with G_i.  The residuals are pairwise
+    vertex-disjoint, so they form one sorted span list with an owner for
+    each span, and a bisect of G_i's intervals into it finds the few h < i
+    whose R_h touches G_i: column i's touch list.
+
+    So column i holds, for each interval of G_i, the least h whose U_h
+    touches it (a bisection over the prefix unions), and, for each touched
+    h, its trimmed term minus its unit term.  b(p, i) is then the term of
+    the intervals whose least h exceeds p, plus the units p+1..i-1 read off
+    prefix sums, plus the corrections of the touched h > p.  One prefix
+    scan gives every U_p, R_h and unit; a column costs one touch scan per
+    touched h and a bisection per interval of G_i, and a block none.
     """
 
-    __slots__ = ("m", "prefix", "resid", "units", "_unit_sums", "_members", "_later", "_memo")
+    __slots__ = ("m", "members", "prefix", "resid", "units", "unit_sums", "spans", "_owners", "_columns")
 
     def __init__(self, seq: GraphSequence):
         self.m = len(seq)
-        self._members = [g.intervals for g in seq]
+        self.members = [g.intervals for g in seq]
         self.prefix: list[tuple] = [()]  # U_0, ..., U_m
         self.resid: list[tuple] = []  # R_1, ..., R_m
-        for ivs in self._members:
+        for ivs in self.members:
             self.resid.append(_survivors(self.prefix[-1], ivs))
             self.prefix.append(_merge(self.prefix[-1], ivs))
         self.units = [_terms(r) for r in self.resid]  # b(i-1, i) for i = 1..m
-        # _unit_sums[code][i]: measure ``code`` summed over the units b(0, 1)..b(i-1, i)
-        self._unit_sums = [list(accumulate(column, initial=0)) for column in zip(*self.units)]
-        # _later[i][n]: the sum over i - n <= h < i of the term of R_h
-        # without what touches G_i, that is the inner part of b(i - 1 - n, i)
-        self._later: list[list[tuple[int, int, int]]] = [[(0, 0, 0)] for _ in range(self.m + 1)]
-        self._memo: dict[tuple[int, int], tuple[int, int, int]] = {}
+        # unit_sums[code][i]: measure ``code`` summed over the units b(0, 1)..b(i-1, i)
+        self.unit_sums = [list(accumulate(column, initial=0)) for column in zip(*self.units)]
+        # every interval of every residual, sorted, and the h of the R_h it belongs to
+        owned = sorted((iv, h) for h, r in enumerate(self.resid, start=1) for iv in r)
+        self.spans = tuple(iv for iv, _ in owned)
+        self._owners = [h for _, h in owned]
+        self._columns: list[tuple | None] = [None] * (self.m + 1)
+
+    def _column(self, i: int) -> tuple[list, list]:
+        """Column i, stored: what every b(p, i) is read from, by decreasing
+        h.  (h, length) for each interval of G_i, with h the least index whose
+        U_h touches it (i when U_(i-1) does not), so it is in G_i {ominus}
+        U_p exactly when p < h; and column i's touch list, (h, the three
+        measures of R_h without what touches G_i minus those of R_h) for
+        each h < i whose R_h shares a vertex with G_i."""
+        gi = self.members[i - 1]
+        prefix = self.prefix
+        heads = []
+        for s, t in gi:
+            # the least h in 1..i-1 whose U_h touches (s, t), else i; the
+            # touch test of ``_survivors``: the first interval reaching s
+            # starts by t
+            lo, hi = 1, i
+            while lo < hi:
+                mid = (lo + hi) // 2
+                acc = prefix[mid]
+                j = bisect_left(acc, s, key=_right)
+                if j < len(acc) and acc[j][0] <= t:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            heads.append((lo, t - s))
+        heads.sort(reverse=True)
+        spans, owners = self.spans, self._owners
+        n = len(spans)
+        touched = set()
+        j = 0
+        for s, t in gi:
+            # spans[j:] reach s; those of them that start by t touch (s, t)
+            j = bisect_left(spans, s, j, n, key=_right)
+            hit = j
+            while hit < n and spans[hit][0] <= t:
+                touched.add(owners[hit])
+                hit += 1
+        touches = []
+        for h in sorted(touched, reverse=True):
+            if h < i:
+                d, l, ld = _terms(_survivors(gi, self.resid[h - 1]))
+                ud, ul, uld = self.units[h - 1]
+                touches.append((h, d - ud, l - ul, ld - uld))
+        got = self._columns[i] = (heads, touches)
+        return got
 
     def block(self, p: int, i: int) -> tuple[int, int, int]:
         """b(p, i) as (components, longest, longest * components), 0 <= p < i <= m."""
-        value = self._memo.get((p, i))
-        if value is None:
-            gi = self._members[i - 1]
-            later = self._later[i]
-            while len(later) < i - p:
-                d, l, ld = later[-1]
-                hd, hl, hld = _terms(_survivors(gi, self.resid[i - 1 - len(later)]))
-                later.append((d + hd, l + hl, ld + hld))
-            d, l, ld = later[i - 1 - p]
-            hd, hl, hld = _terms(_survivors(self.prefix[p], gi))
-            value = self._memo[p, i] = (d + hd, l + hl, ld + hld)
-        return value
+        if p == i - 1:
+            return self.units[p]
+        heads, touches = self._columns[i] or self._column(i)
+        d = l = 0
+        for h, length in heads:
+            if h <= p:
+                break
+            d += 1
+            if length > l:
+                l = length
+        ld = l * d
+        for h, hd, hl, hld in touches:
+            if h <= p:
+                break
+            d, l, ld = d + hd, l + hl, ld + hld
+        sd, sl, sld = self.unit_sums
+        return d + sd[i - 1] - sd[p], l + sl[i - 1] - sl[p], ld + sld[i - 1] - sld[p]
 
-    def value(self, index_set: Iterable[int], code: int) -> int:
+    def value(self, long_blocks: Iterable[tuple[int, int]], code: int) -> int:
         """Measure ``code`` (0, 1, 2: components, longest, their product) of
-        sigma_I applied to the sequence: the sum of the values of I's blocks.
-        That is the sum of all m unit values, with each longer block (p, i]
-        of I put in place of the units p+1..i it spans, so a run of unit
-        blocks costs no lookup."""
-        sums = self._unit_sums[code]
+        sigma_I applied to the sequence, for the index set I given by its
+        blocks (p, i] with i > p + 1; every other block of I is a unit.  That
+        is the sum of all m unit values, with each long block put in place
+        of the units p+1..i it spans, so a run of unit blocks costs no
+        lookup."""
+        sums = self.unit_sums[code]
         total = sums[-1]
-        p = 0
-        for i in sorted(index_set):
-            if i > p + 1:
-                total += self.block(p, i)[code] - sums[i] + sums[p]
-            p = i
+        for p, i in long_blocks:
+            total += self.block(p, i)[code] - sums[i] + sums[p]
         return total
+
+    def induced_min(self, index_set: Iterable[int], code: int) -> int:
+        """The least measure ``code`` over the induced permutations of
+        sigma_I, j = 1..m, in one pass over the blocks of I.  For j in the
+        block (p, i], the induced index set is 1..q, the block (q, i] and
+        the blocks of I after i, with q = p when j = i and q = j - 1
+        otherwise; so q runs over p..max(p, i - 2)."""
+        sums = self.unit_sums[code]
+        ordered = sorted(index_set)
+        lows = []
+        later = 0  # the value of the blocks of I after (p, i]
+        for p, i in reversed(list(zip([0] + ordered, ordered))):
+            lows.append(later + min(sums[q] + self.block(q, i)[code] for q in range(p, max(p, i - 2) + 1)))
+            later += self.block(p, i)[code]
+        return min(lows)
 
 
 def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[ShiftPermutation, int]:
@@ -202,24 +279,18 @@ def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[
 
     The measure of sigma_I is a sum of the block values of I (``_Blocks``),
     so ``_kernels.shift_sweep`` finds the best index set as a longest path
-    over the m(m+1)/2 blocks.  Every block is needed, so they are filled a
-    column at a time on the prefix scan of ``_Blocks``, for the one
-    objective, without the memo: m^2 touch scans and no union beyond the
-    prefixes.
+    over the m(m+1)/2 blocks.  Every block is needed, and each is read off
+    its column: a touch scan per touched residual and a bisection per
+    interval of each member, and no scan per block.
     """
     m = len(seq)
     if m < 1:
         raise InvalidIndexSetError("best_shift needs a nonempty sequence")
     code = _OBJECTIVE_INDEX[objective]
     blocks = _Blocks(seq)
-    prefix, resid = blocks.prefix, blocks.resid
     block = [[0] * (m + 1) for _ in range(m)]
     for i in range(1, m + 1):
-        gi = seq[i - 1].intervals
-        block[i - 1][i] = blocks.units[i - 1][code]
-        later = 0  # the inner sum of b(p, i), over p < h < i
-        for p in range(i - 2, -1, -1):
-            later += _terms(_survivors(gi, resid[p]))[code]
-            block[p][i] = _terms(_survivors(prefix[p], gi))[code] + later
+        for p in range(i):
+            block[p][i] = blocks.block(p, i)[code]
     value, index_set = _kernels.shift_sweep(block)
     return from_set(m, index_set), value

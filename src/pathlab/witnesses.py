@@ -12,23 +12,24 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import itemgetter
 from typing import Literal, Sequence
 
 from . import shifts
 from .errors import CheckFailedError, DomainError, InvalidCoveringError, InvalidParameterError
-from .greedy import greedy_order
+from .greedy import _greedy
 from .paths import (
     GraphSequence,
+    Intervals,
     PathGraph,
     _covered_length,
     _gap,
     _left,
     _merge,
     _path_length,
-    _spans,
     _survivors,
     _terms,
-    vec_delta,
     vec_lambda_delta,
 )
 
@@ -115,12 +116,11 @@ def construct_premain_I(family: Sequence[PathGraph]) -> WitnessResult:
     k = _covered_length(graphs)
     if any(g.lam > 1 for g in graphs):
         raise InvalidCoveringError("all covering members must have component length <= 1")
-    ordered = greedy_order(graphs)
+    ordered, achieved = _greedy(graphs)
     index_of: dict[PathGraph, list[int]] = {}
     for i, g in enumerate(graphs):
         index_of.setdefault(g, []).append(i)
     perm = [index_of[g].pop() + 1 for g in ordered]
-    achieved = vec_delta(ordered)
     return WitnessResult("premain-I", perm, achieved, Fraction(k, 6))
 
 
@@ -152,7 +152,7 @@ def _covers(ivs, lo: int, hi: int) -> bool:
 
 
 def _interleave_selection(
-    seq: GraphSequence, lo: int, hi: int, upto: int | None = None
+    members: Sequence[Intervals], lo: int, hi: int, upto: int | None = None
 ) -> list[tuple[int, tuple[int, int]]] | None:
     """A minimal right-advancing subsequence whose rightmost components,
     clipped to [lo, hi], cover Path_{lo,hi}; returns (index, clipped
@@ -163,12 +163,12 @@ def _interleave_selection(
     turn makes every other selected component survive the prefix union."""
     if lo >= hi:
         return None
-    m = len(seq) if upto is None else upto
+    m = len(members) if upto is None else upto
     js: list[int] = []
     comps: dict[int, tuple[int, int]] = {}
     run = lo
     for j in range(1, m + 1):
-        comp = _clipped_rightmost(seq[j - 1].intervals, lo, hi)
+        comp = _clipped_rightmost(members[j - 1], lo, hi)
         if comp is not None and comp[1] > run:
             js.append(j)
             comps[j] = comp
@@ -196,26 +196,37 @@ def _scan(seq: GraphSequence) -> tuple[shifts._Blocks, int]:
     return blocks, _path_length(blocks.prefix[-1])
 
 
-def _increments(blocks: shifts._Blocks) -> list[int]:
-    """The component increment of each member over its predecessors: the
-    component count of the unit block b(l-1, l)."""
-    return [unit[_DELTA] for unit in blocks.units]
+def _mirror(members: Sequence[Intervals], k: int) -> list[Intervals]:
+    """The members' interval tuples reflected by x -> k - x."""
+    return [tuple((k - t, k - s) for s, t in reversed(ivs)) for ivs in members]
 
 
-def _split_set(m: int, positions: Sequence[int], keep: Sequence[int]) -> frozenset[int]:
-    """Index set excluding, for each kept slot h, the open range between
-    positions[h-1] and positions[h] (from 0 for h = 0); positions not in
-    ``keep`` stay fully included, so the two complementary splits jointly
-    cover [m].  Keeping every slot skips all but the positions themselves
-    and what follows the last one."""
+# A candidate index set I of [m] (m in I) is carried as its long blocks: the
+# blocks (p, i] of I with i > p + 1, in increasing order.  Every other
+# position of [m] is in I, so the empty list is the identity.
+
+
+def _index_set(m: int, long_blocks) -> frozenset[int]:
+    """The index set whose long blocks are ``long_blocks``."""
     excluded: set[int] = set()
+    for p, i in long_blocks:
+        excluded.update(range(p + 1, i))
+    return frozenset(range(1, m + 1)).difference(excluded)
+
+
+def _split_blocks(positions: Sequence[int], keep) -> list[tuple[int, int]]:
+    """The long blocks of the index set that excludes, for each kept slot
+    h, the open range between positions[h-1] and positions[h] (from 0 for
+    h = 0); positions not in ``keep`` stay fully included, so the two
+    complementary splits jointly cover [m].  Keeping every slot skips all
+    but the positions themselves and what follows the last one."""
+    out = []
     prev = 0
-    keep_set = set(keep)
     for h, i in enumerate(positions):
-        if h in keep_set:
-            excluded.update(range(prev + 1, i))
+        if h in keep and i > prev + 1:
+            out.append((prev, i))
         prev = i
-    return frozenset(range(1, m + 1)) - excluded
+    return out
 
 
 def _parity_choices(selection) -> list[tuple[list[int], list[int]]]:
@@ -230,42 +241,43 @@ def _parity_choices(selection) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _full_sets(m: int, selections) -> list[frozenset[int]]:
-    """For each selection and each parity, the index set keeping every slot
+def _full_sets(selections) -> list[list[tuple[int, int]]]:
+    """For each selection and each parity, the candidate keeping every slot
     of the alternating subsequence."""
     return [
-        _split_set(m, positions, range(len(positions)))
+        _split_blocks(positions, range(len(positions)))
         for sel in selections
         for positions, _lengths in _parity_choices(sel)
     ]
 
 
-def _best(index_sets, blocks: shifts._Blocks, code: int) -> tuple[shifts.ShiftPermutation, int]:
-    """The shift permutation of the first index set whose measure ``code``
-    is largest, scored by its block values, and that measure."""
-    index_set, value = max(((s, blocks.value(s, code)) for s in index_sets), key=lambda sv: sv[1])
-    return shifts.from_set(blocks.m, index_set), value
+def _best(candidates, blocks: shifts._Blocks, code: int) -> tuple[shifts.ShiftPermutation, int]:
+    """The shift permutation of the first candidate whose measure ``code``
+    is largest, scored by its long blocks, and that measure."""
+    long_blocks, value = max(((c, blocks.value(c, code)) for c in candidates), key=itemgetter(1))
+    return shifts.from_set(blocks.m, _index_set(blocks.m, long_blocks)), value
 
 
 def _premain_selections(
-    seq: GraphSequence, blocks: shifts._Blocks, k: int
+    blocks: shifts._Blocks, k: int
 ) -> list[list[tuple[int, tuple[int, int]]]]:
     """The interleaving selection of a covering with vector-component value
     1, taken from the end the first member's left end is nearer to (the
-    sequence is mirrored when that end lies past k/2); empty when there is
+    members are mirrored when that end lies past k/2); empty when there is
     none.  An empty member never keeps a component in any order, so the
     first nonempty member stands for the first one."""
-    if sum(_increments(blocks)) != 1:
+    if blocks.unit_sums[_DELTA][-1] != 1:
         raise InvalidCoveringError("construction requires vec_delta(seq) == 1")
 
-    def first_left(seq: GraphSequence) -> int:
-        return next(g.intervals[0][0] for g in seq if g)
+    def first_left(members: Sequence[Intervals]) -> int:
+        return next(ivs[0][0] for ivs in members if ivs)
 
-    s1 = first_left(seq)
+    members = blocks.members
+    s1 = first_left(members)
     if 2 * s1 > k:
-        seq = [g.mirror(k) for g in seq]
-        s1 = first_left(seq)
-    sel = _interleave_selection(seq, s1, k)
+        members = _mirror(members, k)
+        s1 = first_left(members)
+    sel = _interleave_selection(members, s1, k)
     return [sel] if sel else []
 
 
@@ -273,10 +285,10 @@ def construct_premain_II(seq: GraphSequence) -> WitnessResult:
     """For a covering with vector-component value 1: a shift permutation
     whose vector-length value is at least k/4."""
     blocks, k = _scan(seq)
-    index_sets = _full_sets(len(seq), _premain_selections(seq, blocks, k))
-    if not index_sets:
+    candidates = _full_sets(_premain_selections(blocks, k))
+    if not candidates:
         raise InvalidCoveringError("interleaving selection failed on a valid covering")
-    sigma, value = _best(index_sets, blocks, _LAMBDA)
+    sigma, value = _best(candidates, blocks, _LAMBDA)
     return WitnessResult("premain-II", sigma, value, Fraction(k, 4))
 
 
@@ -288,31 +300,42 @@ def construct_premain_II(seq: GraphSequence) -> WitnessResult:
 def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
     """Greedy level construction: r = ceil(log2(k+1)) rounds, round i taking
     graphs whose residual longest component is at least 2^(r-i), maximizing
-    the residual component count.  The combined measure reaches k/30."""
-    graphs = list(family)
-    k = _covered_length(graphs)
+    the residual component count (the first such graph on a tie).  The
+    combined measure reaches k/30.
+
+    A member's residual count and longest component only fall as the union
+    grows, so a max-heap of (count, index) keys holds upper bounds: the top
+    is re-measured and taken when its key is still exact and its longest
+    component meets the threshold.  One whose longest component falls short
+    cannot meet it again this round, so it waits for the next."""
+    members = list(family)
+    k = _covered_length(members)
+    graphs = [g.intervals for g in members]
     r = max(1, math.ceil(math.log2(k + 1)))
     acc: tuple = ()
     order: list[int] = []
     taken = [False] * len(graphs)
+    heap = [(-len(ivs), idx) for idx, ivs in enumerate(graphs)]
+    heapify(heap)
     for i in range(1, r + 1):
         threshold = 2 ** (r - i)
-        while True:
-            best_idx = -1
-            best_delta = -1
-            for idx, g in enumerate(graphs):
-                if taken[idx]:
-                    continue
-                delta, lam, _ = _terms(_survivors(acc, g.intervals))
-                if lam >= threshold and delta > best_delta:
-                    best_idx, best_delta = idx, delta
-            if best_idx < 0:
-                break
-            taken[best_idx] = True
-            order.append(best_idx)
-            acc = _merge(acc, graphs[best_idx].intervals)
+        waiting = []
+        while heap:
+            key, idx = heap[0]
+            delta, lam, _ = _terms(_survivors(acc, graphs[idx]))
+            if lam < threshold:
+                waiting.append((-delta, heappop(heap)[1]))
+            elif -delta != key:
+                heapreplace(heap, (-delta, idx))
+            else:
+                heappop(heap)
+                taken[idx] = True
+                order.append(idx)
+                acc = _merge(acc, graphs[idx])
+        for item in waiting:
+            heappush(heap, item)
     order.extend(idx for idx in range(len(graphs)) if not taken[idx])
-    achieved = vec_lambda_delta([graphs[i] for i in order])
+    achieved = vec_lambda_delta([members[i] for i in order])
     return WitnessResult("main-I", [i + 1 for i in order], achieved, Fraction(k, 30))
 
 
@@ -339,25 +362,24 @@ def _region_frontiers(prefix: Sequence[tuple], lo: int, hi: int):
     return None
 
 
-def _gap_selections(
-    seq: GraphSequence, blocks: shifts._Blocks, k: int, spans
-) -> list[list[tuple[int, tuple[int, int]]]]:
+def _gap_selections(blocks: shifts._Blocks, k: int) -> list[list[tuple[int, tuple[int, int]]]]:
     """Interleaving selections extracted from the widest midpoint gap of the
-    surviving intervals ``spans``, per the three-case analysis (before the
-    first midpoint, after the last one, or inside a widest adjacent pair).
-    A selection from the left end is taken on the mirrored sequence."""
-    mids = [Fraction(s + t, 2) for s, t in spans]
-    mirrored = [g.mirror(k) for g in seq]
+    surviving intervals ``blocks.spans``, per the three-case analysis
+    (before the first midpoint, after the last one, or inside a widest
+    adjacent pair).  A selection from the left end is taken on the mirrored
+    members.  Midpoints are compared doubled, as the integers s + t."""
+    spans, members = blocks.spans, blocks.members
+    mirrored = _mirror(members, k)
     # everything left of the first midpoint, then right of the last one (the
     # surviving spans lie in [0, k], so both regions hold an edge)
     found = [
         _interleave_selection(mirrored, k - spans[0][1], k),
-        _interleave_selection(seq, spans[-1][0], k),
+        _interleave_selection(members, spans[-1][0], k),
     ]
     # case: the widest interior gap
     widest = None
-    for i in range(len(mids) - 1):
-        width = mids[i + 1] - mids[i]
+    for i in range(len(spans) - 1):
+        width = spans[i + 1][0] + spans[i + 1][1] - spans[i][0] - spans[i][1]
         if widest is None or width > widest[0]:
             widest = (width, i)
     if widest is not None:
@@ -367,7 +389,7 @@ def _gap_selections(
         if front is not None:
             a, b, l = front
             if a > region_lo:
-                found.append(_interleave_selection(seq, region_lo, a, upto=l - 1))
+                found.append(_interleave_selection(members, region_lo, a, upto=l - 1))
             if b < region_hi:
                 found.append(
                     _interleave_selection(mirrored, k - region_hi, k - b, upto=l - 1)
@@ -380,10 +402,10 @@ def construct_main_II(seq: GraphSequence) -> WitnessResult:
     as the best of every bring-to-front rotation (the identity first), the
     gap-driven interleaving candidates and the strong-shift split."""
     blocks, k = _scan(seq)
-    m = len(seq)
-    selections = _gap_selections(seq, blocks, k, _spans(blocks.resid))
-    candidates = [range(j, m + 1) for j in range(1, m + 1)]
-    candidates += _full_sets(m, selections)
+    selections = _gap_selections(blocks, k)
+    # rotation j is the index set {j, ..., m}, the one long block (0, j]
+    candidates = [[]] + [[(0, j)] for j in range(2, len(seq) + 1)]
+    candidates += _full_sets(selections)
     split = _split_choice(blocks, selections)
     if split is not None:
         candidates.append(split[0])
@@ -407,14 +429,14 @@ def _balanced_split(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
     return buckets
 
 
-def _split_choice(blocks: shifts._Blocks, selections) -> tuple[frozenset[int], int] | None:
+def _split_choice(blocks: shifts._Blocks, selections) -> tuple[list[tuple[int, int]], int] | None:
     """Over both parities of each selection and both buckets of their
-    balanced split, the index set whose kept increments reach half the
+    balanced split, the candidate whose kept increments reach half the
     vector-component value, then with the largest vector-length value;
-    (index set, vector-length value), or None without a selection."""
-    incs = _increments(blocks)
-    vd = sum(incs)
-    m = blocks.m
+    (long blocks, vector-length value), or None without a selection.  A
+    long block (p, i] drops the increments of p+1..i-1 from the total."""
+    incs = blocks.unit_sums[_DELTA]
+    vd = incs[-1]
     best = None
     for sel in selections:
         for positions, lengths in _parity_choices(sel):
@@ -422,11 +444,12 @@ def _split_choice(blocks: shifts._Blocks, selections) -> tuple[frozenset[int], i
             # it inherits the full increment sum while the kept lengths drop
             # to zero, which still meets the halved bound when p = 1
             for q in _balanced_split(lengths):
-                index_set = _split_set(m, positions, q)
-                lam_val = blocks.value(index_set, _LAMBDA)
-                key = (2 * sum(incs[l - 1] for l in index_set) >= vd, lam_val)
+                long_blocks = _split_blocks(positions, set(q))
+                lam_val = blocks.value(long_blocks, _LAMBDA)
+                kept = vd - sum(incs[i - 1] - incs[p] for p, i in long_blocks)
+                key = (2 * kept >= vd, lam_val)
                 if best is None or key > best[0]:
-                    best = (key, index_set, lam_val)
+                    best = (key, long_blocks, lam_val)
     return None if best is None else best[1:]
 
 
@@ -435,19 +458,19 @@ def construct_strong_shift(
 ) -> WitnessResult:
     """Split an interleaving selection in two so that the chosen shift
     permutation keeps half the vector-length value while every induced
-    permutation keeps half the component value.  Every candidate and every
-    induced permutation is scored by its block values."""
+    permutation keeps half the component value.  Every candidate is scored
+    by its long blocks, and the induced permutations by one pass over the
+    blocks of the winner."""
     blocks, k = _scan(seq)
     m = len(seq)
     ell = max(g.lam for g in seq)
     if mode == "premain":
-        selections = _premain_selections(seq, blocks, k)
+        selections = _premain_selections(blocks, k)
         lam_bound = Fraction(k, 8) - Fraction(ell, 2)
         tilde_bound = Fraction(1, 2)
     elif mode == "gap":
-        spans = _spans(blocks.resid)
-        g = _gap(k, spans)
-        selections = _gap_selections(seq, blocks, k, spans)
+        g = _gap(k, blocks.spans)
+        selections = _gap_selections(blocks, k)
         lam_bound = (g - 3 * ell) / 4
         tilde_bound = Fraction(k) / (4 * g)
     else:
@@ -455,10 +478,9 @@ def construct_strong_shift(
     split = _split_choice(blocks, selections)
     if split is None:
         raise InvalidCoveringError("no interleaving selection available")
-    index_set, lam_val = split
-    tilde_min = min(
-        blocks.value(shifts._induced_set(index_set, j), _DELTA) for j in range(1, m + 1)
-    )
+    long_blocks, lam_val = split
+    index_set = _index_set(m, long_blocks)
+    tilde_min = blocks.induced_min(index_set, _DELTA)
     result = WitnessResult(
         f"strong-shift-{mode}",
         shifts.from_set(m, index_set),

@@ -82,7 +82,10 @@ def test_lazy_greedy_order_matches_the_max_scan():
             )
             if hit
         )
-        assert greedy.greedy_order(fam, base) == _reference_greedy_order(fam, base), case
+        ordered, total = greedy._greedy(fam, base)
+        assert ordered == _reference_greedy_order(fam, base), case
+        assert greedy.greedy_order(fam, base) == ordered
+        assert total == vec_delta(ordered, base)
     assert seen == {"base", "repeat", "empty", "tie"}
 
 

@@ -797,15 +797,62 @@ def random_mixed_formula(rng: random.Random, gates: int) -> formulas.DeMorgan:
     return pool[-1]
 
 
-def test_cached_formula_depths_equal_the_uncached_folds():
-    _, forms = formulas.count_strict_demorgan(2, 2, return_formulas=True)
+@pytest.fixture(scope="module")
+def strict_formulas_2_2() -> tuple:
+    """The 1,854 formulas of count_strict_demorgan(2, 2), made once."""
+    return tuple(formulas.count_strict_demorgan(2, 2, return_formulas=True)[1])
+
+
+def test_cached_formula_depths_equal_the_uncached_folds(strict_formulas_2_2):
     rng = random.Random(21)
-    forms += [random_mixed_formula(rng, rng.randint(1, 12)) for _ in range(300)]
+    forms = list(strict_formulas_2_2) + [random_mixed_formula(rng, rng.randint(1, 12)) for _ in range(300)]
     assert_cached_depths_match_the_folds(forms)
     forget_depths(forms)
     assert [formulas.sem_depth_demorgan(g) for g in forms] == [
         sem_tables_by_dict(g)[g][1] for g in forms
     ]
+
+
+def trees_with_leaves(labels: list, n: int, memo: dict) -> list:
+    """Every join tree with exactly n leaves, each labelled from ``labels``."""
+    if n not in memo:
+        if n == 1:
+            memo[n] = [jt.leaf(g) for g in labels]
+        else:
+            memo[n] = [
+                jt.node(left, right)
+                for a in range(1, n)
+                for left in trees_with_leaves(labels, a, memo)
+                for right in trees_with_leaves(labels, n - a, memo)
+            ]
+    return memo[n]
+
+
+def test_is_strict_answers_as_strictify_does(strict_formulas_2_2):
+    # every Path_4 join tree with at most five leaves (single edges or the
+    # empty graph), every strict Path_4 tree, and each of those joined to one
+    # of its edges, which makes the root redundant; then formulas, strict
+    # and mixed AND/OR ones
+    p4 = full_path(4)
+    memo: dict = {}
+    labels = [EMPTY] + [single_edge(i) for i in range(1, 5)]
+    small = [t for n in range(4, 6) for t in trees_with_leaves(labels, n, memo) if t.graph == p4]
+    strict = list(jt.enumerate_strict(p4))
+    joined = [jt.node(t, jt.leaf(single_edge(1 + n % 4))) for n, t in enumerate(strict[::5])]
+    trees = small + strict + joined
+    verdicts = [jt.is_strict(t) for t in trees]
+    assert verdicts == [jt.strictify(t) is t for t in trees]
+    assert 0 < sum(verdicts[: len(small)]) < len(small)
+    assert all(verdicts[len(small) : len(small) + len(strict)]) and not any(verdicts[-len(joined) :])
+    forms = strict_formulas_2_2
+    rng = random.Random(22)
+    mixed = [random_mixed_formula(rng, rng.randint(1, 12)) for _ in range(300)]
+    for k, group in ((2, forms), (3, mixed)):
+        value = formulas._edge_tables(k)
+        verdicts = [jt.is_strict(g, value) for g in group]
+        assert verdicts == [jt.strictify(g, value) is g for g in group]
+    assert all(jt.is_strict(g, formulas._edge_tables(2)) for g in forms)
+    assert not all(jt.is_strict(g, formulas._edge_tables(3)) for g in mixed)
 
 
 # -- tradeoffs and recurrences -----------------------------------------------------

@@ -221,6 +221,22 @@ def test_gap_matches_grid_oracle_on_random_coverings():
         assert gap(seq) == gap_oracle(seq)
 
 
+def midpoint_gap(seq) -> Fraction:
+    """gap from the midpoints as fractions: the larger of the distances
+    from 0 and k to the outer midpoints and half of each adjacent pair."""
+    k = union_all(seq).intervals[0][1]
+    mids = [Fraction(s + t, 2) for c in surviving_components(seq) for s, t in c.intervals]
+    return max([mids[0], k - mids[-1]] + [(q - p) / 2 for p, q in zip(mids, mids[1:])])
+
+
+def test_gap_in_quarter_units_matches_the_midpoint_fractions():
+    rng = random.Random(11)
+    for n in range(2000):
+        k = rng.randint(1, 60)
+        seq = samples.random_covering(rng, k) if n % 2 else samples.random_chain_covering(rng, k)
+        assert gap(seq) == midpoint_gap(seq)
+
+
 def test_gap_lower_bounds_vec_delta():
     rng = random.Random(10)
     for _ in range(300):

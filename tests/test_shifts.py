@@ -182,6 +182,12 @@ def _reference_induced_set(index_set: frozenset[int], j: int) -> frozenset[int]:
     return index_set | set(range(1, (p if ordered[h] == j else j - 1) + 1))
 
 
+def _long_blocks(index_set: frozenset[int]) -> list[tuple[int, int]]:
+    """The blocks (p, i] of I with i > p + 1."""
+    ordered = sorted(index_set)
+    return [(p, i) for p, i in zip([0] + ordered, ordered) if i > p + 1]
+
+
 def test_block_values_sum_to_the_measures_of_every_shift():
     # sigma_I's measures are the sums of its block values, and the induced
     # index set matches the induced permutation, on sequences with empty
@@ -195,11 +201,98 @@ def test_block_values_sum_to_the_measures_of_every_shift():
             for index_set in _all_or_sampled_index_sets(rng, m):
                 sigma = shifts.from_set(m, index_set)
                 want = vec_measures(sigma.apply(seq))
-                assert tuple(blocks.value(index_set, code) for code in range(3)) == want
+                long_blocks = _long_blocks(index_set)
+                assert tuple(blocks.value(long_blocks, code) for code in range(3)) == want
                 for j in range(1, m + 1):
                     induced = shifts._induced_set(index_set, j)
                     assert induced == shifts.induced(sigma, j).index_set
                     assert induced == _reference_induced_set(index_set, j)
+
+
+def _contact_sequence(rng: random.Random, m: int) -> list[PathGraph]:
+    """m members on a few vertices, so that many pairs share exactly one
+    vertex: empty members, repeats of an earlier member, members nested in
+    or around an earlier one, and intervals with endpoints on a grid of 2."""
+    seq: list[PathGraph] = []
+    for _ in range(m):
+        roll = rng.random()
+        if roll < 0.1:
+            g = EMPTY
+        elif roll < 0.25 and seq:
+            g = rng.choice(seq)
+        elif roll < 0.4 and any(seq):
+            s, t = rng.choice(rng.choice([g for g in seq if g]).intervals)
+            g = PathGraph([(s - rng.randint(0, 1), t + rng.randint(0, 1))] if rng.random() < 0.5
+                          else [(s, s + 1)] if t > s + 1 and rng.random() < 0.5 else [(s - 2, s)])
+        else:
+            ivs = []
+            for _ in range(rng.randint(1, 3)):
+                s = 2 * rng.randint(-2, 8)
+                ivs.append((s, s + 2 * rng.randint(1, 2)))
+            g = PathGraph(ivs)
+        seq.append(g)
+    return seq
+
+
+def _block_sequences(rng: random.Random):
+    for m in range(1, 13):
+        for _ in range(40):
+            yield _contact_sequence(rng, m)
+    for m in range(1, 9):
+        for c in (0, 10**9, -(10**9)):
+            yield [_random_member(rng, c - 8, 16) for _ in range(m)]
+
+
+def _prefix_union(seq, p: int) -> PathGraph:
+    acc = EMPTY
+    for g in seq[:p]:
+        acc = acc.union(g)
+    return acc
+
+
+def test_every_block_value_is_the_measure_of_its_members_on_the_prefix():
+    # b(p, i) = vec_measures([G_i, G_(p+1), ..., G_(i-1)], U_p), whichever
+    # block of a column comes first; many members share exactly one vertex
+    rng = random.Random(11)
+    for seq in _block_sequences(rng):
+        m = len(seq)
+        blocks = shifts._Blocks(seq)
+        pairs = [(p, i) for i in range(1, m + 1) for p in range(i)]
+        rng.shuffle(pairs)
+        for p, i in pairs:
+            want = vec_measures([seq[i - 1]] + seq[p : i - 1], _prefix_union(seq, p))
+            assert blocks.block(p, i) == want, (seq, p, i)
+
+
+def test_one_pass_induced_minimum_is_the_least_induced_measure():
+    # against the minimum over j of the block-value score of each induced
+    # index set, as the witness constructions took it before the one pass
+    # (block-value scores are checked against vec_measures above)
+    rng = random.Random(12)
+    for seq in _block_sequences(rng):
+        m = len(seq)
+        blocks = shifts._Blocks(seq)
+        for index_set in _all_or_sampled_index_sets(rng, m):
+            induced = [_long_blocks(shifts._induced_set(index_set, j)) for j in range(1, m + 1)]
+            for code in range(3):
+                want = min(blocks.value(long_blocks, code) for long_blocks in induced)
+                assert blocks.induced_min(index_set, code) == want
+
+
+def test_best_shift_matches_enumeration_up_to_ten_members():
+    # value and lex-min index set, all three objectives, on sequences whose
+    # members touch at one vertex, repeat, nest or are empty
+    rng = random.Random(13)
+    for m in range(1, 11):
+        perms = list(shifts.enumerate_all(m))
+        for _ in range(10):
+            seq = _contact_sequence(rng, m)
+            measured = [(vec_measures(s.apply(seq)), sorted(s.index_set)) for s in perms]
+            for idx, objective in enumerate(OBJECTIVES):
+                sigma, value = shifts.best_shift(seq, objective)
+                top = max(v[idx] for v, _ in measured)
+                assert value == top
+                assert sorted(sigma.index_set) == min(i for v, i in measured if v[idx] == top)
 
 
 def test_best_shift_has_no_size_limit():

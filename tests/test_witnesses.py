@@ -363,12 +363,7 @@ def test_witness_below_its_guarantee_fails_its_check(monkeypatch):
 
 
 def test_strong_shift_below_its_induced_bound_fails_its_check(monkeypatch):
-    real = shifts._Blocks.value
-
-    def value(self, index_set, code):
-        return 0 if code == wit._DELTA else real(self, index_set, code)
-
-    monkeypatch.setattr(shifts._Blocks, "value", value)
+    monkeypatch.setattr(shifts._Blocks, "induced_min", lambda self, index_set, code: 0)
     with pytest.raises(CheckFailedError, match="induced-permutation value"):
         wit.construct_strong_shift([single_edge(i) for i in range(1, 9)], "premain")
 
@@ -378,6 +373,58 @@ def test_witness_json():
     data = res.to_json()
     assert data["kind"] == "premain-II"
     assert "shift" in data["ordering"]
+
+
+def _main_I_full_scan(family) -> list[int]:
+    """construct_main_I's order by its definition: each pick re-measures
+    every member not yet taken."""
+    graphs = list(family)
+    k = paths._covered_length(graphs)
+    r = max(1, math.ceil(math.log2(k + 1)))
+    acc = EMPTY
+    order: list[int] = []
+    taken = [False] * len(graphs)
+    for i in range(1, r + 1):
+        threshold = 2 ** (r - i)
+        while True:
+            best_idx, best_delta = -1, -1
+            for idx, g in enumerate(graphs):
+                if not taken[idx]:
+                    rest = g.ominus(acc)
+                    if rest.lam >= threshold and rest.delta > best_delta:
+                        best_idx, best_delta = idx, rest.delta
+            if best_idx < 0:
+                break
+            taken[best_idx] = True
+            order.append(best_idx)
+            acc = acc.union(graphs[best_idx])
+    order.extend(idx for idx in range(len(graphs)) if not taken[idx])
+    return [i + 1 for i in order]
+
+
+def test_lazy_main_one_order_is_the_full_scan_order():
+    # ties, empty members, repeated members and whole-path members included
+    rng = random.Random(16)
+    for n in range(600):
+        k = rng.randint(1, 40)
+        fam = [samples.random_covering, samples.random_unit_covering, samples.random_chain_covering][n % 3](rng, k)
+        if n % 4 == 1:
+            fam.insert(rng.randrange(len(fam) + 1), EMPTY)
+        if n % 5 == 2:
+            fam += [rng.choice(fam) for _ in range(3)]
+        if n % 7 == 3:
+            fam.insert(rng.randrange(len(fam) + 1), full_path(k))
+        rng.shuffle(fam)
+        assert wit.construct_main_I(fam).ordering == _main_I_full_scan(fam)
+
+
+def test_mirrored_members_are_the_mirrored_graphs():
+    rng = random.Random(17)
+    for _ in range(200):
+        seq = samples.random_covering(rng, rng.randint(1, 30))
+        seq.append(EMPTY)
+        k = rng.randint(-5, 40)
+        assert wit._mirror([g.intervals for g in seq], k) == [g.mirror(k).intervals for g in seq]
 
 
 # -- pinned outputs ---------------------------------------------------------------
