@@ -1,19 +1,16 @@
 """Time the two exact optimum searches: the subset DP behind the ordering
 oracle and the block DP of the shift optimum.
 
-The subset DP sweep times the three bodies of ``_kernels.max_ordering_value``
-(the plain-integer loop, the per-layer gather and the layered numpy DP) and
-the entry point itself on the m single edges of a path (optimum ceil(m/2)),
-for each m, and prints the two crossovers: the m from which the gather beats
-the loop (``_kernels.PY_M`` rests on it) and the m from which the layered DP
-beats the gather, if any (``_kernels.SMALL_M`` caps the gather's cached
-layouts, not a crossover).  The loop's time doubles and more with each
-member, so it is timed only up to ``PY_MAX_M``; the gather caches a layout
-per m, so it is timed only up to ``SMALL_M`` + 2.  Above
-``SMALL_M`` the entry reduces the path of edges to nothing before any DP
-runs, so its column times the reductions alone; the clique column runs the
-entry on m members that all share one vertex (optimum 1), which nothing
-reduces, so it times one DP on all m members.
+The subset DP sweep times the two bodies of ``_kernels.max_ordering_value``
+(the plain-integer loop and the layered numpy DP) and the entry point itself
+on the m single edges of a path (optimum ceil(m/2)), for each m, and prints
+the crossover: the m from which the layered DP beats the loop
+(``_kernels.PY_M`` rests on it).  The loop's time doubles and more with each
+member, so it is timed only up to ``PY_MAX_M``.  Above ``PY_M`` the entry
+reduces the path of edges to nothing before any DP runs, so its column
+times the reductions alone; the clique column runs the entry on m members
+that all share one vertex (optimum 1), which nothing reduces, so it times
+one DP on all m members.
 
 The Psi table times a fresh ``jointrees.psi`` on the tight trees of
 ``TIGHT_TREES``, on every strict Path_4 tree and on ``PSI_RANDOM_TREES``
@@ -140,8 +137,6 @@ def bench_subset_dp(m: int, repeat: int) -> dict:
     bodies = {"numpy": _kernels._max_ordering_np, "entry": _kernels.max_ordering_value}
     if m <= PY_MAX_M:
         bodies["python"] = _kernels._max_ordering_py
-    if m <= _kernels.SMALL_M + 2:
-        bodies["gather"] = _kernels._max_ordering_gather
     rows = {}
     for name, fn in bodies.items():
         rows[name], got = _per_call(fn, conflicts, repeat)
@@ -416,17 +411,16 @@ def main() -> None:
     args = parser.parse_args()
     if args.dp_m:
         print(
-            f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.PY_M}, "
-            f"the gather for m <= {_kernels.SMALL_M} and the numpy layers above"
+            f"subset DP, ms per call; max_ordering_value runs the python loop for m <= {_kernels.PY_M} "
+            "and the numpy layers above"
         )
-        print(f"{'m':>4}{'python':>12}{'gather':>12}{'numpy':>12}{'entry':>12}{'clique':>12}")
+        print(f"{'m':>4}{'python':>12}{'numpy':>12}{'entry':>12}{'clique':>12}")
         sweep = {}
         for m in args.dp_m:
             rows = sweep[m] = bench_subset_dp(m, args.repeat)
-            cells = "".join(_ms(rows.get(name)) for name in ("python", "gather", "numpy", "entry", "clique"))
+            cells = "".join(_ms(rows.get(name)) for name in ("python", "numpy", "entry", "clique"))
             print(f"{m:>4}{cells}")
-        print(f"gather faster than python {_crossover(sweep, 'python', 'gather')} (PY_M = {_kernels.PY_M})")
-        print(f"numpy faster than gather {_crossover(sweep, 'gather', 'numpy')} (SMALL_M = {_kernels.SMALL_M})")
+        print(f"numpy faster than python {_crossover(sweep, 'python', 'numpy')} (PY_M = {_kernels.PY_M})")
     if args.tight:
         print("\nfresh Psi, ms per tree; subset DPs per pass")
         print(f"{'trees':>22}{'psi':>12}{'DPs':>8}")

@@ -1,40 +1,32 @@
 """Exact integer kernels behind the ordering oracle, Psi and the shift optimum.
 
-The subset DP has one implementation, whatever is installed, with three
+The subset DP has one implementation, whatever is installed, with two
 bodies chosen by the number m of members (``benchmarks/bench_kernels.py``
-times all three over m and prints where they cross):
+times both over m and prints where they cross):
 
 * m <= ``PY_M``: a loop over Python integers, where numpy's per-call set-up
   costs more than the whole loop;
-* ``PY_M`` < m <= ``SMALL_M``: one numpy gather per popcount layer over a
-  layout of (subset, member) pairs cached per m, so a DP costs m steps of a
-  few numpy calls each;
-* m > ``SMALL_M``: the layered numpy DP, m^2 numpy steps per DP but no
-  layout.  The gather's layout holds m 2^(m-1) index pairs, so it is
-  cached only up to ``SMALL_M``; built per call above it, the gather was
-  1.5x slower than the layered DP at m = 16 with 8x its peak memory, and
-  3x slower at m = 18 with 9x (15 and 65 MB).
+* m > ``PY_M``: the layered numpy DP, m^2 numpy steps per DP over arrays
+  of 2^m entries.
 
 Members of a covering are indexed ``0..m-1``, and each component of each
 member carries a *conflict mask*: bit j is set when the component shares a
 vertex with member j.  An ordering counts a component exactly when its
 member comes before every member in its mask.
 
-Above ``SMALL_M`` members, exact reductions run before the DP, in the style
+Above ``PY_M`` members, exact reductions run before the DP, in the style
 of the branch-and-reduce rules for maximum independent set (Akiba and Iwata
 2016): components with mask 0 always count, a member with none left goes
 last, a member that the front rule of ``_goes_first`` admits goes first,
 and what is left splits into the connected parts of the member conflict
 graph.  Each part runs the DP body that suits its own size.  At or below
-``SMALL_M`` the DP costs less than the reductions, so it runs directly.
+``PY_M`` the loop costs less than the reductions, so it runs directly.
 
 The shift sweep is a longest path over the m(m+1)/2 blocks (p, i] of a
 shift permutation's index set, given the value of each block.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -55,16 +47,12 @@ def _popcount32(a: np.ndarray) -> np.ndarray:
     return ((v * 0x01010101) >> 24).astype(np.int64)
 
 
-# Largest m run by the plain-integer loop: above it the gather body wins.
-# On the coverings of the tight trees the loop takes about 0.13 ms at m = 7
-# and 0.8 ms at m = 9, the gather 0.09 and 0.2 ms.
-PY_M = 6
-# Largest m run by the gather body, and the m above which the reductions run
-# first.  The gather beats the layered numpy DP past it too (0.2 against
-# 1.8 ms at m = 10, 0.5 against 3.1 ms at m = 12), but the cap keeps its
-# cached layouts to m = 7..10, about 0.2 MB in all
-# (``benchmarks/bench_kernels.py`` prints the sweep).
-SMALL_M = 10
+# Largest m run by the plain-integer loop: above it the layered numpy DP
+# wins or ties.  On the m single edges of a path the loop takes about 0.43
+# ms at m = 9 against 0.76 ms in the layers, 0.91 against 0.93 ms at m = 10
+# and 2.1 against 1.2 ms at m = 11 (``benchmarks/bench_kernels.py`` prints
+# the sweep).
+PY_M = 9
 
 
 def _max_ordering_py(conflicts_per_member: list[list[int]]) -> int:
@@ -86,45 +74,6 @@ def _max_ordering_py(conflicts_per_member: list[list[int]]) -> int:
                     best = v
         dp[s] = best
     return dp[-1]
-
-
-@functools.cache
-def _gather_layout(m: int) -> tuple[np.ndarray, tuple]:
-    """The subsets 0..2^m-1 and, per popcount layer L >= 1, the layer's
-    subsets S (C(m, L) of them) with two (C(m, L), L) index arrays over the
-    L members j of each S: the index of S minus j in ``dp`` and the index of
-    (j, S minus j) in the flat (m, 2^m) gain table.  Every pair names a
-    member of its subset, so no pair needs a placeholder."""
-    size = 1 << m
-    by_layer: list[list[int]] = [[] for _ in range(m + 1)]
-    for s in range(size):
-        by_layer[s.bit_count()].append(s)
-    layers = []
-    for subsets in by_layer[1:]:
-        members = np.array([list(_bits(s)) for s in subsets], np.intp)
-        prev = np.array(subsets, np.intp)[:, None] ^ (1 << members)
-        layers.append((np.array(subsets, np.intp), prev, members * size + prev))
-    return np.arange(size, dtype=np.intp), tuple(layers)
-
-
-def _max_ordering_gather(conflicts_per_member: list[list[int]]) -> int:
-    """Subset DP as one numpy gather per popcount layer.  Row j of the gain
-    table counts, for each subset P, the components of member j that no
-    member of P blocks (one boolean block of j's components by subsets);
-    then dp[S] = max over j in S of dp[S - j] + gain[j, S - j], one layer at
-    a time.  int32 holds any value: a value is at most the covering's
-    component count."""
-    m = len(conflicts_per_member)
-    idx, layers = _gather_layout(m)
-    gain = np.zeros((m, idx.size), np.int32)
-    for row, masks in zip(gain, conflicts_per_member):
-        if masks:
-            ((idx & np.array(masks, np.intp)[:, None]) == 0).sum(0, out=row)
-    flat_gain = gain.ravel()
-    dp = np.zeros(idx.size, np.int32)
-    for subsets, prev, flat in layers:
-        dp[subsets] = (dp[prev] + flat_gain[flat]).max(1)
-    return int(dp[-1])
 
 
 def _max_ordering_np(conflicts_per_member: list[list[int]]) -> int:
@@ -237,8 +186,6 @@ def _dp(conflicts_per_member: list[list[int]]) -> int:
     m = len(conflicts_per_member)
     if m <= PY_M:
         return _max_ordering_py(conflicts_per_member)
-    if m <= SMALL_M:
-        return _max_ordering_gather(conflicts_per_member)
     return _max_ordering_np(conflicts_per_member)
 
 
@@ -247,12 +194,12 @@ def max_ordering_value(conflicts_per_member: list[list[int]]) -> int:
 
     ``conflicts_per_member[j]`` lists one conflict bitmask per component of
     member j (bit i set when the component shares a vertex with member i).
-    Above ``SMALL_M`` members, the exact reductions of ``_reduce`` run first
+    Above ``PY_M`` members, the exact reductions of ``_reduce`` run first
     and each part they leave runs the DP body that suits its own size; at or
-    below it, the DP costs less than the reductions.
+    below it, the loop costs less than the reductions.
     """
-    if len(conflicts_per_member) <= SMALL_M:
-        return _dp(conflicts_per_member)
+    if len(conflicts_per_member) <= PY_M:
+        return _max_ordering_py(conflicts_per_member)
     total, parts = _reduce(conflicts_per_member)
     return total + sum(_dp(part) for part in parts)
 

@@ -886,29 +886,32 @@ def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
         base.append(dm_lit(i))
         base.append(dm_lit(i, neg=True))
     level = dict.fromkeys(base)
+    tables = _edge_tables(k)
     for _ in range(d):
         new = dict(level)
         pool = list(level)
         for op in ("and", "or"):
             for g1 in pool:
                 for g2 in pool:
-                    _extend_strict((g1, g2), op, k, pool, new)
+                    _extend_strict((g1, g2), op, tables, pool, new)
         level = new
     if return_formulas:
         return len(level), list(level)
     return len(level)
 
 
-def _extend_strict(seq: tuple, op: str, k: int, pool: list, new: dict) -> None:
+def _extend_strict(seq: tuple, op: str, tables: Callable, pool: list, new: dict) -> None:
     """Enter ``sem_demorgan(seq, op)`` in ``new`` when it is strict, and then
-    its strict extensions by members of ``pool``.  ``new`` is passed in so
-    that no closure holds it in a reference cycle."""
+    its strict extensions by members of ``pool``.  ``tables`` is the one
+    truth-table walker of the enumeration, so a node is evaluated once
+    however many candidates share it.  ``new`` is passed in so that no
+    closure holds it in a reference cycle."""
     formula = sem_demorgan(seq, op)
-    if not is_strict_demorgan(formula, k):
+    if not jointrees.is_strict(formula, tables):
         return
     if formula not in new:
         new[formula] = None
         if len(new) > STRICT_COUNT_BUDGET:
             raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
     for g in pool:
-        _extend_strict(seq + (g,), op, k, pool, new)
+        _extend_strict(seq + (g,), op, tables, pool, new)

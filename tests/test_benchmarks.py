@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from pathlab import _kernels
 from pathlab import jointrees as jt
 
 _spec = importlib.util.spec_from_file_location(
@@ -22,3 +23,9 @@ def test_bench_psi_times_a_fresh_psi_on_every_repeat(monkeypatch):
     monkeypatch.setattr(jt, "branch_coverings", lambda t: calls.append(t) or real(t))
     bench_kernels.bench_psi("II", 4, 1, repeat=3)
     assert len(calls) == 3
+
+
+def test_subset_dp_sweep_runs_both_bodies_on_each_side_of_the_crossover():
+    for m in (_kernels.PY_M, _kernels.PY_M + 1):
+        rows = bench_kernels.bench_subset_dp(m, repeat=1)
+        assert set(rows) == {"python", "numpy", "entry", "clique"}

@@ -163,7 +163,7 @@ def test_dp_counts_past_int8():
     # pairwise vertex-disjoint members, so every component survives in every
     # ordering; 3 members run the plain-integer loop, 11 the zero-mask rule
     # in the entry and the numpy layers when called directly
-    assert 3 <= _kernels.SMALL_M < 11
+    assert 3 <= _kernels.PY_M < 11
     for members, comps in ((3, 50), (11, 20)):
         seq = [
             PathGraph((3 * (j * comps + c), 3 * (j * comps + c) + 1) for c in range(comps))
@@ -173,9 +173,9 @@ def test_dp_counts_past_int8():
     assert _kernels._max_ordering_np(jt._conflict_masks(seq)) == 11 * 20
 
 
-@pytest.mark.parametrize("m", range(_kernels.PY_M - 1, 15))
+@pytest.mark.parametrize("m", range(5, 15))
 def test_dp_bodies_agree_across_crossover(m):
-    # arbitrary asymmetric masks; above SMALL_M the entry reduces first
+    # arbitrary asymmetric masks; above PY_M the entry reduces first
     rng = random.Random(m)
     for _ in range(4):
         conflicts = [
@@ -184,7 +184,6 @@ def test_dp_bodies_agree_across_crossover(m):
         want = _kernels._max_ordering_np(conflicts)
         if m <= 12:  # the loop's time doubles with each member
             assert _kernels._max_ordering_py(conflicts) == want
-            assert _kernels._max_ordering_gather(conflicts) == want
         assert _kernels.max_ordering_value(conflicts) == want
 
 
@@ -212,48 +211,41 @@ def test_three_dp_bodies_and_the_entry_agree(m):
     for _ in range(6):
         conflicts = _seeded_conflicts(rng, m)
         want = _kernels._max_ordering_py(conflicts)
-        assert _kernels._max_ordering_gather(conflicts) == want
         assert _kernels._max_ordering_np(conflicts) == want
         assert _kernels.max_ordering_value(conflicts) == want
     # no member has a component
-    assert _kernels._max_ordering_gather([[] for _ in range(m)]) == 0
+    assert _kernels._max_ordering_np([[] for _ in range(m)]) == 0
     # every component counts in every ordering
     zeros = [[0] * 3 for _ in range(m)]
-    assert _kernels._max_ordering_gather(zeros) == _kernels.max_ordering_value(zeros) == 3 * m
+    assert _kernels._max_ordering_np(zeros) == _kernels.max_ordering_value(zeros) == 3 * m
 
 
 @pytest.mark.parametrize("spec", [("II", 9, 1), ("II", 16, 2), ("I", 16, 2)])
-def test_gather_on_every_tight_tree_covering(spec):
+def test_layered_body_on_every_tight_tree_covering(spec):
+    # the coverings of 7 to 9 members that nothing reduces, run by the loop
     coverings = jt.branch_coverings(jt.build_tight(*spec))
     sizes = set()
     for cov in coverings:
         conflicts = jt._conflict_masks(sorted(cov))
         sizes.add(len(conflicts))
-        want = _kernels._max_ordering_py(conflicts)
-        assert _kernels._max_ordering_gather(conflicts) == want
+        want = _kernels._max_ordering_np(conflicts)
+        assert _kernels._max_ordering_py(conflicts) == want
         assert _kernels.max_ordering_value(conflicts) == want
-    assert max(sizes) > _kernels.PY_M
+    assert 6 < max(sizes) <= _kernels.PY_M
 
 
-def test_gather_layouts_are_cached_only_between_the_crossovers():
-    assert 0 < _kernels.PY_M < _kernels.SMALL_M
-    _kernels._gather_layout.cache_clear()
+def test_entry_reduces_only_above_py_m(monkeypatch):
+    reduced = []
+    real = _kernels._reduce
+    monkeypatch.setattr(_kernels, "_reduce", lambda c: reduced.append(len(c)) or real(c))
     rng = random.Random(11)
-    outside = [m for m in range(17) if not _kernels.PY_M < m <= _kernels.SMALL_M]
-    for m in outside:
-        # the clique is irreducible, so above SMALL_M it runs one DP on all m
+    for m in range(17):
+        # the clique is irreducible, so above PY_M it runs one DP on all m
         clique = [[((1 << m) - 1) ^ (1 << j)] for j in range(m)]
         assert _kernels.max_ordering_value(clique) == min(m, 1)
-        if m <= _kernels.PY_M:
-            _kernels.max_ordering_value(_seeded_conflicts(rng, m))
-    assert _kernels._gather_layout.cache_info().currsize == 0
-    for m in range(_kernels.PY_M + 1, _kernels.SMALL_M + 1):
         _kernels.max_ordering_value(_seeded_conflicts(rng, m))
-    assert _kernels._gather_layout.cache_info().currsize == _kernels.SMALL_M - _kernels.PY_M
-    # the entry reduces coverings above SMALL_M into parts of any size
-    for _ in range(40):
-        _kernels.max_ordering_value(_seeded_conflicts(rng, _kernels.SMALL_M + 2))
-    assert _kernels._gather_layout.cache_info().currsize == _kernels.SMALL_M - _kernels.PY_M
+    big = range(_kernels.PY_M + 1, 17)
+    assert reduced == [m for m in big for _ in range(2)]
 
 
 def test_numpy_body_on_single_edges():
@@ -306,9 +298,9 @@ def test_front_rule_counterexamples(cov):
     for members in (cov, [g.mirror(30) for g in cov]):
         assert jt.max_vec_delta_over_orderings(members) == 5
         assert _reduced_value(jt._conflict_masks(sorted(members))) == 5
-        # eight isolated edges lift m above SMALL_M, so the entry reduces
+        # eight isolated edges lift m above PY_M, so the entry reduces
         padded = sorted(members + _far_edges(8))
-        assert len(padded) > _kernels.SMALL_M
+        assert len(padded) > _kernels.PY_M
         assert jt.max_vec_delta_over_orderings(padded) == 5 + 8
 
 
@@ -320,7 +312,7 @@ def test_reductions_match_the_dp_on_random_coverings():
         conflicts = jt._conflict_masks(sorted(g for g in members if g))
         assert _reduced_value(conflicts) == _kernels._max_ordering_py(conflicts)
     for _ in range(40):
-        m = rng.randint(_kernels.SMALL_M + 1, 14)
+        m = rng.randint(_kernels.PY_M + 1, 14)
         members = {samples.random_pathgraph(rng, 0, rng.randint(4, 4 * m), rng.randint(1, 4)) for _ in range(m)}
         conflicts = jt._conflict_masks(sorted(g for g in members if g))
         assert _kernels.max_ordering_value(conflicts) == _kernels._max_ordering_np(conflicts)
