@@ -352,11 +352,7 @@ def bench_pathset(n: int, k: int, repeat: int) -> tuple[float, int]:
 
 def _substitute_ones(g, edges):
     """g with every literal on one of ``edges`` replaced by the constant 1."""
-    if g.op == "lit" and g.var in edges:
-        return formulas.dm_const(1)
-    if g.op in ("and", "or"):
-        return formulas.DeMorgan(g.op, _substitute_ones(g.left, edges), _substitute_ones(g.right, edges))
-    return g
+    return jointrees.relabel_leaves(g, lambda x: formulas.dm_const(1) if x.op == "lit" and x.var in edges else x)
 
 
 def bench_chi(repeat: int) -> float:

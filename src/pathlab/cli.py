@@ -315,18 +315,21 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
+    lo, dots, hi = spec.partition("..")
     try:
-        if ".." in spec:
-            a, b = spec.split("..")
-            return list(range(int(a), int(b) + 1))
-        return [int(spec)]
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError as exc:
         raise InputError(f"bad range {spec!r}: {exc}") from exc
+    if not values:
+        raise InputError(f"bad range {spec!r}: it is empty")
+    return values
 
 
 def cmd_experiment(args) -> int:
     if args.seed is None:
         raise InputError("experiment requires --seed")
+    if args.trials < 1:
+        raise InputError("experiment requires --trials >= 1")
     if args.experiment == "restriction":
         rep = relations.montecarlo_mpath2(args.n, args.k, args.trials, args.seed)
         rows = rep.pop("rows")
@@ -349,7 +352,7 @@ def cmd_experiment(args) -> int:
     # randomized-conversion, the last of the experiment choices
     phi = formulas.build_matrix_formula("SigmaI", args.n, args.k, args.d)
     s = formulas.size(phi)
-    t = args.t if args.t else max(1, round(math.log2(s) ** 2))
+    t = args.t if args.t is not None else max(1, round(math.log2(s) ** 2))
     rng = random.Random(args.seed)
     fixed_inputs = [
         tuple(formulas.random_subperm_matrix(args.n, rng) for _ in range(args.k))

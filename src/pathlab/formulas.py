@@ -191,39 +191,51 @@ def variables(phi) -> set:
 class _Walker:
     """Packed value of any node, memoised by node: bit j of ``column(var)`` is
     the value of the variable at point j, and ``full`` has one bit per point.
-    A gate stops at the first child that decides it at every point.  Calls
-    recurse through the instance, so no reference cycle outlives a walk."""
+    Open gates wait on an explicit stack, so depth is no ceiling.  Children
+    are visited left to right, and a gate stops at the first child that
+    decides it at every point, so no later child is evaluated."""
 
     __slots__ = ("column", "full", "memo")
 
     def __init__(self, column: Callable, full: int):
         self.column, self.full, self.memo = column, full, {}
 
-    def __call__(self, node) -> int:
-        got = self.memo.get(node)
-        if got is not None:
-            return got
-        full = self.full
-        if node.op == "const":
-            v = full if node.value else 0
-        elif node.op == "lit":
-            v = self.column(node.var)
-            if node.neg:
-                v ^= full
-        elif node.op == "and":
-            v = full
-            for c in node.children:
-                v &= self(c)
-                if not v:
-                    break
-        else:
-            v = 0
-            for c in node.children:
-                v |= self(c)
-                if v == full:
-                    break
-        self.memo[node] = v
-        return v
+    def __call__(self, root) -> int:
+        memo, column, full = self.memo, self.column, self.full
+        # the open gate (None above the root), whether it is an AND, its
+        # children left and its value so far; the frames of the gates above
+        gate = conj = kids = acc = None
+        stack = []
+        node = root
+        while True:
+            v = memo.get(node)
+            if v is None:
+                op = node.op
+                if op == "lit":
+                    v = column(node.var)
+                    if node.neg:
+                        v ^= full
+                elif op == "const":
+                    v = full if node.value else 0
+                else:
+                    stack.append((gate, conj, kids, acc))
+                    gate, conj, kids = node, op == "and", iter(node.children)
+                    acc = full if conj else 0
+                    node = next(kids)
+                    continue
+                memo[node] = v
+            # hand v to the open gate; a gate that is done hands its own
+            # value on to the gate above it
+            while gate is not None:
+                acc = acc & v if conj else acc | v
+                if acc != (0 if conj else full):
+                    node = next(kids, None)
+                    if node is not None:
+                        break
+                memo[gate] = v = acc
+                gate, conj, kids, acc = stack.pop()
+            else:
+                return v
 
 
 def evaluate(phi, getval: Callable) -> int:
@@ -628,42 +640,37 @@ def _picks(rng: random.Random, m: int, count: int) -> list[int]:
     return out
 
 
-def randomized_conversion(phi: Formula, t: int, seed: int) -> DeMorgan:
-    """Sampled balanced conversion: each fan-in-m gate becomes a balanced
-    tree of t*m - 1 binary gates over t*m uniformly chosen children, children
-    sampled once each and reused; deterministic under the seed."""
+def _sampled(phi: Formula, t: int, seed: int, at_leaf: Callable, at_gate: Callable):
+    """The sampled conversion as one children-first fold: a leaf becomes
+    ``at_leaf(leaf)``, and a fan-in-m gate, after its children, draws t*m
+    of their values (``_picks``) and becomes ``at_gate(op, values)``.  A
+    gate object that occurs twice is sampled once."""
     if t < 1:
         raise InvalidParameterError("t must be >= 1")
     rng = random.Random(seed)
 
-    def rec(node: Formula) -> DeMorgan:
-        if node.op in ("and", "or"):
-            kids = [rec(c) for c in node.children]
-            m = len(kids)
-            return _fold_balanced(node.op, [kids[i] for i in _picks(rng, m, t * m)])
-        return _leaf_to_dm(node)
+    def gate(node, vals: list):
+        m = len(vals)
+        return at_gate(node.op, [vals[i] for i in _picks(rng, m, t * m)])
 
-    return rec(phi)
+    return _measure(phi, gate, at_leaf)
+
+
+def randomized_conversion(phi: Formula, t: int, seed: int) -> DeMorgan:
+    """Sampled balanced conversion: each fan-in-m gate becomes a balanced
+    tree of t*m - 1 binary gates over t*m uniformly chosen children, children
+    sampled once each and reused; deterministic under the seed."""
+    return _sampled(phi, t, seed, _leaf_to_dm, _fold_balanced)
 
 
 def randomized_conversion_value(phi: Formula, t: int, seed: int, getval: Callable) -> int:
     """Value of the sampled conversion on one input, without materializing
-    the sample; consumes the generator stream exactly like
-    :func:`randomized_conversion`, so equal seeds agree."""
-    rng = random.Random(seed)
-
-    def rec(node: Formula) -> int:
-        if node.op in ("and", "or"):
-            vals = [rec(c) for c in node.children]
-            m = len(vals)
-            chosen = [vals[i] for i in _picks(rng, m, t * m)]
-            return min(chosen) if node.op == "and" else max(chosen)
-        if node.op == "const":
-            return node.value
-        v = getval(node.var)
-        return 1 - v if node.neg else v
-
-    return rec(phi)
+    the sample; draws the same stream as :func:`randomized_conversion`, so
+    equal seeds agree."""
+    return _sampled(
+        phi, t, seed, lambda node: node.value if node.op == "const" else getval(node.var) ^ node.neg,
+        lambda op, vals: min(vals) if op == "and" else max(vals),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -724,33 +731,30 @@ def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:
     )
 
 
-def _support_tree(node: DeMorgan, k: int, tables: Callable, memo: dict) -> jointrees.JoinTree:
-    """The join tree whose leaves are the formula's dependent coordinates,
-    built by the recursive restrict-children-to-support rule; one truth-table
-    walk serves every node, and equal restricted subformulas are built once
-    (``memo``, passed in so that no closure holds it in a reference cycle)."""
-    got = memo.get(node)
-    if got is None:
-        if node.op == "const":
-            got = jointrees.leaf(EMPTY)
-        elif node.op == "lit":
-            got = jointrees.leaf(from_edges([node.var]))
-        else:
-            supp = _support(tables(node), k)
-            got = jointrees.node(
-                _support_tree(dm_restrict(node.left, supp), k, tables, memo),
-                _support_tree(dm_restrict(node.right, supp), k, tables, memo),
-            )
-        memo[node] = got
-    return got
-
-
 def support_tools(g: DeMorgan, k: int):
     """(support graph, restriction operator, support tree, strict support tree),
-    all from one truth-table walk."""
+    all from one truth-table walk.  The support tree is a fold over the
+    formula whose gates have their children restricted to the gate's
+    support; each distinct restricted subformula is built once."""
     tables = _edge_tables(k)
     supp = _support(tables(g), k)
-    stree = _support_tree(g, k, tables, {})
+    kids: dict[DeMorgan, tuple] = {}
+
+    def restricted(x: DeMorgan) -> tuple:
+        if x.left is None:
+            return ()
+        keep = _support(tables(x), k)
+        got = kids[x] = (dm_restrict(x.left, keep), dm_restrict(x.right, keep))
+        return got
+
+    tree: dict[DeMorgan, jointrees.JoinTree] = {}
+    for x in jointrees._postorder(g, children=restricted):
+        if x.left is not None:
+            left, right = kids[x]
+            tree[x] = jointrees.node(tree[left], tree[right])
+        else:
+            tree[x] = jointrees.leaf(EMPTY if x.op == "const" else from_edges([x.var]))
+    stree = tree[g]
     return supp, (lambda h: dm_restrict(g, h)), stree, jointrees.strictify(stree)
 
 

@@ -13,10 +13,13 @@ tree shape are written once, over ``BinaryTree``: the doubling combinator
 ``sem``, its recogniser and depth ``sem_depth``, ``left_depth``,
 ``strictify`` and ``is_strict`` (given the per-node value whose equality
 marks a redundant child), and leaf relabelling ``relabel_leaves``.  Every
-walk of a whole tree or formula is one loop over ``_postorder``, the
-distinct nodes children first on an explicit stack, so a shared subtree is
-visited once and depth is no ceiling; only ``formulas._Walker``, the sampled conversions, the support
-tree and ``relations._restricted`` walk on their own.
+children-first walk of a whole tree or formula is one loop over
+``_postorder``, the distinct nodes children first on an explicit stack, so
+a shared subtree is visited once and depth is no ceiling.  A caller may
+give the children of a node: the support tree walks a gate's children
+restricted to its support, and ``relations._restricted`` (subformula,
+subtree) pairs.  The demand-driven evaluator ``formulas._Walker``, which
+stops a gate at a deciding child, keeps its own explicit stack.
 
 A join tree is a binary tree whose leaves are labeled by single edges (or the
 empty graph) and whose internal nodes carry the union of their children's
@@ -217,16 +220,18 @@ def build(kind: str, args) -> JoinTree:
 # ---------------------------------------------------------------------------
 
 
-def _postorder(root, done: Callable | None = None) -> Iterator:
-    """The distinct nodes under ``root``, each after its children, on an
-    explicit stack.  Nodes are told apart by identity: a ``BinaryTree`` is
-    interned, so equality is identity, and a ``formulas.Formula`` (children
-    in ``children``) is not interned.  A node x with ``done(x)`` not None
-    is already measured: neither it nor anything under it is yielded."""
+def _postorder(root, done: Callable | None = None, children: Callable | None = None) -> Iterator:
+    """The distinct nodes under ``root``, each after its children (left to
+    right), on an explicit stack.  The children of x are ``children(x)``,
+    called once per node, by default those of a ``BinaryTree`` or a
+    ``formulas.Formula``.  Nodes are told apart by equality: a
+    ``BinaryTree`` is interned, so equality is identity.  A node x with
+    ``done(x)`` not None is already measured: neither it nor anything under
+    it is yielded."""
     seen: set = set()
     stack = [root]
     pop, push = stack.pop, stack.append
-    binary = isinstance(root, BinaryTree)
+    binary = children is None and isinstance(root, BinaryTree)
     while stack:
         x = pop()
         if x is None:  # the node under the marker has all its children done
@@ -240,11 +245,13 @@ def _postorder(root, done: Callable | None = None) -> Iterator:
                 push(x.right)
                 push(x.left)
                 continue
-        elif x.children:
-            push(x)
-            push(None)
-            stack.extend(reversed(x.children))
-            continue
+        else:
+            kids = x.children if children is None else children(x)
+            if kids:
+                push(x)
+                push(None)
+                stack.extend(reversed(kids))
+                continue
         seen.add(x)
         yield x
 

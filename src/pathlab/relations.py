@@ -329,12 +329,6 @@ def minterms(
     return Relation(g, n, compress(product(range(1, n + 1), repeat=len(verts)), bits))
 
 
-def _strict_tree_parts(t: jointrees.JoinTree):
-    if t.is_leaf:
-        raise DomainError("expected an internal node of a strict join tree")
-    return t.left, t.right
-
-
 def _plain_minterms(n: int) -> Callable[[object, PathGraph], Relation]:
     """Minterm relation (mode M) of a formula node on a graph, memoised by
     (node, graph), so one certificate scans each distinct pair once."""
@@ -370,38 +364,46 @@ def restricted_minterms(
 def _restricted(
     plain: Callable, fdm: formulas.DeMorgan, t: jointrees.JoinTree, n: int
 ) -> tuple[Relation, int]:
-    """The walk behind :func:`restricted_minterms` and
-    :func:`chi_decomposition_cost`, over a strict tree: the tree-shaped
-    minterm subset and its certified covering cost, memoised by (subformula,
-    subtree).  The cost sums at gates and adds, at a conjunction, the larger
-    cost across the tree split."""
-    memo: dict[tuple, tuple[Relation, int]] = {}
+    """The fold behind :func:`restricted_minterms` and
+    :func:`chi_decomposition_cost`, over the (subformula, subtree) pairs of
+    a strict tree, children first: the tree-shaped minterm subset and its
+    certified covering cost of each pair.  A gate on a graph of two or more
+    edges takes both its children on the same subtree and, at a
+    conjunction, also its left child on the left subtree and its right
+    child on the right one.  The cost sums at gates and adds, at a
+    conjunction, the larger cost across the tree split."""
 
-    def rec(node, tree: jointrees.JoinTree) -> tuple[Relation, int]:
-        key = (node, tree)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    small = {x: x.graph.norm <= 1 for x in jointrees._postorder(t)}
+
+    def parts(pair: tuple) -> tuple:
+        node, tree = pair
+        if node.left is None or small[tree]:
+            return ()
+        if node.op == "or":
+            return (node.left, tree), (node.right, tree)
+        if tree.left is None:
+            raise DomainError("expected an internal node of a strict join tree")
+        return (node.left, tree), (node.right, tree), (node.left, tree.left), (node.right, tree.right)
+
+    got: dict[tuple, tuple[Relation, int]] = {}
+    for pair in jointrees._postorder((fdm, t), children=parts):
+        node, tree = pair
         h = tree.graph
-        if h.norm <= 1:
+        if small[tree]:
             rel = plain(node, h)
-            out = rel, 1 if rel.tuples else 0
-        elif node.op not in ("and", "or"):
-            out = Relation.empty(h, n), 0
+            got[pair] = rel, 1 if rel.tuples else 0
+        elif node.left is None:
+            got[pair] = Relation.empty(h, n), 0
         else:
-            (left, left_cost), (right, right_cost) = rec(node.left, tree), rec(node.right, tree)
-            parts = left.tuples | right.tuples
+            (left, left_cost), (right, right_cost) = got[node.left, tree], got[node.right, tree]
+            tuples = left.tuples | right.tuples
             cost = left_cost + right_cost
             if node.op == "and":
-                t1, t2 = _strict_tree_parts(tree)
-                (a, a_cost), (b, b_cost) = rec(node.left, t1), rec(node.right, t2)
-                parts |= join(a, b).tuples
+                (a, a_cost), (b, b_cost) = got[node.left, tree.left], got[node.right, tree.right]
+                tuples |= join(a, b).tuples
                 cost += max(a_cost, b_cost)
-            out = Relation(h, n, plain(node, h).tuples & parts), cost
-        memo[key] = out
-        return out
-
-    return rec(fdm, t)
+            got[pair] = Relation(h, n, plain(node, h).tuples & tuples), cost
+    return got[fdm, t]
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +515,8 @@ def induced_subperm(zeta: np.ndarray) -> np.ndarray:
 
 
 def sample_xi(n: int, k: int, seed: int) -> RestrictionSample:
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
+    if n < 2 or k < 1:
+        raise InvalidParameterError("need n >= 2 and k >= 1")
     rng = np.random.default_rng(seed)
     p = float(n) ** (-1.0 - 1.0 / (2.0 * k))
     zeta = (rng.random((k, n, n)) < p).astype(np.int8)
@@ -614,6 +616,8 @@ def montecarlo_eps1(
     """Frequency with which the strictification of a random depth-t join tree
     (leaves drawn independently over the k single edges) collapses to the
     canonical doubling-combinator tree of all k edges."""
+    if k < 1 or t < 0:
+        raise InvalidParameterError("need k >= 1 and t >= 0")
     if k > EPS1_K_LIMIT or t > EPS1_T_LIMIT:
         raise ResourceLimitError(f"limits are k <= {EPS1_K_LIMIT}, t <= {EPS1_T_LIMIT}")
     if p is None:
@@ -624,48 +628,25 @@ def montecarlo_eps1(
             raise InvalidParameterError("p must be a positive length-k distribution")
     rng = np.random.default_rng(seed)
 
-    intern: dict = {}
-    graph_mask: list[int] = []
+    # an id indexes ``trees``, the distinct strict trees met so far; a union
+    # collapses onto a child with its graph, the rule strictify applies
+    trees = [jointrees.leaf(from_edges([i])) for i in range(1, k + 1)]
+    ids_of = {tree: i for i, tree in enumerate(trees)}
     combine: dict[tuple[int, int], int] = {}
-
-    def leaf_id(edge: int) -> int:
-        key = ("leaf", 1 << (edge - 1))
-        if key not in intern:
-            intern[key] = len(intern)
-            graph_mask.append(1 << (edge - 1))
-        return intern[key]
 
     def node_id(a: int, b: int) -> int:
         got = combine.get((a, b))
-        if got is not None:
-            return got
-        mask = graph_mask[a] | graph_mask[b]
-        if graph_mask[a] == mask:
-            out = a
-        elif graph_mask[b] == mask:
-            out = b
-        else:
-            key = ("node", a, b)
-            if key not in intern:
-                intern[key] = len(intern)
-                graph_mask.append(mask)
-            out = intern[key]
-        combine[(a, b)] = out
-        return out
+        if got is None:
+            x = jointrees.node(trees[a], trees[b])
+            x = jointrees._redundant_child(x, jointrees._graph) or x  # a tree is truthy
+            got = ids_of.get(x)
+            if got is None:
+                got = ids_of[x] = len(trees)
+                trees.append(x)
+            combine[a, b] = got
+        return got
 
-    # intern the target by the same rules; it is strict, so no node collapses
-    def intern_strict(tree: jointrees.JoinTree) -> int:
-        if tree.is_leaf:
-            return leaf_id(next(iter(tree.graph.edges())))
-        return node_id(intern_strict(tree.left), intern_strict(tree.right))
-
-    target = intern_strict(
-        jointrees.sem([jointrees.leaf(from_edges([i])) for i in range(1, k + 1)])
-    )
-
-    leaf_ids = np.array([leaf_id(i) for i in range(1, k + 1)], dtype=np.int64)
-    draws = rng.choice(k, size=(trials, 1 << t), p=probs)
-    ids = leaf_ids[draws]
+    ids = rng.choice(k, size=(trials, 1 << t), p=probs)  # leaf ids are edges - 1
     width = 1 << t
     while width > 1:
         left = ids[:, 0:width:2]
@@ -677,6 +658,8 @@ def montecarlo_eps1(
         )
         ids = mapped[inverse].reshape(left.shape)
         width //= 2
+    # the target gets an id only if some trial built it
+    target = ids_of.get(jointrees.sem(trees[:k]), -1)
     matches = int((ids[:, 0] == target).sum())
     return {
         "k": k,

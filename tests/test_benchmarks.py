@@ -29,3 +29,10 @@ def test_subset_dp_sweep_runs_both_bodies_on_each_side_of_the_crossover():
     for m in (_kernels.PY_M, _kernels.PY_M + 1):
         rows = bench_kernels.bench_subset_dp(m, repeat=1)
         assert set(rows) == {"python", "numpy", "entry", "clique"}
+
+
+def test_sampled_and_chi_rows_run_with_their_agreement_checks():
+    # each asserts its own agreement: the sampled value against the
+    # materialised sample, and each certified cost against its floor
+    assert set(bench_kernels.bench_sampled(1)) == {"value", "materialize"}
+    assert bench_kernels.bench_chi(1) > 0

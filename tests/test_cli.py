@@ -198,6 +198,22 @@ def test_bad_option_values_are_input_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["randomized-conversion", "--n", "2", "--k", "4", "--t", "-1", "--trials", "2"],
+        ["randomized-conversion", "--n", "2", "--k", "4", "--t", "0", "--trials", "2"],
+        ["randomized-conversion", "--n", "2", "--k", "4", "--trials", "0"],
+        ["eps1", "--k", "2", "--t-range", "5..2"],
+        ["eps1", "--k", "0", "--t", "3"],
+        ["restriction", "--n", "8", "--k", "0", "--trials", "2"],
+    ],
+)
+def test_bad_experiment_parameters_are_input_errors(capsys, argv):
+    assert cli.main(["experiment", *argv, "--seed", "1"]) == cli.EXIT_INPUT_ERROR
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "exc", [AssertionError("broken invariant"), KeyError("missing"), RecursionError("too deep")]
 )
 def test_internal_error_exits_four(capsys, monkeypatch, exc):

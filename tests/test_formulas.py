@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -625,6 +626,41 @@ def test_a_deep_binary_chain_walks_on_explicit_stacks():
     assert F.from_sexpr(F.to_sexpr(dm), binary=True) == dm
     assert F.to_sexpr(F.from_sexpr(F.to_sexpr(phi))) == F.to_sexpr(dm)
     assert F.from_json_dict(F.to_json_dict(dm), binary=True) == dm
+
+
+def test_every_walker_takes_a_chain_deeper_than_the_recursion_limit():
+    # gate i joins the chain so far (left, walked first) and a literal on
+    # edge 1 + i % k, an AND when i is odd, so no gate merges into the next
+    levels, k = sys.getrecursionlimit() + 100, 4
+    phi = F.lit(1)
+    for i in range(1, levels + 1):
+        phi = (F.conj if i % 2 else F.disj)([phi, F.lit(1 + i % k, neg=i % 3 == 0)])
+    dm = F.convert(phi, "right_deep")
+    assert F.depth(dm) == levels
+    # the table by one loop over the levels
+    full = (1 << (1 << k)) - 1
+    want = F.var_table(0, k)
+    for i in range(1, levels + 1):
+        lit = F.var_table(i % k, k) ^ (full if i % 3 == 0 else 0)
+        want = want & lit if i % 2 else want | lit
+    assert F.truth_table(phi, range(1, k + 1)) == F.dm_truth_table(dm, k) == want
+    for point in range(1 << k):
+        env = lambda var: point >> (var - 1) & 1
+        assert F.evaluate(phi, env) == want >> point & 1
+    for seed in range(4):
+        env = lambda var: seed >> (var - 1) & 1
+        sample = F.randomized_conversion(phi, 1, seed)
+        assert F.randomized_conversion_value(phi, 1, seed, env) == F.evaluate(sample, env)
+    supp, _, stree, strict_stree = F.support_tools(dm, k)
+    assert supp == F.support(dm, k) and stree.graph == strict_stree.graph == supp
+    assert jt.is_strict(strict_stree)
+
+
+@pytest.mark.parametrize("gate, first, want", [(F.conj, 0, 0), (F.disj, 1, 0b11)])
+def test_a_gate_stops_at_a_child_that_decides_it(gate, first, want):
+    # the child after the deciding constant is never evaluated, so its
+    # variable outside the order raises nothing
+    assert F.truth_table(gate([F.const(first), F.lit("missing")]), [1]) == want
 
 
 # -- exhaustive strict counts ----------------------------------------------------------

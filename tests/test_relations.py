@@ -8,6 +8,7 @@ import json
 import operator
 import pathlib
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -451,6 +452,29 @@ def test_restricted_minterms_empty_for_pure_disjunctions():
             assert not R.restricted_minterms(dm, g, t, 2).tuples
 
 
+def test_restricted_minterms_walks_a_pair_chain_deeper_than_the_recursion_limit():
+    # OR-with-0 and AND-with-1 gates keep the function and the tree-shaped
+    # subset, and stack 300 (subformula, subtree) levels on the D formula;
+    # the limit is lowered to 150 frames above this one, so the chain stays
+    # cheap and still runs deeper than the limit
+    base = F.convert(F.build_matrix_formula("D", 2, 2), "right_deep")
+    chain = base
+    for i in range(300):
+        chain = F.dm_or(chain, F.dm_const(0)) if i % 2 else F.dm_and(chain, F.dm_const(1))
+    g = full_path(2)
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 150)
+    try:
+        got = [R.restricted_minterms(chain, g, t, 2) for t in jt.enumerate_strict(g)]
+    finally:
+        sys.setrecursionlimit(limit)
+    want = [R.restricted_minterms(base, g, t, 2) for t in jt.enumerate_strict(g)]
+    assert got == want and sorted(len(rel) for rel in want) == [0, 2]
+
+
 def test_restricted_minterms_union_identity():
     n, k = 2, 3
     dm = F.convert(F.build_matrix_formula("D", n, k), "right_deep")
@@ -659,6 +683,15 @@ def test_eps1_uniform_floor():
 def test_eps1_skewed_distribution():
     report = R.montecarlo_eps1(2, 9, trials=2000, seed=4, p=[0.99, 0.01])
     assert report["frequency"] > 0.0
+
+
+# matches recorded before the walk used the interned join trees
+EPS1_MATCHES = {(1, 3, 0): 300, (2, 4, 7): 155, (2, 9, 11): 148, (3, 6, 5): 14, (3, 10, 2): 6}
+
+
+@pytest.mark.parametrize("k,t,seed", list(EPS1_MATCHES))
+def test_eps1_matches_are_pinned(k, t, seed):
+    assert R.montecarlo_eps1(k, t, trials=300, seed=seed)["matches"] == EPS1_MATCHES[k, t, seed]
 
 
 def test_relation_json_round_trip():
