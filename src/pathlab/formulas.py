@@ -5,7 +5,8 @@ entry of a product of sub-permutation matrices.
 Variable conventions: a matrix-entry variable is the triple ``(i, a, b)``
 (1-based: entry (a, b) of the i-th matrix); an edge variable is the integer
 ``i`` for the i-th edge of the path.  Exhaustive checks run on truth tables
-packed into Python big integers (bit j holds the value of input j).
+packed into Python big integers (bit j holds the value at point j: input j
+of a truth table, the j-th input of the class in a correctness check).
 
 A binary formula (``DeMorgan``) is a node kind of ``jointrees.BinaryTree``,
 so it is interned; equality is identity.  The doubling combinator, its
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from functools import partial, reduce
 from itertools import product
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Literal, Sequence
 
 from . import jointrees
@@ -279,10 +280,8 @@ def var_table(index: int, nvars: int) -> int:
     return _digit_mask(1 << index, 1, 2, 1 << nvars)
 
 
-def _variable_columns(varlist: Sequence) -> tuple[Callable, int]:
-    """(column, full) over the 2^len(varlist) inputs; variable j is bit j of an input."""
-    nv = len(varlist)
-    tables = {v: var_table(j, nv) for j, v in enumerate(varlist)}
+def _lookup(tables: dict) -> Callable:
+    """The column function over ``tables``; a variable not in it is a DomainError."""
 
     def column(var) -> int:
         got = tables.get(var)
@@ -290,7 +289,13 @@ def _variable_columns(varlist: Sequence) -> tuple[Callable, int]:
             raise DomainError(f"variable {var!r} is not in the variable order")
         return got
 
-    return column, (1 << (1 << nv)) - 1
+    return column
+
+
+def _variable_columns(varlist: Sequence) -> tuple[Callable, int]:
+    """(column, full) over the 2^len(varlist) inputs; variable j is bit j of an input."""
+    nv = len(varlist)
+    return _lookup({v: var_table(j, nv) for j, v in enumerate(varlist)}), (1 << (1 << nv)) - 1
 
 
 def _check_nvars(varlist: Sequence) -> None:
@@ -491,21 +496,62 @@ def oracle_table(n: int, k: int, varlist: Sequence, a0: int = 1, ak: int = 1) ->
     return bmm_table(*_variable_columns(varlist), n, k, a0, ak)
 
 
-def _valid_mask(column: Callable, full: int, n: int, k: int, rows_only: bool) -> int:
-    """Packed mask of the inputs where every matrix has at most one 1 per row
-    (and per column unless ``rows_only``)."""
-    mask = full
-    for i in range(1, k + 1):
-        for a in range(1, n + 1):
-            for b1 in range(1, n + 1):
-                for b2 in range(b1 + 1, n + 1):
-                    mask &= full ^ (column((i, a, b1)) & column((i, a, b2)))
-        if not rows_only:
-            for b in range(1, n + 1):
-                for a1 in range(1, n + 1):
-                    for a2 in range(a1 + 1, n + 1):
-                        mask &= full ^ (column((i, a1, b)) & column((i, a2, b)))
-    return mask
+def _class_digits(n: int, k: int, input_class: str) -> list[list[int]]:
+    """The k-tuples of the class's matrices as independent digits, lowest
+    bits first.  A digit lists, in increasing order, the codes its values
+    add to an input, whose bit j is variable j of ``matrix_varlist``.  An
+    entry is a digit of ``any``; a row with at most one 1 is a digit of
+    ``rows``; a matrix with at most one 1 per row and per column is a digit
+    of ``subperm`` (and of any other class)."""
+    w = n * n
+    if input_class == "any":
+        return [[0, 1 << p] for p in range(k * w)]
+    row = [0, *(1 << b for b in range(n))]  # no 1, or one 1 in column b + 1
+    if input_class == "rows":
+        return [[v << a * n for v in row] for a in range(k * n)]
+    mats = sorted(
+        sum(v << a * n for a, v in enumerate(vs))
+        for vs in product(row, repeat=n)
+        if len(set(vs) - {0}) == len(vs) - vs.count(0)
+    )
+    return [[c << i * w for c in mats] for i in range(k)]
+
+
+def _runs(pattern: int) -> list[tuple[int, int]]:
+    """(start, length) of each run of set bits of ``pattern``, lowest first."""
+    starts, ends = pattern & ~(pattern << 1), pattern & ~(pattern >> 1)
+    out = []
+    while starts:
+        s, e = (starts & -starts).bit_length() - 1, (ends & -ends).bit_length() - 1
+        out.append((s, e - s + 1))
+        starts &= starts - 1
+        ends &= ends - 1
+    return out
+
+
+def _class_columns(n: int, k: int, input_class: str) -> tuple[Callable, int, list[list[int]]]:
+    """(column, full, digits) over the inputs of the class: point j reads
+    its digits (``_class_digits``) in mixed radix, lowest first, so the
+    points run in the inputs' binary order, and for ``any`` they are the
+    inputs.  A variable's column repeats the pattern of its digit, each run
+    of digit values that set it one block, so an ``any`` column is its
+    ``var_table``."""
+    varlist = matrix_varlist(n, k)
+    digits = _class_digits(n, k, input_class)
+    total = reduce(mul, map(len, digits), 1)
+    tables = {}
+    place = 1
+    for values in digits:
+        radix, span = len(values), reduce(or_, values)
+        # a digit's variables are the bits from its lowest to its highest
+        for pos in range((span & -span).bit_length() - 1, span.bit_length()):
+            ind = sum(1 << d for d, v in enumerate(values) if v >> pos & 1)
+            block = 0
+            for s, m in _runs(ind):
+                block |= ((1 << m * place) - 1) << s * place
+            tables[varlist[pos]] = _repeat(block, radix * place, total)
+        place *= radix
+    return _lookup(tables), (1 << total) - 1, digits
 
 
 def _decode_input(index: int, n: int, k: int, varlist: Sequence):
@@ -528,26 +574,25 @@ def check_formula_correct(
 ) -> dict:
     """Compare the formula against the brute-force product oracle.
 
-    Exhaustive mode walks all 2^(kn^2) inputs via packed truth tables (the
-    oracle table is built by reachability, independently of the formula);
-    sample mode draws random tuples from the input class.
+    Exhaustive mode walks every k-tuple of the class's matrices via packed
+    truth tables (the oracle table is built by reachability, independently
+    of the formula) and reports the first failing tuple in binary input
+    order; sample mode draws random tuples from the input class.
     """
     if mode == "exhaustive":
         varlist = matrix_varlist(n, k)
         _check_nvars(varlist)
-        # one set of variable columns serves the formula, the oracle and the mask
-        column, full = _variable_columns(varlist)
-        f_table = _Walker(column, full)(phi)
-        o_table = bmm_table(column, full, n, k, a0, ak)
-        if input_class == "any":
-            mask = full
-        else:
-            mask = _valid_mask(column, full, n, k, rows_only=input_class == "rows")
-        diff = (f_table ^ o_table) & mask
-        checked = mask.bit_count()
+        # one set of variable columns serves the formula and the oracle
+        column, full, digits = _class_columns(n, k, input_class)
+        diff = _Walker(column, full)(phi) ^ bmm_table(column, full, n, k, a0, ak)
+        checked = full.bit_length()  # one bit per point of the class
         if diff:
-            idx = (diff & -diff).bit_length() - 1
-            bad = _decode_input(idx, n, k, varlist)
+            point = (diff & -diff).bit_length() - 1
+            index = 0
+            for values in digits:
+                point, d = divmod(point, len(values))
+                index |= values[d]
+            bad = _decode_input(index, n, k, varlist)
             return {
                 "ok": False,
                 "checked": checked,
@@ -723,28 +768,35 @@ def _support(table: int, k: int) -> PathGraph:
     return from_edges(i for i in range(1, k + 1) if _flips(table, 1 << (i - 1), 1 << k))
 
 
+def _restrict_leaf(keep: PathGraph, x: DeMorgan) -> DeMorgan:
+    return dm_const(x.neg) if x.op == "lit" and not keep.has_edge(x.var) else x
+
+
 def dm_restrict(g: DeMorgan, keep: PathGraph) -> DeMorgan:
     """Syntactically send out-of-graph positive literals to 0 and negative
     literals to 1."""
-    return jointrees.relabel_leaves(
-        g, lambda x: dm_const(x.neg) if x.op == "lit" and not keep.has_edge(x.var) else x
-    )
+    return jointrees.relabel_leaves(g, partial(_restrict_leaf, keep))
 
 
 def support_tools(g: DeMorgan, k: int):
     """(support graph, restriction operator, support tree, strict support tree),
     all from one truth-table walk.  The support tree is a fold over the
     formula whose gates have their children restricted to the gate's
-    support; each distinct restricted subformula is built once."""
+    support; each distinct restricted subformula is built once, and each
+    node is restricted to a given support once, however many gates share
+    that support."""
     tables = _edge_tables(k)
     supp = _support(tables(g), k)
     kids: dict[DeMorgan, tuple] = {}
+    rewrites: dict[PathGraph, dict] = {}  # per support, node -> restriction
 
     def restricted(x: DeMorgan) -> tuple:
         if x.left is None:
             return ()
         keep = _support(tables(x), k)
-        got = kids[x] = (dm_restrict(x.left, keep), dm_restrict(x.right, keep))
+        done = rewrites.setdefault(keep, {})
+        at_leaf = partial(_restrict_leaf, keep)
+        got = kids[x] = tuple(jointrees._rewrite(c, at_leaf, done=done) for c in (x.left, x.right))
         return got
 
     tree: dict[DeMorgan, jointrees.JoinTree] = {}
@@ -889,7 +941,7 @@ def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
     for i in range(1, k + 1):
         base.append(dm_lit(i))
         base.append(dm_lit(i, neg=True))
-    level = dict.fromkeys(base)
+    level = dict.fromkeys(base, True)
     tables = _edge_tables(k)
     for _ in range(d):
         new = dict(level)
@@ -908,13 +960,14 @@ def _extend_strict(seq: tuple, op: str, tables: Callable, pool: list, new: dict)
     """Enter ``sem_demorgan(seq, op)`` in ``new`` when it is strict, and then
     its strict extensions by members of ``pool``.  ``tables`` is the one
     truth-table walker of the enumeration, so a node is evaluated once
-    however many candidates share it.  ``new`` is passed in so that no
-    closure holds it in a reference cycle."""
+    however many candidates share it.  ``new`` maps each strict formula
+    found so far to True, so that no node in it is checked again; it is
+    passed in so that no closure holds it in a reference cycle."""
     formula = sem_demorgan(seq, op)
-    if not jointrees.is_strict(formula, tables):
+    if not jointrees.is_strict(formula, tables, new.get):
         return
     if formula not in new:
-        new[formula] = None
+        new[formula] = True
         if len(new) > STRICT_COUNT_BUDGET:
             raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
     for g in pool:

@@ -386,13 +386,17 @@ def _rewrite(
     t: BinaryTree,
     at_leaf: Callable[[BinaryTree], BinaryTree],
     collapse: Callable[[BinaryTree], BinaryTree | None] | None = None,
+    done: dict | None = None,
 ) -> BinaryTree:
     """Bottom-up rewrite: a leaf x becomes ``at_leaf(x)``; an inner node x
     becomes the rewrite of ``collapse(x)`` (one of its children) when that
     is not None, else x over its rewritten children.  Nodes are interned,
-    so a node the rewrite leaves alone comes back as itself."""
-    done: dict[BinaryTree, BinaryTree] = {}
-    for x in _postorder(t):
+    so a node the rewrite leaves alone comes back as itself.  ``done``, the
+    rewrites already made by the same rules, is reused and added to: no
+    node in it is walked again."""
+    # a fresh rewrite asks the walk no per-node question
+    done, skip = ({}, None) if done is None else (done, done.get)
+    for x in _postorder(t, skip):
         if x.left is None:
             got = at_leaf(x)
         else:
@@ -418,10 +422,12 @@ def strictify(t: BinaryTree, value: Callable = _graph) -> BinaryTree:
     return _rewrite(t, lambda x: x, lambda x: _redundant_child(x, value))
 
 
-def is_strict(t: BinaryTree, value: Callable = _graph) -> bool:
+def is_strict(t: BinaryTree, value: Callable = _graph, done: Callable | None = None) -> bool:
     """No node has a child with the node's value, the trees ``strictify``
-    returns unchanged; decided on the nodes as they are, building none."""
-    return all(x.left is None or _redundant_child(x, value) is None for x in _postorder(t))
+    returns unchanged; decided on the nodes as they are, building none.  A
+    node x with ``done(x)`` not None is known to be strict, and neither it
+    nor anything under it is checked."""
+    return all(x.left is None or _redundant_child(x, value) is None for x in _postorder(t, done))
 
 
 def relabel_leaves(t: BinaryTree, relabel: Callable[[BinaryTree], BinaryTree]) -> BinaryTree:

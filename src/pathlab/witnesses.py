@@ -174,19 +174,16 @@ def _interleave_selection(
             comps[j] = comp
             run = comp[1]
 
-    def covers(idxs: list[int]) -> bool:
-        return _covers(sorted(comps[j] for j in idxs), lo, hi)
-
-    if not js or not covers(js):
+    # sorted by component once: each member, in index order, is dropped
+    # when the members still kept cover without it
+    order = sorted(comps.items(), key=itemgetter(1))
+    if not _covers((c for _, c in order), lo, hi):
         return None
-    i = 0
-    while i < len(js):
-        trial = js[:i] + js[i + 1 :]
-        if trial and covers(trial):
-            js = trial
-        else:
-            i += 1
-    return [(j, comps[j]) for j in js]
+    kept = set(js)
+    for j in js:
+        if _covers((c for i, c in order if i != j and i in kept), lo, hi):
+            kept.discard(j)
+    return [(j, comps[j]) for j in js if j in kept]
 
 
 def _scan(seq: GraphSequence) -> tuple[shifts._Blocks, int]:

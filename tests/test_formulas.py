@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import itertools
 import json
 import math
 import pathlib
@@ -121,16 +122,115 @@ def test_exhaustive_checks_match_goldens(kind, k):
 
 
 def test_exhaustive_check_refuses_before_building_columns(monkeypatch):
-    def no_columns(varlist):
+    def no_columns(*args):
         raise AssertionError("columns built")
 
     monkeypatch.setattr(F, "_variable_columns", no_columns)
+    monkeypatch.setattr(F, "_class_columns", no_columns)
     monkeypatch.setattr(F, "NVARS_LIMIT", 19)
     d = F.build_matrix_formula("D", 2, 5)
     with pytest.raises(ResourceLimitError, match="^20 variables exceeds truth-table limit 19$"):
         F.check_formula_correct(d, 2, 5)
     with pytest.raises(ResourceLimitError, match="^20 variables exceeds truth-table limit 19$"):
         F.truth_table(d, F.matrix_varlist(2, 5))
+
+
+def _valid_mask(column, full, n, k, rows_only):
+    """Packed mask of the inputs where every matrix has at most one 1 per row
+    (and per column unless ``rows_only``)."""
+    mask = full
+    for i in range(1, k + 1):
+        for a in range(1, n + 1):
+            for b1 in range(1, n + 1):
+                for b2 in range(b1 + 1, n + 1):
+                    mask &= full ^ (column((i, a, b1)) & column((i, a, b2)))
+        if not rows_only:
+            for b in range(1, n + 1):
+                for a1 in range(1, n + 1):
+                    for a2 in range(a1 + 1, n + 1):
+                        mask &= full ^ (column((i, a1, b)) & column((i, a2, b)))
+    return mask
+
+
+def full_cube_report(phi, n, k, input_class, a0, ak):
+    """The exhaustive check over all 2^(kn^2) inputs, the class ANDed in as
+    a mask: the reference for the walk over the class's points."""
+    varlist = F.matrix_varlist(n, k)
+    column, full = F._variable_columns(varlist)
+    diff = F._Walker(column, full)(phi) ^ F.bmm_table(column, full, n, k, a0, ak)
+    mask = full if input_class == "any" else _valid_mask(column, full, n, k, input_class == "rows")
+    diff &= mask
+    report = {"ok": not diff, "checked": mask.bit_count()}
+    if diff:
+        bad = F._decode_input((diff & -diff).bit_length() - 1, n, k, varlist)
+        report["counterexample"] = {
+            "matrices": bad,
+            "formula": F.evaluate(phi, F.matrix_env(bad)),
+            "oracle": F.oracle_bmm(bad, a0, ak),
+        }
+    return report
+
+
+def mutants(phi, rng, count):
+    """``count`` copies of phi, each with one literal negated (every
+    occurrence of that literal object) or one gate's op flipped."""
+    nodes = list(jt._postorder(phi))
+    out = []
+    for target in rng.sample(nodes, min(count, len(nodes))):
+        if target.op == "const":
+            continue
+        got = {}
+        for node in nodes:
+            if node.children:
+                op = node.op if node is not target else {"and": "or", "or": "and"}[node.op]
+                got[node] = F.Formula(op, tuple(got[c] for c in node.children))
+            else:
+                got[node] = F.lit(node.var, not node.neg) if node is target else node
+        out.append(got[phi])
+    return out
+
+
+CLASSES = ("any", "rows", "subperm")
+SMALL_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("n,k", SMALL_CASES)
+def test_class_points_match_the_full_cube(n, k):
+    rng = random.Random(n * 10 + k)
+    for a0 in range(1, n + 1):
+        for ak in range(1, n + 1):
+            builds = [
+                F.build_matrix_formula("D", n, k, a0=a0, ak=ak),
+                F.build_matrix_formula("C", n, k, a0=a0, ak=ak),
+                F.build_matrix_formula("SigmaI", n, k, 2 if k == 4 else 1, a0, ak),
+            ]
+            for phi in builds + [m for phi in builds for m in mutants(phi, rng, 2)]:
+                for input_class in CLASSES:
+                    want = full_cube_report(phi, n, k, input_class, a0, ak)
+                    assert F.check_formula_correct(phi, n, k, input_class=input_class, a0=a0, ak=ak) == want
+
+
+@pytest.mark.parametrize("n,k", SMALL_CASES + [(2, 5), (4, 1)])
+def test_class_columns_count_the_class_and_any_columns_are_var_tables(n, k):
+    matrices = [
+        tuple(tuple(bits[a * n : (a + 1) * n]) for a in range(n)) for bits in itertools.product((0, 1), repeat=n * n)
+    ]
+    counts = {
+        "any": len(matrices),
+        "rows": sum(all(sum(row) <= 1 for row in m) for m in matrices),
+        "subperm": sum(F.is_subperm_matrix(m) for m in matrices),
+    }
+    d = F.build_matrix_formula("D", n, k)
+    for input_class, c in counts.items():
+        column, full, _digits = F._class_columns(n, k, input_class)
+        assert full == (1 << c**k) - 1
+        assert F.check_formula_correct(d, n, k, input_class=input_class)["checked"] == c**k
+    varlist = F.matrix_varlist(n, k)
+    column, full, _digits = F._class_columns(n, k, "any")
+    for j, var in enumerate(varlist):
+        assert column(var) == F.var_table(j, len(varlist)), var
+    with pytest.raises(DomainError):
+        column((k + 1, 1, 1))
 
 
 def test_recursive_kinds_exhaustive():
@@ -508,6 +608,47 @@ def test_support_tree_root_graph_random():
         assert stree.graph == supp
         assert strict_stree.graph == supp
         assert jt.is_strict(strict_stree)
+
+
+def support_tree_by_fresh_restrictions(g, k):
+    """The support tree with every gate's children restricted by a fresh
+    ``dm_restrict``: the reference for the rewrites shared per support."""
+    tables = F._edge_tables(k)
+    kids = {}
+
+    def restricted(x):
+        if x.left is None:
+            return ()
+        keep = F._support(tables(x), k)
+        kids[x] = (F.dm_restrict(x.left, keep), F.dm_restrict(x.right, keep))
+        return kids[x]
+
+    tree = {}
+    for x in jt._postorder(g, children=restricted):
+        if x.left is None:
+            tree[x] = jt.leaf(EMPTY if x.op == "const" else from_edges([x.var]))
+        else:
+            tree[x] = jt.node(*(tree[c] for c in kids[x]))
+    return tree[g]
+
+
+def test_support_trees_equal_those_of_fresh_restrictions():
+    rng = random.Random(23)
+
+    def random_dm(depth, k):
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.1:
+                return F.dm_const(rng.randint(0, 1))
+            return F.dm_lit(rng.randint(1, k), neg=rng.random() < 0.4)
+        op = F.dm_and if rng.random() < 0.5 else F.dm_or
+        return op(random_dm(depth - 1, k), random_dm(depth - 1, k))
+
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        g = random_dm(rng.randint(1, 8), k)
+        _, _, stree, strict_stree = F.support_tools(g, k)
+        want = support_tree_by_fresh_restrictions(g, k)
+        assert stree is want and strict_stree is jt.strictify(want)
 
 
 def test_support_tools_builds_one_table_walk(monkeypatch):

@@ -847,6 +847,23 @@ def test_is_strict_answers_as_strictify_does(strict_formulas_2_2):
     assert not all(jt.is_strict(g, formulas._edge_tables(3)) for g in mixed)
 
 
+def test_strict_formulas_2_2_are_pinned(strict_formulas_2_2):
+    # the enumeration skips the nodes it already knows to be strict; the
+    # formulas and their order are those it found checking every node
+    text = "\n".join(formulas.to_sexpr(g) for g in strict_formulas_2_2)
+    assert len(strict_formulas_2_2) == 1854
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "69a3a09ebae6dc5b10440718383329dbab7accf82f36a843737d10cd544794ce"
+    )
+
+
+def test_is_strict_skips_the_nodes_marked_done():
+    redundant = jt.node(jt.leaf(single_edge(1)), jt.leaf(single_edge(1)))
+    t = jt.node(redundant, jt.leaf(single_edge(2)))
+    assert not jt.is_strict(t)
+    assert jt.is_strict(t, done={redundant: True}.get)
+
+
 # -- tradeoffs and recurrences -----------------------------------------------------
 
 

@@ -255,6 +255,51 @@ def test_strong_shift_premain_requires_chain():
         wit.construct_strong_shift([single_edge(1), single_edge(3), single_edge(2)], "premain")
 
 
+def old_interleave_selection(members, lo, hi, upto=None):
+    """The minimality pass that re-sorts the selection for every member it
+    tries to drop: the reference for ``_interleave_selection``."""
+    if lo >= hi:
+        return None
+    m = len(members) if upto is None else upto
+    js, comps, run = [], {}, lo
+    for j in range(1, m + 1):
+        comp = wit._clipped_rightmost(members[j - 1], lo, hi)
+        if comp is not None and comp[1] > run:
+            js.append(j)
+            comps[j] = comp
+            run = comp[1]
+
+    def covers(idxs):
+        return wit._covers(sorted(comps[j] for j in idxs), lo, hi)
+
+    if not js or not covers(js):
+        return None
+    i = 0
+    while i < len(js):
+        trial = js[:i] + js[i + 1 :]
+        if trial and covers(trial):
+            js = trial
+        else:
+            i += 1
+    return [(j, comps[j]) for j in js]
+
+
+def test_interleave_selection_matches_the_resorting_pass():
+    rng = random.Random(10)
+    selected = 0
+    for _ in range(400):
+        k = rng.randint(2, 30)
+        seq = samples.random_covering(rng, k, extra=rng.randint(0, 8))
+        for members in ([g.intervals for g in seq], wit._mirror([g.intervals for g in seq], k)):
+            for _ in range(4):
+                lo, hi = sorted(rng.randint(0, k) for _ in range(2))
+                upto = rng.choice([None, rng.randint(0, len(members))])
+                want = old_interleave_selection(members, lo, hi, upto)
+                assert wit._interleave_selection(members, lo, hi, upto) == want
+                selected += want is not None
+    assert selected > 500
+
+
 def test_witnesses_survive_adversarial_coverings():
     # duplicated members, swallowed members, and whole-path members stress
     # the single-position interleaving selections
