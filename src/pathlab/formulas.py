@@ -579,6 +579,8 @@ def check_formula_correct(
     of the formula) and reports the first failing tuple in binary input
     order; sample mode draws random tuples from the input class.
     """
+    if input_class not in ("any", "rows", "subperm"):
+        raise InvalidParameterError(f"unknown input class {input_class!r}")
     if mode == "exhaustive":
         varlist = matrix_varlist(n, k)
         _check_nvars(varlist)

@@ -2,6 +2,12 @@
 blow-up sections, minterm relations, decomposition-cost certificates, and the
 random-restriction experiments.
 
+A certificate asks for the minterm relation of many (subformula, graph)
+pairs.  It sets up one packed walk per graph and reads every subformula's
+relation off that walk, and it settles a pair whose subformula has no
+literal on some edge of the graph as empty, with no scan.  The restricted
+minterm count of the product runs as a DP over the layers of alpha.
+
 Densities are exact rationals.  The pathset predicate compares against the
 irrational-exponent threshold n^((k-1)/k) by raising both sides to the k-th
 power, so the comparison stays in big integers; no tolerance exists anywhere
@@ -295,6 +301,15 @@ def minterms(
     number, first vertex most significant.  Variant w is, in mode M, the full
     section (w = 0) or the section without its w-th edge, and in mode N the
     edges of the section picked by the bits of w."""
+    column, full, read = _minterm_scan(g, mode, n, budget)
+    return read(f(column, full))
+
+
+def _minterm_scan(g: PathGraph, mode: str, n: int, budget: int) -> tuple[Callable, int, Callable]:
+    """The set-up and the read-out of :func:`minterms` on g: (column, full,
+    read), where ``read(values)`` turns the packed values of a function at
+    every point into its minterm relation.  One set-up serves every function
+    scanned on the same (g, mode, n)."""
     if mode not in ("M", "N"):
         raise InvalidParameterError(f"unknown minterm mode {mode!r}")
     verts, edges = tuple(g.vertices()), tuple(g.edges())
@@ -318,27 +333,66 @@ def minterms(
             return 0
         return formulas._repeat(digit(i - 1, a) & digit(i, b), width, total) & keeps[i]
 
-    values = f(column, full)
-    if mode == "M":
-        hits = values & first & ~_fold_or(values >> width, width, len(edges))
-    else:
-        hits = first
-        for e in range(len(edges)):
-            hits &= _fold_or(formulas._flips(values, width << e, total), width, variants)
-    bits = map("1".__eq__, reversed(format(hits, f"0{width}b")))
-    return Relation(g, n, compress(product(range(1, n + 1), repeat=len(verts)), bits))
+    def read(values: int) -> Relation:
+        if mode == "M":
+            hits = values & first & ~_fold_or(values >> width, width, len(edges))
+        else:
+            hits = first
+            for e in range(len(edges)):
+                hits &= _fold_or(formulas._flips(values, width << e, total), width, variants)
+        bits = map("1".__eq__, reversed(format(hits, f"0{width}b")))
+        return Relation(g, n, compress(product(range(1, n + 1), repeat=len(verts)), bits))
+
+    return column, full, read
 
 
-def _plain_minterms(n: int) -> Callable[[object, PathGraph], Relation]:
-    """Minterm relation (mode M) of a formula node on a graph, memoised by
-    (node, graph), so one certificate scans each distinct pair once."""
+def _edge_support(root) -> dict:
+    """Bit i of a node's entry is set when some literal (i, a, b), negated or
+    not, lies below it; a literal whose edge is no plain index counts as on
+    every edge.  One fold over the distinct nodes under ``root``."""
+    support: dict = {}
+    for node in jointrees._postorder(root):
+        if node.op == "lit":
+            var = node.var
+            i = var[0] if isinstance(var, tuple) and len(var) == 3 else 0
+            support[node] = 1 << i if isinstance(i, int) and i >= 0 else -1
+        else:
+            bits = 0
+            for child in node.children:
+                bits |= support[child]
+            support[node] = bits
+    return support
+
+
+def _plain_minterms(n: int, root) -> Callable[[object, PathGraph], Relation]:
+    """Minterm relation (mode M) of a node under ``root`` on a graph,
+    memoised by (node, graph), so one certificate builds each distinct pair
+    once.  Each graph has one packed walk, shared by every node scanned on
+    it, so a subformula is evaluated once per graph.  A node with no
+    literal on some edge of the graph keeps its value when that edge's
+    variable is deleted, so no section is a minimal certificate: its
+    relation is empty, and no scan runs."""
+    support = _edge_support(root)
+    # per graph: its edges as a bitmask, its empty relation, and its walk
+    # with the read-out, set up when first needed
+    graphs: dict[PathGraph, list] = {}
     memo: dict[tuple, Relation] = {}
 
     def plain(node, h: PathGraph) -> Relation:
         key = (node, h)
         got = memo.get(key)
         if got is None:
-            got = minterms(formula_evaluator(node), h, "M", n)
+            on = graphs.get(h)
+            if on is None:
+                on = graphs[h] = [sum(1 << i for i in h.edges()), Relation.empty(h, n), None]
+            if on[0] & ~support[node]:
+                got = on[1]
+            else:
+                if on[2] is None:
+                    column, full, read = _minterm_scan(h, "M", n, DEFAULT_MINTERM_BUDGET)
+                    on[2] = formulas._Walker(column, full), read
+                walk, read = on[2]
+                got = read(walk(node))
             memo[key] = got
         return got
 
@@ -358,7 +412,7 @@ def restricted_minterms(
         raise DomainError("the join tree must be strict")
     if t.graph != g:
         raise DomainError("join tree root graph differs from g")
-    return _restricted(_plain_minterms(n), fdm, t, n)[0]
+    return _restricted(_plain_minterms(n, fdm), fdm, t, n)[0]
 
 
 def _restricted(
@@ -454,11 +508,14 @@ def chi_decomposition_cost(
     g = t.graph
     if not jointrees.is_strict(t):
         raise DomainError("the join tree must be strict")
-    plain = _plain_minterms(n)
+    plain = _plain_minterms(n, fdm)
     graphs = subgraphs_of_path(k)
+    # an empty relation is a pathset; this call keeps the pre-check's k ceiling
+    is_pathset(Relation.empty(EMPTY, n), params)
     for node in jointrees._postorder(fdm):
         for h in graphs:
-            if not is_pathset(plain(node, h), params):
+            rel = plain(node, h)
+            if rel.tuples and not is_pathset(rel, params):
                 raise DomainError(
                     f"minterm relation of a subformula on {h!r} is not a pathset"
                 )
@@ -524,41 +581,44 @@ def sample_xi(n: int, k: int, seed: int) -> RestrictionSample:
     return RestrictionSample(zeta, xi, seed)
 
 
+def _image(reach: int, rows: list[int]) -> int:
+    """The union of ``rows[v]`` over the bits v of ``reach``."""
+    got = 0
+    while reach:
+        low = reach & -reach
+        got |= rows[low.bit_length() - 1]
+        reach ^= low
+    return got
+
+
 def _minterm_count_bmm_restricted(xi: np.ndarray, n: int, k: int) -> int:
-    """|M_{Path_k}(bmm^(union Xi))| by scanning all alpha and testing each
-    single-edge deletion via bitmask reachability."""
-    rows = [[0] * (n + 1) for _ in range(k + 1)]  # rows[i][a] = bitmask of b's
-    for i in range(1, k + 1):
-        for a in range(1, n + 1):
-            mask = 0
+    """|M_{Path_k}(bmm^(union Xi))|: the alpha whose section joins vertex 1
+    of layer 0 to vertex 1 of layer k, and stops joining them when any one
+    of its edges is deleted, counted by a DP over the layers, left to right.
+
+    A state (alpha_i, F, S) counts the alpha-prefixes that reach it: F is
+    the set of layer-i vertices reached with every section edge, S the
+    union of the sets reached with exactly one section edge skipped (vertex
+    v is bit v).  Each layer maps a reach set to the union of the Xi rows
+    of its vertices, a union-preserving map, so "every one-skip reach set
+    misses vertex 1" holds exactly when S misses it.  A state with F empty
+    can never reach vertex 1 and is dropped."""
+    states = {(a, 2, 0): 1 for a in range(1, n + 1)}  # alpha_0, F = {1}, S = {}
+    for layer in xi.tolist():
+        rows = [0] + [sum(1 << b for b, x in enumerate(row, 1) if x) for row in layer]
+        nxt: dict[tuple, int] = {}
+        for (a, f, s), count in states.items():
+            sf = _image(f, rows)
+            ss = _image(s, rows) | sf  # skipping this layer's edge leaves image(F)
+            in_f, in_s = f >> a & 1, s >> a & 1
+            if not (sf or in_f):  # F' would be empty for every alpha_(i+1)
+                continue
             for b in range(1, n + 1):
-                if xi[i - 1, a - 1, b - 1]:
-                    mask |= 1 << b
-            rows[i][a] = mask
-
-    def reaches(alpha: tuple[int, ...], skip: int) -> bool:
-        reach = 1 << 1  # start at index 1
-        for i in range(1, k + 1):
-            nxt = 0
-            r = reach
-            while r:
-                low = r & -r
-                r ^= low
-                nxt |= rows[i][low.bit_length() - 1]
-            if i != skip and (reach >> alpha[i - 1]) & 1:
-                nxt |= 1 << alpha[i]
-            reach = nxt
-            if not reach:
-                return False
-        return bool((reach >> 1) & 1)
-
-    count = 0
-    for alpha in product(range(1, n + 1), repeat=k + 1):
-        if not reaches(alpha, 0):
-            continue
-        if all(not reaches(alpha, i) for i in range(1, k + 1)):
-            count += 1
-    return count
+                bit = 1 << b
+                key = (b, sf | bit if in_f else sf, ss | bit if in_s else ss)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return sum(count for (_, f, s), count in states.items() if f & 2 and not s & 2)
 
 
 def montecarlo_mpath2(

@@ -414,6 +414,9 @@ def test_criterion_14_random_restrictions():
         assert (xi.sum(axis=2) <= 1).all() and (xi.sum(axis=1) <= 1).all(), seed
     report = R.montecarlo_mpath2(30, 2, trials=200, seed=140)
     assert report["frequency"] >= 0.9, report["frequency"]
+    # the counts recorded with the per-alpha scan that the layered count replaced
+    counts = [row["count"] for row in report["rows"]]
+    assert (sum(counts), min(counts), max(counts), report["frequency"]) == (5929, 28, 30, 1.0)
     trials = 4000
     f4 = R.montecarlo_eps1(2, 4, trials=trials, seed=141)["frequency"]
     f10 = R.montecarlo_eps1(2, 10, trials=trials, seed=142)["frequency"]

@@ -296,6 +296,14 @@ def test_build_makes_one_literal_per_variable(kind, size, digest):
     assert hashlib.sha256(F.to_sexpr(phi).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_unknown_input_class_is_refused_in_both_modes(mode):
+    c = F.build_matrix_formula("C", 2, 2)
+    for input_class in ("bogus", "Any", ""):
+        with pytest.raises(InvalidParameterError, match="input class"):
+            F.check_formula_correct(c, 2, 2, mode=mode, input_class=input_class)
+
+
 def test_sample_rows_class_has_one_column_per_row():
     # the conjunctive form fails on the rows class; every counterexample it
     # reports must still have at most one 1 per row

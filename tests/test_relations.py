@@ -570,30 +570,97 @@ def test_chi_cost_toy_pipeline():
     assert any(c > 0 for c in costs)
 
 
-def test_chi_cost_scans_each_pair_once(monkeypatch):
+def test_chi_cost_walks_each_graph_once_and_builds_each_pair_once(monkeypatch):
     # the pathset pre-check, the cost walk and the tree-shaped minterm subset
-    # share one minterm relation per distinct (subformula, graph) pair
+    # share one packed walk per distinct graph, and build the minterm
+    # relation of each distinct (subformula, graph) pair once
     n, k = 2, 3
     params = R.PathsetParams(n, k)
     dm = F.convert(F.build_matrix_formula("D", n, k), "right_deep")
     fx = _substitute_ones(dm, R.sample_xi(n, k, 0).xi_edges())
-    scans = collections.Counter()
-    real_evaluator, real_minterms = R.formula_evaluator, R.minterms
+    setups, built, walkers, roots = collections.Counter(), collections.Counter(), [], []
+    real_scan = R._minterm_scan
 
-    def tagged_evaluator(node):
-        run = real_evaluator(node)
-        run.node = node
-        return run
+    class RecordingWalker(F._Walker):
+        __slots__ = ()
 
-    def counting_minterms(f, g, mode, n, budget=2_000_000):
-        scans[(f.node, g)] += 1
-        return real_minterms(f, g, mode, n, budget)
+        def __init__(self, column, full):
+            walkers.append(self)
+            super().__init__(column, full)
 
-    monkeypatch.setattr(R, "formula_evaluator", tagged_evaluator)
-    monkeypatch.setattr(R, "minterms", counting_minterms)
+        def __call__(self, root):
+            roots.append(root)
+            return super().__call__(root)
+
+    def counting_scan(g, mode, n, budget):
+        setups[g] += 1
+        column, full, read = real_scan(g, mode, n, budget)
+
+        def counting_read(values):
+            built[roots[-1], g] += 1  # the node just walked
+            return read(values)
+
+        return column, full, counting_read
+
+    monkeypatch.setattr(F, "_Walker", RecordingWalker)
+    monkeypatch.setattr(R, "_minterm_scan", counting_scan)
     t = next(t for t in jt.enumerate_strict(full_path(k)) if not t.is_leaf)
     R.chi_decomposition_cost(t, None, fx, params)
-    assert scans and max(scans.values()) == 1
+    assert setups and max(setups.values()) == 1
+    assert len(walkers) == len(setups) <= 2**k
+    assert built and max(built.values()) == 1
+
+
+def test_pairs_skipped_by_edge_support_scan_empty():
+    # a subformula with no literal on some edge of h keeps its value when
+    # that edge's variable is deleted, so no section is a minimal
+    # certificate; every pair the rule skips scans empty on its own, and
+    # every other pair's shared walk gives the direct scan's relation
+    n, k = 2, 3
+    skipped = 0
+    for kind, style, seed in (("D", "right_deep", 0), ("C", "balanced", 3), ("D", "balanced", 5)):
+        dm = F.convert(F.build_matrix_formula(kind, n, k), style)
+        fx = _substitute_ones(dm, R.sample_xi(n, k, seed).xi_edges())
+        plain = R._plain_minterms(n, fx)
+        for node in jt._postorder(fx):
+            edges = {var[0] for var in F.variables(node)}
+            for h in R.subgraphs_of_path(k):
+                scan = R.minterms(R.formula_evaluator(node), h, "M", n)
+                if not set(h.edges()) <= edges:
+                    skipped += 1
+                    assert not scan.tuples
+                assert plain(node, h) == scan
+    assert skipped
+
+
+def test_restricted_minterms_walks_each_graph_once_on_a_deep_chain(monkeypatch):
+    # 1,100 OR-0 / AND-1 levels over the D formula: each tree's fold walks
+    # each of its graphs once, where a walk per (subformula, graph) pair
+    # made the fold quadratic in depth
+    base = F.convert(F.build_matrix_formula("D", 2, 2), "right_deep")
+    chain = base
+    for i in range(1100):
+        chain = F.dm_or(chain, F.dm_const(0)) if i % 2 else F.dm_and(chain, F.dm_const(1))
+    g = full_path(2)
+    trees = list(jt.enumerate_strict(g))
+    want = [R.restricted_minterms(base, g, t, 2) for t in trees]
+    walkers = []
+
+    class CountingWalker(F._Walker):
+        __slots__ = ()
+
+        def __init__(self, column, full):
+            walkers.append(self)
+            super().__init__(column, full)
+
+    monkeypatch.setattr(F, "_Walker", CountingWalker)
+    nodes = sum(1 for _ in jt._postorder(chain))
+    for t, rel in zip(trees, want):
+        walkers.clear()
+        assert R.restricted_minterms(chain, g, t, 2) == rel
+        assert 1 <= len(walkers) <= len({x.graph for x in jt._postorder(t)})
+        assert all(len(w.memo) <= nodes for w in walkers)
+    assert len(trees) == 2 and sorted(len(rel) for rel in want) == [0, 2]
 
 
 # chi_decomposition_cost of seeded restrictions of D and C, converted
@@ -641,16 +708,29 @@ def test_empty_restriction_reproduces_exact_density():
     assert Fraction(count, n ** (k + 1)) == Fraction(1, n * n)
 
 
+def _generic_restricted_count(xi, n, k):
+    """The test oracle of the restricted count: the generic minterm scan of
+    the product oracle with every Xi entry forced to 1."""
+    ev = R.bmm_evaluator(n, k)
+    xi_edges = frozenset((i + 1, a + 1, b + 1) for i, a, b in zip(*np.nonzero(xi)))
+    restricted = lambda column, full: ev(lambda var: full if var in xi_edges else column(var), full)
+    return len(R.minterms(restricted, full_path(k), "M", n).tuples)
+
+
 def test_restricted_count_matches_generic_scan():
-    n, k = 4, 2
+    # the layered count against the generic scan on sampled sub-permutation
+    # restrictions, on dense matrices that are not sub-permutations (where
+    # one layer can reach many vertices), and on zero
     for seed in range(10):
-        sample = R.sample_xi(n, k, seed)
-        fast = R._minterm_count_bmm_restricted(sample.xi, n, k)
-        ev = R.bmm_evaluator(n, k)
-        xi_edges = sample.xi_edges()
-        restricted = lambda column, full: ev(lambda var: full if var in xi_edges else column(var), full)
-        slow = len(R.minterms(restricted, full_path(k), "M", n).tuples)
-        assert fast == slow
+        xi = R.sample_xi(4, 2, seed).xi
+        assert R._minterm_count_bmm_restricted(xi, 4, 2) == _generic_restricted_count(xi, 4, 2)
+    rng = np.random.default_rng(5)
+    for n, k in product(range(2, 6), range(1, 4)):
+        sampled = [R.sample_xi(n, k, seed).xi for seed in range(4)]
+        dense = [(rng.random((k, n, n)) < p).astype(np.int8) for p in (0.3, 0.6)]
+        dense.append(np.ones((k, n, n), dtype=np.int8))
+        for xi in sampled + dense + [np.zeros((k, n, n), dtype=np.int8)]:
+            assert R._minterm_count_bmm_restricted(xi, n, k) == _generic_restricted_count(xi, n, k), xi.tolist()
 
 
 def test_montecarlo_mpath2_smoke():
