@@ -15,8 +15,9 @@ one DP on all m members.
 The Psi table times a fresh ``jointrees.psi`` on the tight trees of
 ``TIGHT_TREES``, on every strict Path_4 tree and on ``PSI_RANDOM_TREES``
 seeded random strict trees of Path_2..8 (drawn as criterion 06 draws them),
-and prints the subset DPs one pass runs.  Psi is cached on a tree and equal
-trees are one object, so each pass clears the cache first.  Each value is
+and prints the subset DPs one pass runs.  Psi is cached on a tree, equal
+trees are one object and the walk starts from the children's cached Psi,
+so each pass first clears the cache on every node.  Each value is
 checked against the plain-integer loop on every branch covering, walked
 branch by branch apart from ``jointrees.branch_coverings``.
 
@@ -174,27 +175,30 @@ def _exhaustive_psi(tree: jointrees.JoinTree) -> int:
 
 def _time_psi(trees: list, repeat: int) -> tuple[float, int]:
     """Seconds per tree of a fresh ``psi`` over ``trees`` (best of ``repeat``
-    passes, each clearing the cached values first), and the subset DPs one
-    pass runs; every value is checked against ``_exhaustive_psi``."""
+    passes, each clearing first every cached Psi and covering size under
+    each tree, since the walk starts from the children's cached Psi), and
+    the subset DPs one pass runs; every value is checked against
+    ``_exhaustive_psi``."""
     dps = 0
-    real = jointrees.max_vec_delta_over_orderings
+    real = _kernels.max_ordering_value
 
-    def counting(cov, limit):
+    def counting(conflicts):
         nonlocal dps
         dps += 1
-        return real(cov, limit)
+        return real(conflicts)
 
     best = float("inf")
-    jointrees.max_vec_delta_over_orderings = counting
+    _kernels.max_ordering_value = counting
     try:
         for _ in range(repeat):
             for t in trees:
-                t._psi = None
+                for x in jointrees._postorder(t):
+                    x._psi = x._psi_size = None
             t0 = time.perf_counter()
             values = [jointrees.psi(t) for t in trees]
             best = min(best, time.perf_counter() - t0)
     finally:
-        jointrees.max_vec_delta_over_orderings = real
+        _kernels.max_ordering_value = real
     for t, value in zip(trees, values):
         assert value == _exhaustive_psi(t), (t.pretty(), value)
     return best / len(trees), dps // repeat

@@ -24,10 +24,11 @@ stops a gate at a deciding child, keeps its own explicit stack.
 A join tree is a binary tree whose leaves are labeled by single edges (or the
 empty graph) and whose internal nodes carry the union of their children's
 graphs.  This module also provides the standard depth, branch coverings, the
-Psi-size oracle (a bitmask DP over orderings of each branch covering that
-two exact bounds leave open), the tight upper-bound constructions,
-exhaustive enumeration of strict trees, and checkers for the size/depth
-tradeoff inequalities and the Psi recurrences.
+Psi-size oracle (a lazy walk over the branch coverings that stops at a
+ceiling read off the tree's graph, with a bitmask DP over orderings of each
+covering that two exact bounds leave open), the tight upper-bound
+constructions, exhaustive enumeration of strict trees, and checkers for the
+size/depth tradeoff inequalities and the Psi recurrences.
 """
 
 from __future__ import annotations
@@ -96,11 +97,14 @@ def _new_node(cls: type, key: tuple, left, right, gate) -> BinaryTree:
 
 
 class JoinTree(BinaryTree):
-    """Immutable binary join tree; ``graph`` is the union of leaf labels.
-    Once ``psi`` has run, ``_psi`` caches Psi and ``_psi_size`` the largest
-    covering size (two slots of small ints, where a tuple would allocate)."""
+    """Immutable binary join tree; ``graph`` is the union of leaf labels and
+    ``_height`` the standard depth, both set when the node is made.  Once
+    ``psi`` has run, ``_psi`` caches Psi; ``_psi_size``, the largest
+    covering size, is None until a ``dp_limit`` of at most the height makes
+    ``psi`` count it (two slots of small ints, where a tuple would
+    allocate)."""
 
-    __slots__ = ("graph", "_psi", "_psi_size")
+    __slots__ = ("graph", "_height", "_psi", "_psi_size")
 
     def __new__(cls, left: "JoinTree | None", right: "JoinTree | None", graph: PathGraph = EMPTY):
         """The leaf labeled ``graph`` when ``left`` is None, else the union
@@ -109,8 +113,12 @@ class JoinTree(BinaryTree):
         x = _NODES.get(key)
         if x is None:
             x = _new_node(cls, key, left, right, None if left is None else "union")
-            x.graph = graph if left is None else left.graph.union(right.graph)
-            x._psi, x._psi_size = None, 0
+            if left is None:
+                x.graph, x._height = graph, 0
+            else:
+                x.graph = left.graph.union(right.graph)
+                x._height = 1 + (left._height if left._height > right._height else right._height)
+            x._psi = x._psi_size = None
         return x
 
     def rebuild(self, left: "JoinTree", right: "JoinTree") -> "JoinTree":
@@ -286,11 +294,9 @@ def _text(t, leaf_text: Callable, head: Callable, sep: str) -> str:
     return "".join(out)
 
 
-def standard_depth(t: BinaryTree) -> int:
-    depth: dict[BinaryTree, int] = {}
-    for x in _postorder(t):
-        depth[x] = 1 + max(depth[x.left], depth[x.right]) if x.left else 0
-    return depth[t]
+def standard_depth(t: JoinTree) -> int:
+    """The most edges on a root-to-leaf branch, kept on every node."""
+    return t._height
 
 
 _left_depth_of = attrgetter("_left_depth")
@@ -469,15 +475,19 @@ def max_vec_delta_over_orderings(
     return _kernels.max_ordering_value(_conflict_masks(members))
 
 
-def _conflict_masks(members: list[PathGraph]) -> list[list[int]]:
+def _conflict_masks(members: list[PathGraph], rank: dict[int, int] | None = None) -> list[list[int]]:
     """One conflict bitmask per component of each member, bit i set when the
     component shares a vertex with member i (the input of
-    ``_kernels.max_ordering_value``)."""
+    ``_kernels.max_ordering_value``).  ``rank`` ranks a set of integers
+    that holds every endpoint of the members; by default, those endpoints
+    alone."""
     # vertex bitmasks over the ranks of the interval endpoints: ranking keeps
     # every "s <= t'" comparison, so two intervals share a vertex exactly when
-    # their masks meet, and a mask is at most two bits per interval wide
-    ends = sorted({x for g in members for iv in g.intervals for x in iv})
-    rank = {x: i for i, x in enumerate(ends)}
+    # their masks meet, and by default a mask is at most two bits per
+    # interval wide
+    if rank is None:
+        ends = sorted({x for g in members for iv in g.intervals for x in iv})
+        rank = {x: i for i, x in enumerate(ends)}
     comp_bits = [
         [((2 << (rank[t] - rank[s])) - 1) << rank[s] for s, t in g.intervals] for g in members
     ]
@@ -499,18 +509,24 @@ _first = itemgetter(0)
 _right_end = itemgetter(1)
 
 
-def _bounds(cov: Iterable[PathGraph]) -> tuple[int, int, int]:
-    """(hi, lo, size) of one covering: the bounds ``psi`` brackets its value
-    with, hi by the earliest-right-end greedy of interval scheduling over
-    every member's components and lo the most components of one member, and
-    the number of nonempty members (the size of its subset DP)."""
-    counts = [len(g.intervals) for g in cov]
+def _bounds(cov: Iterable[PathGraph]) -> tuple[int, int]:
+    """(hi, lo) of one covering, the bounds ``psi`` brackets its value with:
+    hi by the earliest-right-end greedy of interval scheduling over every
+    member's components, lo the most components of one member."""
+    ivs = [iv for g in cov for iv in g.intervals]
+    ivs.sort(key=_right_end)
     hi = last = 0
-    for s, t in sorted([iv for g in cov for iv in g.intervals], key=_right_end):
+    for s, t in ivs:
         if not hi or s > last:
             hi += 1
             last = t
-    return hi, max(counts, default=0), len(counts) - counts.count(0)
+    return hi, max([len(g.intervals) for g in cov], default=0)
+
+
+def _ceiling(g: PathGraph) -> int:
+    """The most pairwise vertex-disjoint paths of at least one edge in g: a
+    component on t - s + 1 vertices holds floor((t - s + 1) / 2)."""
+    return sum([(t - s + 1) // 2 for s, t in g.intervals])
 
 
 def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
@@ -525,30 +541,95 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
     * lo, the most components of one member: the ordering that puts that
       member first counts them all.
 
-    The coverings are visited by hi, largest first, in walk order among
-    equals.  The visit stops at the first covering whose hi is no more than
-    the best value so far; a covering with lo = hi is worth hi, and only the
-    others run the subset DP.
+    Psi itself lies between two exact bounds of the whole tree:
 
-    The value is cached on ``t`` with its largest covering size, so a later
-    call with a ``dp_limit`` below that size still raises.  A tree refused
-    by the limit runs no DP and caches only its covering size."""
-    if t._psi is None:
-        ranked = sorted([(*_bounds(cov), cov) for cov in branch_coverings(t)], key=_first, reverse=True)
-        t._psi_size = max([size for _, _, size, _ in ranked], default=0)
-        if t._psi_size <= dp_limit:
-            best = 0
-            for hi, lo, _, cov in ranked:
-                if hi <= best:
-                    break
-                if lo >= hi:
-                    best = hi
-                else:
-                    best = max(best, max_vec_delta_over_orderings(cov, limit=dp_limit))
-            t._psi = best
-    if t._psi_size > dp_limit:
+    * the ceiling, the sum of floor((t - s + 1) / 2) over the components
+      (s, t) of t's graph: every component an ordering counts has at least
+      two vertices, and the components counted in one covering are
+      pairwise vertex-disjoint subpaths of t's graph;
+    * the floor, the larger Psi of t's children where they are cached
+      (children are not measured for it): each covering of a child, plus
+      the other child's graph placed last, is a covering of t, and a member
+      placed last cannot lower the value.
+
+    ``_psi_walk`` walks the branches lazily from the floor and stops as soon
+    as the best value reaches the ceiling.  A covering with lo = hi, or with
+    hi at the ceiling, is settled when it is met (the latter by a subset DP
+    when lo < hi); any other covering lifts the best value to its lo and,
+    with hi above the best value, waits.  When the walk ends below the
+    ceiling, the waiting coverings are visited by hi, largest first, in
+    walk order among equals, until hi is no more than the best value, each
+    by a subset DP.  The vertices of t's graph (at most two per leaf) are
+    ranked once per call for all its DPs.
+
+    The ``dp_limit`` contract does not depend on what was measured before:
+    the call raises exactly when the largest branch covering has more than
+    ``dp_limit`` nonempty members.  The branch to a leaf at depth h gives
+    at most h + 1 members, so the size is counted (and cached on t) only
+    when t's height reaches ``dp_limit``.  A tree refused by the limit runs
+    no DP and caches no value."""
+    if t._psi_size is None and t._height >= dp_limit:
+        t._psi_size = max([len(cov) - (EMPTY in cov) for cov in branch_coverings(t)])
+    if t._psi_size is not None and t._psi_size > dp_limit:
         raise ResourceLimitError(f"covering size {t._psi_size} exceeds subset-DP limit {dp_limit}")
+    if t._psi is None:
+        t._psi = _psi_walk(t)
     return t._psi
+
+
+def _psi_walk(t: JoinTree) -> int:
+    """Psi of t by the bounded walk ``psi`` describes."""
+    ceiling = _ceiling(t.graph)
+    best = 0
+    if t.left is not None:
+        for child in (t.left, t.right):
+            if child._psi is not None and child._psi > best:
+                best = child._psi
+    rank: dict[int, int] | None = None
+
+    def value(cov: frozenset[PathGraph]) -> int:
+        nonlocal rank
+        if rank is None:
+            rank = {v: i for i, v in enumerate(t.graph.vertices())}
+        return _kernels.max_ordering_value(_conflict_masks([g for g in cov if g], rank))
+
+    waiting: list[tuple[int, frozenset[PathGraph]]] = []
+    seen: set[frozenset[PathGraph]] = set()
+    stack: list[tuple[JoinTree, tuple[PathGraph, ...]]] = [(t, ())]
+    while stack and best < ceiling:
+        x, sibs = stack.pop()
+        if x.left is not None:
+            stack.append((x.left, sibs + (x.right.graph,)))
+            stack.append((x.right, sibs + (x.left.graph,)))
+            continue
+        members = sibs + (x.graph,)
+        hi, lo = _bounds(members)
+        if hi <= best:
+            continue
+        if lo >= hi:
+            best = hi
+            continue
+        if lo > best:
+            best = lo
+        cov = frozenset(members)
+        if cov in seen:
+            continue
+        seen.add(cov)
+        if hi < ceiling:
+            waiting.append((hi, cov))
+        else:
+            got = value(cov)
+            if got > best:
+                best = got
+    if best < ceiling:
+        waiting.sort(key=_first, reverse=True)
+        for hi, cov in waiting:
+            if hi <= best:
+                break
+            got = value(cov)
+            if got > best:
+                best = got
+    return best
 
 
 # ---------------------------------------------------------------------------

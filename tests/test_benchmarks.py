@@ -17,12 +17,17 @@ _spec.loader.exec_module(bench_kernels)
 
 def test_bench_psi_times_a_fresh_psi_on_every_repeat(monkeypatch):
     # equal trees are one object and share one cached Psi, so a rebuilt tree
-    # would come back with its value already set
-    calls = []
-    real = jt.branch_coverings
-    monkeypatch.setattr(jt, "branch_coverings", lambda t: calls.append(t) or real(t))
+    # would come back with its value already set, and a cached child would
+    # give the walk a floor
+    tree = jt.build_tight("II", 4, 1)
+    jt.psi(tree.left), jt.psi(tree.right), jt.psi(tree)
+    walks = []
+    real = jt._psi_walk
+    monkeypatch.setattr(
+        jt, "_psi_walk", lambda t: walks.append((t, t.left._psi, t.right._psi)) or real(t)
+    )
     bench_kernels.bench_psi("II", 4, 1, repeat=3)
-    assert len(calls) == 3
+    assert walks == [(tree, None, None)] * 3
 
 
 def test_subset_dp_sweep_runs_both_bodies_on_each_side_of_the_crossover():

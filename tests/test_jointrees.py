@@ -357,14 +357,30 @@ def test_psi_rotation_invariance():
         assert jt.psi(rotate(t)) == jt.psi(t)
 
 
+def spy_dp_runs(monkeypatch) -> list:
+    """Every subset DP run from now on (Psi runs its DPs on the kernel
+    directly), as its conflict masks."""
+    runs = []
+    real = _kernels.max_ordering_value
+    monkeypatch.setattr(_kernels, "max_ordering_value", lambda conflicts: runs.append(conflicts) or real(conflicts))
+    return runs
+
+
+def forget_psi(t: jt.JoinTree) -> None:
+    """Clear every cache the Psi walk and the dp_limit check read under t."""
+    for x in jt._postorder(t):
+        x._psi = x._psi_size = None
+
+
+def largest_covering(t: jt.JoinTree) -> int:
+    return max(len(cov) - (EMPTY in cov) for cov in jt.branch_coverings(t))
+
+
 def test_psi_cache_keeps_the_dp_limit(monkeypatch):
     t = jt.build_tight("II", 16, 2)
-    largest = max(sum(1 for g in cov if g) for cov in jt.branch_coverings(t))
-    dp_runs = []
-    real = jt.max_vec_delta_over_orderings
-    monkeypatch.setattr(
-        jt, "max_vec_delta_over_orderings", lambda cov, limit: dp_runs.append(cov) or real(cov, limit)
-    )
+    forget_psi(t)
+    largest = largest_covering(t)
+    dp_runs = spy_dp_runs(monkeypatch)
     with pytest.raises(ResourceLimitError):
         jt.psi(t, dp_limit=largest - 1)
     assert dp_runs == [] and t._psi is None  # a refused tree runs no DP and caches no value
@@ -375,13 +391,45 @@ def test_psi_cache_keeps_the_dp_limit(monkeypatch):
     assert jt.psi(t, dp_limit=largest) == value
 
 
+def contract_trees() -> list[jt.JoinTree]:
+    """Trees whose largest covering is below, at and above their height + 1
+    (repeated or empty graphs on a branch make it smaller), deep combs
+    among them."""
+    rng = random.Random(25)
+    trees = tight_trees() + [jt.sq(leaves(m)) for m in (2, 9, jt.DEFAULT_DP_LIMIT + 1)]
+    trees += [samples.random_jointree(rng, k=4, leaves=rng.randint(2, 12)) for _ in range(60)]
+    trees += [samples.random_strict_tree(rng, full_path(rng.randint(2, 8))) for _ in range(60)]
+    for _ in range(60):
+        t = samples.random_jointree(rng, k=6, leaves=rng.randint(2, 12))
+        trees.append(jt.tree_restrict(t, samples.random_pathgraph(rng, 0, 6)))
+    return trees
+
+
+@pytest.mark.parametrize("children_first", [False, True])
+def test_dp_limit_refusal_names_the_exact_covering_size(children_first):
+    below = with_empty = 0
+    for t in contract_trees():
+        forget_psi(t)
+        size = largest_covering(t)
+        assert size <= jt.standard_depth(t) + 1
+        below += size < jt.standard_depth(t) + 1
+        with_empty += size < max(len(cov) for cov in jt.branch_coverings(t))
+        if children_first and t.left is not None:
+            for child in (t.left, t.right):
+                if largest_covering(child) <= jt.DEFAULT_DP_LIMIT:
+                    jt.psi(child)
+        if size <= jt.DEFAULT_DP_LIMIT:
+            value = jt.psi(t)
+            assert jt.psi(t, dp_limit=size) == value
+        message = f"^covering size {size} exceeds subset-DP limit {size - 1}$"
+        with pytest.raises(ResourceLimitError, match=message):
+            jt.psi(t, dp_limit=size - 1)
+    assert below > 20 and with_empty > 10
+
+
 def test_psi_cache_matches_a_fresh_tree(monkeypatch):
     rng = random.Random(4)
-    dp_runs = []
-    real = jt.max_vec_delta_over_orderings
-    monkeypatch.setattr(
-        jt, "max_vec_delta_over_orderings", lambda cov, limit: dp_runs.append(cov) or real(cov, limit)
-    )
+    dp_runs = spy_dp_runs(monkeypatch)
     for _ in range(30):
         t = samples.random_strict_tree(rng, full_path(rng.randint(2, 7)))
         first = jt.psi(t)
@@ -392,10 +440,12 @@ def test_psi_cache_matches_a_fresh_tree(monkeypatch):
 
 
 def test_verify_tradeoff_kinds_share_one_psi(monkeypatch):
+    # one walk over the branches of the tree, none over its children
     calls = []
-    real = jt.branch_coverings
-    monkeypatch.setattr(jt, "branch_coverings", lambda t: calls.append(t) or real(t))
+    real = jt._psi_walk
+    monkeypatch.setattr(jt, "_psi_walk", lambda t: calls.append(t) or real(t))
     t = jt.build_tight("II", 16, 2)
+    forget_psi(t)
     assert jt.verify_tradeoff(t, "I")[1] == jt.verify_tradeoff(t, "II")[1]
     assert calls == [t]
 
@@ -429,26 +479,80 @@ def test_psi_bounds_bracket_the_ordering_optimum():
     rng = random.Random(18)
     for _ in range(3000):
         cov = random_bounds_covering(rng)
-        hi, lo, size = jt._bounds(cov)
+        hi, lo = jt._bounds(cov)
         assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi, cov
-        assert size == sum(1 for g in cov if g)
+        assert hi <= jt._ceiling(union_all(cov))
     covs = {cov for t in jt.enumerate_strict(full_path(4)) for cov in jt.branch_coverings(t)}
     assert len(covs) == 227
     for cov in covs:
-        hi, lo, size = jt._bounds(cov)
-        assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi, cov
-        assert size == sum(1 for g in cov if g)
+        hi, lo = jt._bounds(cov)
+        assert lo <= jt.max_vec_delta_over_orderings(cov) <= hi <= jt._ceiling(full_path(4)), cov
 
 
-def dp_over_every_covering(t: jt.JoinTree) -> int:
-    """Psi without bounds: the subset DP on every distinct branch covering."""
-    return max(jt.max_vec_delta_over_orderings(cov) for cov in jt.branch_coverings(t))
+def test_ceiling_counts_disjoint_paths_of_each_component():
+    assert jt._ceiling(EMPTY) == 0
+    assert [jt._ceiling(full_path(k)) for k in range(1, 8)] == [1, 1, 2, 2, 3, 3, 4]
+    assert jt._ceiling(PathGraph(((0, 1), (3, 5), (10, 14)))) == 1 + 1 + 2
+
+
+def dp_over_every_covering(t: jt.JoinTree, memo: dict | None = None) -> int:
+    """Psi without bounds: the subset DP on every distinct branch covering
+    (each covering's optimum kept in ``memo`` when one is given)."""
+    memo = {} if memo is None else memo
+    values = []
+    for cov in jt.branch_coverings(t):
+        if cov not in memo:
+            memo[cov] = jt.max_vec_delta_over_orderings(cov)
+        values.append(memo[cov])
+    return max(values)
 
 
 def tight_trees() -> list[jt.JoinTree]:
     """The block constructions criterion 05 checks."""
     return [jt.build_tight("I", k, d) for k, d in ((4, 1), (4, 2), (8, 3), (16, 2))] + [
         jt.build_tight("II", k, d) for k, d in ((4, 1), (9, 1), (16, 2))
+    ]
+
+
+def test_psi_lies_between_its_children_and_the_ceiling():
+    rng = random.Random(26)
+    trees = list(jt.enumerate_strict(full_path(4)))
+    trees += [samples.random_strict_tree(rng, full_path(rng.randint(2, 8))) for _ in range(2000)]
+    memo: dict = {}
+    oracle: dict = {}  # Psi without bounds, per node
+    at_ceiling = at_floor = 0
+    for t in trees:
+        forget_psi(t)
+        for x in (t.left, t.right, t):
+            if x not in oracle:
+                oracle[x] = dp_over_every_covering(x, memo)
+        value, floor = oracle[t], max(oracle[t.left], oracle[t.right])
+        ceiling = jt._ceiling(t.graph)
+        assert floor <= value <= ceiling, t.pretty()
+        at_ceiling += value == ceiling
+        at_floor += value == floor
+        # the walk from the floor (children measured) and from 0 agree
+        jt.psi(t.left), jt.psi(t.right)
+        assert jt.psi(t) == value
+        forget_psi(t)
+        assert jt.psi(t) == value
+    assert 0 < at_ceiling < len(trees) and 0 < at_floor < len(trees)
+
+
+def test_psi_digests_are_pinned():
+    # SHA-256 of the Psi lists as they were before the walk had whole-tree
+    # bounds: every strict Path_4 tree, and criterion 06's random trees
+    path4 = list(jt.enumerate_strict(full_path(4)))
+    rng = random.Random(60)
+    random_trees = [samples.random_strict_tree(rng, full_path(rng.randint(2, 8))) for _ in range(1000)]
+    digests = []
+    for trees in (path4, random_trees):
+        for t in trees:
+            forget_psi(t)
+        digests.append(hashlib.sha256(repr([jt.psi(t) for t in trees]).encode()).hexdigest())
+    assert digests == [
+        "b7a50ab17dbc7d265b313e0a7ced20ad6d6a2669360437b60504a5bc4bdc3fcb",
+        "20b41d4ce52adbe53808512f77800e63c5c4cc333199167b99c0b26646887527",
     ]
 
 
@@ -468,17 +572,13 @@ def test_pruned_psi_equals_the_dp_over_every_covering():
 
 
 def test_psi_runs_a_dp_only_where_the_bounds_differ(monkeypatch):
-    dp_runs = []
-    real = jt.max_vec_delta_over_orderings
-    monkeypatch.setattr(
-        jt, "max_vec_delta_over_orderings", lambda cov, limit: dp_runs.append(cov) or real(cov, limit)
-    )
+    dp_runs = spy_dp_runs(monkeypatch)
     for k in range(1, 8):
         t = jt.maximally_overlapping(k)
-        t._psi = None
+        forget_psi(t)
         assert jt.psi(t) == 1 and dp_runs == []
     for t in tight_trees():
-        t._psi = None
+        forget_psi(t)
         jt.psi(t)
         assert len(dp_runs) <= 1, t.pretty()
         dp_runs.clear()
