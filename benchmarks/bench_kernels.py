@@ -180,15 +180,15 @@ def _time_psi(trees: list, repeat: int) -> tuple[float, int]:
     the subset DPs one pass runs; every value is checked against
     ``_exhaustive_psi``."""
     dps = 0
-    real = _kernels.max_ordering_value
+    real = jointrees.max_vec_delta_over_orderings
 
-    def counting(conflicts):
+    def counting(cov, limit):
         nonlocal dps
         dps += 1
-        return real(conflicts)
+        return real(cov, limit)
 
     best = float("inf")
-    _kernels.max_ordering_value = counting
+    jointrees.max_vec_delta_over_orderings = counting
     try:
         for _ in range(repeat):
             for t in trees:
@@ -198,7 +198,7 @@ def _time_psi(trees: list, repeat: int) -> tuple[float, int]:
             values = [jointrees.psi(t) for t in trees]
             best = min(best, time.perf_counter() - t0)
     finally:
-        _kernels.max_ordering_value = real
+        jointrees.max_vec_delta_over_orderings = real
     for t, value in zip(trees, values):
         assert value == _exhaustive_psi(t), (t.pretty(), value)
     return best / len(trees), dps // repeat

@@ -447,20 +447,24 @@ def relabel_leaves(t: BinaryTree, relabel: Callable[[BinaryTree], BinaryTree]) -
 # ---------------------------------------------------------------------------
 
 
+def _branches(t: JoinTree) -> Iterator[tuple[PathGraph, ...]]:
+    """The members of each root-to-leaf branch's covering, in walk order:
+    the opposite-child graphs along the branch, then the leaf label."""
+    stack: list[tuple[JoinTree, tuple[PathGraph, ...]]] = [(t, ())]
+    while stack:
+        cur, sibs = stack.pop()
+        if cur.left is None:
+            yield sibs + (cur.graph,)
+        else:
+            stack.append((cur.left, sibs + (cur.right.graph,)))
+            stack.append((cur.right, sibs + (cur.left.graph,)))
+
+
 def branch_coverings(t: JoinTree) -> list[frozenset[PathGraph]]:
     """The distinct branch coverings, in walk order: for each root-to-leaf
     branch, the opposite-child graphs along it plus the leaf label, as a
     set.  Branches that give a covering already seen add nothing."""
-    out: dict[frozenset[PathGraph], None] = {}
-    stack: list[tuple[JoinTree, tuple[PathGraph, ...]]] = [(t, ())]
-    while stack:
-        cur, sibs = stack.pop()
-        if cur.is_leaf:
-            out[frozenset(sibs + (cur.graph,))] = None
-        else:
-            stack.append((cur.left, sibs + (cur.right.graph,)))
-            stack.append((cur.right, sibs + (cur.left.graph,)))
-    return list(out)
+    return list(dict.fromkeys(map(frozenset, _branches(t))))
 
 
 def max_vec_delta_over_orderings(
@@ -475,19 +479,15 @@ def max_vec_delta_over_orderings(
     return _kernels.max_ordering_value(_conflict_masks(members))
 
 
-def _conflict_masks(members: list[PathGraph], rank: dict[int, int] | None = None) -> list[list[int]]:
+def _conflict_masks(members: list[PathGraph]) -> list[list[int]]:
     """One conflict bitmask per component of each member, bit i set when the
     component shares a vertex with member i (the input of
-    ``_kernels.max_ordering_value``).  ``rank`` ranks a set of integers
-    that holds every endpoint of the members; by default, those endpoints
-    alone."""
+    ``_kernels.max_ordering_value``)."""
     # vertex bitmasks over the ranks of the interval endpoints: ranking keeps
     # every "s <= t'" comparison, so two intervals share a vertex exactly when
-    # their masks meet, and by default a mask is at most two bits per
-    # interval wide
-    if rank is None:
-        ends = sorted({x for g in members for iv in g.intervals for x in iv})
-        rank = {x: i for i, x in enumerate(ends)}
+    # their masks meet, and a mask is at most two bits per interval wide
+    ends = sorted({x for g in members for iv in g.intervals for x in iv})
+    rank = {x: i for i, x in enumerate(ends)}
     comp_bits = [
         [((2 << (rank[t] - rank[s])) - 1) << rank[s] for s, t in g.intervals] for g in members
     ]
@@ -559,8 +559,7 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
     with hi above the best value, waits.  When the walk ends below the
     ceiling, the waiting coverings are visited by hi, largest first, in
     walk order among equals, until hi is no more than the best value, each
-    by a subset DP.  The vertices of t's graph (at most two per leaf) are
-    ranked once per call for all its DPs.
+    by a subset DP.
 
     The ``dp_limit`` contract does not depend on what was measured before:
     the call raises exactly when the largest branch covering has more than
@@ -573,36 +572,26 @@ def psi(t: JoinTree, dp_limit: int = DEFAULT_DP_LIMIT) -> int:
     if t._psi_size is not None and t._psi_size > dp_limit:
         raise ResourceLimitError(f"covering size {t._psi_size} exceeds subset-DP limit {dp_limit}")
     if t._psi is None:
-        t._psi = _psi_walk(t)
+        t._psi = _psi_walk(t, dp_limit)
     return t._psi
 
 
-def _psi_walk(t: JoinTree) -> int:
-    """Psi of t by the bounded walk ``psi`` describes."""
+def _psi_walk(t: JoinTree, dp_limit: int) -> int:
+    """Psi of t by the bounded walk ``psi`` describes; no covering of t has
+    more than ``dp_limit`` nonempty members."""
     ceiling = _ceiling(t.graph)
     best = 0
     if t.left is not None:
         for child in (t.left, t.right):
             if child._psi is not None and child._psi > best:
                 best = child._psi
-    rank: dict[int, int] | None = None
-
-    def value(cov: frozenset[PathGraph]) -> int:
-        nonlocal rank
-        if rank is None:
-            rank = {v: i for i, v in enumerate(t.graph.vertices())}
-        return _kernels.max_ordering_value(_conflict_masks([g for g in cov if g], rank))
-
     waiting: list[tuple[int, frozenset[PathGraph]]] = []
     seen: set[frozenset[PathGraph]] = set()
-    stack: list[tuple[JoinTree, tuple[PathGraph, ...]]] = [(t, ())]
-    while stack and best < ceiling:
-        x, sibs = stack.pop()
-        if x.left is not None:
-            stack.append((x.left, sibs + (x.right.graph,)))
-            stack.append((x.right, sibs + (x.left.graph,)))
-            continue
-        members = sibs + (x.graph,)
+    branches = _branches(t)
+    while best < ceiling:
+        members = next(branches, None)
+        if members is None:
+            break
         hi, lo = _bounds(members)
         if hi <= best:
             continue
@@ -618,17 +607,12 @@ def _psi_walk(t: JoinTree) -> int:
         if hi < ceiling:
             waiting.append((hi, cov))
         else:
-            got = value(cov)
-            if got > best:
-                best = got
-    if best < ceiling:
-        waiting.sort(key=_first, reverse=True)
-        for hi, cov in waiting:
-            if hi <= best:
-                break
-            got = value(cov)
-            if got > best:
-                best = got
+            best = max(best, max_vec_delta_over_orderings(cov, dp_limit))
+    waiting.sort(key=_first, reverse=True)
+    for hi, cov in waiting:
+        if hi <= best:
+            break
+        best = max(best, max_vec_delta_over_orderings(cov, dp_limit))
     return best
 
 

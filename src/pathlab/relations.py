@@ -69,14 +69,6 @@ class Relation:
                 raise DomainError(f"tuple {t} does not fit V(G) -> [{n}]")
         self.tuples = frozen
 
-    @classmethod
-    def _of(cls, graph: PathGraph, n: int, tuples: frozenset[tuple[int, ...]]) -> "Relation":
-        """Trusted constructor: wraps tuples that fit V(graph) -> [n] by
-        construction, without checking them."""
-        r = object.__new__(cls)
-        r.graph, r.n, r.verts, r.tuples = graph, n, tuple(graph.vertices()), tuples
-        return r
-
     def __len__(self):
         return len(self.tuples)
 
@@ -140,7 +132,7 @@ def join(a: Relation, b: Relation) -> Relation:
             merged = dict(amap)
             merged.update(zip(b.verts, tb))
             out.append(tuple(merged[v] for v in verts))
-    return Relation._of(g, a.n, frozenset(out))
+    return Relation(g, a.n, out)
 
 
 def join_all(rels: Sequence[Relation]) -> Relation:
@@ -349,7 +341,7 @@ def _minterm_scan(g: PathGraph, mode: str, n: int, budget: int) -> tuple[Callabl
             for e in range(len(edges)):
                 hits &= _fold_or(formulas._flips(values, width << e, total), width, variants)
         bits = map("1".__eq__, reversed(format(hits, f"0{width}b")))
-        return Relation._of(g, n, frozenset(compress(product(range(1, n + 1), repeat=len(verts)), bits)))
+        return Relation(g, n, compress(product(range(1, n + 1), repeat=len(verts)), bits))
 
     return column, full, read
 
@@ -464,7 +456,7 @@ def _restricted(
                 (a, a_cost), (b, b_cost) = got[node.left, tree.left], got[node.right, tree.right]
                 tuples |= join(a, b).tuples
                 cost += max(a_cost, b_cost)
-            got[pair] = Relation._of(h, n, plain(node, h).tuples & tuples), cost
+            got[pair] = Relation(h, n, plain(node, h).tuples & tuples), cost
     return got[fdm, t]
 
 

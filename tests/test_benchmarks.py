@@ -24,7 +24,7 @@ def test_bench_psi_times_a_fresh_psi_on_every_repeat(monkeypatch):
     walks = []
     real = jt._psi_walk
     monkeypatch.setattr(
-        jt, "_psi_walk", lambda t: walks.append((t, t.left._psi, t.right._psi)) or real(t)
+        jt, "_psi_walk", lambda t, limit: walks.append((t, t.left._psi, t.right._psi)) or real(t, limit)
     )
     bench_kernels.bench_psi("II", 4, 1, repeat=3)
     assert walks == [(tree, None, None)] * 3

@@ -358,11 +358,12 @@ def test_psi_rotation_invariance():
 
 
 def spy_dp_runs(monkeypatch) -> list:
-    """Every subset DP run from now on (Psi runs its DPs on the kernel
-    directly), as its conflict masks."""
+    """Every covering a subset DP runs on from now on."""
     runs = []
-    real = _kernels.max_ordering_value
-    monkeypatch.setattr(_kernels, "max_ordering_value", lambda conflicts: runs.append(conflicts) or real(conflicts))
+    real = jt.max_vec_delta_over_orderings
+    monkeypatch.setattr(
+        jt, "max_vec_delta_over_orderings", lambda cov, limit: runs.append(cov) or real(cov, limit)
+    )
     return runs
 
 
@@ -443,7 +444,7 @@ def test_verify_tradeoff_kinds_share_one_psi(monkeypatch):
     # one walk over the branches of the tree, none over its children
     calls = []
     real = jt._psi_walk
-    monkeypatch.setattr(jt, "_psi_walk", lambda t: calls.append(t) or real(t))
+    monkeypatch.setattr(jt, "_psi_walk", lambda t, limit: calls.append(t) or real(t, limit))
     t = jt.build_tight("II", 16, 2)
     forget_psi(t)
     assert jt.verify_tradeoff(t, "I")[1] == jt.verify_tradeoff(t, "II")[1]

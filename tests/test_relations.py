@@ -680,25 +680,6 @@ def test_chi_cost_matches_goldens():
         assert R.chi_decomposition_cost(tree, None, fx, R.PathsetParams(n, k)) == case["cost"], case
 
 
-def test_trusted_relations_equal_validated_ones(monkeypatch):
-    # the minterm read-out, the certificate fold and join build their
-    # relations unchecked; on the golden inputs each equals the relation the
-    # checking constructor builds from the same tuples
-    makers = collections.Counter()
-    real = R.Relation._of.__func__
-
-    def checked(cls, graph, n, tuples):
-        got = real(cls, graph, n, tuples)
-        want = R.Relation(graph, n, tuples)
-        assert (got, got.verts, type(got.tuples)) == (want, want.verts, frozenset)
-        makers[sys._getframe(1).f_code.co_name] += 1
-        return got
-
-    monkeypatch.setattr(R.Relation, "_of", classmethod(checked))
-    test_chi_cost_matches_goldens()
-    assert set(makers) == {"read", "_restricted", "join"} and min(makers.values()) > 50
-
-
 # -- restrictions --------------------------------------------------------------------
 
 
