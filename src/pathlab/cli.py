@@ -90,9 +90,11 @@ def _reorder(seq, spec: str):
             index_set = [int(x) for x in spec[2:].split(",")]
             return shifts.from_set(len(seq), index_set).apply(seq)
         perm = [int(x) for x in spec.split(",")]
-        return [seq[p - 1] for p in perm]
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad --order {spec!r}: {exc}") from exc
+    if sorted(perm) != list(range(1, len(seq) + 1)):
+        raise InputError(f"bad --order {spec!r}: not a permutation of 1..{len(seq)}")
+    return [seq[p - 1] for p in perm]
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,8 @@ def cmd_measure(args) -> int:
         seq = _reorder(_read_sequence(args.seq), args.order)
         report["value"] = str(gap(seq))
     elif what == "psi":
+        if args.limit_dp < 0:
+            raise InputError(f"--limit-dp must be >= 0, got {args.limit_dp}")
         tree = _read_tree(args.tree)
         report["value"] = jointrees.psi(tree, dp_limit=args.limit_dp)
         report["tree"] = tree.pretty()
@@ -304,6 +308,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     report = _SUITES[args.suite](args)
     _emit(report, args.format)
     return EXIT_OK if report.get("ok") else EXIT_CHECK_FAILED

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotGreedyError, ResourceLimitError
-from .paths import EMPTY, GraphSequence, PathGraph, _merge, _survivors, union_all, vec_delta
+from .paths import EMPTY, GraphSequence, Intervals, PathGraph, _merge, _survivors, _terms, union_all
 
 # resource ceilings (each raises ResourceLimitError)
 DYCK_LIMIT = 12  # length of the Dyck sequences enumerate_dyck lists
@@ -32,15 +32,16 @@ _intervals = attrgetter("intervals")
 
 def is_vec_delta_greedy(seq: GraphSequence, base: PathGraph = EMPTY) -> bool:
     """True when each graph maximizes its component increment against the
-    union of everything placed before it."""
-    acc = base
-    for j, g in enumerate(seq):
-        inc = g.ominus(acc).delta
-        for later in seq[j + 1 :]:
-            if later.ominus(acc).delta > inc:
-                return False
-        acc = acc.union(g)
-    return True
+    union of ``base`` and everything placed before it: when the greedy order
+    of the members, ties going to the earlier position, is ``seq`` itself."""
+    return _greedy_increments(seq, base) is not None
+
+
+def _greedy_increments(seq: GraphSequence, base: PathGraph) -> list[int] | None:
+    """The component increments of a greedy ``seq`` over ``base``, from one
+    lazy greedy pass; None when ``seq`` is not greedy."""
+    order, incs = _lazy_greedy([g.intervals for g in seq], base.intervals)
+    return incs if order == list(range(len(seq))) else None
 
 
 def greedy_order(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> list[PathGraph]:
@@ -51,30 +52,49 @@ def greedy_order(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> list[P
 
 def _greedy(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> tuple[list[PathGraph], int]:
     """``greedy_order`` and the sum of the increments it picks, which is
-    its component value on top of ``base``.
-
-    A member's increment can only fall as the union grows, so a max-heap of
-    (increment, index) keys holds upper bounds: the top is re-measured and
-    taken when its key is still exact, and pushed back with the new key
-    otherwise.  The union is kept as an interval tuple."""
+    its component value on top of ``base``."""
     members = sorted(family, key=_intervals)
-    acc = base.intervals
-    heap = [(-len(_survivors(acc, g.intervals)), i) for i, g in enumerate(members)]
+    order, incs = _lazy_greedy([g.intervals for g in members], base.intervals)
+    return [members[i] for i in order], sum(incs)
+
+
+def _lazy_greedy(
+    members: Sequence[Intervals], acc: Intervals = (), thresholds: Iterable[int] = (0,)
+) -> tuple[list[int], list[int]]:
+    """The greedy order of ``members`` as indices, and the increment of each
+    pick: how many of its intervals touch nothing of ``acc`` and the members
+    picked before it.  Round by round, each pick is the member with the
+    largest increment among those whose longest such interval reaches the
+    round's threshold, the lowest index on ties; a member that reaches no
+    threshold is left out.
+
+    An increment and a longest interval only fall as the union grows, so a
+    max-heap of (increment, index) keys holds upper bounds: the top is
+    re-measured and taken when its key is still exact and it meets the
+    threshold.  One that falls short cannot meet it again this round, so it
+    waits for the next."""
+    heap = [(-len(ivs), i) for i, ivs in enumerate(members)]
     heapify(heap)
-    out: list[PathGraph] = []
-    total = 0
-    while heap:
-        key, i = heap[0]
-        ivs = members[i].intervals
-        now = -len(_survivors(acc, ivs))
-        if now != key:
-            heapreplace(heap, (now, i))
-            continue
-        heappop(heap)
-        out.append(members[i])
-        total -= now
-        acc = _merge(acc, ivs)
-    return out, total
+    order: list[int] = []
+    incs: list[int] = []
+    for threshold in thresholds:
+        waiting = []
+        while heap:
+            key, i = heap[0]
+            keep = _survivors(acc, members[i])
+            now = -len(keep)
+            if threshold and _terms(keep)[1] < threshold:
+                waiting.append((now, heappop(heap)[1]))
+            elif now != key:
+                heapreplace(heap, (now, i))
+            else:
+                heappop(heap)
+                order.append(i)
+                incs.append(-now)
+                acc = _merge(acc, members[i])
+        heap = waiting
+        heapify(heap)
+    return order, incs
 
 
 # ---------------------------------------------------------------------------
@@ -82,44 +102,33 @@ def _greedy(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> tuple[list[
 # ---------------------------------------------------------------------------
 
 
-class _Builder:
-    """Places single-edge components on a fresh stretch of the integer line,
-    far enough apart that attachment chains can never collide."""
-
-    def __init__(self, spacing: int):
-        self.spacing = spacing
-        self.cursor = 0
-        # free endpoints per graph index: vertex v with the free cell on side d
-        self.slots: dict[int, list[tuple[int, int]]] = {}
-        self.edges: dict[int, list[tuple[int, int]]] = {}
-
-    def new_graph(self) -> int:
-        gid = len(self.edges)
-        self.edges[gid] = []
-        self.slots[gid] = []
-        return gid
-
-    def add_free_edge(self, gid: int) -> None:
-        s = self.cursor
-        self.cursor += self.spacing
-        self.edges[gid].append((s, s + 1))
-        self.slots[gid].append((s, -1))
-        self.slots[gid].append((s + 1, +1))
-
-    def attach_edge(self, gid: int, target: int) -> None:
-        """Add to gid a single edge sharing one vertex with graph ``target``."""
-        v, direction = self.slots[target].pop()
-        if direction < 0:
-            edge = (v - 1, v)
-            outer = v - 1
-        else:
-            edge = (v, v + 1)
-            outer = v + 1
-        self.edges[gid].append(edge)
-        self.slots[gid].append((outer, direction))
-
-    def graph(self, gid: int) -> PathGraph:
-        return PathGraph(self.edges[gid])
+def _realise(t: int, counts: dict[tuple[int, ...], int]) -> list[PathGraph]:
+    """``counts[a]`` graphs of each Dyck profile a = (a_1..a_s), all of
+    single-edge components, level by level: a graph at level s has t - s
+    free edges and a_r edges, each attached to a free end of the first
+    level-(s - r) graph that has one.  Free edges lie 2t + 6 apart, so
+    attachment chains never meet."""
+    spacing = 2 * t + 6
+    cursor = 0
+    # per level, each graph's free ends: (vertex, outward step)
+    ends: list[list[list[tuple[int, int]]]] = [[] for _ in range(t + 1)]
+    out: list[PathGraph] = []
+    for a, n in sorted(counts.items(), key=lambda item: len(item[0])):
+        s = len(a)
+        targets = [s - r for r, a_r in enumerate(a, start=1) for _ in range(a_r)]
+        for _ in range(n):
+            edges, mine = [], []
+            for _ in range(t - s):
+                edges.append((cursor, cursor + 1))
+                mine += [(cursor, -1), (cursor + 1, 1)]
+                cursor += spacing
+            for level in targets:
+                v, step = next(e for e in ends[level] if e).pop()
+                edges.append((min(v, v + step), max(v, v + step)))
+                mine.append((v + step, step))
+            ends[s].append(mine)
+            out.append(PathGraph(edges))
+    return out
 
 
 def build_greedy_example(t: int) -> list[PathGraph]:
@@ -127,42 +136,16 @@ def build_greedy_example(t: int) -> list[PathGraph]:
     edges, the first graph has t of them, and the ratio of total edges to the
     greedy vector-component value meets the LP optimum exactly.
 
-    Levels 0..t-2 hold one graph each (t free edges shrinking by one per
+    It realises the primal optimum ``certificate_w(t)``, threefold at t = 1:
+    levels 0..t-2 hold one graph each (t free edges shrinking by one per
     level, plus one edge attached to each earlier level); level t-1 holds
     t+2 such graphs; level t holds (t+2)(t+1) single edges, each attached to
     a level-(t-1) graph.
     """
     if t < 1:
         raise InvalidParameterError(f"t must be >= 1, got {t}")
-    b = _Builder(spacing=2 * t + 6)
-    levels: list[list[int]] = []
-    for s in range(t - 1):
-        gid = b.new_graph()
-        for _ in range(t - s):
-            b.add_free_edge(gid)
-        for r in range(1, s + 1):
-            target = levels[s - r][0]
-            b.attach_edge(gid, target)
-        levels.append([gid])
-    top: list[int] = []
-    for _ in range(t + 2):
-        gid = b.new_graph()
-        for _ in range(t - (t - 1)):
-            b.add_free_edge(gid)
-        for r in range(1, t):
-            target_level = levels[t - 1 - r]
-            target = next(x for x in target_level if b.slots[x])
-            b.attach_edge(gid, target)
-        top.append(gid)
-    levels.append(top)
-    singles: list[int] = []
-    for _ in range((t + 2) * (t + 1)):
-        gid = b.new_graph()
-        target = next(x for x in top if b.slots[x])
-        b.attach_edge(gid, target)
-        singles.append(gid)
-    order = [g for level in levels for g in level] + singles
-    return [b.graph(g) for g in order]
+    scale = 3 if t == 1 else 1
+    return _realise(t, {a: int(scale * n) for a, n in certificate_w(t).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +198,17 @@ def extract_profiles(seq: GraphSequence, base: PathGraph = EMPTY) -> list[tuple[
 
     Meaningful under the normalization that each edge of G_j has at most one
     endpoint among the predecessors (as in the attachment-style families)."""
-    if not is_vec_delta_greedy(seq, base):
+    incs = _greedy_increments(seq, base)
+    if incs is None:
         raise NotGreedyError("profiles are defined for greedy sequences only")
-    t = seq[0].ominus(base).delta if seq else 0
-    acc = base
+    t = incs[0] if incs else 0
     level_vertices: dict[int, set[int]] = {}
     profiles: list[tuple[int, ...]] = []
-    for g in seq:
-        s = t - g.ominus(acc).delta
-        prof = []
+    for g, inc in zip(seq, incs):
+        s = t - inc
         mine = set(g.vertices())
-        for r in range(1, s + 1):
-            prof.append(len(mine & level_vertices.get(s - r, set())))
-        profiles.append(tuple(prof))
+        profiles.append(tuple(len(mine & level_vertices.get(s - r, set())) for r in range(1, s + 1)))
         level_vertices.setdefault(s, set()).update(mine)
-        acc = acc.union(g)
     return profiles
 
 
@@ -417,16 +396,17 @@ def verify_lp_certificates(
 def check_greedy_ratio(seq: GraphSequence, base: PathGraph = EMPTY) -> dict:
     """Verify the tight edge-count bound for unit-component greedy sequences
     and the conditional 5*delta(F) + 6*vec_delta bound; report slack."""
-    if not is_vec_delta_greedy(seq, base):
+    incs = _greedy_increments(seq, base)
+    if incs is None:
         raise NotGreedyError("sequence is not greedy over the given base graph")
     report: dict = {"ok": True}
-    vd_cond = vec_delta(seq, base)
+    vd_cond = sum(incs)
     residuals = [g.ominus(base) for g in seq]
     max_lam = max((r.lam for r in residuals), default=0)
 
     if not base and seq and all(g.lam <= 1 for g in seq) and seq[0].delta >= 1:
         t = seq[0].delta
-        bound = (gamma(t) + 1) * vec_delta(seq)
+        bound = (gamma(t) + 1) * vd_cond
         total = union_all(seq).norm
         report["unit_case"] = {
             "t": t,
@@ -455,10 +435,11 @@ def check_greedy_ratio(seq: GraphSequence, base: PathGraph = EMPTY) -> dict:
 def check_greedy_quotient(seq: GraphSequence, base: PathGraph = EMPTY) -> bool:
     """The corollary form: ||(union seq) - base|| / max lambda(G_j - base)
     <= 6 * vec_delta(seq | base)."""
-    if not is_vec_delta_greedy(seq, base):
+    incs = _greedy_increments(seq, base)
+    if incs is None:
         raise NotGreedyError("sequence is not greedy over the given base graph")
     residual_union = union_all(seq).ominus(base)
     max_lam = max((g.ominus(base).lam for g in seq), default=0)
     if max_lam == 0:
         return residual_union.norm == 0
-    return Fraction(residual_union.norm, max_lam) <= 6 * vec_delta(seq, base)
+    return Fraction(residual_union.norm, max_lam) <= 6 * sum(incs)

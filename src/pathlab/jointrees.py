@@ -836,18 +836,10 @@ def check_psi_recurrences(
     """
     report: dict = {"checked": 0, "violations": []}
     psi_t = psi(t)
-    psi_memo: dict[JoinTree, int] = {}
-
-    def psi_of(x: JoinTree) -> int:
-        got = psi_memo.get(x)
-        if got is None:
-            got = psi(x)
-            psi_memo[x] = got
-        return got
 
     def residual(x: JoinTree, f: PathGraph) -> int:
         """psi(T_j - F) - delta(G_j - F), the part of x that survives f."""
-        return psi_of(tree_ominus(x, f)) - x.graph.ominus(f).delta
+        return psi(tree_ominus(x, f)) - x.graph.ominus(f).delta
 
     def check(kind: str, rhs: int, **where) -> None:
         report["checked"] += 1
@@ -869,7 +861,7 @@ def check_psi_recurrences(
                 continue
             graphs = [p.graph for p in decomp]
             for j in range(1, m + 1):
-                rhs = psi_of(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1])
+                rhs = psi(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1])
                 check("sem-corollary", rhs, j=j)
             for sigma in shifts.enumerate_all(m):
                 index_set = sorted(sigma.index_set)
@@ -877,7 +869,7 @@ def check_psi_recurrences(
                 for h in range(1, m + 1):
                     j = sigma(h)
                     pre = union_all(ordered[:h])
-                    rhs = psi_of(decomp[j - 1]) + vec_delta(ordered[h:], pre)
+                    rhs = psi(decomp[j - 1]) + vec_delta(ordered[h:], pre)
                     check("sem-ii", rhs, I=index_set, h=h)
                     rhs = residual(decomp[j - 1], union_all(ordered[: h - 1])) + vec_delta(
                         shifts.induced(sigma, j).apply(graphs)

@@ -621,13 +621,7 @@ def _minterm_count_bmm_restricted(xi: np.ndarray, n: int, k: int) -> int:
     return sum(count for (_, f, s), count in states.items() if f & 2 and not s & 2)
 
 
-def montecarlo_mpath2(
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    f: Evaluator | None = None,
-) -> dict:
+def montecarlo_mpath2(n: int, k: int, trials: int, seed: int) -> dict:
     """Fraction of restriction samples for which the restricted minterm
     relation keeps density at least 1/(2 n^2)."""
     if n ** (k + 1) * (k + 1) * trials > MONTECARLO_BUDGET:
@@ -637,15 +631,7 @@ def montecarlo_mpath2(
     hits = 0
     rows = []
     for i in range(trials):
-        sample = sample_xi(n, k, seed + i)
-        if f is None:
-            count = _minterm_count_bmm_restricted(sample.xi, n, k)
-        else:
-            xi_edges = sample.xi_edges()
-            restricted: Evaluator = lambda column, full: f(
-                lambda var: full if var in xi_edges else column(var), full
-            )
-            count = len(minterms(restricted, full_path(k), "M", n, MONTECARLO_BUDGET).tuples)
+        count = _minterm_count_bmm_restricted(sample_xi(n, k, seed + i).xi, n, k)
         dens = Fraction(count, denom)
         ok = dens >= threshold
         hits += ok

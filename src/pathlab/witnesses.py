@@ -12,13 +12,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import Literal, Sequence
 
 from . import shifts
 from .errors import CheckFailedError, DomainError, InvalidCoveringError, InvalidParameterError
-from .greedy import _greedy
+from .greedy import _greedy, _lazy_greedy
 from .paths import (
     GraphSequence,
     Intervals,
@@ -26,10 +25,7 @@ from .paths import (
     _covered_length,
     _gap,
     _left,
-    _merge,
     _path_length,
-    _survivors,
-    _terms,
     vec_lambda_delta,
 )
 
@@ -297,41 +293,16 @@ def construct_premain_II(seq: GraphSequence) -> WitnessResult:
 def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
     """Greedy level construction: r = ceil(log2(k+1)) rounds, round i taking
     graphs whose residual longest component is at least 2^(r-i), maximizing
-    the residual component count (the first such graph on a tie).  The
-    combined measure reaches k/30.
-
-    A member's residual count and longest component only fall as the union
-    grows, so a max-heap of (count, index) keys holds upper bounds: the top
-    is re-measured and taken when its key is still exact and its longest
-    component meets the threshold.  One whose longest component falls short
-    cannot meet it again this round, so it waits for the next."""
+    the residual component count (the first such graph on a tie); the graphs
+    no round takes follow in index order.  The combined measure reaches
+    k/30."""
     members = list(family)
     k = _covered_length(members)
-    graphs = [g.intervals for g in members]
     r = max(1, math.ceil(math.log2(k + 1)))
-    acc: tuple = ()
-    order: list[int] = []
-    taken = [False] * len(graphs)
-    heap = [(-len(ivs), idx) for idx, ivs in enumerate(graphs)]
-    heapify(heap)
-    for i in range(1, r + 1):
-        threshold = 2 ** (r - i)
-        waiting = []
-        while heap:
-            key, idx = heap[0]
-            delta, lam, _ = _terms(_survivors(acc, graphs[idx]))
-            if lam < threshold:
-                waiting.append((-delta, heappop(heap)[1]))
-            elif -delta != key:
-                heapreplace(heap, (-delta, idx))
-            else:
-                heappop(heap)
-                taken[idx] = True
-                order.append(idx)
-                acc = _merge(acc, graphs[idx])
-        for item in waiting:
-            heappush(heap, item)
-    order.extend(idx for idx in range(len(graphs)) if not taken[idx])
+    thresholds = [2 ** (r - i) for i in range(1, r + 1)]
+    order, _ = _lazy_greedy([g.intervals for g in members], thresholds=thresholds)
+    taken = set(order)
+    order += [i for i in range(len(members)) if i not in taken]
     achieved = vec_lambda_delta([members[i] for i in order])
     return WitnessResult("main-I", [i + 1 for i in order], achieved, Fraction(k, 30))
 

@@ -197,6 +197,31 @@ def test_bad_option_values_are_input_errors(capsys):
     assert cli.main(argv) == cli.EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("order", ["1,1", "0,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25", "2,1"])
+def test_an_order_that_is_not_a_permutation_is_an_input_error(capsys, order):
+    # a repeated index, an index 0 (which would wrap to the last member) and a
+    # permutation of too few members are each refused, not measured
+    seq = str(DATA / "edges25.json")
+    assert cli.main(["measure", "vecdelta", "--seq", seq, "--order", order]) == cli.EXIT_INPUT_ERROR
+    assert "not a permutation of 1..25" in capsys.readouterr().err
+
+
+def test_a_negative_dp_limit_is_an_input_error(capsys):
+    tree = str(DATA / "overlap_tree5.json")
+    assert cli.main(["measure", "psi", "--tree", tree, "--limit-dp", "-1"]) == cli.EXIT_INPUT_ERROR
+    assert "input error: --limit-dp must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_negative_trials_are_an_input_error_for_every_suite(capsys, suite):
+    assert cli.main(["verify", suite, "--trials", "-3"]) == cli.EXIT_INPUT_ERROR
+    assert "input error: --trials must be >= 0" in capsys.readouterr().err
+    # no trials at all is still a valid run
+    if suite == "formulas":
+        assert cli.main(["verify", suite, "--trials", "0"]) == cli.EXIT_OK
+        assert "checked: 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

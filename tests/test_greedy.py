@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from pathlab import greedy, samples
 from pathlab.errors import InvalidParameterError, NotGreedyError, ResourceLimitError
 from pathlab.paths import (
     EMPTY,
+    PathGraph,
     from_edges,
     full_path,
     make_path,
@@ -89,6 +91,67 @@ def test_lazy_greedy_order_matches_the_max_scan():
     assert seen == {"base", "repeat", "empty", "tie"}
 
 
+def _reference_is_greedy(seq, base=EMPTY):
+    """The O(m^2) definition: each member's increment against the union of
+    ``base`` and its predecessors is at least every later member's."""
+    acc = base
+    for j, g in enumerate(seq):
+        inc = g.ominus(acc).delta
+        for later in seq[j + 1 :]:
+            if later.ominus(acc).delta > inc:
+                return False
+        acc = acc.union(g)
+    return True
+
+
+def test_greedy_check_matches_the_quadratic_scan():
+    rng = random.Random(26)
+    seen = set()
+    verdicts = set()
+    for case in range(600):
+        if case % 4 == 0:
+            fam = samples.random_unit_covering(rng, rng.randint(2, 20))
+        else:
+            fam = [samples.random_pathgraph(rng, 0, 14) for _ in range(rng.randint(0, 8))]
+        if fam and rng.random() < 0.3:
+            fam += rng.sample(fam, rng.randint(1, len(fam)))
+        if rng.random() < 0.2:
+            fam.insert(rng.randint(0, len(fam)), EMPTY)
+        base = samples.random_pathgraph(rng, 0, 14, max_comps=2) if rng.random() < 0.6 else EMPTY
+        # half of the cases start from a greedy order, so both verdicts occur
+        seq = greedy.greedy_order(fam, base) if case % 2 else fam
+        if len(seq) > 1 and case % 3 == 0:
+            j = rng.randrange(len(seq) - 1)
+            seq = seq[:j] + [seq[j + 1], seq[j]] + seq[j + 2 :]
+        incs = sorted((g.ominus(base).delta for g in seq), reverse=True)
+        seen.update(
+            kind
+            for kind, hit in (
+                ("base", bool(base)),
+                ("repeat", len(set(seq)) < len(seq)),
+                ("empty", EMPTY in seq),
+                ("tie", len(incs) > 1 and incs[0] == incs[1]),
+            )
+            if hit
+        )
+        want = _reference_is_greedy(seq, base)
+        verdicts.add(want)
+        assert greedy.is_vec_delta_greedy(seq, base) == want, case
+    assert seen == {"base", "repeat", "empty", "tie"}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
+def test_greedy_check_on_reordered_tight_families(t):
+    seq = greedy.build_greedy_example(t)
+    rng = random.Random(t)
+    orders = [seq, seq[::-1]]
+    for _ in range(20):
+        orders.append(rng.sample(seq, len(seq)))
+    for order in orders:
+        assert greedy.is_vec_delta_greedy(order) == _reference_is_greedy(order)
+
+
 def test_greedy_order_on_single_edges():
     e = [single_edge(i) for i in range(1, 9)]
     assert greedy.is_vec_delta_greedy(greedy.greedy_order(e))
@@ -123,6 +186,82 @@ def test_family_counts(t):
     assert vec_delta(seq) == (t + 2) * (t + 1) // 2
     assert all(g.lam == 1 for g in seq)
     assert greedy.is_vec_delta_greedy(seq)
+
+
+class _ReferenceBuilder:
+    """The tight family's original builder, kept as the reference: single
+    edges on a fresh stretch of the line, free ends popped per graph."""
+
+    def __init__(self, spacing):
+        self.spacing = spacing
+        self.cursor = 0
+        self.slots = {}
+        self.edges = {}
+
+    def new_graph(self):
+        gid = len(self.edges)
+        self.edges[gid] = []
+        self.slots[gid] = []
+        return gid
+
+    def add_free_edge(self, gid):
+        s = self.cursor
+        self.cursor += self.spacing
+        self.edges[gid].append((s, s + 1))
+        self.slots[gid].append((s, -1))
+        self.slots[gid].append((s + 1, +1))
+
+    def attach_edge(self, gid, target):
+        v, direction = self.slots[target].pop()
+        edge, outer = ((v - 1, v), v - 1) if direction < 0 else ((v, v + 1), v + 1)
+        self.edges[gid].append(edge)
+        self.slots[gid].append((outer, direction))
+
+
+def _reference_greedy_example(t):
+    b = _ReferenceBuilder(spacing=2 * t + 6)
+    levels = []
+    for s in range(t - 1):
+        gid = b.new_graph()
+        for _ in range(t - s):
+            b.add_free_edge(gid)
+        for r in range(1, s + 1):
+            b.attach_edge(gid, levels[s - r][0])
+        levels.append([gid])
+    top = []
+    for _ in range(t + 2):
+        gid = b.new_graph()
+        b.add_free_edge(gid)
+        for r in range(1, t):
+            b.attach_edge(gid, next(x for x in levels[t - 1 - r] if b.slots[x]))
+        top.append(gid)
+    levels.append(top)
+    singles = []
+    for _ in range((t + 2) * (t + 1)):
+        gid = b.new_graph()
+        b.attach_edge(gid, next(x for x in top if b.slots[x]))
+        singles.append(gid)
+    order = [g for level in levels for g in level] + singles
+    return [PathGraph(b.edges[g]) for g in order]
+
+
+def _tight_counts(t):
+    """certificate_w(t) as integer counts, threefold at t = 1."""
+    scale = 3 if t == 1 else 1
+    return {a: scale * int(n) for a, n in greedy.certificate_w(t).items()}
+
+
+@pytest.mark.parametrize("t", range(1, 31))
+def test_realised_certificate_is_the_reference_family(t):
+    want = _reference_greedy_example(t)
+    assert greedy._realise(t, _tight_counts(t)) == want
+    assert greedy.build_greedy_example(t) == want
+
+
+@pytest.mark.parametrize("t", range(1, 11))
+def test_profiles_of_the_family_are_its_counts(t):
+    profiles = greedy.extract_profiles(greedy.build_greedy_example(t))
+    assert Counter(profiles) == Counter(_tight_counts(t))
 
 
 def test_family_golden_t3():
