@@ -196,6 +196,8 @@ def _suite_lp(args) -> dict:
 
 
 def _suite_tradeoff(args, kind: str) -> dict:
+    if args.enumerate_k < 0:
+        raise InputError(f"--enumerate-k must be >= 0, got {args.enumerate_k}")
     rng = random.Random(args.seed)
 
     def trees():

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Literal
 
 from . import _kernels, shifts
 from .errors import ArityError, InvalidParameterError, ResourceLimitError
-from .paths import EMPTY, PathGraph, union_all, vec_delta
+from .paths import EMPTY, PathGraph, _merge, _survivors
 
 # resource ceilings (each raises ResourceLimitError); only the subset-DP
 # ceiling can be set per call, as ``psi``'s and
@@ -825,55 +825,131 @@ def check_psi_recurrences(
 ) -> dict:
     """Verify the Psi lower-bound recurrences against the Psi oracle.
 
-    For the right-spine decomposition sq(T_1..T_m): for every j and every
-    permutation tau of [j],
+    For the right-spine decomposition sq(T_1..T_m): for every j up to
+    ``perm_limit`` and every permutation tau of [j],
 
         Psi(T) >= Psi(T_j - F) - delta(G_j - F) + vec_delta(G_tau(1..j))
 
     with F the union of the graphs placed before j by tau.  For every
-    doubling-combinator decomposition sem(T_1..T_m): parts (i)-(iii) of the
-    shift-permutation bound and its bring-to-front corollary.
+    doubling-combinator decomposition sem(T_1..T_m) with m up to
+    ``shift_m_limit``: parts (ii) and (iii) of the shift-permutation bound,
+    for every index set I and position h, and its bring-to-front corollary.
+
+    Every case is read off tables built once per check, in the order (and
+    with the keys) of the enumeration the bounds are stated over:
+
+    * sq: the union of each subset of the first ``perm_limit`` parts, built
+      once as a bitmask table, and the survivor count of each part over
+      each union; vec_delta(G_tau) sums the survivor counts along tau.
+    * sem: one ``shifts._Blocks`` of the decomposition.  In the block (p, i]
+      of I, position h holds G_i (the head, h = p + 1) and then
+      G_(p+1)..G_(i-1), so with later the block values of I after (p, i],
+      (ii) is Psi(T_j) + b(q, i) - |G_i - U_q| + later, with q = p at the
+      head and q = j inside the block, and (iii) is the residual of T_j
+      over F plus the induced permutation's value u(q') + b(q', i) + later,
+      with F = U_p and q' = p at the head and F = U_(j-1) | G_i and
+      q' = j - 1 inside.  The corollary for j is (ii) at the head of the
+      block (0, j] of I = {j, ..., m}.  Each value a block's positions can
+      add is tabled once per decomposition, so an index set whose blocks
+      all stay at or below Psi(T) costs one sum per block.
+    * residuals: Psi(T_j - F) - delta(G_j - F) is kept per check by T_j and
+      G_j - F, and each restricted tree lives until the check returns, so
+      no tree is walked twice; with nothing removed it is
+      Psi(T_j) - delta(G_j), with no rewrite.
+
+    ``psi`` is looked up at call time.
     """
-    report: dict = {"checked": 0, "violations": []}
+    checked = 0
+    violations: list[dict] = []
     psi_t = psi(t)
+    memo: dict = {}
+    held: list[JoinTree] = []  # the restricted trees, alive with their Psi until the check returns
 
-    def residual(x: JoinTree, f: PathGraph) -> int:
-        """psi(T_j - F) - delta(G_j - F), the part of x that survives f."""
-        return psi(tree_ominus(x, f)) - x.graph.ominus(f).delta
+    def residual(x: JoinTree, keep: tuple) -> int:
+        """psi(T_j - F) - delta(G_j - F) for x = T_j and keep, the
+        intervals of G_j - F."""
+        key = (x, keep)
+        got = memo.get(key)
+        if got is None:
+            if len(keep) == len(x.graph.intervals):
+                got = psi(x) - len(keep)
+            else:
+                y = tree_restrict(x, PathGraph._of(keep))
+                held.append(y)
+                got = psi(y) - len(keep)
+            memo[key] = got
+        return got
 
-    def check(kind: str, rhs: int, **where) -> None:
-        report["checked"] += 1
+    def note(kind: str, rhs: int, **where) -> None:
         if psi_t < rhs:
-            report["violations"].append({"kind": kind, **where, "lhs": psi_t, "rhs": rhs})
+            violations.append({"kind": kind, **where, "lhs": psi_t, "rhs": rhs})
 
     if not t.is_leaf:
         parts = right_spine(t)
-        graphs = [p.graph for p in parts]
-        for j in range(1, min(len(parts), perm_limit) + 1):
+        members = [p.graph.intervals for p in parts]
+        n = max(min(len(parts), perm_limit), 0)
+        # union[mask]: the union of the parts i + 1 with bit i set, i < n
+        union: list[tuple] = [()]
+        for mask in range(1, 1 << n):
+            union.append(_merge(union[mask & (mask - 1)], members[(mask & -mask).bit_length() - 1]))
+        # gain[mask][i]: |G_(i+1) - union[mask]|, for each part i + 1 not in mask
+        gain = [
+            [0 if mask >> i & 1 else len(_survivors(u, members[i])) for i in range(n)]
+            for mask, u in enumerate(union)
+        ]
+        for j in range(1, n + 1):
             for tau in permutations(range(1, j + 1)):
-                f = union_all(graphs[tau[i] - 1] for i in range(tau.index(j)))
-                rhs = residual(parts[j - 1], f) + vec_delta([graphs[i - 1] for i in tau])
-                check("sq", rhs, j=j, tau=list(tau))
+                mask = total = 0
+                for i in tau:
+                    if i == j:
+                        before = mask
+                    total += gain[mask][i - 1]
+                    mask |= 1 << (i - 1)
+                checked += 1
+                rhs = residual(parts[j - 1], _survivors(union[before], members[j - 1])) + total
+                note("sq", rhs, j=j, tau=list(tau))
 
         for decomp in sem_decompositions(t):
             m = len(decomp)
             if m > shift_m_limit:
                 continue
-            graphs = [p.graph for p in decomp]
+            blocks = shifts._Blocks([p.graph for p in decomp])
+            units = blocks.unit_sums[0]
+            psi_of = [psi(x) for x in decomp]
+            b = [[blocks.block(q, i)[0] if q < i else 0 for i in range(m + 1)] for q in range(m)]
+            # (ii) and (iii) less ``later``, at the head of (q, i] and at
+            # position q + 1 inside a block (p, i] with p < q
+            head = {}
+            inside = {}
+            for i in range(1, m + 1):
+                gi = blocks.members[i - 1]
+                for q in range(i):
+                    keep = _survivors(blocks.prefix[q], gi)  # G_i - U_q
+                    shown = b[q][i] - len(keep)
+                    head[q, i] = (psi_of[i - 1] + shown, residual(decomp[i - 1], keep) + units[q] + b[q][i])
+                    if q:
+                        keep = _survivors(gi, blocks.resid[q - 1])
+                        iii = residual(decomp[q - 1], keep) + units[q - 1] + b[q - 1][i]
+                        inside[q, i] = (psi_of[q - 1] + shown, iii)
+            # the positions of each block (p, i] in order, and the most any
+            # of them adds to ``later``
+            rows = {(p, i): [head[p, i]] + [inside[q, i] for q in range(p + 1, i)] for p, i in head}
+            top = {key: max(max(pair) for pair in row) for key, row in rows.items()}
+
+            checked += m
             for j in range(1, m + 1):
-                rhs = psi(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1])
-                check("sem-corollary", rhs, j=j)
-            for sigma in shifts.enumerate_all(m):
-                index_set = sorted(sigma.index_set)
-                ordered = sigma.apply(graphs)
-                for h in range(1, m + 1):
-                    j = sigma(h)
-                    pre = union_all(ordered[:h])
-                    rhs = psi(decomp[j - 1]) + vec_delta(ordered[h:], pre)
-                    check("sem-ii", rhs, I=index_set, h=h)
-                    rhs = residual(decomp[j - 1], union_all(ordered[: h - 1])) + vec_delta(
-                        shifts.induced(sigma, j).apply(graphs)
-                    )
-                    check("sem-iii", rhs, I=index_set, h=h)
-    report["ok"] = not report["violations"]
-    return report
+                note("sem-corollary", head[0, j][0] + units[m] - units[j], j=j)
+            for index_set in shifts._index_sets(m):
+                checked += 2 * m
+                pairs = list(zip((0,) + index_set, index_set))
+                later = sum([b[p][i] for p, i in pairs])
+                listed = None
+                for p, i in pairs:
+                    later -= b[p][i]
+                    if top[p, i] + later <= psi_t:
+                        continue
+                    listed = listed or list(index_set)
+                    for h, (ii, iii) in enumerate(rows[p, i], start=p + 1):
+                        note("sem-ii", ii + later, I=listed, h=h)
+                        note("sem-iii", iii + later, I=listed, h=h)
+    return {"checked": checked, "violations": violations, "ok": not violations}

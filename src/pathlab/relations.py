@@ -624,6 +624,8 @@ def _minterm_count_bmm_restricted(xi: np.ndarray, n: int, k: int) -> int:
 def montecarlo_mpath2(n: int, k: int, trials: int, seed: int) -> dict:
     """Fraction of restriction samples for which the restricted minterm
     relation keeps density at least 1/(2 n^2)."""
+    if n < 2 or k < 1:
+        raise InvalidParameterError("need n >= 2 and k >= 1")
     if n ** (k + 1) * (k + 1) * trials > MONTECARLO_BUDGET:
         raise ResourceLimitError("minterm scans exceed the Monte Carlo budget")
     threshold = Fraction(1, 2 * n * n)

@@ -9,7 +9,8 @@ each interval of G_i.  ``best_shift`` maximizes one of the measures over
 the whole family exactly, with a longest-path DP over the m(m+1)/2 blocks
 an index set can have, and the witness constructions score each of their
 candidates by its long blocks instead of re-measuring it.
-``enumerate_all`` walks the family itself.
+``enumerate_all`` walks the family itself; the Psi-recurrence checker walks
+its index sets (``_index_sets``) and reads each case off block values.
 """
 
 from __future__ import annotations
@@ -121,7 +122,14 @@ def _induced_set(index_set: frozenset[int], j: int) -> frozenset[int]:
 
 
 def enumerate_all(m: int) -> Iterator[ShiftPermutation]:
-    """All 2^(m-1) shift permutations; index sets by increasing size, then lex."""
+    """All 2^(m-1) shift permutations, in the order of ``_index_sets``."""
+    for index_set in _index_sets(m):
+        yield from_set(m, index_set)
+
+
+def _index_sets(m: int) -> Iterator[tuple[int, ...]]:
+    """The index sets of all 2^(m-1) shift permutations as sorted tuples, by
+    increasing size, then lex; the order and the ceiling of ``enumerate_all``."""
     if m < 1:
         raise InvalidIndexSetError(f"m={m} must be >= 1")
     if m > ENUM_LIMIT:
@@ -129,7 +137,7 @@ def enumerate_all(m: int) -> Iterator[ShiftPermutation]:
     rest = range(1, m)
     for size in range(0, m):
         for extra in combinations(rest, size):
-            yield from_set(m, frozenset(extra) | {m})
+            yield extra + (m,)
 
 
 class _Blocks:

@@ -222,6 +222,23 @@ def test_negative_trials_are_an_input_error_for_every_suite(capsys, suite):
         assert "checked: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["tradeoff-I", "tradeoff-II"])
+def test_a_negative_enumerate_k_is_an_input_error(capsys, suite):
+    assert cli.main(["verify", suite, "--enumerate-k", "-1", "--trials", "1"]) == cli.EXIT_INPUT_ERROR
+    assert "input error: --enumerate-k must be >= 0, got -1" in capsys.readouterr().err
+    # no enumeration at all is still a valid run: only the sampled tree is checked
+    assert cli.main(["verify", suite, "--enumerate-k", "0", "--trials", "1", "--format", "json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["checked"] == 1
+
+
+@pytest.mark.parametrize("n,k", [("0", "2"), ("1", "2"), ("-2", "2"), ("3", "-1")])
+def test_restriction_checks_n_and_k_before_measuring(capsys, n, k):
+    # n = 0 once reached Fraction(1, 0) and exited 4
+    argv = ["experiment", "restriction", "--n", n, "--k", k, "--trials", "2", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert "input error: need n >= 2 and k >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

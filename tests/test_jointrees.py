@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import collections
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
+import json
 import random
 
 import pytest
 
 from pathlab import jointrees as jt
-from pathlab import _kernels, formulas, samples, shifts
+from pathlab import _kernels, cli, formulas, samples, shifts
 from pathlab.errors import ArityError, InvalidParameterError, ResourceLimitError
 from pathlab.paths import (
     EMPTY,
@@ -1042,6 +1045,120 @@ def test_psi_recurrences_binary_case_agrees():
     assert jt.sem([t1, t2]) == jt.sq([t1, t2])
     rep = jt.check_psi_recurrences(jt.sem([t1, t2]))
     assert rep["ok"]
+
+
+def _reference_psi_recurrences(t: jt.JoinTree, perm_limit: int = 5, shift_m_limit: int = 10) -> dict:
+    """The recurrence checker written case by case, as it was before its
+    tables: a union, a vec_delta scan and a restricted tree for every
+    (tau, j) and every (shift permutation, h).  ``psi`` is looked up at call
+    time, as the checker does."""
+    report: dict = {"checked": 0, "violations": []}
+    psi_t = jt.psi(t)
+
+    def residual(x, f):
+        return jt.psi(jt.tree_ominus(x, f)) - x.graph.ominus(f).delta
+
+    def check(kind, rhs, **where):
+        report["checked"] += 1
+        if psi_t < rhs:
+            report["violations"].append({"kind": kind, **where, "lhs": psi_t, "rhs": rhs})
+
+    if not t.is_leaf:
+        parts = jt.right_spine(t)
+        graphs = [p.graph for p in parts]
+        for j in range(1, min(len(parts), perm_limit) + 1):
+            for tau in itertools.permutations(range(1, j + 1)):
+                f = union_all(graphs[tau[i] - 1] for i in range(tau.index(j)))
+                rhs = residual(parts[j - 1], f) + vec_delta([graphs[i - 1] for i in tau])
+                check("sq", rhs, j=j, tau=list(tau))
+        for decomp in jt.sem_decompositions(t):
+            m = len(decomp)
+            if m > shift_m_limit:
+                continue
+            graphs = [p.graph for p in decomp]
+            for j in range(1, m + 1):
+                check("sem-corollary", jt.psi(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1]), j=j)
+            for sigma in shifts.enumerate_all(m):
+                index_set = sorted(sigma.index_set)
+                ordered = sigma.apply(graphs)
+                for h in range(1, m + 1):
+                    j = sigma(h)
+                    rhs = jt.psi(decomp[j - 1]) + vec_delta(ordered[h:], union_all(ordered[:h]))
+                    check("sem-ii", rhs, I=index_set, h=h)
+                    rhs = residual(decomp[j - 1], union_all(ordered[: h - 1])) + vec_delta(
+                        shifts.induced(sigma, j).apply(graphs)
+                    )
+                    check("sem-iii", rhs, I=index_set, h=h)
+    report["ok"] = not report["violations"]
+    return report
+
+
+def _recurrence_cases():
+    """(tree, perm_limit, shift_m_limit) for the table checker's cross-check."""
+    rng = random.Random(27)
+    for _ in range(40):
+        # the shapes of the CLI suite and of the benchmark's recurrence verdicts
+        parts = [samples.random_jointree(rng, k=5, leaves=rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+        tree = jt.sem(parts) if rng.random() < 0.5 else jt.sq(parts)
+        yield tree, 3, 6
+        yield tree, 3, 5
+        # empty leaves, as tree_restrict leaves them
+        yield jt.tree_restrict(tree, from_edges(e for e in range(1, 6) if rng.random() < 0.5)), 3, 6
+    for _ in range(20):
+        # repeated leaves, and sometimes an empty one
+        pool = [jt.leaf(single_edge(rng.randint(1, 3))) for _ in range(rng.randint(2, 5))]
+        pool += [jt.leaf(EMPTY)] * rng.randint(0, 1)
+        yield (jt.sem(pool) if rng.random() < 0.5 else jt.sq(pool)), 5, 8
+    for m in range(2, 7):
+        for perm_limit in range(6):
+            parts = [samples.random_jointree(rng, k=6, leaves=rng.randint(1, 3)) for _ in range(m)]
+            yield jt.sq(parts), perm_limit, 4
+    for m in range(2, 9):
+        yield jt.sem(leaves(m)), 5, 8
+        parts = [samples.random_jointree(rng, k=6, leaves=1) for _ in range(m)]
+        yield jt.sem(parts), 3, rng.randint(m - 2, 8)
+
+
+def test_psi_recurrence_tables_match_the_enumeration():
+    for tree, perm_limit, shift_m_limit in _recurrence_cases():
+        want = _reference_psi_recurrences(tree, perm_limit, shift_m_limit)
+        got = jt.check_psi_recurrences(tree, perm_limit, shift_m_limit)
+        assert json.dumps(got) == json.dumps(want), (tree.pretty(), perm_limit, shift_m_limit)
+
+
+@pytest.mark.parametrize("drop", [1, 2, 10])
+def test_psi_recurrence_violations_match_the_enumeration(monkeypatch, drop):
+    # Psi(T) lowered at the root breaks some cases of each kind and not
+    # others, so the violations are listed in enumeration order
+    real = jt.psi
+    cases = list(itertools.islice(_recurrence_cases(), 0, None, 3))
+    for tree, perm_limit, shift_m_limit in cases:
+        monkeypatch.setattr(jt, "psi", lambda x, dp_limit=jt.DEFAULT_DP_LIMIT: real(x, dp_limit) - drop * (x is tree))
+        want = _reference_psi_recurrences(tree, perm_limit, shift_m_limit)
+        got = jt.check_psi_recurrences(tree, perm_limit, shift_m_limit)
+        assert json.dumps(got) == json.dumps(want), (tree.pretty(), perm_limit, shift_m_limit)
+
+
+def test_a_recurrence_check_walks_each_restricted_tree_once(monkeypatch):
+    walked: list[str] = []  # texts, so that no walked tree is kept alive
+    real_walk = jt._psi_walk
+    monkeypatch.setattr(jt, "_psi_walk", lambda t, limit: walked.append(t.pretty()) or real_walk(t, limit))
+    per_check = []
+    real_check = jt.check_psi_recurrences
+
+    def check(t, *args, **kwargs):
+        start = len(walked)
+        report = real_check(t, *args, **kwargs)
+        per_check.append(walked[start:])
+        return report
+
+    monkeypatch.setattr(jt, "check_psi_recurrences", check)
+    argv = ["verify", "psi-recurrences", "--trials", "40", "--seed", "5", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert len(per_check) == 40
+    assert all(len(set(texts)) == len(texts) for texts in per_check)
+    assert len(walked) == 248
 
 
 def test_tree_json_round_trip():

@@ -74,6 +74,11 @@ def test_enumerate_counts_and_shift_property():
     assert len({p.perm for p in perms}) == 16
     for p in perms:
         assert all(p(j) >= j - 1 for j in range(1, 6))
+    # index sets by increasing size, then lex: the order the recurrence
+    # checker lists its violations in
+    assert [sorted(p.index_set) for p in shifts.enumerate_all(4)] == [
+        [4], [1, 4], [2, 4], [3, 4], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 3, 4]
+    ]
 
 
 def test_enumerate_limit():
