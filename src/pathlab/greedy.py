@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotGreedyError, ResourceLimitError
-from .paths import EMPTY, GraphSequence, Intervals, PathGraph, _merge, _survivors, _terms, union_all
+from .paths import EMPTY, GraphSequence, Intervals, PathGraph, union_all
 
 # resource ceilings (each raises ResourceLimitError)
 DYCK_LIMIT = 12  # length of the Dyck sequences enumerate_dyck lists
@@ -40,7 +40,7 @@ def is_vec_delta_greedy(seq: GraphSequence, base: PathGraph = EMPTY) -> bool:
 def _greedy_increments(seq: GraphSequence, base: PathGraph) -> list[int] | None:
     """The component increments of a greedy ``seq`` over ``base``, from one
     lazy greedy pass; None when ``seq`` is not greedy."""
-    order, incs = _lazy_greedy([g.intervals for g in seq], base.intervals)
+    order, incs, _ = _lazy_greedy([g.intervals for g in seq], base.intervals)
     return incs if order == list(range(len(seq))) else None
 
 
@@ -54,36 +54,63 @@ def _greedy(family: Iterable[PathGraph], base: PathGraph = EMPTY) -> tuple[list[
     """``greedy_order`` and the sum of the increments it picks, which is
     its component value on top of ``base``."""
     members = sorted(family, key=_intervals)
-    order, incs = _lazy_greedy([g.intervals for g in members], base.intervals)
+    order, incs, _ = _lazy_greedy([g.intervals for g in members], base.intervals)
     return [members[i] for i in order], sum(incs)
 
 
 def _lazy_greedy(
     members: Sequence[Intervals], acc: Intervals = (), thresholds: Iterable[int] = (0,)
-) -> tuple[list[int], list[int]]:
-    """The greedy order of ``members`` as indices, and the increment of each
-    pick: how many of its intervals touch nothing of ``acc`` and the members
-    picked before it.  Round by round, each pick is the member with the
-    largest increment among those whose longest such interval reaches the
-    round's threshold, the lowest index on ties; a member that reaches no
-    threshold is left out.
+) -> tuple[list[int], list[int], list[int]]:
+    """The greedy order of ``members`` as indices, and for each pick its
+    increment and its longest new interval: how many of its intervals touch
+    nothing of ``acc`` and the members picked before it, and the longest of
+    those.  Round by round, each pick is the member with the largest
+    increment among those whose longest such interval reaches the round's
+    threshold, the lowest index on ties; a member that reaches no threshold
+    is left out.
+
+    The touch test runs on vertex masks over one ranking of every endpoint
+    of ``acc`` and the members: an interval's mask holds the ranks of the
+    endpoints it contains.  Two intervals share a vertex iff the larger of
+    their left ends lies in both, so iff their masks meet, and the union
+    picked so far is the OR of its members' masks.  A member whose mask
+    misses the union keeps every interval.
 
     An increment and a longest interval only fall as the union grows, so a
     max-heap of (increment, index) keys holds upper bounds: the top is
     re-measured and taken when its key is still exact and it meets the
     threshold.  One that falls short cannot meet it again this round, so it
     waits for the next."""
+    rank = {v: r for r, v in enumerate(sorted({v for ivs in (acc, *members) for iv in ivs for v in iv}))}
+    comps = [[((2 << rank[t]) - (1 << rank[s]), t - s) for s, t in ivs] for ivs in members]
+    whole = []
+    longest = []
+    for cs in comps:
+        mask = lam = 0
+        for c, length in cs:
+            mask |= c
+            if length > lam:
+                lam = length
+        whole.append(mask)
+        longest.append(lam)
+    seen = 0
+    for s, t in acc:
+        seen |= (2 << rank[t]) - (1 << rank[s])
     heap = [(-len(ivs), i) for i, ivs in enumerate(members)]
     heapify(heap)
     order: list[int] = []
     incs: list[int] = []
+    lams: list[int] = []
     for threshold in thresholds:
         waiting = []
         while heap:
             key, i = heap[0]
-            keep = _survivors(acc, members[i])
-            now = -len(keep)
-            if threshold and _terms(keep)[1] < threshold:
+            if whole[i] & seen:
+                keep = [length for c, length in comps[i] if not c & seen]
+                now, lam = -len(keep), max(keep, default=0)
+            else:
+                now, lam = -len(comps[i]), longest[i]
+            if lam < threshold:
                 waiting.append((now, heappop(heap)[1]))
             elif now != key:
                 heapreplace(heap, (now, i))
@@ -91,10 +118,11 @@ def _lazy_greedy(
                 heappop(heap)
                 order.append(i)
                 incs.append(-now)
-                acc = _merge(acc, members[i])
+                lams.append(lam)
+                seen |= whole[i]
         heap = waiting
         heapify(heap)
-    return order, incs
+    return order, incs, lams
 
 
 # ---------------------------------------------------------------------------

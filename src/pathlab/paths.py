@@ -17,7 +17,9 @@ already hold a canonical tuple.
 
 The vector measures scan a sequence once with the running union held as a
 canonical tuple: a component survives when a bisect on the union's right ends
-finds no interval that touches it (``_survivors``, the one touch test).
+finds no interval that touches it (``_survivors``, the one touch test).  A
+prefix scan takes each step with ``_absorb``, which returns a member's
+survivors and the grown union from that same bisect pass.
 """
 
 from __future__ import annotations
@@ -108,6 +110,39 @@ def _survivors(acc: Intervals, ivs: Intervals) -> Intervals:
         if j == n or acc[j][0] > iv[1]:
             keep.append(iv)
     return ivs if len(keep) == len(ivs) else tuple(keep)
+
+
+def _absorb(acc: Intervals, ivs: Intervals) -> tuple[Intervals, Intervals]:
+    """(``_survivors(acc, ivs)``, ``_merge(acc, ivs)``) from one pass over
+    the canonical ``ivs`` with bisects into the canonical ``acc``: the step
+    of a prefix scan.  The intervals of ``acc`` that lie between two of
+    ``ivs`` are copied as slices; ``(s, t)`` survives unless an interval of
+    ``acc`` that reaches s starts by t, or the interval of ``acc`` that
+    ended the previous merge reaches s."""
+    if not acc or not ivs:
+        return ivs, acc or ivs
+    n = len(acc)
+    out: list[tuple[int, int]] = []
+    keep = []
+    i = 0
+    for iv in ivs:
+        s, t = iv
+        j = bisect_left(acc, s, i, n, key=_right)
+        out += acc[i:j]
+        # acc[j:i] are the intervals that reach s and start by t
+        i = bisect_right(acc, t, j, n, key=_left)
+        if out and out[-1][1] >= s:
+            s, prev_t = out.pop()
+            t = max(t, prev_t)
+        elif i == j:
+            keep.append(iv)
+            out.append(iv)
+            continue
+        if i > j:
+            s, t = min(s, acc[j][0]), max(t, acc[i - 1][1])
+        out.append((s, t))
+    out += acc[i:]
+    return ivs if len(keep) == len(ivs) else tuple(keep), tuple(out)
 
 
 def _terms(ivs: Intervals) -> tuple[int, int, int]:
@@ -334,11 +369,17 @@ GraphSequence = Sequence[PathGraph]
 
 def _residual_scan(seq: GraphSequence, base: Intervals = ()) -> Iterator[tuple[Intervals, Intervals]]:
     """For each member G_j, (the intervals of G_j that touch nothing of
-    ``base`` | G_1 | ... | G_(j-1), that union), both canonical tuples."""
+    ``base`` | G_1 | ... | G_(j-1), that union), both canonical tuples.  No
+    union is built after the last member."""
     acc = base
-    for g in seq:
-        yield _survivors(acc, g.intervals), acc
-        acc = _merge(acc, g.intervals)
+    last = len(seq) - 1
+    for j, g in enumerate(seq):
+        if j == last:
+            yield _survivors(acc, g.intervals), acc
+        else:
+            keep, union = _absorb(acc, g.intervals)
+            yield keep, acc
+            acc = union
 
 
 def residual_terms(

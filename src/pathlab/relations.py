@@ -626,6 +626,8 @@ def montecarlo_mpath2(n: int, k: int, trials: int, seed: int) -> dict:
     relation keeps density at least 1/(2 n^2)."""
     if n < 2 or k < 1:
         raise InvalidParameterError("need n >= 2 and k >= 1")
+    if trials < 0:
+        raise InvalidParameterError(f"trials must be >= 0, got {trials}")
     if n ** (k + 1) * (k + 1) * trials > MONTECARLO_BUDGET:
         raise ResourceLimitError("minterm scans exceed the Monte Carlo budget")
     threshold = Fraction(1, 2 * n * n)
@@ -666,6 +668,8 @@ def montecarlo_eps1(
     canonical doubling-combinator tree of all k edges."""
     if k < 1 or t < 0:
         raise InvalidParameterError("need k >= 1 and t >= 0")
+    if trials < 0:
+        raise InvalidParameterError(f"trials must be >= 0, got {trials}")
     if k > EPS1_K_LIMIT or t > EPS1_T_LIMIT:
         raise ResourceLimitError(f"limits are k <= {EPS1_K_LIMIT}, t <= {EPS1_T_LIMIT}")
     if p is None:

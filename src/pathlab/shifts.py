@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Literal
 
 from . import _kernels
 from .errors import InvalidIndexSetError, InvalidShiftError, ResourceLimitError
-from .paths import GraphSequence, PathGraph, _merge, _right, _survivors, _terms
+from .paths import GraphSequence, PathGraph, _absorb, _right, _survivors, _terms
 
 Objective = Literal["vec_delta", "vec_lambda", "vec_lambda_delta"]
 
@@ -72,10 +72,10 @@ class ShiftPermutation:
 
 def from_set(m: int, index_set: Iterable[int]) -> ShiftPermutation:
     """sigma_I per the block formula: sigma(i_{h-1}+1) = i_h, else sigma(j) = j-1."""
-    iset = frozenset(int(i) for i in index_set)
-    if m < 1 or m not in iset or not iset <= set(range(1, m + 1)):
+    iset = frozenset(map(int, index_set))
+    if m < 1 or m not in iset or min(iset) < 1 or max(iset) > m:
         raise InvalidIndexSetError(f"need m in I subseteq [m], got m={m}, I={sorted(iset)}")
-    perm = [j - 1 for j in range(1, m + 1)]
+    perm = list(range(m))  # sigma(j) = j - 1 off the block heads
     prev = 0
     for i in sorted(iset):
         perm[prev] = i
@@ -150,33 +150,39 @@ class _Blocks:
     the sum over its blocks of b(p, i), the measures of
     [G_i, G_(p+1), ..., G_(i-1)] on top of U_p = G_1 | ... | G_p.  The head
     G_i {ominus} U_p keeps the intervals of G_i that no U_h with h <= p
-    touches.  Inside the block, G_h (p < h < i) comes after U_(h-1) and
-    G_i, so its term is that of R_h = G_h {ominus} U_(h-1) with what touches
-    G_i dropped, whatever p is: the unit block b(h-1, h), the term of R_h,
-    unless R_h shares a vertex with G_i.  The residuals are pairwise
-    vertex-disjoint, so they form one sorted span list with an owner for
-    each span, and a bisect of G_i's intervals into it finds the few h < i
-    whose R_h touches G_i: column i's touch list.
+    touches, so at p = 0 it is G_i itself.  Inside the block, G_h
+    (p < h < i) comes after U_(h-1) and G_i, so its term is that of
+    R_h = G_h {ominus} U_(h-1) with what touches G_i dropped, whatever p is:
+    the unit block b(h-1, h), the term of R_h, unless R_h shares a vertex
+    with G_i.  The residuals are pairwise vertex-disjoint, so they form one
+    sorted span list with an owner for each span, and a bisect of G_i's
+    intervals into it finds the few h < i whose R_h touches G_i: column i's
+    touch list.
 
-    So column i holds, for each interval of G_i, the least h whose U_h
-    touches it (a bisection over the prefix unions), and, for each touched
-    h, its trimmed term minus its unit term.  b(p, i) is then the term of
-    the intervals whose least h exceeds p, plus the units p+1..i-1 read off
-    prefix sums, plus the corrections of the touched h > p.  One prefix
-    scan gives every U_p, R_h and unit; a column costs one touch scan per
-    touched h and a bisection per interval of G_i, and a block none.
+    So column i holds G_i's own terms and, for each touched h, its trimmed
+    term minus its unit term; its heads, for each interval of G_i the least
+    h whose U_h touches it (a bisection over the prefix unions), are only
+    worked out when a block with p >= 1 first asks for them.  b(p, i) is
+    the term of the intervals whose least h exceeds p (G_i's own terms at
+    p = 0), plus the units p+1..i-1 read off prefix sums, plus the
+    corrections of the touched h > p.  One prefix scan, a fused
+    survivors-and-union step per member (``_absorb``), gives every U_p,
+    R_h and unit; a column costs one touch scan per touched h, its heads a
+    bisection per interval of G_i, and a block none.
     """
 
-    __slots__ = ("m", "members", "prefix", "resid", "units", "unit_sums", "spans", "_owners", "_columns")
+    __slots__ = ("m", "members", "prefix", "resid", "units", "unit_sums", "spans", "_owners", "_columns", "_heads")
 
     def __init__(self, seq: GraphSequence):
         self.m = len(seq)
         self.members = [g.intervals for g in seq]
-        self.prefix: list[tuple] = [()]  # U_0, ..., U_m
+        acc: tuple = ()
+        self.prefix: list[tuple] = [acc]  # U_0, ..., U_m
         self.resid: list[tuple] = []  # R_1, ..., R_m
         for ivs in self.members:
-            self.resid.append(_survivors(self.prefix[-1], ivs))
-            self.prefix.append(_merge(self.prefix[-1], ivs))
+            keep, acc = _absorb(acc, ivs)
+            self.resid.append(keep)
+            self.prefix.append(acc)
         self.units = [_terms(r) for r in self.resid]  # b(i-1, i) for i = 1..m
         # unit_sums[code][i]: measure ``code`` summed over the units b(0, 1)..b(i-1, i)
         self.unit_sums = [list(accumulate(column, initial=0)) for column in zip(*self.units)]
@@ -185,32 +191,14 @@ class _Blocks:
         self.spans = tuple(iv for iv, _ in owned)
         self._owners = [h for _, h in owned]
         self._columns: list[tuple | None] = [None] * (self.m + 1)
+        self._heads: list[list | None] = [None] * (self.m + 1)
 
-    def _column(self, i: int) -> tuple[list, list]:
-        """Column i, stored: what every b(p, i) is read from, by decreasing
-        h.  (h, length) for each interval of G_i, with h the least index whose
-        U_h touches it (i when U_(i-1) does not), so it is in G_i {ominus}
-        U_p exactly when p < h; and column i's touch list, (h, the three
-        measures of R_h without what touches G_i minus those of R_h) for
-        each h < i whose R_h shares a vertex with G_i."""
+    def _column(self, i: int) -> tuple[tuple[int, int, int], list]:
+        """Column i, stored: the terms of G_i, and its touch list, by
+        decreasing h: (h, the three measures of R_h without what touches G_i
+        minus those of R_h) for each h < i whose R_h shares a vertex with
+        G_i."""
         gi = self.members[i - 1]
-        prefix = self.prefix
-        heads = []
-        for s, t in gi:
-            # the least h in 1..i-1 whose U_h touches (s, t), else i; the
-            # touch test of ``_survivors``: the first interval reaching s
-            # starts by t
-            lo, hi = 1, i
-            while lo < hi:
-                mid = (lo + hi) // 2
-                acc = prefix[mid]
-                j = bisect_left(acc, s, key=_right)
-                if j < len(acc) and acc[j][0] <= t:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            heads.append((lo, t - s))
-        heads.sort(reverse=True)
         spans, owners = self.spans, self._owners
         n = len(spans)
         touched = set()
@@ -228,22 +216,49 @@ class _Blocks:
                 d, l, ld = _terms(_survivors(gi, self.resid[h - 1]))
                 ud, ul, uld = self.units[h - 1]
                 touches.append((h, d - ud, l - ul, ld - uld))
-        got = self._columns[i] = (heads, touches)
+        got = self._columns[i] = (_terms(gi), touches)
         return got
+
+    def _head(self, i: int) -> list[tuple[int, int]]:
+        """Column i's heads, stored, by decreasing h: (h, length) for each
+        interval of G_i, with h the least index whose U_h touches it (i when
+        U_(i-1) does not), so it is in G_i {ominus} U_p exactly when p < h."""
+        prefix = self.prefix
+        heads = []
+        for s, t in self.members[i - 1]:
+            # the least h in 1..i-1 whose U_h touches (s, t), else i; the
+            # touch test of ``_survivors``: the first interval reaching s
+            # starts by t
+            lo, hi = 1, i
+            while lo < hi:
+                mid = (lo + hi) // 2
+                acc = prefix[mid]
+                j = bisect_left(acc, s, key=_right)
+                if j < len(acc) and acc[j][0] <= t:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            heads.append((lo, t - s))
+        heads.sort(reverse=True)
+        self._heads[i] = heads
+        return heads
 
     def block(self, p: int, i: int) -> tuple[int, int, int]:
         """b(p, i) as (components, longest, longest * components), 0 <= p < i <= m."""
         if p == i - 1:
             return self.units[p]
-        heads, touches = self._columns[i] or self._column(i)
-        d = l = 0
-        for h, length in heads:
-            if h <= p:
-                break
-            d += 1
-            if length > l:
-                l = length
-        ld = l * d
+        own, touches = self._columns[i] or self._column(i)
+        if p:
+            d = l = 0
+            for h, length in self._heads[i] or self._head(i):
+                if h <= p:
+                    break
+                d += 1
+                if length > l:
+                    l = length
+            ld = l * d
+        else:
+            d, l, ld = own
         for h, hd, hl, hld in touches:
             if h <= p:
                 break
@@ -251,33 +266,45 @@ class _Blocks:
         sd, sl, sld = self.unit_sums
         return d + sd[i - 1] - sd[p], l + sl[i - 1] - sl[p], ld + sld[i - 1] - sld[p]
 
-    def value(self, long_blocks: Iterable[tuple[int, int]], code: int) -> int:
-        """Measure ``code`` (0, 1, 2: components, longest, their product) of
-        sigma_I applied to the sequence, for the index set I given by its
-        blocks (p, i] with i > p + 1; every other block of I is a unit.  That
-        is the sum of all m unit values, with each long block put in place
-        of the units p+1..i it spans, so a run of unit blocks costs no
-        lookup."""
-        sums = self.unit_sums[code]
-        total = sums[-1]
-        for p, i in long_blocks:
-            total += self.block(p, i)[code] - sums[i] + sums[p]
-        return total
-
     def induced_min(self, index_set: Iterable[int], code: int) -> int:
         """The least measure ``code`` over the induced permutations of
         sigma_I, j = 1..m, in one pass over the blocks of I.  For j in the
         block (p, i], the induced index set is 1..q, the block (q, i] and
         the blocks of I after i, with q = p when j = i and q = j - 1
-        otherwise; so q runs over p..max(p, i - 2)."""
+        otherwise; so q runs over p..max(p, i - 2).  Units 1..q and b(q, i)
+        add up to the units 1..i-1 and the terms of column i's heads and
+        touches above q, so one walk down the column gives every q."""
         sums = self.unit_sums[code]
         ordered = sorted(index_set)
-        lows = []
+        low = None
         later = 0  # the value of the blocks of I after (p, i]
         for p, i in reversed(list(zip([0] + ordered, ordered))):
-            lows.append(later + min(sums[q] + self.block(q, i)[code] for q in range(p, max(p, i - 2) + 1)))
-            later += self.block(p, i)[code]
-        return min(lows)
+            if i == p + 1:
+                least = value = sums[i]
+            else:
+                own, touches = self._columns[i] or self._column(i)
+                heads = (self._heads[i] or self._head(i)) if i > 2 else ()
+                n_heads, n_touches = len(heads), len(touches)
+                a = b = d = l = extra = 0
+                least = None
+                for q in range(i - 2, p - 1, -1):
+                    while a < n_heads and heads[a][0] > q:
+                        d += 1
+                        if heads[a][1] > l:
+                            l = heads[a][1]
+                        a += 1
+                    while b < n_touches and touches[b][0] > q:
+                        extra += touches[b][1 + code]
+                        b += 1
+                    value = ((d, l, l * d)[code] if q else own[code]) + extra
+                    if least is None or value < least:
+                        least = value
+                least += sums[i - 1]
+                value += sums[i - 1]
+            if low is None or later + least < low:
+                low = later + least
+            later += value - sums[p]
+        return low
 
 
 def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[ShiftPermutation, int]:

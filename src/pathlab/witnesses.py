@@ -9,10 +9,10 @@ implementation bug, not bad input).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Literal, Sequence
 
 from . import shifts
@@ -26,7 +26,7 @@ from .paths import (
     _gap,
     _left,
     _path_length,
-    vec_lambda_delta,
+    _right,
 )
 
 _TOL = 1e-9
@@ -110,7 +110,7 @@ def construct_premain_I(family: Sequence[PathGraph]) -> WitnessResult:
     component-count value is at least k/6."""
     graphs = list(family)
     k = _covered_length(graphs)
-    if any(g.lam > 1 for g in graphs):
+    if any(t - s > 1 for g in graphs for s, t in g.intervals):
         raise InvalidCoveringError("all covering members must have component length <= 1")
     ordered, achieved = _greedy(graphs)
     index_of: dict[PathGraph, list[int]] = {}
@@ -123,17 +123,6 @@ def construct_premain_I(family: Sequence[PathGraph]) -> WitnessResult:
 # ---------------------------------------------------------------------------
 # interleaving machinery shared by the shift-permutation constructions
 # ---------------------------------------------------------------------------
-
-
-def _clipped_rightmost(ivs, lo: int, hi: int) -> tuple[int, int] | None:
-    """The last interval of the canonical ``ivs`` that holds an edge of
-    Path_{lo,hi}, clipped to [lo, hi]: the last one starting before hi, when
-    it ends after lo."""
-    j = bisect_left(ivs, hi, key=_left) - 1
-    if j < 0 or ivs[j][1] <= lo:
-        return None
-    s, t = ivs[j]
-    return max(s, lo), min(t, hi)
 
 
 def _covers(ivs, lo: int, hi: int) -> bool:
@@ -159,27 +148,69 @@ def _interleave_selection(
     turn makes every other selected component survive the prefix union."""
     if lo >= hi:
         return None
-    m = len(members) if upto is None else upto
-    js: list[int] = []
-    comps: dict[int, tuple[int, int]] = {}
-    run = lo
-    for j in range(1, m + 1):
-        comp = _clipped_rightmost(members[j - 1], lo, hi)
-        if comp is not None and comp[1] > run:
-            js.append(j)
-            comps[j] = comp
-            run = comp[1]
+    comps = []
+    for ivs in members[:upto]:
+        # the last interval that holds an edge of Path_{lo,hi}: the last one
+        # starting before hi, when it ends after lo
+        j = bisect_left(ivs, hi, key=_left) - 1
+        if j >= 0 and ivs[j][1] > lo:
+            s, t = ivs[j]
+            comps.append((max(s, lo), min(t, hi)))
+        else:
+            comps.append(None)
+    return _minimal_selection(comps, lo, hi)
 
+
+def _mirrored_selection(
+    members: Sequence[Intervals], k: int, lo: int, hi: int, upto: int | None = None
+) -> list[tuple[int, tuple[int, int]]] | None:
+    """``_interleave_selection`` of the members reflected by x -> k - x,
+    with [lo, hi] in reflected coordinates, read off the members in place:
+    the rightmost reflected component is the reflection of the leftmost
+    interval that ends after k - hi, clipped to [k - hi, k - lo]."""
+    if lo >= hi:
+        return None
+    a, b = k - hi, k - lo
+    comps = []
+    for ivs in members[:upto]:
+        j = bisect_right(ivs, a, key=_right)
+        if j < len(ivs) and ivs[j][0] < b:
+            s, t = ivs[j]
+            comps.append((k - min(t, b), k - max(s, a)))
+        else:
+            comps.append(None)
+    return _minimal_selection(comps, lo, hi)
+
+
+def _minimal_selection(comps, lo: int, hi: int) -> list[tuple[int, tuple[int, int]]] | None:
+    """The selection of ``_interleave_selection`` from each member's clipped
+    component (None for a member without one), in index order."""
+    selected = []
+    run = lo
+    for j, comp in enumerate(comps, start=1):
+        if comp is not None and comp[1] > run:
+            selected.append((j, comp))
+            run = comp[1]
     # sorted by component once: each member, in index order, is dropped
     # when the members still kept cover without it
-    order = sorted(comps.items(), key=itemgetter(1))
+    order = sorted(selected, key=itemgetter(1))
     if not _covers((c for _, c in order), lo, hi):
         return None
-    kept = set(js)
-    for j in js:
-        if _covers((c for i, c in order if i != j and i in kept), lo, hi):
-            kept.discard(j)
-    return [(j, comps[j]) for j in js if j in kept]
+    for j, _ in selected:
+        run = lo
+        for i, (s, t) in order:
+            if i != j:
+                if s > run:
+                    break
+                if t > run:
+                    run = t
+        else:
+            if run >= hi:
+                order = [x for x in order if x[0] != j]
+    if len(order) == len(selected):
+        return selected
+    kept = {j for j, _ in order}
+    return [x for x in selected if x[0] in kept]
 
 
 def _scan(seq: GraphSequence) -> tuple[shifts._Blocks, int]:
@@ -187,11 +218,6 @@ def _scan(seq: GraphSequence) -> tuple[shifts._Blocks, int]:
     prefix scan gives both."""
     blocks = shifts._Blocks(seq)
     return blocks, _path_length(blocks.prefix[-1])
-
-
-def _mirror(members: Sequence[Intervals], k: int) -> list[Intervals]:
-    """The members' interval tuples reflected by x -> k - x."""
-    return [tuple((k - t, k - s) for s, t in reversed(ivs)) for ivs in members]
 
 
 # A candidate index set I of [m] (m in I) is carried as its long blocks: the
@@ -207,70 +233,71 @@ def _index_set(m: int, long_blocks) -> frozenset[int]:
     return frozenset(range(1, m + 1)).difference(excluded)
 
 
-def _split_blocks(positions: Sequence[int], keep) -> list[tuple[int, int]]:
-    """The long blocks of the index set that excludes, for each kept slot
-    h, the open range between positions[h-1] and positions[h] (from 0 for
-    h = 0); positions not in ``keep`` stay fully included, so the two
-    complementary splits jointly cover [m].  Keeping every slot skips all
-    but the positions themselves and what follows the last one."""
+def _alternations(blocks: shifts._Blocks, selections) -> list[list[tuple]]:
+    """The odd and the even alternating subsequence of each selection, as
+    slots.  For each selected index i, with p the index before it in the
+    subsequence (0 for the first), a slot is (the length of i's clipped
+    component, the block (p, i] or None when i = p + 1, what the block
+    adds to each measure over the units p+1..i it replaces, the increments
+    of p+1..i-1).  A candidate keeps a set of slots: its index set excludes
+    p+1..i-1 for each of them and holds every other position, so each of
+    its measures is the sum of all units plus the gains of its slots, and
+    its kept increments are the whole sum less their dropped ones."""
+    sd, sl, sld = blocks.unit_sums
     out = []
-    prev = 0
-    for h, i in enumerate(positions):
-        if h in keep and i > prev + 1:
-            out.append((prev, i))
-        prev = i
+    for sel in selections:
+        for start in (0, 1):
+            slots = []
+            p = 0
+            for i, (s, t) in sel[start::2]:
+                if i > p + 1:
+                    d, l, ld = blocks.block(p, i)
+                    gains = (d - sd[i] + sd[p], l - sl[i] + sl[p], ld - sld[i] + sld[p])
+                    slots.append((t - s, (p, i), gains, sd[i - 1] - sd[p]))
+                else:
+                    slots.append((t - s, None, (0, 0, 0), 0))
+                p = i
+            if slots:
+                out.append(slots)
     return out
 
 
-def _parity_choices(selection) -> list[tuple[list[int], list[int]]]:
-    """(positions, lengths) for the odd and even alternating subsequences."""
-    out = []
-    for start in (0, 1):
-        chosen = selection[start::2]
-        if chosen:
-            out.append(
-                ([j for j, _ in chosen], [t - s for _, (s, t) in chosen])
-            )
-    return out
+def _candidate(slots, keep=None) -> tuple[list[tuple[int, int]], tuple[int, int, int], int]:
+    """(long blocks, gain per measure, dropped increments) of the candidate
+    keeping the slots at the positions in ``keep``, or every slot."""
+    long_blocks = []
+    gd = gl = gld = lost = 0
+    for h, (_, block, (d, l, ld), drop) in enumerate(slots):
+        if block is not None and (keep is None or h in keep):
+            long_blocks.append(block)
+            gd, gl, gld, lost = gd + d, gl + l, gld + ld, lost + drop
+    return long_blocks, (gd, gl, gld), lost
 
 
-def _full_sets(selections) -> list[list[tuple[int, int]]]:
-    """For each selection and each parity, the candidate keeping every slot
-    of the alternating subsequence."""
-    return [
-        _split_blocks(positions, range(len(positions)))
-        for sel in selections
-        for positions, _lengths in _parity_choices(sel)
-    ]
-
-
-def _best(candidates, blocks: shifts._Blocks, code: int) -> tuple[shifts.ShiftPermutation, int]:
-    """The shift permutation of the first candidate whose measure ``code``
-    is largest, scored by its long blocks, and that measure."""
-    long_blocks, value = max(((c, blocks.value(c, code)) for c in candidates), key=itemgetter(1))
-    return shifts.from_set(blocks.m, _index_set(blocks.m, long_blocks)), value
+def _best(scored, m: int) -> tuple[shifts.ShiftPermutation, int]:
+    """The shift permutation of the first (long blocks, value) candidate
+    whose value is largest, and that value."""
+    long_blocks, value = max(scored, key=itemgetter(1))
+    return shifts.from_set(m, _index_set(m, long_blocks)), value
 
 
 def _premain_selections(
     blocks: shifts._Blocks, k: int
 ) -> list[list[tuple[int, tuple[int, int]]]]:
     """The interleaving selection of a covering with vector-component value
-    1, taken from the end the first member's left end is nearer to (the
-    members are mirrored when that end lies past k/2); empty when there is
-    none.  An empty member never keeps a component in any order, so the
-    first nonempty member stands for the first one."""
+    1, taken from the end the first member's left end is nearer to (on the
+    members reflected by x -> k - x when that end lies past k/2); empty
+    when there is none.  An empty member never keeps a component in any
+    order, so the first nonempty member stands for the first one."""
     if blocks.unit_sums[_DELTA][-1] != 1:
         raise InvalidCoveringError("construction requires vec_delta(seq) == 1")
 
-    def first_left(members: Sequence[Intervals]) -> int:
-        return next(ivs[0][0] for ivs in members if ivs)
-
     members = blocks.members
-    s1 = first_left(members)
-    if 2 * s1 > k:
-        members = _mirror(members, k)
-        s1 = first_left(members)
-    sel = _interleave_selection(members, s1, k)
+    first = next(ivs for ivs in members if ivs)
+    if 2 * first[0][0] > k:
+        sel = _mirrored_selection(members, k, k - first[-1][1], k)
+    else:
+        sel = _interleave_selection(members, first[0][0], k)
     return [sel] if sel else []
 
 
@@ -278,10 +305,15 @@ def construct_premain_II(seq: GraphSequence) -> WitnessResult:
     """For a covering with vector-component value 1: a shift permutation
     whose vector-length value is at least k/4."""
     blocks, k = _scan(seq)
-    candidates = _full_sets(_premain_selections(blocks, k))
-    if not candidates:
+    alternations = _alternations(blocks, _premain_selections(blocks, k))
+    if not alternations:
         raise InvalidCoveringError("interleaving selection failed on a valid covering")
-    sigma, value = _best(candidates, blocks, _LAMBDA)
+    total = blocks.unit_sums[_LAMBDA][-1]
+    scored = []
+    for slots in alternations:
+        long_blocks, gains, _ = _candidate(slots)
+        scored.append((long_blocks, total + gains[_LAMBDA]))
+    sigma, value = _best(scored, blocks.m)
     return WitnessResult("premain-II", sigma, value, Fraction(k, 4))
 
 
@@ -300,10 +332,12 @@ def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
     k = _covered_length(members)
     r = max(1, math.ceil(math.log2(k + 1)))
     thresholds = [2 ** (r - i) for i in range(1, r + 1)]
-    order, _ = _lazy_greedy([g.intervals for g in members], thresholds=thresholds)
+    order, incs, lams = _lazy_greedy([g.intervals for g in members], thresholds=thresholds)
+    # the last threshold is 1, so a member no round takes keeps no interval
+    # and adds nothing after the picks
+    achieved = sum(map(mul, incs, lams))
     taken = set(order)
     order += [i for i in range(len(members)) if i not in taken]
-    achieved = vec_lambda_delta([members[i] for i in order])
     return WitnessResult("main-I", [i + 1 for i in order], achieved, Fraction(k, 30))
 
 
@@ -334,14 +368,14 @@ def _gap_selections(blocks: shifts._Blocks, k: int) -> list[list[tuple[int, tupl
     """Interleaving selections extracted from the widest midpoint gap of the
     surviving intervals ``blocks.spans``, per the three-case analysis
     (before the first midpoint, after the last one, or inside a widest
-    adjacent pair).  A selection from the left end is taken on the mirrored
-    members.  Midpoints are compared doubled, as the integers s + t."""
+    adjacent pair).  A selection from the left end is taken on the members
+    reflected by x -> k - x, read in place.  Midpoints are compared
+    doubled, as the integers s + t."""
     spans, members = blocks.spans, blocks.members
-    mirrored = _mirror(members, k)
     # everything left of the first midpoint, then right of the last one (the
     # surviving spans lie in [0, k], so both regions hold an edge)
     found = [
-        _interleave_selection(mirrored, k - spans[0][1], k),
+        _mirrored_selection(members, k, k - spans[0][1], k),
         _interleave_selection(members, spans[-1][0], k),
     ]
     # case: the widest interior gap
@@ -359,9 +393,7 @@ def _gap_selections(blocks: shifts._Blocks, k: int) -> list[list[tuple[int, tupl
             if a > region_lo:
                 found.append(_interleave_selection(members, region_lo, a, upto=l - 1))
             if b < region_hi:
-                found.append(
-                    _interleave_selection(mirrored, k - region_hi, k - b, upto=l - 1)
-                )
+                found.append(_mirrored_selection(members, k, k - region_hi, k - b, upto=l - 1))
     return [sel for sel in found if sel]
 
 
@@ -370,14 +402,21 @@ def construct_main_II(seq: GraphSequence) -> WitnessResult:
     as the best of every bring-to-front rotation (the identity first), the
     gap-driven interleaving candidates and the strong-shift split."""
     blocks, k = _scan(seq)
-    selections = _gap_selections(blocks, k)
+    m = blocks.m
+    alternations = _alternations(blocks, _gap_selections(blocks, k))
+    sums = blocks.unit_sums[_LAMBDA_DELTA]
+    total = sums[-1]
     # rotation j is the index set {j, ..., m}, the one long block (0, j]
-    candidates = [[]] + [[(0, j)] for j in range(2, len(seq) + 1)]
-    candidates += _full_sets(selections)
-    split = _split_choice(blocks, selections)
+    scored = [([], total)]
+    scored += [([(0, j)], total + blocks.block(0, j)[_LAMBDA_DELTA] - sums[j]) for j in range(2, m + 1)]
+    for slots in alternations:
+        long_blocks, gains, _ = _candidate(slots)
+        scored.append((long_blocks, total + gains[_LAMBDA_DELTA]))
+    split = _split_choice(blocks, alternations)
     if split is not None:
-        candidates.append(split[0])
-    sigma, value = _best(candidates, blocks, _LAMBDA_DELTA)
+        long_blocks, gains = split
+        scored.append((long_blocks, total + gains[_LAMBDA_DELTA]))
+    sigma, value = _best(scored, m)
     # for an integer value, reaching the least r with 8 r^2 >= k is the same
     # as 8 value^2 >= k, i.e. value >= sqrt(k/8)
     guaranteed = Fraction(math.isqrt(-(-k // 8) - 1) + 1)
@@ -397,27 +436,23 @@ def _balanced_split(lengths: Sequence[int]) -> tuple[list[int], list[int]]:
     return buckets
 
 
-def _split_choice(blocks: shifts._Blocks, selections) -> tuple[list[tuple[int, int]], int] | None:
-    """Over both parities of each selection and both buckets of their
-    balanced split, the candidate whose kept increments reach half the
-    vector-component value, then with the largest vector-length value;
-    (long blocks, vector-length value), or None without a selection.  A
-    long block (p, i] drops the increments of p+1..i-1 from the total."""
-    incs = blocks.unit_sums[_DELTA]
-    vd = incs[-1]
+def _split_choice(blocks: shifts._Blocks, alternations) -> tuple[list[tuple[int, int]], tuple[int, int, int]] | None:
+    """Over every alternation (``_alternations``) and both buckets of the
+    balanced split of its lengths, the candidate whose kept increments
+    reach half the vector-component value, then with the largest
+    vector-length value; (long blocks, gain per measure), or None without
+    an alternation."""
+    vd = blocks.unit_sums[_DELTA][-1]
     best = None
-    for sel in selections:
-        for positions, lengths in _parity_choices(sel):
-            # an empty bucket is legal: its permutation excludes nothing, so
-            # it inherits the full increment sum while the kept lengths drop
-            # to zero, which still meets the halved bound when p = 1
-            for q in _balanced_split(lengths):
-                long_blocks = _split_blocks(positions, set(q))
-                lam_val = blocks.value(long_blocks, _LAMBDA)
-                kept = vd - sum(incs[i - 1] - incs[p] for p, i in long_blocks)
-                key = (2 * kept >= vd, lam_val)
-                if best is None or key > best[0]:
-                    best = (key, long_blocks, lam_val)
+    for slots in alternations:
+        # an empty bucket is legal: its permutation excludes nothing, so
+        # it inherits the full increment sum while the kept lengths drop
+        # to zero, which still meets the halved bound when p = 1
+        for q in _balanced_split([slot[0] for slot in slots]):
+            long_blocks, gains, lost = _candidate(slots, set(q))
+            key = (2 * (vd - lost) >= vd, gains[_LAMBDA])
+            if best is None or key > best[0]:
+                best = (key, long_blocks, gains)
     return None if best is None else best[1:]
 
 
@@ -430,8 +465,8 @@ def construct_strong_shift(
     by its long blocks, and the induced permutations by one pass over the
     blocks of the winner."""
     blocks, k = _scan(seq)
-    m = len(seq)
-    ell = max(g.lam for g in seq)
+    m = blocks.m
+    ell = max([t - s for ivs in blocks.members for s, t in ivs])
     if mode == "premain":
         selections = _premain_selections(blocks, k)
         lam_bound = Fraction(k, 8) - Fraction(ell, 2)
@@ -443,10 +478,11 @@ def construct_strong_shift(
         tilde_bound = Fraction(k) / (4 * g)
     else:
         raise InvalidParameterError(f"unknown strong-shift mode {mode!r}")
-    split = _split_choice(blocks, selections)
+    split = _split_choice(blocks, _alternations(blocks, selections))
     if split is None:
         raise InvalidCoveringError("no interleaving selection available")
-    long_blocks, lam_val = split
+    long_blocks, gains = split
+    lam_val = blocks.unit_sums[_LAMBDA][-1] + gains[_LAMBDA]
     index_set = _index_set(m, long_blocks)
     tilde_min = blocks.induced_min(index_set, _DELTA)
     result = WitnessResult(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from pathlab import greedy, samples
+from pathlab import greedy, paths, samples
 from pathlab.errors import InvalidParameterError, NotGreedyError, ResourceLimitError
 from pathlab.paths import (
     EMPTY,
@@ -89,6 +90,73 @@ def test_lazy_greedy_order_matches_the_max_scan():
         assert greedy.greedy_order(fam, base) == ordered
         assert total == vec_delta(ordered, base)
     assert seen == {"base", "repeat", "empty", "tie"}
+
+
+def _tuple_lazy_greedy(members, acc=(), thresholds=(0,)):
+    """The lazy greedy with its touch test on interval tuples: each
+    re-measure bisects a member into the running union, and each pick
+    merges it in.  The reference for the vertex-mask ``_lazy_greedy``."""
+    heap = [(-len(ivs), i) for i, ivs in enumerate(members)]
+    heapq.heapify(heap)
+    order, incs, lams = [], [], []
+    for threshold in thresholds:
+        waiting = []
+        while heap:
+            key, i = heap[0]
+            keep = paths._survivors(acc, members[i])
+            now = -len(keep)
+            lam = paths._terms(keep)[1]
+            if threshold and lam < threshold:
+                waiting.append((now, heapq.heappop(heap)[1]))
+            elif now != key:
+                heapq.heapreplace(heap, (now, i))
+            else:
+                heapq.heappop(heap)
+                order.append(i)
+                incs.append(-now)
+                lams.append(lam)
+                acc = paths._merge(acc, members[i])
+        heap = waiting
+        heapq.heapify(heap)
+    return order, incs, lams
+
+
+def test_mask_greedy_matches_the_tuple_greedy():
+    # seeded families with a base, repeats, empty members, coordinates near
+    # +-10^9 and the level thresholds of construct_main_I
+    rng = random.Random(27)
+    seen = set()
+    for case in range(600):
+        c = rng.choice([0, 10**9, -(10**9)])
+        if case % 3 == 0:
+            fam = samples.random_covering(rng, rng.randint(1, 30))
+        else:
+            fam = [samples.random_pathgraph(rng, 0, 20) for _ in range(rng.randint(0, 12))]
+        if fam and rng.random() < 0.3:
+            fam += rng.sample(fam, rng.randint(1, len(fam)))
+        if rng.random() < 0.2:
+            fam.insert(rng.randint(0, len(fam)), EMPTY)
+        base = samples.random_pathgraph(rng, 0, 20, max_comps=2) if rng.random() < 0.5 else EMPTY
+        members = [g.translate(c).intervals for g in fam]
+        acc = base.translate(c).intervals
+        if rng.random() < 0.5:
+            r = rng.randint(1, 5)
+            thresholds = [2 ** (r - i) for i in range(1, r + 1)]
+        else:
+            thresholds = [0]
+        seen.update(
+            kind
+            for kind, hit in (
+                ("base", bool(acc)),
+                ("repeat", len(set(members)) < len(members)),
+                ("empty", () in members),
+                ("thresholds", thresholds != [0]),
+            )
+            if hit
+        )
+        got = greedy._lazy_greedy(members, acc, thresholds)
+        assert got == _tuple_lazy_greedy(members, acc, thresholds), case
+    assert seen == {"base", "repeat", "empty", "thresholds"}
 
 
 def _reference_is_greedy(seq, base=EMPTY):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from pathlab import paths
 from pathlab.errors import InvalidIntervalError
 from pathlab.paths import (
     EMPTY,
@@ -210,3 +211,33 @@ def test_vector_measures_match_their_definition(with_base):
         assert list(residual_terms(*args)) == pairs
         comps = sorted((c for r, _ in pairs for c in r.components()), key=lambda g: g.intervals)
         assert surviving_components(*args) == comps
+
+
+def test_fused_scan_step_is_the_survivors_and_the_union():
+    # on canonical pairs around one center (near 0 and +-10^9, some empty,
+    # some touching at one vertex), on nested intervals and on pairs where one
+    # side is empty; the survivors keep their identity when nothing touches
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(TRIALS):
+        a, b = (g.intervals for g in pair(rng))
+        if rng.random() < 0.2:
+            c = rng.choice(CENTERS)
+            a = ((c - 20, c + 20),)
+            b = tuple((c + s, c + s + rng.randint(1, 3)) for s in range(-16, 16, 5))
+        for acc, ivs in ((a, b), (b, a)):
+            keep, union = paths._absorb(acc, ivs)
+            assert (keep, union) == (paths._survivors(acc, ivs), paths._merge(acc, ivs))
+            if keep == ivs:
+                assert keep is ivs
+            seen.update(
+                kind
+                for kind, hit in (
+                    ("empty", not acc or not ivs),
+                    ("point", {s for s, _ in acc} & {t for _, t in ivs}),
+                    ("dropped", len(keep) < len(ivs)),
+                    ("kept", keep and len(keep) == len(ivs) and acc),
+                )
+                if hit
+            )
+    assert seen == {"empty", "point", "dropped", "kept"}

@@ -746,6 +746,17 @@ def test_montecarlo_mpath2_formula_backed_matches_fast_path():
         assert row["count"] == _generic_restricted_count(R.sample_xi(n, k, seed + i).xi, n, k)
 
 
+def test_montecarlo_refuses_negative_trials_and_keeps_zero():
+    for run in (lambda trials: R.montecarlo_mpath2(4, 2, trials, 0), lambda trials: R.montecarlo_eps1(2, 2, trials, 0)):
+        for trials in (-1, -3):
+            with pytest.raises(InvalidParameterError, match="trials must be >= 0"):
+                run(trials)
+    assert R.montecarlo_mpath2(4, 2, 0, 0) == {
+        "n": 4, "k": 2, "trials": 0, "seed": 0, "frequency": 0.0, "threshold": "1/32", "rows": [],
+    }
+    assert R.montecarlo_eps1(2, 2, 0, 0) == {"k": 2, "t": 2, "trials": 0, "seed": 0, "matches": 0, "frequency": 0.0}
+
+
 # -- strictified random join trees ------------------------------------------------------
 
 

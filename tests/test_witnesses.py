@@ -255,6 +255,19 @@ def test_strong_shift_premain_requires_chain():
         wit.construct_strong_shift([single_edge(1), single_edge(3), single_edge(2)], "premain")
 
 
+def _mirror(members, k):
+    """The members' interval tuples reflected by x -> k - x: the reference
+    for the selections ``_mirrored_selection`` reads in place."""
+    return [tuple((k - t, k - s) for s, t in reversed(ivs)) for ivs in members]
+
+
+def _clipped_rightmost(ivs, lo, hi):
+    """The last interval of ``ivs`` holding an edge of Path_{lo,hi}, clipped
+    to [lo, hi], found by a scan; None when there is none."""
+    inside = [(max(s, lo), min(t, hi)) for s, t in ivs if s < hi and t > lo]
+    return inside[-1] if inside else None
+
+
 def old_interleave_selection(members, lo, hi, upto=None):
     """The minimality pass that re-sorts the selection for every member it
     tries to drop: the reference for ``_interleave_selection``."""
@@ -263,7 +276,7 @@ def old_interleave_selection(members, lo, hi, upto=None):
     m = len(members) if upto is None else upto
     js, comps, run = [], {}, lo
     for j in range(1, m + 1):
-        comp = wit._clipped_rightmost(members[j - 1], lo, hi)
+        comp = _clipped_rightmost(members[j - 1], lo, hi)
         if comp is not None and comp[1] > run:
             js.append(j)
             comps[j] = comp
@@ -285,19 +298,48 @@ def old_interleave_selection(members, lo, hi, upto=None):
 
 
 def test_interleave_selection_matches_the_resorting_pass():
+    # on the members and on their mirror images; the selection read in
+    # place off the members is the one taken on their mirror images
     rng = random.Random(10)
     selected = 0
     for _ in range(400):
         k = rng.randint(2, 30)
         seq = samples.random_covering(rng, k, extra=rng.randint(0, 8))
-        for members in ([g.intervals for g in seq], wit._mirror([g.intervals for g in seq], k)):
+        plain = [g.intervals for g in seq]
+        for members in (plain, _mirror(plain, k)):
             for _ in range(4):
                 lo, hi = sorted(rng.randint(0, k) for _ in range(2))
                 upto = rng.choice([None, rng.randint(0, len(members))])
                 want = old_interleave_selection(members, lo, hi, upto)
                 assert wit._interleave_selection(members, lo, hi, upto) == want
+                if members is not plain:
+                    assert wit._mirrored_selection(plain, k, lo, hi, upto) == want
                 selected += want is not None
     assert selected > 500
+
+
+def test_mirrored_selection_is_the_selection_on_mirrored_members():
+    # members with empty entries, repeats and coordinates near +-10^9, the
+    # mirror taken about points inside, at and outside their span, and
+    # regions that miss some members or touch them at one vertex
+    rng = random.Random(18)
+    selected = 0
+    for _ in range(600):
+        c = rng.choice([0, 10**9, -(10**9)])
+        span = rng.randint(2, 24)
+        seq = [EMPTY] + samples.random_covering(rng, span, extra=rng.randint(0, 6))
+        seq += rng.sample(seq, rng.randint(0, 3))
+        members = [g.translate(c).intervals for g in seq]
+        k = c + rng.randint(-5, 40)
+        mirrored = _mirror(members, k)
+        for _ in range(4):
+            # the members lie in [k - c - span, k - c] once mirrored
+            lo, hi = sorted(k - c - rng.randint(-2, span + 2) for _ in range(2))
+            upto = rng.choice([None, rng.randint(0, len(members))])
+            want = wit._interleave_selection(mirrored, lo, hi, upto)
+            assert wit._mirrored_selection(members, k, lo, hi, upto) == want
+            selected += want is not None
+    assert selected > 300
 
 
 def test_witnesses_survive_adversarial_coverings():
@@ -464,12 +506,13 @@ def test_lazy_main_one_order_is_the_full_scan_order():
 
 
 def test_mirrored_members_are_the_mirrored_graphs():
+    # the reference reflection of the selection tests is PathGraph.mirror
     rng = random.Random(17)
     for _ in range(200):
         seq = samples.random_covering(rng, rng.randint(1, 30))
         seq.append(EMPTY)
         k = rng.randint(-5, 40)
-        assert wit._mirror([g.intervals for g in seq], k) == [g.mirror(k).intervals for g in seq]
+        assert _mirror([g.intervals for g in seq], k) == [g.mirror(k).intervals for g in seq]
 
 
 # -- pinned outputs ---------------------------------------------------------------
