@@ -23,7 +23,8 @@ graph.  Each part runs the DP body that suits its own size.  At or below
 ``PY_M`` the loop costs less than the reductions, so it runs directly.
 
 The shift sweep is a longest path over the m(m+1)/2 blocks (p, i] of a
-shift permutation's index set, given the value of each block.
+shift permutation's index set, given the value of each block, from every
+start p at once.
 """
 
 from __future__ import annotations
@@ -209,24 +210,24 @@ def max_ordering_value(conflicts_per_member: list[list[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def shift_sweep(block: list[list[int]]) -> tuple[int, list[int]]:
-    """Best total and lex-min sorted index set over the index sets I of [m]
+def shift_sweep(block: list[list[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The longest paths over the blocks (p, i] of the index sets I of [m]
     containing m, where I scores the sum of ``block[p][i]`` over its blocks
-    (p, i] (consecutive elements of {0} | I; 0 <= p < i <= m).
+    (consecutive elements of {0} | I; 0 <= p < i <= m).
 
-    f(m) = 0 and f(p) = max_{i > p} block[p][i] + f(i); walking from p = 0
-    to the smallest optimal i at each step gives the lex-min set, because
-    every index set ends in m and so none is a proper prefix of another.
+    Returns f and, for each p, the lex-min optimal path from p as the
+    sorted elements of I after p: f(m) = 0 and f(p) = max_{i > p}
+    block[p][i] + f(i), and stepping to the smallest optimal i gives the
+    lex-min path, because every path ends in m and so none is a proper
+    prefix of another.  f(0) and the path from 0 are the best total and
+    the lex-min best index set.
     """
     m = len(block)
     best = [0] * (m + 1)
+    path: list[tuple[int, ...]] = [()] * (m + 1)
     for p in range(m - 1, -1, -1):
         row = block[p]
-        best[p] = max(row[i] + best[i] for i in range(p + 1, m + 1))
-    index_set = []
-    p = 0
-    while p < m:
-        row, target = block[p], best[p]
-        p = next(i for i in range(p + 1, m + 1) if row[i] + best[i] == target)
-        index_set.append(p)
-    return best[0], index_set
+        # the largest total, then the smallest i
+        top, i = max((row[i] + best[i], -i) for i in range(p + 1, m + 1))
+        best[p], path[p] = top, (-i,) + path[-i]
+    return best, path

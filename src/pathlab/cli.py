@@ -227,15 +227,16 @@ def _suite_tradeoff(args, kind: str) -> dict:
 def _suite_psi_recurrences(args) -> dict:
     rng = random.Random(args.seed)
     bad = []
-    checked = 0
+    checked = skipped = 0
     for _ in range(args.trials):
         arity = rng.randint(2, 3)
         parts = [samples.random_jointree(rng, k=5, leaves=rng.randint(1, 2)) for _ in range(arity)]
         tree = jointrees.sem(parts) if rng.random() < 0.5 else jointrees.sq(parts)
         rep = jointrees.check_psi_recurrences(tree, perm_limit=3, shift_m_limit=6)
         checked += rep["checked"]
+        skipped += rep["skipped"]
         bad.extend(rep["violations"])
-    return {"suite": "psi-recurrences", "checked": checked, "failures": bad[:5], "ok": not bad}
+    return {"suite": "psi-recurrences", "checked": checked, "skipped": skipped, "failures": bad[:5], "ok": not bad}
 
 
 def _suite_chain_rules(args) -> dict:
@@ -344,6 +345,8 @@ def cmd_experiment(args) -> int:
         _emit(rep, args.format, rows)
         return EXIT_OK
     if args.experiment == "eps1":
+        if args.t_range is None and args.t is None:
+            raise InputError("eps1 needs --t or --t-range")
         rows = []
         for t in _parse_range(args.t_range or str(args.t)):
             r = relations.montecarlo_eps1(args.k, t, args.trials, args.seed)

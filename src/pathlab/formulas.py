@@ -950,27 +950,32 @@ def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
         pool = list(level)
         for op in ("and", "or"):
             for g1 in pool:
-                for g2 in pool:
-                    _extend_strict((g1, g2), op, tables, pool, new)
+                row = [DeMorgan(op, g1, g2) for g2 in pool]
+                for formula in row:
+                    _extend_strict(formula, row, op, tables, new)
         level = new
     if return_formulas:
         return len(level), list(level)
     return len(level)
 
 
-def _extend_strict(seq: tuple, op: str, tables: Callable, pool: list, new: dict) -> None:
-    """Enter ``sem_demorgan(seq, op)`` in ``new`` when it is strict, and then
-    its strict extensions by members of ``pool``.  ``tables`` is the one
-    truth-table walker of the enumeration, so a node is evaluated once
-    however many candidates share it.  ``new`` maps each strict formula
-    found so far to True, so that no node in it is checked again; it is
-    passed in so that no closure holds it in a reference cycle."""
-    formula = sem_demorgan(seq, op)
+def _extend_strict(formula: DeMorgan, row: list, op: str, tables: Callable, new: dict) -> None:
+    """Enter ``formula = sem_demorgan(seq, op)`` in ``new`` when it is
+    strict, and then its strict extensions by the members g of the pool.
+    ``row`` holds ``sem_demorgan(seq[:-1] + (g,), op)`` for each g, so the
+    extension by g is the one node ``DeMorgan(op, formula, row[g])``, and
+    those nodes are the row of the extensions' own extensions.  ``tables``
+    is the one truth-table walker of the enumeration, so a node is
+    evaluated once however many candidates share it.  ``new`` maps each
+    strict formula found so far to True, so that no node in it is checked
+    again; it is passed in so that no closure holds it in a reference
+    cycle."""
     if not jointrees.is_strict(formula, tables, new.get):
         return
     if formula not in new:
         new[formula] = True
         if len(new) > STRICT_COUNT_BUDGET:
             raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
-    for g in pool:
-        _extend_strict(seq + (g,), op, tables, pool, new)
+    below = [DeMorgan(op, formula, sibling) for sibling in row]
+    for extension in below:
+        _extend_strict(extension, below, op, tables, new)

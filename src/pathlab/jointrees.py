@@ -37,7 +37,7 @@ import json
 import math
 import weakref
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Literal
 
@@ -835,31 +835,35 @@ def check_psi_recurrences(
     ``shift_m_limit``: parts (ii) and (iii) of the shift-permutation bound,
     for every index set I and position h, and its bring-to-front corollary.
 
-    Every case is read off tables built once per check, in the order (and
-    with the keys) of the enumeration the bounds are stated over:
+    ``checked`` counts the cases decided, j! per j and m + m * 2^m per
+    decomposition, and ``skipped`` those the limits leave out.  Each family
+    of cases is decided by its largest right-hand side, and reported once
+    with it when that breaks the bound: sq by j, then per decomposition its
+    corollaries by j and its (ii) and (iii) families by (i, q).
 
-    * sq: the union of each subset of the first ``perm_limit`` parts, built
-      once as a bitmask table, and the survivor count of each part over
-      each union; vec_delta(G_tau) sums the survivor counts along tau.
-    * sem: one ``shifts._Blocks`` of the decomposition.  In the block (p, i]
-      of I, position h holds G_i (the head, h = p + 1) and then
-      G_(p+1)..G_(i-1), so with later the block values of I after (p, i],
-      (ii) is Psi(T_j) + b(q, i) - |G_i - U_q| + later, with q = p at the
-      head and q = j inside the block, and (iii) is the residual of T_j
-      over F plus the induced permutation's value u(q') + b(q', i) + later,
-      with F = U_p and q' = p at the head and F = U_(j-1) | G_i and
-      q' = j - 1 inside.  The corollary for j is (ii) at the head of the
-      block (0, j] of I = {j, ..., m}.  Each value a block's positions can
-      add is tabled once per decomposition, so an index set whose blocks
-      all stay at or below Psi(T) costs one sum per block.
-    * residuals: Psi(T_j - F) - delta(G_j - F) is kept per check by T_j and
-      G_j - F, and each restricted tree lives until the check returns, so
-      no tree is walked twice; with nothing removed it is
-      Psi(T_j) - delta(G_j), with no rewrite.
+    * sq, family j: with most[S] the largest vec_delta over the orders of
+      the parts in S (a subset DP over each part's survivors over each
+      union of the first parts), the best order of S | {j} puts j last, for
+      most[S] + |G_j - U_S| + the residual of T_j over U_S, or some i of S
+      last, for the best of S | {j} - {i} plus i's survivors.  The tau
+      named walks back through these choices, the highest part last on ties.
+    * sem, family (i, q): the cases with h = q + 1 in a block (p, i] of I.
+      Each is a value of the block plus the block values b (``_Blocks``) of
+      I after i: at most f(i), the longest path from i (``shift_sweep``),
+      and equal to it for some I.  At the head, p = q, (ii) is Psi(T_i) +
+      b(q, i) - |G_i - U_q| and (iii) the residual of T_i over U_q plus
+      u(q) + b(q, i), u the unit prefix sums; inside, for every p < q, (ii)
+      is Psi(T_q) + b(q, i) - |G_i - U_q| and (iii) the residual of T_q
+      over U_(q-1) | G_i plus u(q-1) + b(q-1, i).  So O(m^2) numbers decide
+      every case.  The I named is q (when q > 0 and the head is at least
+      the inside), then i, then the lex-min optimal path from i.  The
+      corollary for j is (ii) at the head of (0, j] in I = {j, ..., m}.
 
-    ``psi`` is looked up at call time.
+    The residual Psi(T_j - F) - delta(G_j - F) is kept by T_j and G_j - F,
+    and each restricted tree lives until the check returns, so no tree is
+    walked twice.  ``psi`` is looked up at call time.
     """
-    checked = 0
+    checked = skipped = 0
     violations: list[dict] = []
     psi_t = psi(t)
     memo: dict = {}
@@ -888,6 +892,7 @@ def check_psi_recurrences(
         parts = right_spine(t)
         members = [p.graph.intervals for p in parts]
         n = max(min(len(parts), perm_limit), 0)
+        skipped += sum(math.factorial(j) for j in range(n + 1, len(parts) + 1))
         # union[mask]: the union of the parts i + 1 with bit i set, i < n
         union: list[tuple] = [()]
         for mask in range(1, 1 << n):
@@ -897,59 +902,57 @@ def check_psi_recurrences(
             [0 if mask >> i & 1 else len(_survivors(u, members[i])) for i in range(n)]
             for mask, u in enumerate(union)
         ]
-        for j in range(1, n + 1):
-            for tau in permutations(range(1, j + 1)):
-                mask = total = 0
-                for i in tau:
-                    if i == j:
-                        before = mask
-                    total += gain[mask][i - 1]
-                    mask |= 1 << (i - 1)
-                checked += 1
-                rhs = residual(parts[j - 1], _survivors(union[before], members[j - 1])) + total
-                note("sq", rhs, j=j, tau=list(tau))
+        # most[mask]: the largest vec_delta over the orders of the parts in
+        # mask, and the last part of one such order
+        most = [(0, -1)]
+        for mask in range(1, 1 << n):
+            most.append(max((most[mask ^ 1 << i][0] + gain[mask ^ 1 << i][i], i) for i in range(n) if mask >> i & 1))
+        for j in range(n):  # the family of part j + 1
+            checked += math.factorial(j + 1)
+            top = 1 << j
+            # best[s]: the largest rhs over the orders of the parts in
+            # s | top, for each set s of parts before j + 1, and the last
+            # part of one such order
+            best = []
+            for s in range(top):
+                keep = _survivors(union[s], members[j])
+                got = (most[s][0] + gain[s][j] + residual(parts[j], keep), j)
+                for i in range(j):
+                    if s >> i & 1:
+                        got = max(got, (best[s ^ 1 << i][0] + gain[(s ^ 1 << i) | top][i], i))
+                best.append(got)
+            # tau, last part first: back through best until j, then through most
+            tau, s, table = [], top - 1, best
+            while s or table is best:
+                i = table[s][1]
+                tau.append(i + 1)
+                table, s = (most, s) if i == j else (table, s ^ 1 << i)
+            note("sq", best[-1][0], j=j + 1, tau=tau[::-1])
 
         for decomp in sem_decompositions(t):
             m = len(decomp)
             if m > shift_m_limit:
+                skipped += m + (m << m)
                 continue
+            checked += m + (m << m)
             blocks = shifts._Blocks([p.graph for p in decomp])
             units = blocks.unit_sums[0]
             psi_of = [psi(x) for x in decomp]
             b = [[blocks.block(q, i)[0] if q < i else 0 for i in range(m + 1)] for q in range(m)]
-            # (ii) and (iii) less ``later``, at the head of (q, i] and at
-            # position q + 1 inside a block (p, i] with p < q
-            head = {}
-            inside = {}
+            later, path = _kernels.shift_sweep(b)
+            for j in range(1, m + 1):
+                note("sem-corollary", psi_of[j - 1] + b[0][j] - len(blocks.members[j - 1]) + units[m] - units[j], j=j)
             for i in range(1, m + 1):
                 gi = blocks.members[i - 1]
                 for q in range(i):
                     keep = _survivors(blocks.prefix[q], gi)  # G_i - U_q
                     shown = b[q][i] - len(keep)
-                    head[q, i] = (psi_of[i - 1] + shown, residual(decomp[i - 1], keep) + units[q] + b[q][i])
+                    head = inside = (psi_of[i - 1] + shown, residual(decomp[i - 1], keep) + units[q] + b[q][i])
                     if q:
                         keep = _survivors(gi, blocks.resid[q - 1])
                         iii = residual(decomp[q - 1], keep) + units[q - 1] + b[q - 1][i]
-                        inside[q, i] = (psi_of[q - 1] + shown, iii)
-            # the positions of each block (p, i] in order, and the most any
-            # of them adds to ``later``
-            rows = {(p, i): [head[p, i]] + [inside[q, i] for q in range(p + 1, i)] for p, i in head}
-            top = {key: max(max(pair) for pair in row) for key, row in rows.items()}
-
-            checked += m
-            for j in range(1, m + 1):
-                note("sem-corollary", head[0, j][0] + units[m] - units[j], j=j)
-            for index_set in shifts._index_sets(m):
-                checked += 2 * m
-                pairs = list(zip((0,) + index_set, index_set))
-                later = sum([b[p][i] for p, i in pairs])
-                listed = None
-                for p, i in pairs:
-                    later -= b[p][i]
-                    if top[p, i] + later <= psi_t:
-                        continue
-                    listed = listed or list(index_set)
-                    for h, (ii, iii) in enumerate(rows[p, i], start=p + 1):
-                        note("sem-ii", ii + later, I=listed, h=h)
-                        note("sem-iii", iii + later, I=listed, h=h)
-    return {"checked": checked, "violations": violations, "ok": not violations}
+                        inside = (psi_of[q - 1] + shown, iii)
+                    for kind, at_head, at_inside in zip(("sem-ii", "sem-iii"), head, inside):
+                        named = [q] if q and at_head >= at_inside else []
+                        note(kind, max(at_head, at_inside) + later[i], I=[*named, i, *path[i]], h=q + 1)
+    return {"checked": checked, "skipped": skipped, "violations": violations, "ok": not violations}

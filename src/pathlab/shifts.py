@@ -8,9 +8,10 @@ earlier residuals that touch G_i, and the least prefix union that touches
 each interval of G_i.  ``best_shift`` maximizes one of the measures over
 the whole family exactly, with a longest-path DP over the m(m+1)/2 blocks
 an index set can have, and the witness constructions score each of their
-candidates by its long blocks instead of re-measuring it.
-``enumerate_all`` walks the family itself; the Psi-recurrence checker walks
-its index sets (``_index_sets``) and reads each case off block values.
+candidates by its long blocks instead of re-measuring it.  The
+Psi-recurrence checker decides each family of its cases by the largest,
+read off block values and the same longest paths.  ``enumerate_all``
+walks the family itself, for cross-checks.
 """
 
 from __future__ import annotations
@@ -122,14 +123,8 @@ def _induced_set(index_set: frozenset[int], j: int) -> frozenset[int]:
 
 
 def enumerate_all(m: int) -> Iterator[ShiftPermutation]:
-    """All 2^(m-1) shift permutations, in the order of ``_index_sets``."""
-    for index_set in _index_sets(m):
-        yield from_set(m, index_set)
-
-
-def _index_sets(m: int) -> Iterator[tuple[int, ...]]:
-    """The index sets of all 2^(m-1) shift permutations as sorted tuples, by
-    increasing size, then lex; the order and the ceiling of ``enumerate_all``."""
+    """All 2^(m-1) shift permutations, by increasing size of the index set,
+    then lex."""
     if m < 1:
         raise InvalidIndexSetError(f"m={m} must be >= 1")
     if m > ENUM_LIMIT:
@@ -137,7 +132,7 @@ def _index_sets(m: int) -> Iterator[tuple[int, ...]]:
     rest = range(1, m)
     for size in range(0, m):
         for extra in combinations(rest, size):
-            yield extra + (m,)
+            yield from_set(m, extra + (m,))
 
 
 class _Blocks:
@@ -327,5 +322,5 @@ def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[
     for i in range(1, m + 1):
         for p in range(i):
             block[p][i] = blocks.block(p, i)[code]
-    value, index_set = _kernels.shift_sweep(block)
-    return from_set(m, index_set), value
+    best, path = _kernels.shift_sweep(block)
+    return from_set(m, path[0]), best[0]

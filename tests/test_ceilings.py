@@ -32,7 +32,7 @@ CEILINGS = [
     (jt, "STRICT_COUNT_LIMIT", 5, lambda: list(jt.enumerate_strict(full_path(3))),
      "strict-tree enumeration exceeded 5 trees", ["verify", "tradeoff-II", "--enumerate-k", "3"]),
     (shifts, "ENUM_LIMIT", 1, lambda: list(shifts.enumerate_all(2)),
-     "m=2 exceeds enumeration limit 1", ["verify", "psi-recurrences", "--trials", "5", "--seed", "3"]),
+     "m=2 exceeds enumeration limit 1", None),
     (greedy, "DYCK_LIMIT", 2, lambda: greedy.enumerate_dyck(3), "Dyck length 3 exceeds limit 2",
      ["verify", "lp", "--t", "3"]),
     (greedy, "LP_DYCK_LIMIT", 2, lambda: greedy.verify_lp_certificates(3),
@@ -124,3 +124,4 @@ def test_shift_m_limit_skips_the_largest_decompositions():
     cut = jt.check_psi_recurrences(t, shift_m_limit=m - 1)
     assert full["ok"] and cut["ok"] and skipped >= 1
     assert full["checked"] - cut["checked"] == skipped * (m + 2 * m * 2 ** (m - 1))
+    assert cut["skipped"] - full["skipped"] == full["checked"] - cut["checked"]

@@ -303,6 +303,12 @@ def test_experiment_requires_seed(capsys):
     assert "input error: experiment requires --seed" in capsys.readouterr().err
 
 
+def test_experiment_eps1_needs_a_depth(capsys):
+    argv = ["experiment", "eps1", "--k", "2", "--trials", "10", "--seed", "1"]
+    assert cli.main(argv) == cli.EXIT_INPUT_ERROR
+    assert "input error: eps1 needs --t or --t-range" in capsys.readouterr().err
+
+
 def test_experiment_eps1_single_depth(capsys):
     argv = ["experiment", "eps1", "--k", "2", "--t", "4", "--trials", "100", "--seed", "3"]
     code, out = run(capsys, *argv)

@@ -835,3 +835,36 @@ def test_count_strict_formulas_are_strict_and_distinct():
     for g in forms:
         assert F.is_strict_demorgan(g, 2)
     assert collections.Counter(F.sem_depth_demorgan(g) for g in forms) == {0: 6, 1: 40}
+
+
+def _strict_from_scratch(k: int, d: int) -> list:
+    """The strict enumeration with every candidate built from scratch by
+    ``sem_demorgan``, as it was before the extensions were made one node
+    over the row of their siblings."""
+    base = [F.dm_const(0), F.dm_const(1)] + [F.dm_lit(i, neg=neg) for i in range(1, k + 1) for neg in (False, True)]
+    level = dict.fromkeys(base, True)
+    tables = F._edge_tables(k)
+
+    def extend(seq, op, pool, new):
+        formula = F.sem_demorgan(seq, op)
+        if not jt.is_strict(formula, tables, new.get):
+            return
+        new.setdefault(formula, True)
+        for g in pool:
+            extend(seq + (g,), op, pool, new)
+
+    for _ in range(d):
+        new = dict(level)
+        pool = list(level)
+        for op in ("and", "or"):
+            for g1 in pool:
+                for g2 in pool:
+                    extend((g1, g2), op, pool, new)
+        level = new
+    return list(level)
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (1, 3), (2, 1), (3, 1)])
+def test_strict_extensions_over_their_siblings_build_the_same_list(k, d):
+    count, forms = F.count_strict_demorgan(k, d, return_formulas=True)
+    assert forms == _strict_from_scratch(k, d) and count == len(forms)

@@ -9,6 +9,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -1019,12 +1020,15 @@ def test_psi_recurrences_on_random_sq():
 
 
 def test_psi_recurrence_violations_keep_their_keys(monkeypatch):
-    # a psi of 0 at the root and 9 below breaks every bound, so each kind of
-    # violation is recorded with its keys in order
+    # a psi of 0 at the root and 9 below breaks every bound, so each family
+    # of cases is violated once and recorded with its keys in order
     t = jt.sem([jt.leaf(single_edge(i)) for i in (1, 3, 5)])
     monkeypatch.setattr(jt, "psi", lambda x, dp_limit=None: 0 if x is t else 9)
     rep = jt.check_psi_recurrences(t)
-    assert not rep["ok"] and len(rep["violations"]) == rep["checked"]
+    # sq: one family per j; each decomposition of arity m: m corollaries and
+    # m(m + 1)/2 families (i, q) of (ii) and of (iii) each
+    families = len(jt.right_spine(t)) + sum(m + m * (m + 1) for m in map(len, jt.sem_decompositions(t)))
+    assert not rep["ok"] and len(rep["violations"]) == families
     keys = {v["kind"]: list(v) for v in rep["violations"]}
     assert keys == {
         "sq": ["kind", "j", "tau", "lhs", "rhs"],
@@ -1047,50 +1051,68 @@ def test_psi_recurrences_binary_case_agrees():
     assert rep["ok"]
 
 
-def _reference_psi_recurrences(t: jt.JoinTree, perm_limit: int = 5, shift_m_limit: int = 10) -> dict:
-    """The recurrence checker written case by case, as it was before its
-    tables: a union, a vec_delta scan and a restricted tree for every
-    (tau, j) and every (shift permutation, h).  ``psi`` is looked up at call
-    time, as the checker does."""
-    report: dict = {"checked": 0, "violations": []}
+def _reference_cases(t: jt.JoinTree, perm_limit: int = 5, shift_m_limit: int = 10):
+    """The recurrence cases written one by one, as the checker was before
+    its tables: a union, a vec_delta scan and a restricted tree for every
+    (tau, j) and every (shift permutation, h).  Yields (family, case), with
+    the case as the checker reports it when violated and its family as a
+    key that sorts in the checker's report order: sq by j, then for each
+    decomposition d its corollaries by j, and its (ii) and (iii) cases by
+    the end i of the block that holds h and by q = h - 1.  ``psi`` is
+    looked up at call time, as the checker does."""
     psi_t = jt.psi(t)
 
     def residual(x, f):
         return jt.psi(jt.tree_ominus(x, f)) - x.graph.ominus(f).delta
 
-    def check(kind, rhs, **where):
-        report["checked"] += 1
-        if psi_t < rhs:
-            report["violations"].append({"kind": kind, **where, "lhs": psi_t, "rhs": rhs})
+    def case(kind, rhs, **where):
+        return {"kind": kind, **where, "lhs": psi_t, "rhs": rhs}
 
+    if t.is_leaf:
+        return
+    parts = jt.right_spine(t)
+    graphs = [p.graph for p in parts]
+    for j in range(1, min(len(parts), perm_limit) + 1):
+        for tau in itertools.permutations(range(1, j + 1)):
+            f = union_all(graphs[tau[i] - 1] for i in range(tau.index(j)))
+            rhs = residual(parts[j - 1], f) + vec_delta([graphs[i - 1] for i in tau])
+            yield (0, j), case("sq", rhs, j=j, tau=list(tau))
+    for d, decomp in enumerate(jt.sem_decompositions(t)):
+        m = len(decomp)
+        if m > shift_m_limit:
+            continue
+        graphs = [p.graph for p in decomp]
+        for j in range(1, m + 1):
+            rhs = jt.psi(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1])
+            yield (1, d, 0, j), case("sem-corollary", rhs, j=j)
+        for sigma in shifts.enumerate_all(m):
+            index_set = sorted(sigma.index_set)
+            ordered = sigma.apply(graphs)
+            for h in range(1, m + 1):
+                j = sigma(h)
+                i = min(x for x in index_set if x >= h)
+                rhs = jt.psi(decomp[j - 1]) + vec_delta(ordered[h:], union_all(ordered[:h]))
+                yield (1, d, 1, i, h - 1, 0), case("sem-ii", rhs, I=index_set, h=h)
+                rhs = residual(decomp[j - 1], union_all(ordered[: h - 1])) + vec_delta(
+                    shifts.induced(sigma, j).apply(graphs)
+                )
+                yield (1, d, 1, i, h - 1, 1), case("sem-iii", rhs, I=index_set, h=h)
+
+
+def _reference_psi_recurrences(t: jt.JoinTree, perm_limit: int = 5, shift_m_limit: int = 10) -> dict:
+    """The report of the case-by-case checker: every case checked and every
+    violated one listed, and the cases the limits leave out counted, j! for
+    each sq prefix beyond ``perm_limit`` and, for each decomposition beyond
+    ``shift_m_limit``, its m corollaries and two cases per (shift
+    permutation, h)."""
+    cases = [case for _, case in _reference_cases(t, perm_limit, shift_m_limit)]
+    violations = [case for case in cases if case["lhs"] < case["rhs"]]
+    skipped = 0
     if not t.is_leaf:
-        parts = jt.right_spine(t)
-        graphs = [p.graph for p in parts]
-        for j in range(1, min(len(parts), perm_limit) + 1):
-            for tau in itertools.permutations(range(1, j + 1)):
-                f = union_all(graphs[tau[i] - 1] for i in range(tau.index(j)))
-                rhs = residual(parts[j - 1], f) + vec_delta([graphs[i - 1] for i in tau])
-                check("sq", rhs, j=j, tau=list(tau))
-        for decomp in jt.sem_decompositions(t):
-            m = len(decomp)
-            if m > shift_m_limit:
-                continue
-            graphs = [p.graph for p in decomp]
-            for j in range(1, m + 1):
-                check("sem-corollary", jt.psi(decomp[j - 1]) + vec_delta(graphs, graphs[j - 1]), j=j)
-            for sigma in shifts.enumerate_all(m):
-                index_set = sorted(sigma.index_set)
-                ordered = sigma.apply(graphs)
-                for h in range(1, m + 1):
-                    j = sigma(h)
-                    rhs = jt.psi(decomp[j - 1]) + vec_delta(ordered[h:], union_all(ordered[:h]))
-                    check("sem-ii", rhs, I=index_set, h=h)
-                    rhs = residual(decomp[j - 1], union_all(ordered[: h - 1])) + vec_delta(
-                        shifts.induced(sigma, j).apply(graphs)
-                    )
-                    check("sem-iii", rhs, I=index_set, h=h)
-    report["ok"] = not report["violations"]
-    return report
+        spine = len(jt.right_spine(t))
+        skipped += sum(math.factorial(j) for j in range(max(perm_limit, 0) + 1, spine + 1))
+        skipped += sum(m + 2 * m * 2 ** (m - 1) for m in map(len, jt.sem_decompositions(t)) if m > shift_m_limit)
+    return {"checked": len(cases), "skipped": skipped, "violations": violations, "ok": not violations}
 
 
 def _recurrence_cases():
@@ -1128,15 +1150,74 @@ def test_psi_recurrence_tables_match_the_enumeration():
 
 @pytest.mark.parametrize("drop", [1, 2, 10])
 def test_psi_recurrence_violations_match_the_enumeration(monkeypatch, drop):
-    # Psi(T) lowered at the root breaks some cases of each kind and not
-    # others, so the violations are listed in enumeration order
+    # Psi(T) lowered at the root breaks some cases of a family and not
+    # others: a family is reported iff the enumeration has a violation in
+    # it, once and in the checker's order, with the enumeration's largest
+    # rhs in it, naming (tau, or I and h) a case of the family with that rhs
     real = jt.psi
     cases = list(itertools.islice(_recurrence_cases(), 0, None, 3))
     for tree, perm_limit, shift_m_limit in cases:
         monkeypatch.setattr(jt, "psi", lambda x, dp_limit=jt.DEFAULT_DP_LIMIT: real(x, dp_limit) - drop * (x is tree))
-        want = _reference_psi_recurrences(tree, perm_limit, shift_m_limit)
+        families = collections.defaultdict(list)
+        for family, case in _reference_cases(tree, perm_limit, shift_m_limit):
+            families[family].append(case)
+        want = [family for _, family in sorted(families.items()) if any(c["lhs"] < c["rhs"] for c in family)]
         got = jt.check_psi_recurrences(tree, perm_limit, shift_m_limit)
-        assert json.dumps(got) == json.dumps(want), (tree.pretty(), perm_limit, shift_m_limit)
+        where = (tree.pretty(), perm_limit, shift_m_limit)
+        assert got["checked"] == sum(map(len, families.values())), where
+        assert len(got["violations"]) == len(want), where
+        for entry, family in zip(got["violations"], want):
+            assert entry["rhs"] == max(c["rhs"] for c in family), (where, entry)
+            assert entry in family, (where, entry)
+
+
+def test_psi_recurrence_limits_only_move_cases_between_checked_and_skipped():
+    for tree, _, _ in _recurrence_cases():
+        spine = 0 if tree.is_leaf else len(jt.right_spine(tree))
+        widest = max(map(len, jt.sem_decompositions(tree)), default=0)
+        reports = [jt.check_psi_recurrences(tree, *limits) for limits in [(0, 0), (3, 5), (spine, widest)]]
+        assert len({rep["checked"] + rep["skipped"] for rep in reports}) == 1, tree.pretty()
+        assert reports[-1]["skipped"] == 0, tree.pretty()
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_psi_recurrence_maxima_beyond_the_enumeration(monkeypatch, m):
+    # sem of m vertex-disjoint edges, at arities the enumeration cannot
+    # reach.  Every graph here is a set of those edges, and every tree over
+    # them has Psi equal to its edge count, so each family has a closed
+    # form: a residual is 0 and vec_delta over a base U counts the edges
+    # outside U, so an sq case is |U_j| whatever tau is, a corollary and a
+    # (iii) case m, and a (ii) case at h = q + 1 of the block (p, i] of I is
+    # m - |U_q | G_i| plus |G_i| at the head (p = q) or |G_q| inside.
+    # Lowering Psi(T) = m by one or two breaks a known set of families.
+    t = jt.sem([jt.leaf(single_edge(2 * e - 1)) for e in range(1, m + 1)])
+    real = jt.psi
+    assert real(t) == m
+    decomps = jt.sem_decompositions(t)
+    spine = [p.graph for p in jt.right_spine(t)]
+    rep = jt.check_psi_recurrences(t, 5, m)
+    assert rep["ok"] and rep["skipped"] == sum(math.factorial(j) for j in range(6, len(spine) + 1))
+    assert rep["checked"] == sum(math.factorial(j) for j in range(1, 6)) + sum(k + (k << k) for k in map(len, decomps))
+    for drop in (1, 2):
+        monkeypatch.setattr(jt, "psi", lambda x, dp_limit=jt.DEFAULT_DP_LIMIT: real(x, dp_limit) - drop * (x is t))
+        want = [("sq", j, union_all(spine[:j]).delta) for j in range(1, 6)]
+        for decomp in decomps:
+            g = [p.graph for p in decomp]
+            want += [("sem-corollary", j, m) for j in range(1, len(g) + 1)]
+            for i in range(1, len(g) + 1):
+                for q in range(i):
+                    rhs = m - union_all(g[:q] + [g[i - 1]]).delta + max(g[i - 1].delta, g[q - 1].delta if q else 0)
+                    want += [("sem-ii", (i, q), rhs), ("sem-iii", (i, q), m)]
+        got = []
+        for v in jt.check_psi_recurrences(t, 5, m)["violations"]:
+            if v["kind"] in ("sem-ii", "sem-iii"):
+                index_set, h = v["I"], v["h"]
+                assert index_set == sorted(set(index_set)) and 1 <= h <= index_set[-1], v
+                got.append((v["kind"], (min(x for x in index_set if x >= h), h - 1), v["rhs"]))
+            else:
+                assert v["kind"] != "sq" or sorted(v["tau"]) == list(range(1, v["j"] + 1)), v
+                got.append((v["kind"], v["j"], v["rhs"]))
+        assert got == [w for w in want if w[2] > m - drop], (m, drop)
 
 
 def test_a_recurrence_check_walks_each_restricted_tree_once(monkeypatch):
