@@ -43,8 +43,10 @@ formulas D and C on Path_k for each n and k, and checks each relation
 against the endpoint square {alpha : alpha_0 = alpha_k = 1}.
 
 The LP table times ``greedy.verify_lp_certificates(t)`` on the closed-form
-certificates for each t, and checks that they verify for t <= 7 and that
-t = 8 reports exactly its one known dual violation (ROADMAP item 1).
+certificates for each t, up to its ceiling ``greedy.LP_T_LIMIT``, and
+checks that they verify for t <= 7, that from t = 8 on only dual
+feasibility fails, and that t = 8..16 report exactly the violations
+pinned in ``LP_FOUND`` (ROADMAP item 1).
 
 The pathset table times ``relations.is_pathset`` on ``PATHSET_RELATIONS``
 seeded relations per (n, k): random graphs of up to three components in
@@ -64,7 +66,7 @@ value equals the materialised sample evaluated on the same input.
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py [--dp-m 2..22] [--tight II,9,1 II,16,2 I,16,2]
                  [--shift-m 8..25]
                  [--paths-m 8 12 16 24 32] [--witness-k 6 14 22 30]
-                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--lp-t 1..8]
+                 [--minterm-n 2 3 4] [--minterm-k 2 3 4] [--lp-t 1..16 24 32 48 64 96 128 160]
                  [--pathset-k 2..8] [--pathset-n 2 3] [--no-chi] [--no-sampled]
                  [--repeat 3]
 """
@@ -105,8 +107,12 @@ WITNESSES = (
      lambda seq: witnesses.construct_strong_shift(seq, "premain"), 1),
     ("strong-gap", samples.random_covering, lambda seq: witnesses.construct_strong_shift(seq, "gap"), 1),
 )
-# the one dual constraint the closed-form certificates miss at t = 8
-LP_T8_VIOLATION = "(star_(1, 1, 1, 1, 1, 1, 0)): dual constraint violated"
+# the dual constraints the closed-form certificates miss at t = 8..16, one
+# per violated length: (ones, zeros) of the column 1^ones 0^zeros
+LP_FOUND = {
+    8: [(6, 1)], 9: [(7, 1)], 10: [(7, 2)], 11: [(7, 3)], 12: [(8, 3)], 13: [(8, 4)], 14: [(8, 5)],
+    15: [(12, 1), (9, 5)], 16: [(12, 2), (9, 6)],
+}
 PATHSET_SEED = 7331
 PATHSET_RELATIONS = 30
 PATHSET_MAX_TUPLES = 2048
@@ -319,7 +325,10 @@ def bench_lp(t: int, repeat: int) -> float:
     if t <= 7:
         assert report["ok"], (t, report["violated"])
     else:
-        assert report["violated"] == [LP_T8_VIOLATION], (t, report["violated"])
+        assert report["primal_ok"] and report["identities_ok"] and not report["dual_ok"], t
+    if t in LP_FOUND:
+        want = [f"(star_{(1,) * ones + (0,) * zeros}): dual constraint violated" for ones, zeros in LP_FOUND[t]]
+        assert report["violated"] == want, (t, report["violated"])
     return seconds
 
 
@@ -402,7 +411,9 @@ def main() -> None:
     parser.add_argument("--witness-k", type=int, nargs="*", default=[6, 14, 22, 30])
     parser.add_argument("--minterm-n", type=int, nargs="*", default=[2, 3, 4])
     parser.add_argument("--minterm-k", type=int, nargs="*", default=[2, 3, 4])
-    parser.add_argument("--lp-t", type=int, nargs="*", default=list(range(1, 9)))
+    parser.add_argument(
+        "--lp-t", type=int, nargs="*", default=[*range(1, 17), 24, 32, 48, 64, 96, 128, greedy.LP_T_LIMIT]
+    )
     parser.add_argument("--pathset-k", type=int, nargs="*", default=list(range(2, 9)))
     parser.add_argument("--pathset-n", type=int, nargs="*", default=[2, 3])
     parser.add_argument("--chi", action=argparse.BooleanOptionalAction, default=True)

@@ -934,9 +934,14 @@ def from_json_dict(data, binary: bool = False):
 # -- exhaustive strict-formula count ------------------------------------------
 
 
-def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
+def count_strict_demorgan(k: int, d: int) -> int:
     """Number of distinct strict k-variable formulas of doubling-combinator
     depth at most d, by exhaustive generation with strictness pruning."""
+    return len(_strict_demorgan(k, d))
+
+
+def _strict_demorgan(k: int, d: int) -> list[DeMorgan]:
+    """The formulas ``count_strict_demorgan`` counts, in the order found."""
     if k < 1 or d < 0:
         raise InvalidParameterError("need k >= 1 and d >= 0")
     base: list[DeMorgan] = [dm_const(0), dm_const(1)]
@@ -954,9 +959,7 @@ def count_strict_demorgan(k: int, d: int, return_formulas: bool = False):
                 for formula in row:
                     _extend_strict(formula, row, op, tables, new)
         level = new
-    if return_formulas:
-        return len(level), list(level)
-    return len(level)
+    return list(level)
 
 
 def _extend_strict(formula: DeMorgan, row: list, op: str, tables: Callable, new: dict) -> None:

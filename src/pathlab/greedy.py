@@ -1,26 +1,28 @@
 """Greedy sequences, the generalized tight example, Dyck sequences, and
 exact verification of the linear-programming optimality certificates.
 
-The certificates are given as ``fractions.Fraction`` values; the checker puts
-y and gamma over one common denominator and w over its own, and decides every
-constraint in Python integers.  The dual feasibility margins shrink quickly
-with t and floats would mask violations.
+The checker puts y and gamma over one common denominator and w over its
+own, and decides every constraint in Python integers: the dual feasibility
+margins shrink quickly with t and floats would mask violations.  The Dyck
+columns of each length are decided at once by their least dual slack, which
+a DP over prefix sums finds without listing a column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
+from itertools import accumulate
 from math import lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotGreedyError, ResourceLimitError
-from .paths import EMPTY, GraphSequence, Intervals, PathGraph, union_all
+from .paths import EMPTY, GraphSequence, Intervals, PathGraph, _ranked_intervals, union_all
 
 # resource ceilings (each raises ResourceLimitError)
 DYCK_LIMIT = 12  # length of the Dyck sequences enumerate_dyck lists
-LP_DYCK_LIMIT = 8  # t of verify_lp_certificates
+LP_T_LIMIT = 160  # t of verify_lp_certificates
 
 _intervals = attrgetter("intervals")
 
@@ -69,20 +71,16 @@ def _lazy_greedy(
     threshold, the lowest index on ties; a member that reaches no threshold
     is left out.
 
-    The touch test runs on vertex masks over one ranking of every endpoint
-    of ``acc`` and the members: an interval's mask holds the ranks of the
-    endpoints it contains.  Two intervals share a vertex iff the larger of
-    their left ends lies in both, so iff their masks meet, and the union
-    picked so far is the OR of its members' masks.  A member whose mask
-    misses the union keeps every interval.
+    The touch test ANDs the masks of ``paths._ranked_intervals``: the union
+    picked so far is the OR of its members' masks, and a member whose mask
+    misses it keeps every interval.
 
     An increment and a longest interval only fall as the union grows, so a
     max-heap of (increment, index) keys holds upper bounds: the top is
     re-measured and taken when its key is still exact and it meets the
     threshold.  One that falls short cannot meet it again this round, so it
     waits for the next."""
-    rank = {v: r for r, v in enumerate(sorted({v for ivs in (acc, *members) for iv in ivs for v in iv}))}
-    comps = [[((2 << rank[t]) - (1 << rank[s]), t - s) for s, t in ivs] for ivs in members]
+    acc_comps, *comps = _ranked_intervals((acc, *members))
     whole = []
     longest = []
     for cs in comps:
@@ -93,9 +91,7 @@ def _lazy_greedy(
                 lam = length
         whole.append(mask)
         longest.append(lam)
-    seen = 0
-    for s, t in acc:
-        seen |= (2 << rank[t]) - (1 << rank[s])
+    seen = sum(c for c, _ in acc_comps)
     heap = [(-len(ivs), i) for i, ivs in enumerate(members)]
     heapify(heap)
     order: list[int] = []
@@ -314,12 +310,13 @@ def verify_lp_certificates(
 
     Entries may be ints or Fractions.  y and gamma are scaled to integers
     over the lcm of their denominators, w over the lcm of its own, so every
-    comparison is between integers; a column's dual constraint costs one
-    pass over its nonzero rows, and the primal sums run over the keys of w
-    that are Dyck columns of length <= t (other keys add nothing).
+    comparison is between integers.  The primal sums read only the keys of w
+    equal to integer Dyck sequences of length <= t.  The dual constraints of
+    each length s are decided by their least slack in O(s^2) steps, and a
+    violated length is reported by its lex-first column of least slack.
     """
-    if t > LP_DYCK_LIMIT:
-        raise ResourceLimitError(f"t={t} exceeds Dyck enumeration limit {LP_DYCK_LIMIT}")
+    if t > LP_T_LIMIT:
+        raise ResourceLimitError(f"t={t} exceeds LP check limit {LP_T_LIMIT}")
     g = gamma(t)
     w = certificate_w(t) if w is None else {a: Fraction(v) for a, v in w.items()}
     y = certificate_y(t) if y is None else [Fraction(v) for v in y]
@@ -329,9 +326,7 @@ def verify_lp_certificates(
     y_int = [v.numerator * (den // v.denominator) for v in y]
     g_num = g.numerator * (den // g.denominator)
     w_den = lcm(*(v.denominator for v in w.values()))
-    # the Dyck columns of length <= t in order, each mapped to itself so that
-    # a key of w equal to a column is read as that column
-    columns = {a: a for s in range(t + 1) for a in enumerate_dyck(s)}
+    columns: list[tuple[int, ...]] = []  # the keys of w read as columns
     violated: list[str] = []
     failed: set[str] = set()
 
@@ -344,6 +339,8 @@ def verify_lp_certificates(
     for a, val in w.items():
         if not is_dyck(a):
             fail("primal", f"support: w[{a}] indexed by a non-Dyck sequence")
+        elif len(a) <= t and all(x % 1 == 0 for x in a):
+            columns.append(tuple(map(int, a)))
         if val < 0:
             fail("primal", f"nonnegativity: w[{a}] = {val} < 0")
     if any(v < 0 for v in y_int):
@@ -370,8 +367,24 @@ def verify_lp_certificates(
         rows, obj = _column(t, a, g_num, den)
         return sum(c * y_int[r] for r, c in rows) - obj
 
+    def least_slack(s: int) -> tuple[int, tuple[int, ...]]:
+        """The least dual slack over the Dyck columns of length s and the
+        lex-first column with it.  The slack is affine in the column, so a
+        walk over positions p keeps the least slack and the lex-first prefix
+        of each prefix sum k <= p: a running minimum over the sums j <= k."""
+        zero = (0,) * s
+        base = dual_slack(zero)
+        best = [(base, ())]
+        for p in range(1, s + 1):
+            step = dual_slack(zero[: p - 1] + (1,) + zero[p:]) - base
+            # prefixes of distinct sums differ, so ties never reach j
+            lows = list(accumulate(((v - j * step, pre, j) for j, (v, pre) in enumerate(best)), min))
+            lows.append(lows[-1])
+            best = [(v + k * step, pre + (k - j,)) for k, (v, pre, j) in enumerate(lows)]
+        return min(best)
+
     # primal constraints: row 0 is w_() >= 1, rows r >= 1 are <=-inequalities
-    row_sums, primal_obj = primal_sums(columns[a] for a in w if a in columns)
+    row_sums, primal_obj = primal_sums(columns)
     if not row_sums[0] <= -w_den:
         fail("primal", "(*_0): w_() >= 1 fails")
     for row in range(1, t + 1):
@@ -380,9 +393,10 @@ def verify_lp_certificates(
     if primal_obj != 0:
         fail("primal", f"objective: primal value {Fraction(primal_obj, den * w_den)} != 0")
 
-    # dual feasibility: M^T y >= f over every Dyck column
-    for a in columns:
-        if dual_slack(a) < 0:
+    # dual feasibility: M^T y >= f over every Dyck column, length by length
+    for s in range(t + 1):
+        slack, a = least_slack(s)
+        if slack < 0:
             fail("dual", f"(star_{a}): dual constraint violated")
     if y_int[0] != 0:
         fail("dual", f"dual objective: -y_0 = {-y[0]} != 0")

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Literal
 
 from . import _kernels, shifts
 from .errors import ArityError, InvalidParameterError, ResourceLimitError
-from .paths import EMPTY, PathGraph, _merge, _survivors
+from .paths import EMPTY, PathGraph, _merge, _ranked_intervals, _survivors
 
 # resource ceilings (each raises ResourceLimitError); only the subset-DP
 # ceiling can be set per call, as ``psi``'s and
@@ -208,19 +208,6 @@ def sem(
     while len(row) > 1:
         row = [join(row[0], x) for x in row[1:]]
     return row[0]
-
-
-def build(kind: str, args) -> JoinTree:
-    if kind == "leaf":
-        return leaf(args)
-    if kind == "union":
-        l, r = args
-        return node(l, r)
-    if kind == "sq":
-        return sq(args)
-    if kind == "sem":
-        return sem(args)
-    raise InvalidParameterError(f"unknown build kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,19 +470,12 @@ def _conflict_masks(members: list[PathGraph]) -> list[list[int]]:
     """One conflict bitmask per component of each member, bit i set when the
     component shares a vertex with member i (the input of
     ``_kernels.max_ordering_value``)."""
-    # vertex bitmasks over the ranks of the interval endpoints: ranking keeps
-    # every "s <= t'" comparison, so two intervals share a vertex exactly when
-    # their masks meet, and a mask is at most two bits per interval wide
-    ends = sorted({x for g in members for iv in g.intervals for x in iv})
-    rank = {x: i for i, x in enumerate(ends)}
-    comp_bits = [
-        [((2 << (rank[t] - rank[s])) - 1) << rank[s] for s, t in g.intervals] for g in members
-    ]
-    vertex_bits = [sum(bits) for bits in comp_bits]
+    comps = _ranked_intervals([g.intervals for g in members])
+    vertex_bits = [sum([c for c, _ in cs]) for cs in comps]
     conflicts: list[list[int]] = []
-    for j, bits in enumerate(comp_bits):
+    for j, cs in enumerate(comps):
         masks = []
-        for comp in bits:
+        for comp, _ in cs:
             mask = 0
             for i, other in enumerate(vertex_bits):
                 if i != j and comp & other:

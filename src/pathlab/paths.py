@@ -153,6 +153,16 @@ def _terms(ivs: Intervals) -> tuple[int, int, int]:
     return len(ivs), lam, lam * len(ivs)
 
 
+def _ranked_intervals(groups: Sequence[Intervals]) -> list[list[tuple[int, int]]]:
+    """Each interval of each group as (vertex mask, length), the mask holding
+    the ranks of the endpoints it contains, over one ranking of every
+    endpoint of every group.  Two intervals share a vertex iff the larger of
+    their left ends lies in both, so iff their masks meet; those of one
+    canonical tuple never do, so the OR of its masks is their sum."""
+    rank = {v: r for r, v in enumerate(sorted({v for ivs in groups for iv in ivs for v in iv}))}
+    return [[((2 << rank[t]) - (1 << rank[s]), t - s) for s, t in ivs] for ivs in groups]
+
+
 class PathGraph:
     """Immutable disjoint union of paths, canonical per edge set."""
 

@@ -31,8 +31,7 @@ from . import formulas, jointrees
 from .errors import CheckFailedError, DomainError, InvalidParameterError, ResourceLimitError
 from .paths import EMPTY, PathGraph, from_edges, full_path, vec_delta
 
-# resource ceilings (each raises ResourceLimitError); only the minterm-scan
-# budget can be set per call, as ``minterms``'s budget
+# resource ceilings (each raises ResourceLimitError)
 PATHSET_K_LIMIT = 10  # k of is_pathset
 DEFAULT_MINTERM_BUDGET = 2_000_000  # scanned points of one minterm call
 MONTECARLO_BUDGET = 50_000_000  # scanned points of all montecarlo_mpath2 trials
@@ -286,13 +285,7 @@ def _fold_or(x: int, width: int, count: int) -> int:
     return x
 
 
-def minterms(
-    f: Evaluator,
-    g: PathGraph,
-    mode: Literal["M", "N"],
-    n: int,
-    budget: int = DEFAULT_MINTERM_BUDGET,
-) -> Relation:
+def minterms(f: Evaluator, g: PathGraph, mode: Literal["M", "N"], n: int) -> Relation:
     """mode M: alpha whose section is a minimal 1-certificate of (monotone) f;
     mode N: alpha whose restricted subfunction depends on every edge.
 
@@ -301,11 +294,11 @@ def minterms(
     number, first vertex most significant.  Variant w is, in mode M, the full
     section (w = 0) or the section without its w-th edge, and in mode N the
     edges of the section picked by the bits of w."""
-    column, full, read = _minterm_scan(g, mode, n, budget)
+    column, full, read = _minterm_scan(g, mode, n)
     return read(f(column, full))
 
 
-def _minterm_scan(g: PathGraph, mode: str, n: int, budget: int) -> tuple[Callable, int, Callable]:
+def _minterm_scan(g: PathGraph, mode: str, n: int) -> tuple[Callable, int, Callable]:
     """The set-up and the read-out of :func:`minterms` on g: (column, full,
     read), where ``read(values)`` turns the packed values of a function at
     every point into its minterm relation.  One set-up serves every function
@@ -315,7 +308,7 @@ def _minterm_scan(g: PathGraph, mode: str, n: int, budget: int) -> tuple[Callabl
     verts, edges = tuple(g.vertices()), tuple(g.edges())
     variants = (len(edges) + 1) if mode == "M" else (1 << len(edges))
     width = n ** len(verts)
-    if width * variants > budget:
+    if width * variants > DEFAULT_MINTERM_BUDGET:
         raise ResourceLimitError("minterm scan exceeds evaluation budget")
     total = width * variants
     full, first = (1 << total) - 1, (1 << width) - 1
@@ -389,7 +382,7 @@ def _plain_minterms(n: int, root) -> Callable[[object, PathGraph], Relation]:
                 got = on[1]
             else:
                 if on[2] is None:
-                    column, full, read = _minterm_scan(h, "M", n, DEFAULT_MINTERM_BUDGET)
+                    column, full, read = _minterm_scan(h, "M", n)
                     on[2] = formulas._Walker(column, full), read
                 walk, read = on[2]
                 got = read(walk(node))

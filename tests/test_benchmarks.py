@@ -36,6 +36,13 @@ def test_subset_dp_sweep_runs_both_bodies_on_each_side_of_the_crossover():
         assert set(rows) == {"python", "numpy", "entry", "clique"}
 
 
+def test_lp_rows_hold_their_pinned_reports():
+    # the closed-form certificates verify up to t = 7, and from t = 8 on the
+    # row asserts the violations found, not mended
+    for t in (1, 7, 8, 15, 16, 17):
+        assert bench_kernels.bench_lp(t, repeat=1) > 0
+
+
 def test_sampled_and_chi_rows_run_with_their_agreement_checks():
     # each asserts its own agreement: the sampled value against the
     # materialised sample, and each certified cost against its floor

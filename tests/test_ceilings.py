@@ -33,10 +33,9 @@ CEILINGS = [
      "strict-tree enumeration exceeded 5 trees", ["verify", "tradeoff-II", "--enumerate-k", "3"]),
     (shifts, "ENUM_LIMIT", 1, lambda: list(shifts.enumerate_all(2)),
      "m=2 exceeds enumeration limit 1", None),
-    (greedy, "DYCK_LIMIT", 2, lambda: greedy.enumerate_dyck(3), "Dyck length 3 exceeds limit 2",
-     ["verify", "lp", "--t", "3"]),
-    (greedy, "LP_DYCK_LIMIT", 2, lambda: greedy.verify_lp_certificates(3),
-     "t=3 exceeds Dyck enumeration limit 2", ["verify", "lp", "--t", "3"]),
+    (greedy, "DYCK_LIMIT", 2, lambda: greedy.enumerate_dyck(3), "Dyck length 3 exceeds limit 2", None),
+    (greedy, "LP_T_LIMIT", 2, lambda: greedy.verify_lp_certificates(3),
+     "t=3 exceeds LP check limit 2", ["verify", "lp", "--t", "3"]),
     (F, "NVARS_LIMIT", 4, lambda: F.truth_table(F.lit((1, 1, 1)), F.matrix_varlist(2, 2)),
      "8 variables exceeds truth-table limit 4",
      ["verify", "formulas", "--n", "2", "--k", "2", "--exhaustive"]),
@@ -105,12 +104,13 @@ def test_sem_memo_ceiling_bounds_one_node_whatever_was_measured_before(monkeypat
         jt.depths(t)
 
 
-def test_minterm_budget_is_the_default_of_minterms():
+def test_minterm_budget_is_the_default_of_minterms(monkeypatch):
     # 40^4 points in each of 4 variants exceed the 2,000,000-point default
     never = lambda column, full: 0  # noqa: E731
     with pytest.raises(ResourceLimitError, match="^minterm scan exceeds evaluation budget$"):
         R.minterms(never, full_path(3), "M", 40)
-    assert len(R.minterms(never, full_path(3), "M", 40, budget=40**4 * 4)) == 0
+    monkeypatch.setattr(R, "DEFAULT_MINTERM_BUDGET", 40**4 * 4)
+    assert len(R.minterms(never, full_path(3), "M", 40)) == 0
 
 
 def test_shift_m_limit_skips_the_largest_decompositions():

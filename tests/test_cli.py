@@ -40,6 +40,14 @@ def test_measure_vecdelta_orders(seq_file, capsys):
     assert code == 0 and json.loads(out)["value"] == 13
 
 
+def test_measure_an_explicit_permutation_order(seq_file, capsys):
+    # the odd edges first, spelled out: the odd-even value 13
+    path = seq_file("ex.json", [single_edge(i) for i in range(1, 26)])
+    order = ",".join(map(str, [*range(1, 26, 2), *range(2, 26, 2)]))
+    code, out = run(capsys, "measure", "vecdelta", "--seq", path, "--order", order, "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == 13
+
+
 def test_measure_psi_overlap(tmp_path, capsys):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(jt.maximally_overlapping(5).to_json()))
@@ -79,6 +87,14 @@ def test_verify_lp(capsys):
     code, out = run(capsys, "verify", "lp", "--t", "3", "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["ok"] and report["gamma"] == "31/10"
+
+
+def test_verify_lp_beyond_eight_is_a_failed_check(capsys):
+    # no resource limit stops t = 9: the closed-form dual fails its check
+    code, out = run(capsys, "verify", "lp", "--t", "9", "--format", "json")
+    report = json.loads(out)
+    assert code == cli.EXIT_CHECK_FAILED and report["primal_ok"] and not report["dual_ok"]
+    assert report["violated"] == ["(star_(1, 1, 1, 1, 1, 1, 1, 0)): dual constraint violated"]
 
 
 def test_verify_suites_pass(capsys):

@@ -411,6 +411,39 @@ def test_lp_certificates_fail_at_eight():
     assert report["violated"] == ["(star_(1, 1, 1, 1, 1, 1, 0)): dual constraint violated"]
 
 
+# (ones, zeros) of each column 1^ones 0^zeros that the closed-form dual
+# violates at t = 9..16, one per violated length
+_LP_FOUND = {
+    9: [(7, 1)], 10: [(7, 2)], 11: [(7, 3)], 12: [(8, 3)], 13: [(8, 4)], 14: [(8, 5)],
+    15: [(12, 1), (9, 5)], 16: [(12, 2), (9, 6)],
+}
+
+
+@pytest.mark.parametrize("t", sorted(_LP_FOUND))
+def test_lp_certificates_fail_beyond_eight(t):
+    # pinned as found, not mended, as at t = 8: only dual feasibility fails
+    report = greedy.verify_lp_certificates(t)
+    assert not report["ok"] and not report["dual_ok"]
+    assert report["primal_ok"] and report["identities_ok"]
+    assert report["violated"] == [
+        f"(star_{(1,) * ones + (0,) * zeros}): dual constraint violated" for ones, zeros in _LP_FOUND[t]
+    ]
+
+
+def test_lp_check_lists_no_dyck_column(monkeypatch):
+    def listing(s):
+        raise AssertionError(f"enumerate_dyck({s}) called")
+
+    monkeypatch.setattr(greedy, "enumerate_dyck", listing)
+    for t in range(1, 17):
+        greedy.verify_lp_certificates(t)
+    w = greedy.certificate_w(5)
+    w[(1, 0, 1)] = 2
+    y = greedy.certificate_y(5)
+    y[2] -= 1
+    assert not greedy.verify_lp_certificates(5, w=w, y=y)["dual_ok"]
+
+
 def test_dual_vector_goldens():
     y = greedy.certificate_y(3)
     assert y[0] == 0
@@ -452,6 +485,19 @@ def test_dual_of_the_wrong_length_is_refused(y):
         greedy.verify_lp_certificates(3, y=y)
 
 
+def test_keys_of_w_equal_to_integer_columns_are_read_as_those_columns():
+    # a float key equal to a column is read as the integer column, so no
+    # float reaches a row sum; a Dyck key that is no column adds nothing
+    w = {tuple(map(float, a)): v for a, v in greedy.certificate_w(4).items()}
+    assert greedy.verify_lp_certificates(4, w=w) == greedy.verify_lp_certificates(4)
+    w[(0.5,)] = 1
+    assert greedy.verify_lp_certificates(4, w=w)["ok"]
+    w[(1.0, 0.0)] = 1
+    assert greedy.verify_lp_certificates(4, w=w)["violated"] == [
+        "(*_2): primal constraint violated by 1", "objective: primal value -29/5 != 0"
+    ]
+
+
 def test_every_unit_perturbation_is_caught():
     t = 3
     base_w = greedy.certificate_w(t)
@@ -486,7 +532,8 @@ def _reference_objective_coefficient(t, a):
 
 
 def _reference_verify_lp(t, w=None, y=None):
-    """The dense checker: every (row, column) pair in Fractions."""
+    """The dense checker: every (row, column) pair in Fractions, over every
+    Dyck column that ``enumerate_dyck`` lists."""
     col = _reference_column_coefficient
     obj = _reference_objective_coefficient
     g = greedy.gamma(t)
@@ -521,9 +568,13 @@ def _reference_verify_lp(t, w=None, y=None):
     if primal_obj != 0:
         fail("primal", f"objective: primal value {primal_obj} != 0")
 
-    for a in columns:
-        lhs = sum(col(t, row, a) * y[row] for row in range(t + 1))
-        if not lhs >= obj(t, a):
+    # one message per violated length: its lex-first least-slack column
+    for s in range(t + 1):
+        slack, a = min(
+            (sum(col(t, row, a) * y[row] for row in range(t + 1)) - obj(t, a), a)
+            for a in greedy.enumerate_dyck(s)
+        )
+        if slack < 0:
             fail("dual", f"(star_{a}): dual constraint violated")
     if y[0] != 0:
         fail("dual", f"dual objective: -y_0 = {-y[0]} != 0")
@@ -616,6 +667,8 @@ def _perturbed_certificates(rng, t, seen):
 
 
 def test_integer_lp_checker_matches_the_fraction_oracle():
+    # the oracle lists every Dyck column; per length it reports the lex-first
+    # column of least slack when that slack is negative
     rng = random.Random(31)
     seen = set()
     for t, cases in _LP_CASES.items():

@@ -51,10 +51,9 @@ def test_sem_root_graph_is_union():
     assert t.graph == full_path(4)
 
 
-def test_build_dispatch_and_arity():
-    assert jt.build("leaf", single_edge(2)).graph == single_edge(2)
+def test_sq_and_leaf_arity():
     with pytest.raises(ArityError):
-        jt.build("sq", [])
+        jt.sq([])
     with pytest.raises(ArityError):
         jt.leaf(make_path(0, 2))
 
@@ -897,7 +896,7 @@ def random_mixed_formula(rng: random.Random, gates: int) -> formulas.DeMorgan:
 @pytest.fixture(scope="module")
 def strict_formulas_2_2() -> tuple:
     """The 1,854 formulas of count_strict_demorgan(2, 2), made once."""
-    return tuple(formulas.count_strict_demorgan(2, 2, return_formulas=True)[1])
+    return tuple(formulas._strict_demorgan(2, 2))
 
 
 def test_cached_formula_depths_equal_the_uncached_folds(strict_formulas_2_2):

@@ -416,15 +416,17 @@ def test_minterms_rejects_an_unknown_mode():
         R.minterms(R.formula_evaluator(phi), g, "x", 1)
 
 
-def test_minterms_over_budget_raise_before_evaluating():
+def test_minterms_over_budget_raise_before_evaluating(monkeypatch):
     def never(column, full):
         raise AssertionError("evaluated an over-budget scan")
 
     # 10^4 assignments times 4 variants (mode M), and 2^3 variants (mode N)
+    monkeypatch.setattr(R, "DEFAULT_MINTERM_BUDGET", 39_999)
     for mode in "MN":
         with pytest.raises(ResourceLimitError):
-            R.minterms(never, full_path(3), mode, 10, budget=39_999)
-    assert len(R.minterms(lambda column, full: full, full_path(3), "M", 10, budget=40_000)) == 0
+            R.minterms(never, full_path(3), mode, 10)
+    monkeypatch.setattr(R, "DEFAULT_MINTERM_BUDGET", 40_000)
+    assert len(R.minterms(lambda column, full: full, full_path(3), "M", 10)) == 0
 
 
 # -- tree-shaped minterm subsets ------------------------------------------------------
@@ -524,6 +526,23 @@ def test_chi_cost_single_literal():
     assert R.chi_decomposition_cost(t, None, dm, params) == 1
 
 
+def test_chi_cost_reads_a_relation_inside_the_minterm_subset(monkeypatch):
+    # the subset of the literal's tree on edge 1 is {(1, 1)}: a relation
+    # inside it is the floor's target, one outside it is refused
+    params = R.PathsetParams(2, 3)
+    t, dm = jt.leaf(single_edge(1)), F.dm_lit((1, 1, 1))
+    inside = R.Relation(single_edge(1), 2, [(1, 1)])
+    targets = []
+    real = R.exceeds_ntilde_bound
+    monkeypatch.setattr(
+        R, "exceeds_ntilde_bound", lambda *args: targets.append(args[-1]) or real(*args)
+    )
+    assert R.chi_decomposition_cost(t, inside, dm, params) == 1
+    assert len(targets) == 1 and targets[0] is inside
+    with pytest.raises(DomainError, match="^relation is not inside the tree-shaped minterm subset$"):
+        R.chi_decomposition_cost(t, R.Relation.full(single_edge(1), 2), dm, params)
+
+
 def test_chi_cost_above_the_binomial_bound_fails_its_check(monkeypatch):
     monkeypatch.setattr(F, "size", lambda f: 0)
     t, dm = jt.leaf(single_edge(1)), F.dm_lit((1, 1, 1))
@@ -592,9 +611,9 @@ def test_chi_cost_walks_each_graph_once_and_builds_each_pair_once(monkeypatch):
             roots.append(root)
             return super().__call__(root)
 
-    def counting_scan(g, mode, n, budget):
+    def counting_scan(g, mode, n):
         setups[g] += 1
-        column, full, read = real_scan(g, mode, n, budget)
+        column, full, read = real_scan(g, mode, n)
 
         def counting_read(values):
             built[roots[-1], g] += 1  # the node just walked

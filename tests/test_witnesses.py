@@ -33,6 +33,10 @@ def test_numerical_zero_case():
     assert wit.check_numerical([0.0, 0.0], [0.0, 0.0], 2.5)
 
 
+def test_numerical_empty_input_holds():
+    assert wit.check_numerical([], [], 2.0)
+
+
 def test_numerical_single_term_equality():
     assert wit.check_numerical([1.0], [1.0], 2.0)
 
@@ -44,6 +48,24 @@ def test_numerical_rejects_bad_domain():
         wit.check_numerical([1.0], [1.0], 1.0)
     with pytest.raises(DomainError):
         wit.check_numerical([1.0, 2.0], [1.0], 2.0)
+
+
+@pytest.mark.parametrize(
+    "construct, cover, measure",
+    [
+        (wit.construct_premain_I, samples.random_unit_covering, vec_delta),
+        (wit.construct_main_I, samples.random_covering, vec_lambda_delta),
+    ],
+)
+def test_witness_json_of_a_permutation_ordering(construct, cover, measure):
+    seq = cover(random.Random(9), 12)
+    result = construct(seq)
+    data = json.loads(json.dumps(result.to_json()))
+    perm = data["ordering"]["perm"]
+    assert data["kind"] == result.kind and perm == list(result.ordering)
+    assert sorted(perm) == list(range(1, len(seq) + 1))
+    assert data["achieved"] == result.achieved == measure([seq[p - 1] for p in perm])
+    assert Fraction(data["guaranteed"]) == result.guaranteed
 
 
 def test_numerical_random_instances():
