@@ -9,10 +9,13 @@ packed into Python big integers (bit j holds the value at point j: input j
 of a truth table, the j-th input of the class in a correctness check).
 
 A binary formula (``DeMorgan``) is a node kind of ``jointrees.BinaryTree``,
-so it is interned; equality is identity.  The doubling combinator, its
-depth, strictification and leaf restriction are the ``jointrees``
-algorithms: this module only supplies the gate op, the truth-table value
-that marks a redundant child, and the literal-to-constant relabelling.
+so it is interned; equality is identity.  Its leaves are those of every
+formula: an unbounded fan-in ``Formula`` is a gate over the same interned
+literals and constants, so a conversion keeps them.  The doubling
+combinator, its depth, strictification and leaf restriction are the
+``jointrees`` algorithms: this module only supplies the gate op, the
+truth-table value that marks a redundant child, and the literal-to-constant
+relabelling.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from .errors import (
 )
 from .paths import EMPTY, PathGraph, from_edges
 
-# resource ceilings (each raises ResourceLimitError); the two build
-# ceilings are with the block constructions below
+# resource ceilings (each raises ResourceLimitError); the build ceiling
+# is with the block constructions below
 NVARS_LIMIT = 24  # variables of a matrix-variable truth table
 EDGE_TABLE_LIMIT = 16  # edge variables of a binary formula's truth tables
-STRICT_COUNT_BUDGET = 200_000  # formulas kept by count_strict_demorgan
+STRICT_COUNT_BUDGET = 200_000  # candidate gates count_strict_demorgan builds
 
 # ---------------------------------------------------------------------------
 # IR
@@ -44,31 +47,17 @@ STRICT_COUNT_BUDGET = 200_000  # formulas kept by count_strict_demorgan
 
 
 class Formula:
-    """Unbounded fan-in AND/OR tree over literals and constants."""
+    """Unbounded fan-in AND/OR gate; its leaves are the interned
+    ``DeMorgan`` literals and constants, shared with binary formulas."""
 
-    __slots__ = ("op", "children", "var", "neg", "value")
+    __slots__ = ("op", "children")
 
-    def __init__(self, op, children=(), var=None, neg=False, value=0):
+    def __init__(self, op, children):
         self.op = op
         self.children = children
-        self.var = var
-        self.neg = neg
-        self.value = value
 
     def __repr__(self):
-        if self.op == "const":
-            return f"const({self.value})"
-        if self.op == "lit":
-            return f"lit({self.var}{', neg' if self.neg else ''})"
         return f"{self.op}<{len(self.children)}>"
-
-
-def const(value: int) -> Formula:
-    return Formula("const", value=1 if value else 0)
-
-
-def lit(var, neg: bool = False) -> Formula:
-    return Formula("lit", var=var, neg=neg)
 
 
 def _gate(op: str, children: Sequence[Formula]) -> Formula:
@@ -94,7 +83,8 @@ def disj(children: Sequence[Formula]) -> Formula:
 
 
 class DeMorgan(jointrees.BinaryTree):
-    """Binary AND/OR tree over the same leaves; equal formulas are one object."""
+    """Binary AND/OR tree, and the literal and constant leaf of every
+    formula, binary or not; equal formulas are one object."""
 
     __slots__ = ("op", "var", "neg", "value")
 
@@ -115,18 +105,22 @@ class DeMorgan(jointrees.BinaryTree):
 
     def __repr__(self):
         if self.op == "const":
-            return f"dm_const({self.value})"
+            return f"const({self.value})"
         if self.op == "lit":
-            return f"dm_lit({self.var}{', neg' if self.neg else ''})"
+            return f"lit({self.var}{', neg' if self.neg else ''})"
         return f"dm_{self.op}"
 
 
-def dm_const(value: int) -> DeMorgan:
+def const(value: int) -> DeMorgan:
     return DeMorgan("const", value=1 if value else 0)
 
 
-def dm_lit(var, neg: bool = False) -> DeMorgan:
+def lit(var, neg: bool = False) -> DeMorgan:
     return DeMorgan("lit", var=var, neg=neg)
+
+
+# one leaf serves both formula models
+dm_const, dm_lit = const, lit
 
 
 def dm_and(left: DeMorgan, right: DeMorgan) -> DeMorgan:
@@ -367,9 +361,6 @@ def random_subperm_matrix(n: int, rng: random.Random):
 Kind = Literal["D", "C", "SigmaI", "SigmaII", "PiII"]
 
 _BUILD_NODE_LIMIT = 4_000_000
-# the construction recurses once per level; below the node budget only
-# ell = 1 (k = 1) can ask for more levels than this
-_BUILD_DEPTH_LIMIT = 64
 
 
 def _walks(n: int, parts: int, a0: int, ak: int):
@@ -470,8 +461,10 @@ def build_matrix_formula(
         ell = jointrees._integer_root(k, d)
         if ell is None:
             raise InvalidParameterError(f"k^(1/d) = {k}^(1/{d}) is not an integer")
-    if d > _BUILD_DEPTH_LIMIT:
-        raise ResourceLimitError(f"d={d} levels exceed the build depth limit {_BUILD_DEPTH_LIMIT}")
+        if ell == 1:
+            # each level is one block, which returns its child, so every d
+            # builds the literal (1, a0, ak)
+            d = 1
     leaves = _leaf_count(kind, n, ell, d)
     if leaves > _BUILD_NODE_LIMIT:
         raise ResourceLimitError(
@@ -641,12 +634,6 @@ def check_formula_correct(
 # ---------------------------------------------------------------------------
 
 
-def _leaf_to_dm(node) -> DeMorgan:
-    if node.op == "const":
-        return dm_const(node.value)
-    return dm_lit(node.var, node.neg)
-
-
 def _fold_right(op: str, parts: list[DeMorgan]) -> DeMorgan:
     out = parts[-1]
     for p in reversed(parts[:-1]):
@@ -668,7 +655,7 @@ def convert(phi: Formula, style: Literal["right_deep", "balanced"]) -> DeMorgan:
     got: dict = {}
     for node in jointrees._postorder(phi):
         kids = node.children
-        got[node] = fold(node.op, [got[c] for c in kids]) if kids else _leaf_to_dm(node)
+        got[node] = fold(node.op, [got[c] for c in kids]) if kids else node
     return got[phi]
 
 
@@ -707,7 +694,7 @@ def randomized_conversion(phi: Formula, t: int, seed: int) -> DeMorgan:
     """Sampled balanced conversion: each fan-in-m gate becomes a balanced
     tree of t*m - 1 binary gates over t*m uniformly chosen children, children
     sampled once each and reused; deterministic under the seed."""
-    return _sampled(phi, t, seed, _leaf_to_dm, _fold_balanced)
+    return _sampled(phi, t, seed, lambda node: node, _fold_balanced)
 
 
 def randomized_conversion_value(phi: Formula, t: int, seed: int, getval: Callable) -> int:
@@ -838,9 +825,9 @@ def _node(op: str, arg, binary: bool):
     if op == "const":
         if arg not in (0, 1):
             raise ArityError(f"a constant is 0 or 1, not {arg!r}")
-        return dm_const(arg) if binary else const(arg)
+        return const(arg)
     if op == "lit":
-        return dm_lit(*arg) if binary else lit(*arg)
+        return lit(*arg)
     if op not in ("and", "or"):
         raise ArityError(f"unknown gate {op!r}")
     if not binary:
@@ -944,41 +931,51 @@ def _strict_demorgan(k: int, d: int) -> list[DeMorgan]:
     """The formulas ``count_strict_demorgan`` counts, in the order found."""
     if k < 1 or d < 0:
         raise InvalidParameterError("need k >= 1 and d >= 0")
-    base: list[DeMorgan] = [dm_const(0), dm_const(1)]
+    base: list[DeMorgan] = [const(0), const(1)]
     for i in range(1, k + 1):
-        base.append(dm_lit(i))
-        base.append(dm_lit(i, neg=True))
+        base.append(lit(i))
+        base.append(lit(i, neg=True))
     level = dict.fromkeys(base, True)
     tables = _edge_tables(k)
+    built = [0]
     for _ in range(d):
         new = dict(level)
         pool = list(level)
         for op in ("and", "or"):
             for g1 in pool:
-                row = [DeMorgan(op, g1, g2) for g2 in pool]
+                row = _candidates(op, g1, pool, built)
                 for formula in row:
-                    _extend_strict(formula, row, op, tables, new)
+                    _extend_strict(formula, row, op, tables, new, built)
         level = new
     return list(level)
 
 
-def _extend_strict(formula: DeMorgan, row: list, op: str, tables: Callable, new: dict) -> None:
+def _candidates(op: str, left: DeMorgan, pool: list, built: list[int]) -> list[DeMorgan]:
+    """``DeMorgan(op, left, g)`` for each g in ``pool``, counted in
+    ``built[0]`` against ``STRICT_COUNT_BUDGET`` before any is built."""
+    built[0] += len(pool)
+    if built[0] > STRICT_COUNT_BUDGET:
+        raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET} candidates")
+    return [DeMorgan(op, left, g) for g in pool]
+
+
+def _extend_strict(
+    formula: DeMorgan, row: list, op: str, tables: Callable, new: dict, built: list[int]
+) -> None:
     """Enter ``formula = sem_demorgan(seq, op)`` in ``new`` when it is
     strict, and then its strict extensions by the members g of the pool.
     ``row`` holds ``sem_demorgan(seq[:-1] + (g,), op)`` for each g, so the
     extension by g is the one node ``DeMorgan(op, formula, row[g])``, and
-    those nodes are the row of the extensions' own extensions.  ``tables``
-    is the one truth-table walker of the enumeration, so a node is
-    evaluated once however many candidates share it.  ``new`` maps each
-    strict formula found so far to True, so that no node in it is checked
-    again; it is passed in so that no closure holds it in a reference
-    cycle."""
+    those nodes are the row of the extensions' own extensions.  Each
+    extension moves the truth table strictly one way (down under AND, up
+    under OR), so the recursion is at most 2^k deep.  ``tables`` is the one
+    truth-table walker of the enumeration, so a node is evaluated once
+    however many candidates share it.  ``new`` maps each strict formula
+    found so far to True, so that no node in it is checked again; it is
+    passed in so that no closure holds it in a reference cycle."""
     if not jointrees.is_strict(formula, tables, new.get):
         return
-    if formula not in new:
-        new[formula] = True
-        if len(new) > STRICT_COUNT_BUDGET:
-            raise ResourceLimitError(f"strict enumeration exceeded {STRICT_COUNT_BUDGET}")
-    below = [DeMorgan(op, formula, sibling) for sibling in row]
+    new[formula] = True
+    below = _candidates(op, formula, row, built)
     for extension in below:
-        _extend_strict(extension, below, op, tables, new)
+        _extend_strict(extension, below, op, tables, new, built)

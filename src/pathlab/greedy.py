@@ -178,9 +178,11 @@ def build_greedy_example(t: int) -> list[PathGraph]:
 
 
 def is_dyck(seq: Sequence[int]) -> bool:
+    """Whether every entry is a nonnegative integer (in value: 1.0 is one)
+    and a_1 + ... + a_r <= r for every r."""
     total = 0
     for r, a in enumerate(seq, start=1):
-        if a < 0:
+        if a < 0 or a % 1 != 0:
             return False
         total += a
         if total > r:
@@ -310,8 +312,9 @@ def verify_lp_certificates(
 
     Entries may be ints or Fractions.  y and gamma are scaled to integers
     over the lcm of their denominators, w over the lcm of its own, so every
-    comparison is between integers.  The primal sums read only the keys of w
-    equal to integer Dyck sequences of length <= t.  The dual constraints of
+    comparison is between integers.  A key of w with a fractional entry is
+    no Dyck sequence; the primal sums read only the Dyck keys of length
+    <= t, each as the integer column it equals.  The dual constraints of
     each length s are decided by their least slack in O(s^2) steps, and a
     violated length is reported by its lex-first column of least slack.
     """
@@ -339,7 +342,7 @@ def verify_lp_certificates(
     for a, val in w.items():
         if not is_dyck(a):
             fail("primal", f"support: w[{a}] indexed by a non-Dyck sequence")
-        elif len(a) <= t and all(x % 1 == 0 for x in a):
+        elif len(a) <= t:
             columns.append(tuple(map(int, a)))
         if val < 0:
             fail("primal", f"nonnegativity: w[{a}] = {val} < 0")

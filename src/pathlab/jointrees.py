@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Literal
 
 from . import _kernels, shifts
 from .errors import ArityError, InvalidParameterError, ResourceLimitError
-from .paths import EMPTY, PathGraph, _merge, _ranked_intervals, _survivors
+from .paths import EMPTY, PathGraph, _coalesce, _ranked_intervals, _survivors
 
 # resource ceilings (each raises ResourceLimitError); only the subset-DP
 # ceiling can be set per call, as ``psi``'s and
@@ -51,8 +51,9 @@ from .paths import EMPTY, PathGraph, _merge, _ranked_intervals, _survivors
 DEFAULT_DP_LIMIT = 22  # members of a branch covering in the subset DP
 SEM_ARITY_LIMIT = 20  # arguments of sem
 SEM_MEMO_LIMIT = 1 << 16  # sequences of one node in the doubling-combinator recogniser
-STRICT_NORM_LIMIT = 5  # edges of the graph enumerate_strict works on
-STRICT_COUNT_LIMIT = 500_000  # trees enumerate_strict builds
+# edges of the graph enumerate_strict works on; the tree count depends on
+# the edge count alone: 17,592 at 4 edges and over 500,000 at 5
+STRICT_NORM_LIMIT = 4
 
 
 class BinaryTree:
@@ -682,16 +683,13 @@ def enumerate_strict(
     if g.norm > STRICT_NORM_LIMIT:
         raise ResourceLimitError(f"graph has {g.norm} edges, enumeration limit {STRICT_NORM_LIMIT}")
     measure = left_depth if depth_kind == "left" else sem_depth
-    for t in _all_strict(g, {}, [0]):
+    for t in _all_strict(g, {}):
         if d is None or measure(t) <= d:
             yield t
 
 
-def _all_strict(
-    h: PathGraph, memo: dict[PathGraph, tuple[JoinTree, ...]], budget: list[int]
-) -> tuple[JoinTree, ...]:
-    """All strict h-join trees, memoised per graph in ``memo``; ``budget[0]``
-    counts the inner nodes built against ``STRICT_COUNT_LIMIT``.  The memo
+def _all_strict(h: PathGraph, memo: dict[PathGraph, tuple[JoinTree, ...]]) -> tuple[JoinTree, ...]:
+    """All strict h-join trees, memoised per graph in ``memo``.  The memo
     is passed in so that no closure holds it in a reference cycle, and the
     trees go with their last reference."""
     got = memo.get(h)
@@ -702,14 +700,9 @@ def _all_strict(
     else:
         acc = []
         for g1, g2 in _edge_subgraph_pairs(h):
-            for t1 in _all_strict(g1, memo, budget):
-                for t2 in _all_strict(g2, memo, budget):
+            for t1 in _all_strict(g1, memo):
+                for t2 in _all_strict(g2, memo):
                     acc.append(node(t1, t2))
-                    budget[0] += 1
-                    if budget[0] > STRICT_COUNT_LIMIT:
-                        raise ResourceLimitError(
-                            f"strict-tree enumeration exceeded {STRICT_COUNT_LIMIT} trees"
-                        )
         out = tuple(acc)
     memo[h] = out
     return out
@@ -876,7 +869,8 @@ def check_psi_recurrences(
         # union[mask]: the union of the parts i + 1 with bit i set, i < n
         union: list[tuple] = [()]
         for mask in range(1, 1 << n):
-            union.append(_merge(union[mask & (mask - 1)], members[(mask & -mask).bit_length() - 1]))
+            low = members[(mask & -mask).bit_length() - 1]
+            union.append(_coalesce(sorted(union[mask & (mask - 1)] + low)))
         # gain[mask][i]: |G_(i+1) - union[mask]|, for each part i + 1 not in mask
         gain = [
             [0 if mask >> i & 1 else len(_survivors(u, members[i])) for i in range(n)]

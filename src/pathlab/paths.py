@@ -9,8 +9,9 @@ computations on the interval list.
 
 The public constructor ``PathGraph(...)`` accepts any intervals: it converts,
 validates, sorts and merges them.  The operations never need that.  A subset
-of a canonical tuple, its translate, its mirror image and the merge of two of
-them are canonical already, so each operation produces its tuple in one
+of a canonical tuple, its translate and its mirror image are canonical
+already, and a union is ``sorted`` over its members' intervals and one
+``_coalesce`` pass, so each operation produces its tuple in one
 left-to-right pass and wraps it with the trusted ``PathGraph._of``, which
 stores the tuple without checking it.  ``_of`` is only for callers that
 already hold a canonical tuple.
@@ -67,34 +68,6 @@ def _canonical(intervals: Iterable[tuple[int, int]]) -> Intervals:
     return _coalesce(ivs)
 
 
-def _merge(a: Intervals, b: Intervals) -> Intervals:
-    """Union of two canonical tuples in one left-to-right pass.  The runs of
-    the longer tuple that lie between intervals of the shorter one are copied
-    as slices; an interval of the shorter one absorbs every interval that
-    shares a vertex with it, so (0, 1) and (1, 2) give (0, 2)."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    n = len(a)
-    out: list[tuple[int, int]] = []
-    i = 0
-    for s, t in b:
-        if out and out[-1][1] >= s:
-            # an interval of ``a`` absorbed into the previous one reaches here
-            s, prev_t = out.pop()
-            t = max(t, prev_t)
-        j = bisect_left(a, s, i, n, key=_right)
-        out += a[i:j]
-        # a[j:i] are the intervals that reach s and start by t
-        i = bisect_right(a, t, j, n, key=_left)
-        if i > j:
-            s, t = min(s, a[j][0]), max(t, a[i - 1][1])
-        out.append((s, t))
-    out += a[i:]
-    return tuple(out)
-
-
 def _survivors(acc: Intervals, ivs: Intervals) -> Intervals:
     """The intervals of the canonical ``ivs`` that share no vertex with the
     canonical ``acc`` (``ivs`` itself when none does).  ``(s, t)`` touches
@@ -113,9 +86,9 @@ def _survivors(acc: Intervals, ivs: Intervals) -> Intervals:
 
 
 def _absorb(acc: Intervals, ivs: Intervals) -> tuple[Intervals, Intervals]:
-    """(``_survivors(acc, ivs)``, ``_merge(acc, ivs)``) from one pass over
-    the canonical ``ivs`` with bisects into the canonical ``acc``: the step
-    of a prefix scan.  The intervals of ``acc`` that lie between two of
+    """(``_survivors(acc, ivs)``, the union of ``acc`` and ``ivs``) from one
+    pass over the canonical ``ivs`` with bisects into the canonical ``acc``:
+    the step of a prefix scan.  The intervals of ``acc`` that lie between two of
     ``ivs`` are copied as slices; ``(s, t)`` survives unless an interval of
     ``acc`` that reaches s starts by t, or the interval of ``acc`` that
     ended the previous merge reaches s."""
@@ -257,7 +230,7 @@ class PathGraph:
             return self
         if not self.intervals:
             return other
-        return PathGraph._of(_merge(self.intervals, other.intervals))
+        return PathGraph._of(_coalesce(sorted(self.intervals + other.intervals)))
 
     __or__ = union
 

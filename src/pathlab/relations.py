@@ -36,7 +36,7 @@ PATHSET_K_LIMIT = 10  # k of is_pathset
 DEFAULT_MINTERM_BUDGET = 2_000_000  # scanned points of one minterm call
 MONTECARLO_BUDGET = 50_000_000  # scanned points of all montecarlo_mpath2 trials
 EPS1_K_LIMIT = 4  # k of montecarlo_eps1
-EPS1_T_LIMIT = 14  # t of montecarlo_eps1
+EPS1_DRAW_LIMIT = 1 << 23  # leaves montecarlo_eps1 draws, trials * 2^t
 
 # ---------------------------------------------------------------------------
 # relations and densities
@@ -663,8 +663,11 @@ def montecarlo_eps1(
         raise InvalidParameterError("need k >= 1 and t >= 0")
     if trials < 0:
         raise InvalidParameterError(f"trials must be >= 0, got {trials}")
-    if k > EPS1_K_LIMIT or t > EPS1_T_LIMIT:
-        raise ResourceLimitError(f"limits are k <= {EPS1_K_LIMIT}, t <= {EPS1_T_LIMIT}")
+    if k > EPS1_K_LIMIT:
+        raise ResourceLimitError(f"k={k} exceeds eps1 limit {EPS1_K_LIMIT}")
+    # trials * 2^t > limit, with no trials counted as one and no 2^t built
+    if max(trials, 1) > EPS1_DRAW_LIMIT >> t:
+        raise ResourceLimitError(f"{trials} trials of 2^{t} leaves exceed eps1 draw limit {EPS1_DRAW_LIMIT}")
     if p is None:
         probs = np.full(k, 1.0 / k)
     else:

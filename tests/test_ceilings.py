@@ -29,8 +29,6 @@ CEILINGS = [
      ["measure", "depths", "--tree", BLOCK_TREE]),
     (jt, "STRICT_NORM_LIMIT", 2, lambda: list(jt.enumerate_strict(full_path(3))),
      "graph has 3 edges, enumeration limit 2", ["verify", "tradeoff-I", "--enumerate-k", "3"]),
-    (jt, "STRICT_COUNT_LIMIT", 5, lambda: list(jt.enumerate_strict(full_path(3))),
-     "strict-tree enumeration exceeded 5 trees", ["verify", "tradeoff-II", "--enumerate-k", "3"]),
     (shifts, "ENUM_LIMIT", 1, lambda: list(shifts.enumerate_all(2)),
      "m=2 exceeds enumeration limit 1", None),
     (greedy, "DYCK_LIMIT", 2, lambda: greedy.enumerate_dyck(3), "Dyck length 3 exceeds limit 2", None),
@@ -42,22 +40,20 @@ CEILINGS = [
     (F, "EDGE_TABLE_LIMIT", 1, lambda: F.dm_truth_table(F.dm_lit(1), 2),
      "2 variables exceeds the 2^1 table limit", ["verify", "strict-counts"]),
     (F, "STRICT_COUNT_BUDGET", 4, lambda: F.count_strict_demorgan(1, 1),
-     "strict enumeration exceeded 4", ["verify", "strict-counts"]),
+     "strict enumeration exceeded 4 candidates", ["verify", "strict-counts"]),
     (F, "_BUILD_NODE_LIMIT", 10, lambda: F.build_matrix_formula("SigmaI", 2, 9, 2),
      "144 leaves for n=2, k=9, d=2 exceed the node budget 10",
      ["verify", "formulas", "--kind", "SigmaI", "--k", "9", "--d", "2"]),
-    (F, "_BUILD_DEPTH_LIMIT", 2, lambda: F.build_matrix_formula("SigmaI", 2, 1, 3),
-     "d=3 levels exceed the build depth limit 2",
-     ["verify", "formulas", "--kind", "SigmaI", "--k", "1", "--d", "3"]),
     (R, "PATHSET_K_LIMIT", 3, lambda: R.is_pathset(Relation(EMPTY, 2, [()]), PathsetParams(2, 4)),
      "k=4 exceeds pathset-check limit 3",
      ["verify", "chain-rules", "--n", "3", "--k", "4", "--trials", "40", "--seed", "3"]),
     (R, "MONTECARLO_BUDGET", 100, lambda: R.montecarlo_mpath2(2, 2, 10, 0),
      "minterm scans exceed the Monte Carlo budget",
      ["experiment", "restriction", "--n", "2", "--k", "2", "--trials", "10", "--seed", "0"]),
-    (R, "EPS1_K_LIMIT", 1, lambda: R.montecarlo_eps1(2, 3, 10, 0), "limits are k <= 1, t <= 14",
+    (R, "EPS1_K_LIMIT", 1, lambda: R.montecarlo_eps1(2, 3, 10, 0), "k=2 exceeds eps1 limit 1",
      ["experiment", "eps1", "--k", "2", "--t", "3", "--trials", "10", "--seed", "0"]),
-    (R, "EPS1_T_LIMIT", 2, lambda: R.montecarlo_eps1(2, 3, 10, 0), "limits are k <= 4, t <= 2",
+    (R, "EPS1_DRAW_LIMIT", 79, lambda: R.montecarlo_eps1(2, 3, 10, 0),
+     "10 trials of 2^3 leaves exceed eps1 draw limit 79",
      ["experiment", "eps1", "--k", "2", "--t", "3", "--trials", "10", "--seed", "0"]),
 ]
 

@@ -120,15 +120,23 @@ def test_verify_formulas_exhaustive(capsys):
     assert code == 0 and json.loads(out)["checked"] == 7**5
 
 
+def test_eps1_above_its_draw_ceiling_exits_three(capsys):
+    # 16,000 trials of 2^14 leaves would need about 8 GB
+    argv = ["experiment", "eps1", "--k", "2", "--t", "14", "--trials", "16000", "--seed", "0"]
+    assert cli.main(argv) == cli.EXIT_RESOURCE_LIMIT
+    assert "eps1 draw limit" in capsys.readouterr().err
+
+
 def test_verify_formulas_sample_mode_default_kind(capsys):
     code, out = run(capsys, "verify", "formulas", "--n", "2", "--k", "4", "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["kind"] == "D" and report["checked"] == 50
 
 
-def test_verify_formulas_depth_limit_exits_three(capsys):
+def test_verify_formulas_at_one_matrix_builds_any_depth(capsys):
+    # at k = 1 every d builds the one literal, so no depth is refused
     code, _ = run(capsys, "verify", "formulas", "--kind", "SigmaI", "--k", "1", "--d", "3000")
-    assert code == cli.EXIT_RESOURCE_LIMIT
+    assert code == 0
 
 
 @pytest.mark.parametrize(

@@ -263,12 +263,11 @@ def test_build_budget_counts_every_leaf(monkeypatch):
 
 
 def test_build_depth_limit():
-    # at k = 1 every level has one block, so only the depth limit stops d
+    # no depth limit: at k = 1 every level is one block that returns its
+    # child, so every d builds the literal (1, a0, ak)
     for kind in ("SigmaI", "SigmaII", "PiII"):
-        phi = F.build_matrix_formula(kind, 2, 1, F._BUILD_DEPTH_LIMIT)
-        assert F.check_formula_correct(phi, 2, 1)["ok"], kind
-        with pytest.raises(ResourceLimitError):
-            F.build_matrix_formula(kind, 2, 1, F._BUILD_DEPTH_LIMIT + 1)
+        for d in range(1, 10_001):
+            assert F.build_matrix_formula(kind, 2, 1, d, 2, 1) is F.lit((1, 2, 1)), (kind, d)
 
 
 @pytest.mark.parametrize(
@@ -380,6 +379,20 @@ def test_conversions_preserve_function_and_size():
     assert F.and_left_depth(dm) <= F.and_depth(phi)
     dmb = F.convert(phi, "balanced")
     assert F.depth(dmb) <= F.depth(phi) * math.ceil(math.log2(F.fanin(phi)))
+
+
+def test_both_formula_models_share_one_leaf():
+    # lit/const and dm_lit/dm_const name the same constructors, and every
+    # conversion keeps the formula's own leaf objects
+    assert F.lit((1, 2, 1)) is F.dm_lit((1, 2, 1)) and F.lit(3, True) is F.dm_lit(3, neg=True)
+    assert F.const(0) is F.dm_const(0) and F.const(7) is F.dm_const(1)
+    phi = F.disj([F.build_matrix_formula("SigmaII", 2, 4, 2), F.const(0), F.lit(9, neg=True)])
+    leaves = {x for x in jt._postorder(phi) if not x.children}
+    assert all(type(x) is F.DeMorgan for x in leaves) and len(leaves) == 14
+    for style in ("right_deep", "balanced"):
+        assert {x for x in jt._postorder(F.convert(phi, style)) if x.is_leaf} == leaves
+    for seed in range(5):
+        assert {x for x in jt._postorder(F.randomized_conversion(phi, 2, seed)) if x.is_leaf} <= leaves
 
 
 def test_randomized_conversion_depth0_passthrough():
@@ -867,3 +880,15 @@ def _strict_from_scratch(k: int, d: int) -> list:
 @pytest.mark.parametrize("k, d", [(1, 2), (1, 3), (2, 1), (3, 1)])
 def test_strict_extensions_over_their_siblings_build_the_same_list(k, d):
     assert F._strict_demorgan(k, d) == _strict_from_scratch(k, d)
+
+
+def test_strict_count_budget_counts_the_candidates_built(monkeypatch):
+    # (3, 2) keeps few formulas per candidate it builds, so only a budget on
+    # the candidates stops it; (2, 1) builds 312 candidates to keep 46
+    with pytest.raises(ResourceLimitError, match="^strict enumeration exceeded 200000 candidates$"):
+        F.count_strict_demorgan(3, 2)
+    monkeypatch.setattr(F, "STRICT_COUNT_BUDGET", 312)
+    assert F.count_strict_demorgan(2, 1) == 46
+    monkeypatch.setattr(F, "STRICT_COUNT_BUDGET", 311)
+    with pytest.raises(ResourceLimitError, match="^strict enumeration exceeded 311 candidates$"):
+        F.count_strict_demorgan(2, 1)

@@ -7,6 +7,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -115,7 +116,7 @@ def _tuple_lazy_greedy(members, acc=(), thresholds=(0,)):
                 order.append(i)
                 incs.append(-now)
                 lams.append(lam)
-                acc = paths._merge(acc, members[i])
+                acc = paths._coalesce(sorted(acc + members[i]))
         heap = waiting
         heapq.heapify(heap)
     return order, incs, lams
@@ -487,15 +488,20 @@ def test_dual_of_the_wrong_length_is_refused(y):
 
 def test_keys_of_w_equal_to_integer_columns_are_read_as_those_columns():
     # a float key equal to a column is read as the integer column, so no
-    # float reaches a row sum; a Dyck key that is no column adds nothing
+    # float reaches a row sum; a key with a fractional entry is no Dyck
+    # sequence, so it is reported, not dropped
     w = {tuple(map(float, a)): v for a, v in greedy.certificate_w(4).items()}
     assert greedy.verify_lp_certificates(4, w=w) == greedy.verify_lp_certificates(4)
+    support = "support: w[(0.5,)] indexed by a non-Dyck sequence"
     w[(0.5,)] = 1
-    assert greedy.verify_lp_certificates(4, w=w)["ok"]
+    report = greedy.verify_lp_certificates(4, w=w)
+    assert not report["ok"] and not report["primal_ok"] and report["dual_ok"]
+    assert report["violated"] == [support]
     w[(1.0, 0.0)] = 1
     assert greedy.verify_lp_certificates(4, w=w)["violated"] == [
-        "(*_2): primal constraint violated by 1", "objective: primal value -29/5 != 0"
+        support, "(*_2): primal constraint violated by 1", "objective: primal value -29/5 != 0"
     ]
+    assert not greedy.is_dyck((1, 0.5)) and greedy.is_dyck((1.0, 0.0))
 
 
 def test_every_unit_perturbation_is_caught():
@@ -527,19 +533,48 @@ def _reference_column_coefficient(t, row, a):
     return coef
 
 
-def _reference_objective_coefficient(t, a):
-    return Fraction(sum(a)) - (t - len(a)) * greedy.gamma(t)
+def _reference_objective_coefficient(t, a, g=None):
+    """Coefficient of column ``a`` in the objective; ``g`` is gamma(t)."""
+    return Fraction(sum(a)) - (t - len(a)) * (greedy.gamma(t) if g is None else g)
+
+
+@cache
+def _reference_columns(t):
+    """Per length s <= t, every Dyck column that ``enumerate_dyck`` lists,
+    with its nonzero coefficients (row, c) over rows 0..t and its objective
+    coefficient, built once per t."""
+    col = _reference_column_coefficient
+    obj = _reference_objective_coefficient
+    g = greedy.gamma(t)
+    return [
+        [
+            (a, [(row, c) for row in range(t + 1) if (c := col(t, row, a))], obj(t, a, g))
+            for a in greedy.enumerate_dyck(s)
+        ]
+        for s in range(t + 1)
+    ]
+
+
+@cache
+def _reference_least_slacks(t, y):
+    """Per length s <= t, the least dual slack over every listed column and
+    the lex-first column with it, priced once per (t, y)."""
+    return [
+        min((sum(c * y[row] for row, c in coefs) - f, a) for a, coefs, f in length)
+        for length in _reference_columns(t)
+    ]
 
 
 def _reference_verify_lp(t, w=None, y=None):
-    """The dense checker: every (row, column) pair in Fractions, over every
-    Dyck column that ``enumerate_dyck`` lists."""
+    """The checker in Fractions: the primal rows summed over the keys
+    of w that are listed Dyck columns, and every dual constraint over every
+    listed Dyck column."""
     col = _reference_column_coefficient
     obj = _reference_objective_coefficient
     g = greedy.gamma(t)
     w = dict(greedy.certificate_w(t)) if w is None else dict(w)
     y = greedy.certificate_y(t) if y is None else list(y)
-    columns = [a for s in range(t + 1) for a in greedy.enumerate_dyck(s)]
+    priced = {a: (coefs, f) for length in _reference_columns(t) for a, coefs, f in length}
     violated = []
     failed = set()
 
@@ -558,22 +593,23 @@ def _reference_verify_lp(t, w=None, y=None):
     def wval(a):
         return w.get(a, Fraction(0))
 
-    row_sums = [sum(col(t, row, a) * wval(a) for a in columns) for row in range(t + 1)]
+    # a key equal to a listed column (a float key too) is priced as that column
+    in_w = [(priced[a], val) for a, val in w.items() if a in priced]
+    row_sums = [Fraction(0)] * (t + 1)
+    for (coefs, _), val in in_w:
+        for row, c in coefs:
+            row_sums[row] += c * val
     if not row_sums[0] <= -1:
         fail("primal", "(*_0): w_() >= 1 fails")
     for row in range(1, t + 1):
         if not row_sums[row] <= 0:
             fail("primal", f"(*_{row}): primal constraint violated by {row_sums[row]}")
-    primal_obj = sum(obj(t, a) * wval(a) for a in columns)
+    primal_obj = sum((f * val for (_, f), val in in_w), Fraction(0))
     if primal_obj != 0:
         fail("primal", f"objective: primal value {primal_obj} != 0")
 
     # one message per violated length: its lex-first least-slack column
-    for s in range(t + 1):
-        slack, a = min(
-            (sum(col(t, row, a) * y[row] for row in range(t + 1)) - obj(t, a), a)
-            for a in greedy.enumerate_dyck(s)
-        )
+    for slack, a in _reference_least_slacks(t, tuple(y)):
         if slack < 0:
             fail("dual", f"(star_{a}): dual constraint violated")
     if y[0] != 0:
@@ -620,7 +656,7 @@ def _t8_primal_ray():
 
 
 _LP_EPS = (1, -1, Fraction(1, 7), Fraction(-3, 11), Fraction(1, 90), Fraction(-1, 13))
-# cases per t: the dense oracle takes about 1 s a call at t = 8
+# cases per t: the Fraction oracle takes about 0.15 s a call at t = 8
 _LP_CASES = {1: 130, 2: 140, 3: 130, 4: 80, 5: 30, 6: 8, 7: 2, 8: 2}
 
 

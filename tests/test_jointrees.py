@@ -716,7 +716,9 @@ def test_equality_of_dags_built_apart():
 
 
 def test_intern_table_drops_dead_trees():
-    # an entry goes with its node, by reference counting alone
+    # an entry goes with its node, by reference counting alone; the leaves
+    # of phi are entries for as long as phi lives
+    phi = formulas.build_matrix_formula("C", 2, 3)
     gc.collect()
     start = len(jt._NODES)
     gc.disable()
@@ -724,7 +726,6 @@ def test_intern_table_drops_dead_trees():
         rng = random.Random(11)
         for _ in range(10_000):
             jt.depths(samples.random_strict_tree(rng, full_path(rng.randint(1, 6))))
-        phi = formulas.build_matrix_formula("C", 2, 3)
         for seed in range(1_000):
             g = formulas.randomized_conversion(phi, 1 + seed % 3, seed)
             formulas.sem_depth_demorgan(g)
@@ -791,6 +792,19 @@ def test_enumerate_strict_matches_independent_count():
         got = len(list(jt.enumerate_strict(g, "left", d)))
         assert got == independent_strict_count(g, d)
         assert got <= 2 ** (g.norm ** (d + 1))
+
+
+def test_five_edges_are_refused_before_any_tree_is_built(monkeypatch):
+    # the strict-tree count depends only on the edge count, and 5 edges
+    # have over 500,000 trees, so every 5-edge graph is refused up front
+    def never(*args):
+        raise AssertionError("built a tree")
+
+    monkeypatch.setattr(jt, "_all_strict", never)
+    monkeypatch.setattr(jt, "node", never)
+    for g in (full_path(5), from_edges([1, 3, 5, 7, 9]), from_edges([2, 3, 4, 8, 9])):
+        with pytest.raises(ResourceLimitError, match="^graph has 5 edges, enumeration limit 4$"):
+            next(jt.enumerate_strict(g))
 
 
 def test_enumeration_is_duplicate_free():

@@ -107,6 +107,35 @@ def test_binary_operations_match_the_edge_oracle():
         assert a.is_subgraph(b) == (ea <= eb)
 
 
+def test_union_is_the_edge_and_vertex_union():
+    # one sort and one coalesce pass: on canonical pairs near 0 and +-10^9,
+    # some touching at one vertex only, the union has the operands' edges
+    # and vertices, its components are the runs of its edges, and it is
+    # the same from either side and as union_all
+    rng = random.Random(904)
+    seen = set()
+    for _ in range(TRIALS):
+        a, b = pair(rng)
+        if rng.random() < 0.3 and a:
+            # each interval of b starts where one of a ends
+            b = PathGraph([(t, t + rng.randint(1, 3)) for _, t in a.intervals])
+        u = a.union(b)
+        assert_canonical(u, edges(a) | edges(b))
+        assert set(u.vertices()) == set(a.vertices()) | set(b.vertices())
+        assert [edges(c) for c in u.components()] == runs(edges(u))
+        assert u == b.union(a) == union_all([a, b])
+        seen.update(
+            kind
+            for kind, hit in (
+                ("point", {t for _, t in a.intervals} & {s for s, _ in b.intervals}),
+                ("far", any(abs(s) > 10**8 for s, _ in u.intervals)),
+                ("empty", not a or not b),
+            )
+            if hit
+        )
+    assert seen == {"point", "far", "empty"}
+
+
 def test_union_all_matches_the_edge_oracle():
     rng = random.Random(902)
     for _ in range(TRIALS):
@@ -227,7 +256,7 @@ def test_fused_scan_step_is_the_survivors_and_the_union():
             b = tuple((c + s, c + s + rng.randint(1, 3)) for s in range(-16, 16, 5))
         for acc, ivs in ((a, b), (b, a)):
             keep, union = paths._absorb(acc, ivs)
-            assert (keep, union) == (paths._survivors(acc, ivs), paths._merge(acc, ivs))
+            assert (keep, union) == (paths._survivors(acc, ivs), paths._coalesce(sorted(acc + ivs)))
             if keep == ivs:
                 assert keep is ivs
             seen.update(

@@ -779,6 +779,18 @@ def test_montecarlo_refuses_negative_trials_and_keeps_zero():
 # -- strictified random join trees ------------------------------------------------------
 
 
+def test_eps1_above_its_draw_ceiling_draws_nothing(monkeypatch):
+    # trials * 2^t leaves are checked before the generator is made; no
+    # trials count as one tree, and a huge t builds no 2^t
+    def no_rng(*args):
+        raise AssertionError("drew leaves")
+
+    monkeypatch.setattr(R.np.random, "default_rng", no_rng)
+    for trials, t in ((16_000, 14), (513, 14), (1, 24), (0, 24), (0, 10**9), (R.EPS1_DRAW_LIMIT + 1, 0)):
+        with pytest.raises(ResourceLimitError, match=f"^{trials} trials of 2\\^{t} leaves exceed eps1 draw limit"):
+            R.montecarlo_eps1(2, t, trials, 0)
+
+
 def test_eps1_single_edge_is_certain():
     report = R.montecarlo_eps1(1, 5, trials=200, seed=0)
     assert report["frequency"] == 1.0
