@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
-from .paths import EMPTY, PathGraph, from_edges
+from .paths import PathGraph, from_edges
 
 # resource ceilings (each raises ResourceLimitError); the build ceiling
 # is with the block constructions below
@@ -788,13 +788,16 @@ def support_tools(g: DeMorgan, k: int):
         got = kids[x] = tuple(jointrees._rewrite(c, at_leaf, done=done) for c in (x.left, x.right))
         return got
 
+    # a literal the fold reaches lies in a support (or is g, whose table was
+    # read), so its variable equals one of the edges 1..k
+    edge_leaf = {e: jointrees._edge_leaf(e) for e in range(1, k + 1)}
     tree: dict[DeMorgan, jointrees.JoinTree] = {}
     for x in jointrees._postorder(g, children=restricted):
         if x.left is not None:
             left, right = kids[x]
             tree[x] = jointrees.node(tree[left], tree[right])
         else:
-            tree[x] = jointrees.leaf(EMPTY if x.op == "const" else from_edges([x.var]))
+            tree[x] = jointrees.leaf() if x.op == "const" else edge_leaf[x.var]
     stree = tree[g]
     return supp, (lambda h: dm_restrict(g, h)), stree, jointrees.strictify(stree)
 

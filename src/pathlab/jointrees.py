@@ -23,7 +23,10 @@ stops a gate at a deciding child, keeps its own explicit stack.
 
 A join tree is a binary tree whose leaves are labeled by single edges (or the
 empty graph) and whose internal nodes carry the union of their children's
-graphs.  This module also provides the standard depth, branch coverings, the
+graphs.  ``leaf`` and ``JoinTree.from_json`` validate the labels they are
+given; the constructions, samplers and enumeration make the leaf of an edge
+they computed with the trusted ``_edge_leaf``, and no inner node's graph is
+ever validated, since it is the union of its children's.  This module also provides the standard depth, branch coverings, the
 Psi-size oracle (a lazy walk over the branch coverings that stops at a
 ceiling read off the tree's graph, with a bitmask DP over orderings of each
 covering that two exact bounds leave open), the tight upper-bound
@@ -145,10 +148,17 @@ class JoinTree(BinaryTree):
 
     @classmethod
     def from_json(cls, data) -> "JoinTree":
+        """The tree of a ``to_json`` object (or its text).  Every leaf label
+        is validated by ``PathGraph.from_json`` and ``leaf``, but only once
+        per distinct label per call: a label ``{"intervals": [[s, t]]}``
+        with int s and t is keyed by (s, t), and its later copies reuse the
+        leaf built for the first.  Inner nodes are never validated; each
+        one's graph is the union of its children's."""
         if isinstance(data, str):
             data = json.loads(data)
         join = object()  # marks a node whose children are the top two built trees
         built: list[JoinTree] = []
+        leaves: dict[tuple[int, int], JoinTree] = {}
         stack = [data]
         while stack:
             item = stack.pop()
@@ -158,13 +168,34 @@ class JoinTree(BinaryTree):
             elif not isinstance(item, dict):
                 raise ArityError(f"a join tree is a JSON object, not {type(item).__name__}")
             elif "leaf" in item:
-                built.append(leaf(PathGraph.from_json(item["leaf"])))
+                label = item["leaf"]
+                key = _label_key(label)
+                x = leaves.get(key)
+                if x is None:
+                    x = leaf(PathGraph.from_json(label))
+                    if key is not None:
+                        leaves[key] = x
+                built.append(x)
             else:
                 kids = item["node"]
                 if not isinstance(kids, (list, tuple)) or len(kids) != 2:
                     raise ArityError("a join-tree node needs a list of two children")
                 stack += (join, kids[1], kids[0])
         return built[0]
+
+
+def _label_key(label) -> tuple[int, int] | None:
+    """(s, t) when ``label`` is a dict whose "intervals" is the one list
+    [s, t] of two ints, the labels whose parse depends on s and t alone;
+    else None.  Types are matched exactly, so a float or bool endpoint is
+    never keyed with an int one."""
+    if type(label) is dict:
+        ivs = label.get("intervals")
+        if type(ivs) is list and len(ivs) == 1:
+            iv = ivs[0]
+            if type(iv) is list and len(iv) == 2 and type(iv[0]) is int and type(iv[1]) is int:
+                return iv[0], iv[1]
+    return None
 
 
 def _leaf_text(x: JoinTree) -> str:
@@ -175,6 +206,12 @@ def leaf(graph: PathGraph = EMPTY) -> JoinTree:
     if graph.norm > 1:
         raise ArityError(f"leaf label must have at most one edge, got {graph!r}")
     return JoinTree(None, None, graph)
+
+
+def _edge_leaf(e: int) -> JoinTree:
+    """Trusted ``leaf``: the leaf of edge e = {e-1, e}, for an int e the
+    caller computed, with no check of its label."""
+    return JoinTree(None, None, PathGraph._of(((e - 1, e),)))
 
 
 def node(left: JoinTree, right: JoinTree) -> JoinTree:
@@ -603,9 +640,12 @@ def _psi_walk(t: JoinTree, dp_limit: int) -> int:
 
 
 def _integer_root(k: int, d: int) -> int | None:
-    """The integer r >= 1 with r^d = k, or None; exact for any size of k."""
+    """The integer r >= 1 with r^d = k, or None; exact for any size of k,
+    and no power is built when k < 2^d, whatever d is."""
     if k < 1 or d < 1:
         return None
+    if k.bit_length() <= d:  # k < 2^d <= r^d for every r >= 2
+        return 1 if k == 1 else None
     # bisect on [1, 2^ceil(bits/d)], which holds k^(1/d)
     lo, hi = 1, 1 << -(-k.bit_length() // d)
     while lo < hi:
@@ -640,7 +680,7 @@ def build_tight(kind: Literal["I", "II"], k: int, d: int) -> JoinTree:
 
     def rec(lo: int, hi: int) -> JoinTree:
         if hi - lo == 1:
-            return leaf(PathGraph(((lo, hi),)))
+            return _edge_leaf(hi)
         step = (hi - lo) // len(order)
         return combine([rec(lo + b * step, lo + (b + 1) * step) for b in order])
 
@@ -652,24 +692,21 @@ def maximally_overlapping(k: int) -> JoinTree:
     into subtrees for [s, t-1] and [s+1, t].  Psi equals 1."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    row = [leaf(PathGraph(((s, s + 1),))) for s in range(k)]  # the intervals of one length
+    row = [_edge_leaf(e) for e in range(1, k + 1)]  # the intervals of one length
     while len(row) > 1:
         row = [node(a, b) for a, b in zip(row, row[1:])]
     return row[0]
 
 
-def _edge_subgraph_pairs(g: PathGraph) -> Iterator[tuple[PathGraph, PathGraph]]:
-    """Ordered pairs (G1, G2) of nonempty proper subgraphs with union g."""
-    edges = list(g.edges())
-    for assign in product((0, 1, 2), repeat=len(edges)):
-        left = [e for e, a in zip(edges, assign) if a != 1]
-        right = [e for e, a in zip(edges, assign) if a != 0]
-        if not left or not right or len(left) == len(edges) or len(right) == len(edges):
-            continue
-        yield (
-            PathGraph((e - 1, e) for e in left),
-            PathGraph((e - 1, e) for e in right),
-        )
+def _edge_subgraph_pairs(edges: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Ordered pairs (E1, E2) of nonempty proper subsets of the sorted edge
+    tuple ``edges`` with union ``edges``, each sorted."""
+    n = len(edges)
+    for assign in product((0, 1, 2), repeat=n):
+        left = tuple([e for e, a in zip(edges, assign) if a != 1])
+        right = tuple([e for e, a in zip(edges, assign) if a != 0])
+        if left and right and len(left) < n and len(right) < n:
+            yield left, right
 
 
 def enumerate_strict(
@@ -679,32 +716,38 @@ def enumerate_strict(
 ) -> Iterator[JoinTree]:
     """All strict g-join trees with the chosen depth measure at most d
     (d=None means no depth filter), each exactly once; trees are interned,
-    so equal trees are one object."""
+    so equal trees are one object.  g is the only graph validated: the
+    split recurses on sorted tuples of g's edges, its leaves are trusted
+    (``_edge_leaf``) and each inner node's graph is the union of its
+    children's, so no subgraph of g is built as a ``PathGraph``."""
     if g.norm > STRICT_NORM_LIMIT:
         raise ResourceLimitError(f"graph has {g.norm} edges, enumeration limit {STRICT_NORM_LIMIT}")
     measure = left_depth if depth_kind == "left" else sem_depth
-    for t in _all_strict(g, {}):
+    for t in _all_strict(tuple(g.edges()), {}):
         if d is None or measure(t) <= d:
             yield t
 
 
-def _all_strict(h: PathGraph, memo: dict[PathGraph, tuple[JoinTree, ...]]) -> tuple[JoinTree, ...]:
-    """All strict h-join trees, memoised per graph in ``memo``.  The memo
-    is passed in so that no closure holds it in a reference cycle, and the
-    trees go with their last reference."""
-    got = memo.get(h)
+def _all_strict(
+    edges: tuple[int, ...], memo: dict[tuple[int, ...], tuple[JoinTree, ...]]
+) -> tuple[JoinTree, ...]:
+    """All strict join trees over the sorted edge tuple ``edges``, memoised
+    per edge tuple in ``memo``.  The memo is passed in so that no closure
+    holds it in a reference cycle, and the trees go with their last
+    reference."""
+    got = memo.get(edges)
     if got is not None:
         return got
-    if h.norm <= 1:
-        out: tuple[JoinTree, ...] = (leaf(h),)
+    if len(edges) <= 1:
+        out: tuple[JoinTree, ...] = (_edge_leaf(edges[0]) if edges else leaf(),)
     else:
         acc = []
-        for g1, g2 in _edge_subgraph_pairs(h):
-            for t1 in _all_strict(g1, memo):
-                for t2 in _all_strict(g2, memo):
+        for e1, e2 in _edge_subgraph_pairs(edges):
+            for t1 in _all_strict(e1, memo):
+                for t2 in _all_strict(e2, memo):
                     acc.append(node(t1, t2))
         out = tuple(acc)
-    memo[h] = out
+    memo[edges] = out
     return out
 
 

@@ -678,37 +678,49 @@ def montecarlo_eps1(
 
     # an id indexes ``trees``, the distinct strict trees met so far; a union
     # collapses onto a child with its graph, the rule strictify applies
-    trees = [jointrees.leaf(from_edges([i])) for i in range(1, k + 1)]
+    trees = [jointrees._edge_leaf(e) for e in range(1, k + 1)]
     ids_of = {tree: i for i, tree in enumerate(trees)}
-    combine: dict[tuple[int, int], int] = {}
+    combine: dict[int, int] = {}  # (a << 32) + b -> the id of a's tree U b's tree
 
-    def node_id(a: int, b: int) -> int:
-        got = combine.get((a, b))
+    def node_id(code: int) -> int:
+        got = combine.get(code)
         if got is None:
-            x = jointrees.node(trees[a], trees[b])
+            x = jointrees.node(trees[code >> 32], trees[code & 0xFFFFFFFF])
             x = jointrees._redundant_child(x, jointrees._graph) or x  # a tree is truthy
             got = ids_of.get(x)
             if got is None:
                 got = ids_of[x] = len(trees)
                 trees.append(x)
-            combine[a, b] = got
+            combine[code] = got
         return got
 
-    ids = rng.choice(k, size=(trials, 1 << t), p=probs)  # leaf ids are edges - 1
-    width = 1 << t
-    while width > 1:
-        left = ids[:, 0:width:2]
-        right = ids[:, 1:width:2]
-        codes = left.astype(np.int64) * (1 << 32) + right
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        mapped = np.array(
-            [node_id(int(c >> 32), int(c & 0xFFFFFFFF)) for c in uniq], dtype=np.int64
-        )
-        ids = mapped[inverse].reshape(left.shape)
-        width //= 2
-    # the target gets an id only if some trial built it
-    target = ids_of.get(jointrees.sem(trees[:k]), -1)
-    matches = int((ids[:, 0] == target).sum())
+    def fold(ids: np.ndarray) -> np.ndarray:
+        """The id of each row's tree: the rows hold the leaf ids of complete
+        binary trees, whose adjacent pairs are joined level by level."""
+        while ids.shape[1] > 1:
+            left = ids[:, 0::2]
+            right = ids[:, 1::2]
+            codes = left.astype(np.int64) * (1 << 32) + right
+            uniq, inverse = np.unique(codes, return_inverse=True)
+            mapped = np.array([node_id(c) for c in uniq.tolist()], dtype=np.int64)
+            ids = mapped[inverse].reshape(left.shape)
+        return ids[:, 0]
+
+    # the leaves are drawn and folded in chunks of at most 2^16 consecutive
+    # leaves, so memory does not grow with trials * 2^t: whole trials when a
+    # trial fits, else one 2^16-leaf subtree at a time, each folded to one id
+    # before the trial folds its subtrees' ids.  The generator's stream runs
+    # on across calls, so the leaves are those of one (trials, 2^t) draw.
+    # Leaf ids are edges - 1.
+    span = min(1 << t, 1 << 16)  # leaves per row of a draw
+    rows = (1 << 16) // span
+    target = jointrees.sem(trees[:k])
+    matches = 0
+    for done in range(0, trials, rows):
+        n = min(rows, trials - done)
+        parts = [fold(rng.choice(k, size=(n, span), p=probs)) for _ in range((1 << t) // span)]
+        # the target gets an id only if some trial built it
+        matches += int((fold(np.stack(parts, axis=1)) == ids_of.get(target, -1)).sum())
     return {
         "k": k,
         "t": t,

@@ -103,9 +103,19 @@ def random_chain_covering(rng: random.Random, k: int) -> list[PathGraph]:
 
 
 def random_strict_tree(rng: random.Random, g: PathGraph) -> jointrees.JoinTree:
-    if g.norm <= 1:
-        return jointrees.leaf(g)
+    """A random strict g-join tree: each edge goes left (0.4), right (0.4)
+    or both (0.2), redrawn until both sides are nonempty proper subsets.
+    g is the only graph validated: the split recurses on sorted edge lists,
+    its leaves are trusted (``jointrees._edge_leaf``) and each inner node's
+    graph is the union of its children's, so no subgraph of g is built."""
     edges = list(g.edges())
+    return _random_strict(rng, edges) if edges else jointrees.leaf(g)
+
+
+def _random_strict(rng: random.Random, edges: list[int]) -> jointrees.JoinTree:
+    if len(edges) == 1:
+        return jointrees._edge_leaf(edges[0])
+    n = len(edges)
     while True:
         left, right = [], []
         for e in edges:
@@ -117,17 +127,15 @@ def random_strict_tree(rng: random.Random, g: PathGraph) -> jointrees.JoinTree:
             else:
                 left.append(e)
                 right.append(e)
-        if left and right and len(left) < len(edges) and len(right) < len(edges):
+        if left and right and len(left) < n and len(right) < n:
             break
-    return jointrees.node(
-        random_strict_tree(rng, from_edges(left)), random_strict_tree(rng, from_edges(right))
-    )
+    return jointrees.node(_random_strict(rng, left), _random_strict(rng, right))
 
 
 def random_jointree(rng: random.Random, k: int, leaves: int = 6) -> jointrees.JoinTree:
     """A join tree over random single-edge leaves of Path_k (not necessarily
     strict; the root graph may be a proper subgraph of Path_k)."""
-    pool = [jointrees.leaf(from_edges([rng.randint(1, k)])) for _ in range(leaves)]
+    pool = [jointrees._edge_leaf(rng.randint(1, k)) for _ in range(leaves)]
     while len(pool) > 1:
         i = rng.randrange(len(pool) - 1)
         a = pool.pop(i)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import gc
 import hashlib
 import itertools
 import json
@@ -266,7 +267,7 @@ def test_build_depth_limit():
     # no depth limit: at k = 1 every level is one block that returns its
     # child, so every d builds the literal (1, a0, ak)
     for kind in ("SigmaI", "SigmaII", "PiII"):
-        for d in range(1, 10_001):
+        for d in [*range(1, 10_001), 10**8, 10**9]:
             assert F.build_matrix_formula(kind, 2, 1, d, 2, 1) is F.lit((1, 2, 1)), (kind, d)
 
 
@@ -688,6 +689,23 @@ def test_support_tools_builds_one_table_walk(monkeypatch):
     assert supp == from_edges(range(1, 13))
     assert stree.graph == supp
     assert len(calls) <= 2
+
+
+def test_support_tree_leaves_have_int_edges_for_any_int_like_variable():
+    # a variable equal to edge e reads as e in the tables, so its support
+    # leaf is the leaf of the int e.  Literals and leaves are interned by
+    # equality, so the check needs an edge with neither alive yet.
+    np = pytest.importorskip("numpy")
+    gc.collect()
+    for e in range(1, 17):
+        x = F.dm_lit(np.int64(e))
+        if type(x.var) is not int and jt._NODES.get((jt.JoinTree, from_edges([e]))) is None:
+            break
+    else:
+        pytest.skip("every edge has a live int literal or leaf")
+    _, _, stree, _ = F.support_tools(F.dm_or(F.dm_lit(1 if e != 1 else 2), x), 16)
+    assert all(type(v) is int for iv in stree.graph.intervals for v in iv)
+    assert stree.right is jt.leaf(from_edges([e]))
 
 
 def test_support_tools_honours_a_raised_limit(monkeypatch):

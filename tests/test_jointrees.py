@@ -603,6 +603,23 @@ def test_build_tight_rejects_non_integral_roots():
         jt.build_tight("II", 25, 3)
 
 
+def test_integer_root_matches_a_brute_force_root():
+    for d in range(1, 41):
+        roots = {r**d: r for r in range(1, 2001) if r**d <= 2000}
+        assert [jt._integer_root(k, d) for k in range(1, 2001)] == [roots.get(k) for k in range(1, 2001)]
+
+
+def test_integer_root_builds_no_power_when_k_is_below_two_to_the_d():
+    # r >= 2 gives r^d >= 2^d > k, so only k = 1 has a root (r = 1); these
+    # d would need a power of up to 125 MB if one were built
+    for d in (64, 10**5, 10**8, 10**9):
+        assert jt._integer_root(1, d) == 1
+        assert jt._integer_root(2, d) is None
+        assert jt._integer_root(2**63 - 1, d) is None
+    assert jt._integer_root(2**64, 64) == 2
+    assert jt._integer_root(2**64 - 1, 64) is None
+
+
 def test_integer_root_is_exact():
     assert jt._integer_root((10**17 + 3) ** 2, 2) == 10**17 + 3
     assert jt._integer_root((10**17 + 3) ** 2 + 1, 2) is None
@@ -767,11 +784,12 @@ def test_enumerate_strict_two_edges_depth_one():
 
 def independent_strict_count(g: PathGraph, d: int) -> int:
     """Second enumerator: count by the recursive split with explicit
-    left-depth budgeting, never materializing trees."""
-    memo: dict[tuple[PathGraph, int], int] = {}
+    left-depth budgeting, never materializing trees; a subgraph is its
+    sorted edge tuple."""
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
 
-    def count(h: PathGraph, budget: int) -> int:
-        if h.norm <= 1:
+    def count(h: tuple[int, ...], budget: int) -> int:
+        if len(h) <= 1:
             return 1
         if budget <= 0:
             return 0
@@ -783,7 +801,7 @@ def independent_strict_count(g: PathGraph, d: int) -> int:
             memo[(h, budget)] = got
         return got
 
-    return count(g, d)
+    return count(tuple(g.edges()), d)
 
 
 def test_enumerate_strict_matches_independent_count():

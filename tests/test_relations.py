@@ -815,6 +815,76 @@ def test_eps1_matches_are_pinned(k, t, seed):
     assert R.montecarlo_eps1(k, t, trials=300, seed=seed)["matches"] == EPS1_MATCHES[k, t, seed]
 
 
+def one_draw_eps1_matches(k: int, t: int, trials: int, seed: int, p=None) -> int:
+    """The earlier fold: all trials * 2^t leaves drawn in one array and
+    folded level by level across every trial at once."""
+    probs = np.full(k, 1.0 / k) if p is None else np.asarray(p, dtype=float)
+    rng = np.random.default_rng(seed)
+    trees = [jt.leaf(from_edges([i])) for i in range(1, k + 1)]
+    ids_of = {tree: i for i, tree in enumerate(trees)}
+    combine: dict[tuple[int, int], int] = {}
+
+    def node_id(a: int, b: int) -> int:
+        got = combine.get((a, b))
+        if got is None:
+            x = jt.node(trees[a], trees[b])
+            x = jt._redundant_child(x, jt._graph) or x
+            got = ids_of.get(x)
+            if got is None:
+                got = ids_of[x] = len(trees)
+                trees.append(x)
+            combine[a, b] = got
+        return got
+
+    ids = rng.choice(k, size=(trials, 1 << t), p=probs)
+    width = 1 << t
+    while width > 1:
+        left = ids[:, 0:width:2]
+        right = ids[:, 1:width:2]
+        codes = left.astype(np.int64) * (1 << 32) + right
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        mapped = np.array([node_id(int(c >> 32), int(c & 0xFFFFFFFF)) for c in uniq], dtype=np.int64)
+        ids = mapped[inverse].reshape(left.shape)
+        width //= 2
+    target = ids_of.get(jt.sem(trees[:k]), -1)
+    return int((ids[:, 0] == target).sum())
+
+
+@pytest.mark.parametrize("p", [None, [0.9, 0.1], [0.2, 0.3, 0.5]])
+def test_chunked_choice_draws_continue_one_stream(p):
+    # montecarlo_eps1 relies on it: draws in chunks are one draw, flattened
+    k = 2 if p is None else len(p)
+    probs = np.full(k, 1.0 / k) if p is None else np.asarray(p)
+    whole = np.random.default_rng(9).choice(k, size=(5, 64), p=probs).ravel()
+    rng = np.random.default_rng(9)
+    parts = [rng.choice(k, size=(2, 64), p=probs), rng.choice(k, size=(1, 128), p=probs), rng.choice(k, size=64, p=probs)]
+    assert np.array_equal(np.concatenate([q.ravel() for q in parts]), whole)
+
+
+# (k, t, trials, p) across the 2^16-leaf chunk boundaries: several whole
+# trials per chunk with a partial last chunk, one trial per chunk, and
+# trials of 2, 4 or 8 chunks each
+EPS1_CHUNK_CASES = [
+    (1, 0, 70_000, None),
+    (2, 1, 70_000, None),
+    (2, 10, 65, None),
+    (3, 6, 1_025, None),
+    (2, 9, 300, [0.99, 0.01]),
+    (2, 16, 3, None),
+    (1, 17, 2, None),
+    (2, 17, 3, [0.7, 0.3]),
+    (3, 18, 1, None),
+    (2, 19, 3, None),
+]
+
+
+@pytest.mark.parametrize("k,t,trials,p", EPS1_CHUNK_CASES)
+def test_eps1_chunked_fold_equals_the_one_draw_fold(k, t, trials, p):
+    for seed in (0, 1):
+        got = R.montecarlo_eps1(k, t, trials, seed, p)["matches"]
+        assert got == one_draw_eps1_matches(k, t, trials, seed, p), seed
+
+
 def test_relation_json_round_trip():
     a = R.Relation(make_path(0, 2), 3, [(1, 2, 3), (3, 2, 1)])
     assert R.Relation.from_json(a.to_json()) == a
