@@ -165,19 +165,16 @@ def _suite_delta_props(args) -> dict:
         f0 = samples.random_pathgraph(rng)
         extra = samples.random_pathgraph(rng)
         f = f0.union(extra)
-        if vec_delta(seq, f) > vec_delta(seq, f0):
+        vd = vec_delta(seq, f)
+        if vd > vec_delta(seq, f0):
             failures.append({"rule": "monotone-in-condition", "trial": trial})
-        if vec_delta(seq, f) != vec_delta([f] + seq) - f.delta:
+        if vd != vec_delta([f] + seq) - f.delta:
             failures.append({"rule": "prepend", "trial": trial})
         u = union_all(seq)
-        if not (
-            u.ominus(f).delta
-            <= vec_delta(seq, f)
-            <= vec_delta([g.ominus(f) for g in seq])
-        ):
+        if not u.ominus(f).delta <= vd <= vec_delta([g.ominus(f) for g in seq]):
             failures.append({"rule": "sandwich", "trial": trial})
         seq2 = samples.random_sequence(rng, m=rng.randint(1, 4))
-        if vec_delta(seq + seq2, f) != vec_delta(seq, f) + vec_delta(seq2, f.union(u)):
+        if vec_delta(seq + seq2, f) != vd + vec_delta(seq2, f.union(u)):
             failures.append({"rule": "chain", "trial": trial})
         prefixes = []
         acc = EMPTY

@@ -90,7 +90,8 @@ class DeMorgan(jointrees.BinaryTree):
 
     def __new__(cls, op, left=None, right=None, var=None, neg=False, value=0):
         key = (cls, op, var, neg, value) if left is None else (cls, op, left, right)
-        x = jointrees._NODES.get(key)
+        ref = jointrees._NODES.get(key)
+        x = None if ref is None else ref()
         if x is None:
             x = jointrees._new_node(cls, key, left, right, None if left is None else op)
             x.op, x.var, x.neg, x.value = op, var, neg, value
@@ -98,10 +99,6 @@ class DeMorgan(jointrees.BinaryTree):
 
     def rebuild(self, left: "DeMorgan", right: "DeMorgan") -> "DeMorgan":
         return DeMorgan(self.op, left, right)
-
-    @property
-    def children(self) -> tuple:
-        return () if self.left is None else (self.left, self.right)
 
     def __repr__(self):
         if self.op == "const":

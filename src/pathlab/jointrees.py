@@ -2,13 +2,12 @@
 binary formulas.
 
 ``BinaryTree`` is that core: an immutable node, interned; equality is
-identity.  One table makes every node of both node kinds, ``JoinTree``
-(here) and ``formulas.DeMorgan``, so equal trees are one object and a node
-keys a memo by identity.  A node holds three caches, filled on first use
-and kept for as long as it lives: its Psi (``_psi``, join trees only), its
-left depth and its doubling-combinator table (both node kinds).  The two
-depth caches are filled by a walk that stops at nodes already measured, so
-each distinct node is measured once.  The algorithms that only read the
+identity.  One intern table of keyed weak references makes every node of
+both node kinds, ``JoinTree`` (here) and ``formulas.DeMorgan``, so equal
+trees are one object and a node keys a memo by identity.  Standard and
+left depth are set when a node is made; only Psi (``_psi``) and the
+doubling-combinator table are filled on first use, the table by a walk
+that stops at nodes already measured.  The algorithms that only read the
 tree shape are written once, over ``BinaryTree``: the doubling combinator
 ``sem``, its recogniser and depth ``sem_depth``, ``left_depth``,
 ``strictify`` and ``is_strict`` (given the per-node value whose equality
@@ -68,11 +67,11 @@ class BinaryTree:
 
     Nodes are interned; equality is identity.  Building a node equal to a
     live one returns that one, so a node keys a memo by identity and equal
-    trees share every cache held on their nodes: ``JoinTree._psi``, and on
-    every node ``_left_depth`` (``left_depth``) and ``_sem`` (the node's
-    entry in the doubling-combinator recogniser, ``_sem_table``), None until
-    measured.  No cache holds the node itself, so an interned node goes
-    with its last outside reference."""
+    trees share every cache held on their nodes.  ``_left_depth``
+    (``left_depth``) is set when the node is made; ``_sem`` (the node's
+    entry in the doubling-combinator recogniser, ``_sem_table``) and
+    ``JoinTree._psi`` are None until measured.  No cache holds the node
+    itself, so an interned node goes with its last outside reference."""
 
     __slots__ = ("left", "right", "gate", "_left_depth", "_sem", "__weakref__")
 
@@ -83,26 +82,46 @@ class BinaryTree:
     def is_leaf(self) -> bool:
         return self.left is None
 
+    @property
+    def children(self) -> tuple:
+        return () if self.left is None else (self.left, self.right)
 
-# the live nodes of every ``BinaryTree`` subclass: an inner node under
-# (class, gate, left, right), its children compared by identity, and a leaf
-# under its class and label; an entry goes when its node does
-_NODES: weakref.WeakValueDictionary[tuple, BinaryTree] = weakref.WeakValueDictionary()
+
+class _KeyedRef(weakref.ref):
+    """A weak reference that carries its node's key; with no ``__new__`` or
+    ``__init__`` of its own, it is made at C level."""
+
+    __slots__ = ("key",)
+
+
+# the live nodes of every ``BinaryTree`` subclass by ``_KeyedRef``: an inner
+# node under (class, gate, left, right), children compared by identity, and
+# a leaf under its class and label; an entry goes with its node, and a new
+# node replaces a dead reference whose callback has not run yet
+_NODES: dict[tuple, _KeyedRef] = {}
+
+
+def _drop(ref: _KeyedRef, nodes: dict = _NODES) -> None:
+    """Callback: delete ``ref``'s entry unless a newer node replaced it (the
+    table is bound as a default, so interpreter teardown cannot unbind it)."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 def _new_node(cls: type, key: tuple, left, right, gate) -> BinaryTree:
-    """A new ``cls`` node with these children and gate, entered in ``_NODES``
-    under ``key``; the caller sets its subclass fields."""
+    """A new ``cls`` node with these children, gate and left depth, entered
+    in ``_NODES`` under ``key``; the caller sets its subclass fields."""
     x = object.__new__(cls)
-    x.left, x.right, x.gate = left, right, gate
-    x._left_depth = x._sem = None
-    _NODES[key] = x
+    x.left, x.right, x.gate, x._sem = left, right, gate, None
+    x._left_depth = 0 if left is None else max(left._left_depth + 1, right._left_depth)
+    _NODES[key] = ref = _KeyedRef(x, _drop)
+    ref.key = key
     return x
 
 
 class JoinTree(BinaryTree):
     """Immutable binary join tree; ``graph`` is the union of leaf labels and
-    ``_height`` the standard depth, both set when the node is made.  Once
+    ``_height`` the standard depth, set with the left depth when made.  Once
     ``psi`` has run, ``_psi`` caches Psi; ``_psi_size``, the largest
     covering size, is None until a ``dp_limit`` of at most the height makes
     ``psi`` count it (two slots of small ints, where a tuple would
@@ -114,7 +133,8 @@ class JoinTree(BinaryTree):
         """The leaf labeled ``graph`` when ``left`` is None, else the union
         node over ``left`` and ``right``."""
         key = (cls, graph) if left is None else (cls, "union", left, right)
-        x = _NODES.get(key)
+        ref = _NODES.get(key)
+        x = None if ref is None else ref()
         if x is None:
             x = _new_node(cls, key, left, right, None if left is None else "union")
             if left is None:
@@ -289,12 +309,6 @@ def _postorder(root, done: Callable | None = None, children: Callable | None = N
         yield x
 
 
-def _children(x) -> tuple:
-    if isinstance(x, BinaryTree):
-        return () if x.left is None else (x.left, x.right)
-    return x.children
-
-
 def _text(t, leaf_text: Callable, head: Callable, sep: str) -> str:
     """Text of t: ``leaf_text(x)`` at a leaf, else ``head(x)``, the
     children's texts joined by ``sep``, and ')'.  Each distinct subtree's
@@ -302,7 +316,7 @@ def _text(t, leaf_text: Callable, head: Callable, sep: str) -> str:
     and one pass joins the pieces, in time linear in the text."""
     pieces: dict = {}
     for x in _postorder(t):
-        kids = _children(x)
+        kids = x.children
         if kids:
             body = [p for c in kids for p in (sep, pieces[c])]  # sep, kid, sep, kid, ...
             pieces[x] = [head(x), *body[1:], ")"]
@@ -324,22 +338,12 @@ def standard_depth(t: JoinTree) -> int:
     return t._height
 
 
-_left_depth_of = attrgetter("_left_depth")
 _sem_of = attrgetter("_sem")
 
 
 def left_depth(t: BinaryTree) -> int:
     """Maximum number of left descents on a root-to-leaf branch (the
-    right-comb-combinator depth).  Cached on every node under t as
-    ``_left_depth``; a call measures only the nodes not measured before."""
-    if t._left_depth is None:
-        for x in _postorder(t, _left_depth_of):
-            if x.left is None:
-                x._left_depth = 0
-            else:
-                a = x.left._left_depth + 1
-                b = x.right._left_depth
-                x._left_depth = a if a > b else b
+    right-comb-combinator depth), kept on every node."""
     return t._left_depth
 
 
@@ -787,28 +791,25 @@ def verify_tradeoff(t: JoinTree, kind: Literal["I", "II"]) -> tuple[bool, int, f
     x >= d lam^(1/2d) / sqrt(32e), that is x > 0 and
     e^d 32^d x^(2d) >= d^(2d) lam.  For d = 0 or lam = 0 the bound is x >= 0."""
     p = t.graph
+    delta, lam = p.delta, p.lam
     lhs = psi(t)
     if kind == "I":
         d = left_depth(t)
-        rhs = d * p.lam ** (1.0 / d) / (30.0 * math.e) + p.delta - d if d else float(p.delta)
+        rhs = d * lam ** (1.0 / d) / (30.0 * math.e) + delta - d if d else float(delta)
     elif kind == "II":
         d = sem_depth(t)
-        rhs = (
-            d * p.lam ** (1.0 / (2.0 * d)) / math.sqrt(32.0 * math.e) + p.delta - d
-            if d
-            else float(p.delta)
-        )
+        rhs = d * lam ** (1.0 / (2.0 * d)) / math.sqrt(32.0 * math.e) + delta - d if d else float(delta)
     else:
         raise InvalidParameterError(f"unknown tradeoff kind {kind!r}")
-    x = lhs - p.delta + d
-    if not d or not p.lam:
+    x = lhs - delta + d
+    if not d or not lam:
         holds = x >= 0
     elif x <= 0:
         holds = False
     elif kind == "I":
-        holds = _e_power_at_least(d, (30 * x) ** d, d**d * p.lam)
+        holds = _e_power_at_least(d, (30 * x) ** d, d**d * lam)
     else:
-        holds = _e_power_at_least(d, 32**d * x ** (2 * d), d ** (2 * d) * p.lam)
+        holds = _e_power_at_least(d, 32**d * x ** (2 * d), d ** (2 * d) * lam)
     return holds, lhs, rhs
 
 

@@ -193,7 +193,7 @@ class PathGraph:
     @property
     def lam(self) -> int:
         """Length of the longest component (0 for the empty graph)."""
-        return max((t - s for s, t in self.intervals), default=0)
+        return max([t - s for s, t in self.intervals], default=0)
 
     def measures(self) -> tuple[int, int, int]:
         return (self.norm, self.delta, self.lam)

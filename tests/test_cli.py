@@ -111,6 +111,13 @@ def test_verify_suites_pass(capsys):
         assert code == 0, suite
 
 
+def test_delta_props_report_is_pinned(capsys):
+    # the README example, byte for byte
+    code, out = run(capsys, "verify", "delta-props", "--trials", "500", "--seed", "0")
+    assert code == 0
+    assert out == "failures: []\nok: True\nsuite: delta-props\ntrials: 500\n"
+
+
 def test_verify_formulas_exhaustive(capsys):
     code, out = run(
         capsys,

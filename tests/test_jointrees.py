@@ -758,6 +758,96 @@ def test_intern_table_drops_dead_trees():
         gc.enable()
 
 
+def test_a_node_rebuilt_after_its_equal_predecessor_died_is_a_fresh_entry():
+    gc.collect()
+    start = len(jt._NODES)
+    a, b = jt.leaf(single_edge(101)), jt.leaf(single_edge(102))
+    key = (jt.JoinTree, "union", a, b)
+    t = jt.node(a, b)
+    old = jt._NODES[key]
+    assert old() is t and jt.psi(t) == 1 and t._psi == 1
+    del t
+    assert key not in jt._NODES and old() is None
+    u = jt.node(a, b)
+    assert jt._NODES[key] is not old and jt._NODES[key]() is u
+    assert u._psi is None  # nothing of the dead node's caches carries over
+    del u, a, b, key, old  # a key and a dead reference's key hold the leaves
+    assert len(jt._NODES) == start
+
+
+def test_a_dead_references_callback_keeps_the_newer_entry():
+    class Stand:  # a stand-in object, freed before any callback could run
+        pass
+
+    a, b = jt.leaf(single_edge(103)), jt.leaf(single_edge(104))
+    key = (jt.JoinTree, "union", a, b)
+    stand = Stand()
+    dead = jt._KeyedRef(stand)
+    dead.key = key
+    jt._NODES[key] = dead
+    del stand
+    assert dead() is None and jt._NODES[key] is dead
+    t = jt.node(a, b)  # a dead entry is replaced by the new node
+    assert jt._NODES[key]() is t
+    jt._drop(dead)  # the late callback of the dead reference
+    assert jt._NODES[key]() is t
+    del t
+    assert key not in jt._NODES
+
+
+def test_join_tree_and_formula_keys_share_one_table():
+    gc.collect()
+    start = len(jt._NODES)
+    t = jt.node(jt.leaf(single_edge(105)), jt.leaf(single_edge(106)))
+    g = formulas.dm_and(formulas.dm_lit("p"), formulas.dm_lit("q"))
+    assert len(jt._NODES) == start + 6
+    assert jt._NODES[(jt.JoinTree, "union", t.left, t.right)]() is t
+    assert jt._NODES[(formulas.DeMorgan, "and", g.left, g.right)]() is g
+    assert jt._NODES[(formulas.DeMorgan, "lit", "p", False, 0)]() is g.left
+    del t, g
+    assert len(jt._NODES) == start
+
+
+def left_comb(k: int) -> jt.JoinTree:
+    """The k-level left comb over the edges 1..k+1."""
+    ls = leaves(k + 1)
+    t = ls[0]
+    for x in ls[1:]:
+        t = jt.node(t, x)
+    return t
+
+
+def mirror(t: jt.JoinTree) -> jt.JoinTree:
+    """t with the children of every node swapped."""
+    out: dict = {}
+    for x in jt._postorder(t):
+        out[x] = x if x.left is None else jt.node(out[x.right], out[x.left])
+    return out[t]
+
+
+def test_every_node_carries_its_left_depth_from_construction():
+    comb = left_comb(3000)
+    phi = formulas.build_matrix_formula("C", 2, 3)
+    dms = [formulas.convert(phi, style) for style in ("right_deep", "balanced")]
+    for t in [comb, mirror(comb), *dms]:
+        want = left_depths_by_dict(t)
+        assert all(x._left_depth == want[x] for x in want)
+    assert jt.left_depth(comb) == 3000 and jt.left_depth(mirror(comb)) == 1
+
+
+def test_left_depth_runs_no_walk(monkeypatch):
+    comb = left_comb(50)
+    dm = formulas.convert(formulas.build_matrix_formula("D", 2, 3), "balanced")
+    want = left_depths_by_dict(dm)[dm]
+    walks = []
+    postorder = jt._postorder
+    monkeypatch.setattr(jt, "_postorder", lambda *args, **kw: walks.append(args) or postorder(*args, **kw))
+    assert jt.left_depth(comb) == 50 and jt.left_depth(dm) == want
+    assert walks == []
+    jt.sem_depth(jt.node(comb, comb))  # the spy sees a walk that does run
+    assert len(walks) == 1
+
+
 def test_strictify_with_equal_subtrees_built_apart():
     e1, e2 = jt.leaf(single_edge(1)), jt.leaf(single_edge(2))
     dup = jt.node(jt.node(e1, e1), e2)
@@ -887,14 +977,17 @@ def sem_tables_by_dict(t: jt.BinaryTree) -> dict:
 
 
 def forget_depths(trees) -> None:
+    """Empty the doubling-combinator table of every node under ``trees``;
+    left depth is set when a node is made, so it is no cache to empty."""
     for t in trees:
         for x in jt._postorder(t):
-            x._left_depth = x._sem = None
+            x._sem = None
 
 
 def assert_cached_depths_match_the_folds(trees) -> None:
-    """Every node's cached depths equal the folds', whether each subtree is
-    measured before the trees above it or the roots are measured first."""
+    """Every node's depths equal the folds', whether each subtree's
+    doubling-combinator table is filled before the trees above it or the
+    roots are measured first."""
     want = [(t, left_depths_by_dict(t), sem_tables_by_dict(t)) for t in trees]
     for subtrees_first in (True, False):
         forget_depths(trees)
