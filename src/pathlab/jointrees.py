@@ -956,7 +956,7 @@ def check_psi_recurrences(
             blocks = shifts._Blocks([p.graph for p in decomp])
             units = blocks.unit_sums[0]
             psi_of = [psi(x) for x in decomp]
-            b = [[blocks.block(q, i)[0] if q < i else 0 for i in range(m + 1)] for q in range(m)]
+            b = blocks.table(0)
             later, path = _kernels.shift_sweep(b)
             for j in range(1, m + 1):
                 note("sem-corollary", psi_of[j - 1] + b[0][j] - len(blocks.members[j - 1]) + units[m] - units[j], j=j)

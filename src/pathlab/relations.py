@@ -115,22 +115,21 @@ def join(a: Relation, b: Relation) -> Relation:
     if a.n != b.n:
         raise DomainError(f"mismatched universes n={a.n} vs n={b.n}")
     g = a.graph.union(b.graph)
-    verts = tuple(g.vertices())
-    pos_a = [verts.index(v) for v in a.verts]
-    shared = [v for v in b.verts if v in set(a.verts)]
-    shared_in_b = [b.verts.index(v) for v in shared]
+    # each vertex's position in a tuple of a followed by one of b
+    at = {v: i for i, v in enumerate(b.verts, start=len(a.verts))}
+    at.update((v, i) for i, v in enumerate(a.verts))
+    pick = [at[v] for v in g.vertices()]
+    shared = [v for v in b.verts if at[v] < len(a.verts)]
+    key_a = [at[v] for v in shared]
+    key_b = [b.verts.index(v) for v in shared]
     index: dict[tuple, list] = {}
     for tb in b.tuples:
-        index.setdefault(tuple(tb[i] for i in shared_in_b), []).append(tb)
+        index.setdefault(tuple(tb[i] for i in key_b), []).append(tb)
     out = []
-    b_pos = {v: i for i, v in enumerate(b.verts)}
     for ta in a.tuples:
-        amap = dict(zip(a.verts, ta))
-        key = tuple(amap[v] for v in shared)
-        for tb in index.get(key, ()):
-            merged = dict(amap)
-            merged.update(zip(b.verts, tb))
-            out.append(tuple(merged[v] for v in verts))
+        for tb in index.get(tuple(ta[i] for i in key_a), ()):
+            t = ta + tb
+            out.append(tuple(t[i] for i in pick))
     return Relation(g, a.n, out)
 
 
@@ -212,14 +211,15 @@ def chain_rule_check(
     if not rels:
         raise InvalidParameterError("the chain rule needs at least one relation")
     report: dict = {"checked": 0, "violations": []}
+    joined = rels[0]
     if len(rels) >= 2:
         a, b = rels[0], join_all(rels[1:])
-        lhs = density(join(a, b), cond)
+        joined = join(a, b)  # the join of all, by associativity
+        lhs = density(joined, cond)
         rhs = density(a, cond) * density(b, cond.union(a.graph))
         report["checked"] += 1
         if lhs > rhs:
             report["violations"].append({"rule": "binary", "lhs": str(lhs), "rhs": str(rhs)})
-    joined = join_all(list(rels))
     mu_join = density(joined)
     for perm in permutations(range(len(rels))):
         acc = EMPTY

@@ -10,8 +10,10 @@ the whole family exactly, with a longest-path DP over the m(m+1)/2 blocks
 an index set can have, and the witness constructions score each of their
 candidates by its long blocks instead of re-measuring it.  The
 Psi-recurrence checker decides each family of its cases by the largest,
-read off block values and the same longest paths.  ``enumerate_all``
-walks the family itself, for cross-checks.
+read off block values and the same longest paths.  ``_Blocks.block`` is
+the one computation of a block value: the sweep's table and the strong
+shift's induced minimum read it.  ``enumerate_all`` walks the family
+itself, for cross-checks.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ class _Blocks:
     corrections of the touched h > p.  One prefix scan, a fused
     survivors-and-union step per member (``_absorb``), gives every U_p,
     R_h and unit; a column costs one touch scan per touched h, its heads a
-    bisection per interval of G_i, and a block none.
+    bisection per interval of G_i, and a block none.  Only ``block`` walks
+    a column: ``table`` and ``induced_min`` read block values from it.
     """
 
     __slots__ = ("m", "members", "prefix", "resid", "units", "unit_sums", "spans", "_owners", "_columns", "_heads")
@@ -261,44 +264,29 @@ class _Blocks:
         sd, sl, sld = self.unit_sums
         return d + sd[i - 1] - sd[p], l + sl[i - 1] - sl[p], ld + sld[i - 1] - sld[p]
 
+    def table(self, code: int) -> list[list[int]]:
+        """The input of ``_kernels.shift_sweep`` for measure ``code``: rows
+        p = 0..m-1 of b(p, i) for i = 0..m, with 0 where i <= p."""
+        m = self.m
+        return [[self.block(p, i)[code] if p < i else 0 for i in range(m + 1)] for p in range(m)]
+
     def induced_min(self, index_set: Iterable[int], code: int) -> int:
         """The least measure ``code`` over the induced permutations of
-        sigma_I, j = 1..m, in one pass over the blocks of I.  For j in the
-        block (p, i], the induced index set is 1..q, the block (q, i] and
-        the blocks of I after i, with q = p when j = i and q = j - 1
-        otherwise; so q runs over p..max(p, i - 2).  Units 1..q and b(q, i)
-        add up to the units 1..i-1 and the terms of column i's heads and
-        touches above q, so one walk down the column gives every q."""
+        sigma_I, j = 1..m.  For j in the block (p, i], the induced index set
+        is 1..q, the block (q, i] and the blocks of I after i, with q = p
+        when j = i and q = j - 1 otherwise; so q runs over p..max(p, i - 2),
+        and the value is the units 1..q, b(q, i) and the blocks of I after
+        i."""
         sums = self.unit_sums[code]
         ordered = sorted(index_set)
         low = None
         later = 0  # the value of the blocks of I after (p, i]
         for p, i in reversed(list(zip([0] + ordered, ordered))):
-            if i == p + 1:
-                least = value = sums[i]
-            else:
-                own, touches = self._columns[i] or self._column(i)
-                heads = (self._heads[i] or self._head(i)) if i > 2 else ()
-                n_heads, n_touches = len(heads), len(touches)
-                a = b = d = l = extra = 0
-                least = None
-                for q in range(i - 2, p - 1, -1):
-                    while a < n_heads and heads[a][0] > q:
-                        d += 1
-                        if heads[a][1] > l:
-                            l = heads[a][1]
-                        a += 1
-                    while b < n_touches and touches[b][0] > q:
-                        extra += touches[b][1 + code]
-                        b += 1
-                    value = ((d, l, l * d)[code] if q else own[code]) + extra
-                    if least is None or value < least:
-                        least = value
-                least += sums[i - 1]
-                value += sums[i - 1]
+            values = [sums[q] + self.block(q, i)[code] for q in range(p, max(p, i - 2) + 1)]
+            least = min(values)
             if low is None or later + least < low:
                 low = later + least
-            later += value - sums[p]
+            later += values[0] - sums[p]  # b(p, i)
         return low
 
 
@@ -316,11 +304,5 @@ def best_shift(seq: GraphSequence, objective: Objective = "vec_delta") -> tuple[
     m = len(seq)
     if m < 1:
         raise InvalidIndexSetError("best_shift needs a nonempty sequence")
-    code = _OBJECTIVE_INDEX[objective]
-    blocks = _Blocks(seq)
-    block = [[0] * (m + 1) for _ in range(m)]
-    for i in range(1, m + 1):
-        for p in range(i):
-            block[p][i] = blocks.block(p, i)[code]
-    best, path = _kernels.shift_sweep(block)
+    best, path = _kernels.shift_sweep(_Blocks(seq).table(_OBJECTIVE_INDEX[objective]))
     return from_set(m, path[0]), best[0]

@@ -132,7 +132,8 @@ def _covers(ivs, lo: int, hi: int) -> bool:
     for s, t in ivs:
         if s > run:
             return False
-        run = max(run, t)
+        if t > run:
+            run = t
     return run >= hi
 
 
@@ -197,16 +198,8 @@ def _minimal_selection(comps, lo: int, hi: int) -> list[tuple[int, tuple[int, in
     if not _covers((c for _, c in order), lo, hi):
         return None
     for j, _ in selected:
-        run = lo
-        for i, (s, t) in order:
-            if i != j:
-                if s > run:
-                    break
-                if t > run:
-                    run = t
-        else:
-            if run >= hi:
-                order = [x for x in order if x[0] != j]
+        if _covers((c for i, c in order if i != j), lo, hi):
+            order = [x for x in order if x[0] != j]
     if len(order) == len(selected):
         return selected
     kept = {j for j, _ in order}
@@ -346,12 +339,15 @@ def construct_main_I(family: Sequence[PathGraph]) -> WitnessResult:
 # ---------------------------------------------------------------------------
 
 
-def _region_frontiers(prefix: Sequence[tuple], lo: int, hi: int):
+def _region_frontiers(prefix: Sequence[tuple], lo: int, hi: int) -> tuple[int, int, int]:
     """Left/right coverage frontiers of the region [lo, hi] just before the
     first prefix union U_l (``prefix[l]``) that covers it completely: (a, b,
-    l) with Path_{lo,a} and Path_{b,hi} covered by the first l-1 graphs."""
+    l) with Path_{lo,a} and Path_{b,hi} covered by the first l-1 graphs.
+    The last union is Path_k (``_scan`` checks it), which spans every
+    region, so l is at most m."""
     a, b = lo, hi
-    for l in range(1, len(prefix)):
+    last = len(prefix) - 1
+    for l in range(1, last):
         acc = prefix[l]
         # Path_{lo,hi} is covered once one interval of the union spans it
         if any(s <= lo and hi <= t for s, t in acc):
@@ -361,7 +357,7 @@ def _region_frontiers(prefix: Sequence[tuple], lo: int, hi: int):
                 a = max(a, min(t, hi))
             if s < hi <= t:
                 b = min(b, max(s, lo))
-    return None
+    return a, b, last
 
 
 def _gap_selections(blocks: shifts._Blocks, k: int) -> list[list[tuple[int, tuple[int, int]]]]:
@@ -387,13 +383,11 @@ def _gap_selections(blocks: shifts._Blocks, k: int) -> list[list[tuple[int, tupl
     if widest is not None:
         _, i = widest
         region_lo, region_hi = spans[i][1], spans[i + 1][0]
-        front = _region_frontiers(blocks.prefix, region_lo, region_hi)
-        if front is not None:
-            a, b, l = front
-            if a > region_lo:
-                found.append(_interleave_selection(members, region_lo, a, upto=l - 1))
-            if b < region_hi:
-                found.append(_mirrored_selection(members, k, k - region_hi, k - b, upto=l - 1))
+        a, b, l = _region_frontiers(blocks.prefix, region_lo, region_hi)
+        if a > region_lo:
+            found.append(_interleave_selection(members, region_lo, a, upto=l - 1))
+        if b < region_hi:
+            found.append(_mirrored_selection(members, k, k - region_hi, k - b, upto=l - 1))
     return [sel for sel in found if sel]
 
 
@@ -462,8 +456,8 @@ def construct_strong_shift(
     """Split an interleaving selection in two so that the chosen shift
     permutation keeps half the vector-length value while every induced
     permutation keeps half the component value.  Every candidate is scored
-    by its long blocks, and the induced permutations by one pass over the
-    blocks of the winner."""
+    by its long blocks, and the induced permutations by the block values
+    of the winner's blocks (``_Blocks.induced_min``)."""
     blocks, k = _scan(seq)
     m = blocks.m
     ell = max([t - s for ivs in blocks.members for s, t in ivs])

@@ -253,6 +253,17 @@ def test_negative_trials_are_an_input_error_for_every_suite(capsys, suite):
         assert "checked: 0" in capsys.readouterr().out
 
 
+def test_a_failed_tradeoff_exits_one_with_its_rows(capsys, monkeypatch):
+    # with Psi read as 0, the leaf over Path_1 (d = 0) and the depth-1 trees
+    # over Path_2 (x = 0) all fail the bound
+    monkeypatch.setattr(jt, "psi", lambda t: 0)
+    code, out = run(capsys, "verify", "tradeoff-I", "--enumerate-k", "2", "--trials", "0", "--format", "json")
+    report = json.loads(out)
+    assert code == cli.EXIT_CHECK_FAILED and not report["ok"]
+    assert report["failures"] and all(set(row) == {"k", "tree", "lhs", "rhs"} for row in report["failures"])
+    assert {row["k"] for row in report["failures"]} == {1, 2}
+
+
 @pytest.mark.parametrize("suite", ["tradeoff-I", "tradeoff-II"])
 def test_a_negative_enumerate_k_is_an_input_error(capsys, suite):
     assert cli.main(["verify", suite, "--enumerate-k", "-1", "--trials", "1"]) == cli.EXIT_INPUT_ERROR

@@ -639,6 +639,11 @@ def test_e_power_decided_past_the_integer_bracket():
     assert not jt._e_power_at_least(2, 10**30, 2718281828459046**2)
 
 
+def test_e_power_refused_by_the_integer_bracket():
+    # e < 2.718281829 < 3, so the upper bracket alone refuses e >= 3
+    assert not jt._e_power_at_least(1, 1, 3)
+
+
 def test_build_tight_psi_bounds():
     assert jt.psi(jt.build_tight("I", 4, 2)) <= 2  # d ell / 2
     assert jt.psi(jt.build_tight("I", 8, 3)) <= 3
@@ -1119,6 +1124,21 @@ def test_verify_tradeoff_random_trees():
         for kind in ("I", "II"):
             holds, lhs, rhs = jt.verify_tradeoff(tree, kind)
             assert holds, (k, kind, lhs, rhs)
+
+
+@pytest.mark.parametrize("edges,d,x", [((1, 2), 1, 0), ((1, 3, 5), 2, -1)])
+def test_verify_tradeoff_refuses_a_nonpositive_x(monkeypatch, edges, d, x):
+    # with Psi read as 0, x = Psi - delta + d is d - delta; at x = -1 and
+    # d = 2 both sides raised to an even power would pass without the check
+    monkeypatch.setattr(jt, "psi", lambda t: 0)
+    a, b, *rest = [jt.leaf(single_edge(e)) for e in edges]
+    t = jt.node(a, b)
+    for c in rest:
+        t = jt.node(t, c)
+    assert jt.left_depth(t) == jt.sem_depth(t) == d and d - t.graph.delta == x
+    for kind in ("I", "II"):
+        holds, lhs, rhs = jt.verify_tradeoff(t, kind)
+        assert not holds and lhs == 0, kind
 
 
 def test_tight_construction_close_to_lower_bound():

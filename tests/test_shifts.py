@@ -300,10 +300,9 @@ def test_block_values_do_not_depend_on_which_blocks_were_asked_first():
             assert blocks.block(p, i) == want, (seq, p, i)
 
 
-def test_one_pass_induced_minimum_is_the_least_induced_measure():
+def test_induced_minimum_is_the_least_induced_measure():
     # against the minimum over j of the block-value score of each induced
-    # index set, as the witness constructions took it before the one pass
-    # (block-value scores are checked against vec_measures above)
+    # index set (block-value scores are checked against vec_measures above)
     rng = random.Random(12)
     for seq in _block_sequences(rng):
         m = len(seq)
